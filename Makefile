@@ -69,9 +69,13 @@ test-fuzz:
 # several GOMAXPROCS values. Covers the experiment sweeps (including
 # the churn and admission sweeps), the sharded churn simulator itself
 # (locked and optimistic admission paths, with and without the
-# enforcement dataplane), the optimistic-vs-locked output-identity
-# check, the commit-pipeline identity and mixed-lifecycle stress
-# checks (flat-combining queue vs the locked Admitter, byte for byte),
+# enforcement dataplane), the dataplane's TestDifferential* harnesses
+# (incremental vs FullRecompute byte for byte, contention-aware
+# components vs a whole-fabric oracle to 1e-6 Mbps per pair, components
+# sharing a slack link solved in parallel), the optimistic-vs-locked
+# output-identity check, the commit-pipeline identity and
+# mixed-lifecycle stress checks (flat-combining queue vs the locked
+# Admitter, byte for byte),
 # and the crash-recovery identity check (kill a durable service
 # mid-churn, recover from WAL + snapshot, demand a byte-identical
 # admission trace and final ledger).

@@ -121,8 +121,9 @@ func (r *EnforcementReport) add(st *ShardEnforcement, iters int) {
 }
 
 // SetDemand declares a grant's active flows for subsequent control
-// periods, replacing any previous declaration. Tenants with no
-// declaration default to every TAG-permitted pair backlogged. A resize
+// periods, replacing any previous declaration; each (Src, Dst) pair
+// may appear at most once. Tenants with no declaration default to
+// every TAG-permitted pair backlogged. A resize
 // resets the declaration to that default (the VM set changed), so
 // callers re-declare after resizing. The grant must have been issued
 // by the service this Enforcement belongs to.
@@ -144,8 +145,11 @@ func (e *Enforcement) SetDemand(g Grant, demands []Demand) error {
 }
 
 // SolveStats sums the per-shard incremental-stepping stats of the most
-// recent control period: how many connected components of the
-// tenant–link graph were re-solved versus how many exist. Solved <
+// recent control period: how many components — sets of tenants
+// connected through contended links, links whose declared demand can
+// reach their capacity — were re-solved versus how many exist. Tenants
+// that only share slack links stay in separate components; undeclared
+// and Greedy flows make every link they cross contended. Solved <
 // components means the incremental stepper spliced cached rates for
 // settled, untouched components; under FullRecompute the two are
 // always equal.

@@ -193,6 +193,36 @@ func TestEnforcementRejectsForeignGrant(t *testing.T) {
 	}
 }
 
+// TestEnforcementRejectsDuplicatePair: one (Src, Dst) declared twice
+// would become two flows splitting the hose and one limiter's history;
+// SetDemand rejects it and leaves the previous declaration in force.
+func TestEnforcementRejectsDuplicatePair(t *testing.T) {
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := svc.Admit(context.Background(), Request{ID: 1, Graph: testGraph(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grant.Release()
+	enf := svc.Enforcement()
+	if err := enf.SetDemand(grant, []Demand{{Src: 0, Dst: 2, Mbps: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	err = enf.SetDemand(grant, []Demand{{Src: 0, Dst: 2, Mbps: 10}, {Src: 1, Dst: 2, Mbps: 5}, {Src: 0, Dst: 2, Mbps: 20}})
+	if ReasonOf(err) != InvalidRequest {
+		t.Errorf("duplicate pair accepted: err = %v, want invalid_request", err)
+	}
+	rep, err := enf.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Pairs + rep.Colocated; got != 1 {
+		t.Errorf("%d flows under enforcement after the rejected declaration, want the previous 1", got)
+	}
+}
+
 // TestEnforcementConcurrentChurn races Admit/Resize/Release against
 // the control loop and demand declarations — the dataplane must stay
 // consistent under -race with lifecycle events arriving from many

@@ -348,7 +348,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // enforcementBody is the /v1/enforcement wire form: the outcome of one
 // control period, aggregates only (per-pair rates can be unbounded for
-// backlogged flows, which JSON cannot carry).
+// backlogged flows, which JSON cannot carry). Components counts the
+// period's components — tenants connected through contended links —
+// and Solved how many of them it re-solved rather than spliced from
+// cache (Enforcement.SolveStats).
 type enforcementBody struct {
 	Shards         int                 `json:"shards"`
 	Tenants        int                 `json:"tenants"`
@@ -359,6 +362,8 @@ type enforcementBody struct {
 	AchievedMbps   float64             `json:"achieved_mbps"`
 	SpareMbps      float64             `json:"spare_mbps"`
 	MinRatio       float64             `json:"min_ratio"`
+	Components     int                 `json:"components"`
+	Solved         int                 `json:"solved_components"`
 	Events         enforcementEvents   `json:"events"`
 	PerTenant      []enforcementTenant `json:"per_tenant"`
 }
@@ -451,6 +456,7 @@ func eventsBody(c EnforcementCounters) enforcementEvents {
 
 // enforcementReportBody flattens one control period's report.
 func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcementBody {
+	solved, components := enf.SolveStats()
 	body := enforcementBody{
 		Shards:         enf.Shards(),
 		Tenants:        rep.Tenants,
@@ -461,6 +467,8 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 		AchievedMbps:   rep.AchievedMbps,
 		SpareMbps:      rep.SpareMbps,
 		MinRatio:       rep.MinRatio,
+		Components:     components,
+		Solved:         solved,
 		Events:         eventsBody(enf.Counters()),
 		PerTenant:      []enforcementTenant{},
 	}

@@ -208,12 +208,19 @@ func TestHTTPEnforcement(t *testing.T) {
 	if len(body.PerTenant) != 1 || body.PerTenant[0].GuaranteedMbps <= 0 {
 		t.Errorf("per-tenant = %+v, want one tenant with a positive guarantee", body.PerTenant)
 	}
+	// The lone tenant is one component, and its first period solves it.
+	if body.Components != 1 || body.Solved != 1 {
+		t.Errorf("step body reports %d of %d components solved, want 1 of 1", body.Solved, body.Components)
+	}
 
 	// GET now serves the cached period outcome read-only.
 	var got enforcementBody
 	resp = do(t, "GET", ts.URL+"/v1/enforcement", "", &got)
 	if resp.StatusCode != http.StatusOK || got.Tenants != 1 || got.AchievedMbps != body.AchievedMbps {
 		t.Errorf("post-step GET = %d %+v, want the cached period outcome", resp.StatusCode, got)
+	}
+	if got.Components != 1 || got.Solved != 1 {
+		t.Errorf("post-step GET reports %d of %d components solved, want the period's 1 of 1", got.Solved, got.Components)
 	}
 
 	// Release: counters refresh on GET without running a period; the
@@ -224,8 +231,8 @@ func TestHTTPEnforcement(t *testing.T) {
 		t.Errorf("post-release GET = %d %+v, want released counter 1", resp.StatusCode, got)
 	}
 	resp = do(t, "POST", ts.URL+"/v1/enforcement/step", "", &got)
-	if resp.StatusCode != http.StatusOK || got.Tenants != 0 {
-		t.Errorf("post-release step = %d %+v, want 0 tenants", resp.StatusCode, got)
+	if resp.StatusCode != http.StatusOK || got.Tenants != 0 || got.Components != 0 || got.Solved != 0 {
+		t.Errorf("post-release step = %d %+v, want 0 tenants and 0 components", resp.StatusCode, got)
 	}
 }
 

@@ -12,17 +12,57 @@ import (
 // Driver.Step: flow-state refresh, the union-find structure rebuild,
 // and the per-component GP/RA/limiter solve.
 //
-// Weighted max-min decomposes exactly over connected components of the
-// flow–link graph: a water-level round only inspects links carrying the
-// solved flows and flows sharing those links, so flows with no chain of
-// shared links cannot influence each other's rates. The driver
-// therefore unions tenants that share a fabric link (a tenant is
-// indivisible: its guarantee partitioning spans all its pairs,
-// colocated ones included) and solves each component in isolation —
-// both in incremental mode and under FullRecompute, so the two modes
-// differ only in which components they skip, never in arithmetic.
+// Weighted max-min decomposes over connected components of the
+// flow–link graph, where only links that can saturate count as edges: a
+// water-level round freezes flows on saturated links and nowhere else,
+// so a link that cannot fill never makes one flow's rate depend on
+// another's. The driver therefore unions tenants connected through
+// contended links (a tenant is indivisible: its guarantee partitioning
+// spans all its pairs, colocated ones included) and solves each
+// component in isolation — both in incremental mode and under
+// FullRecompute, so the two modes differ only in which components they
+// skip, never in arithmetic.
+//
+// A link is contended when its declared load — Σ Demand over every
+// enforced pair crossing it — can reach its capacity. One that is slack
+// cannot saturate in either solve of a period: RA phase 2 offers it at
+// most Σ(demand − base) ≤ residual capacity, and the achieved-rates
+// solve at most Σ min(demand, limit) ≤ Σ demand. It freezes no flow,
+// its saturation level is never the next water-level event (every flow
+// on it reaches its own cap first), and RA's guarantee-overflow check
+// on it is implied (Σ base ≤ Σ demand ≤ capacity). Slack links still
+// appear on the paths handed to the solvers; they just never bind.
+// Greedy demands are +Inf, so a link carrying a backlogged or
+// undeclared flow is always contended: the purely structural
+// decomposition is the special case "every demand Greedy".
+//
+// What splitting a component can change: within one solve the water
+// level stops at the events of every flow in it, and freeze decisions
+// use a 1e-9 band, so removing another component's event levels may
+// move a rate inside that band. The contract is therefore three-level:
+// incremental vs FullRecompute byte-identical (same structure, same
+// demands), contention-aware vs one whole-fabric solve within 1e-6 Mbps
+// per pair (TestDifferentialWholeFabricOracle), and same inputs ⇒ same
+// bytes at any GOMAXPROCS (loads fold in admission order).
 
-// component is one connected set of tenants in the flow–link graph.
+// A link counts as contended when its declared load exceeds its
+// capacity less these margins: contendedRel mirrors the solver's freeze
+// epsilon (netem: a link saturates within 1e-9), contendedAbs RA's
+// overflow tolerance (enforce: reservations may overshoot a link by
+// 1e-6 Mbps). Both err toward coupling; float error in the load fold is
+// orders of magnitude below either.
+const (
+	contendedRel = 1e-9
+	contendedAbs = 1e-6
+)
+
+// contended reports whether link l's declared load (as of the last
+// structure rebuild) can fill it.
+func (d *Driver) contended(l netem.LinkID) bool {
+	return d.linkLoad[l] > d.fabCaps[l]*(1-contendedRel)-contendedAbs
+}
+
+// component is one set of tenants connected through contended links.
 type component struct {
 	// members lists tenant keys in admission order.
 	members []int64
@@ -88,48 +128,52 @@ func (d *Driver) refreshFlows(t *tenant) {
 	t.settled = false
 }
 
-// rebuildComponents recomputes the connected components of the
-// tenant–link graph with a union-find pass over every tenant's link
-// set. A component whose membership is identical to its previous
-// incarnation keeps its members' settled state; grown, shrunk, merged,
-// or split components lose it, because the capacity their members
-// compete for changed.
+// rebuildComponents recomputes the components of the tenant–link graph:
+// it folds every enforced pair's declared demand into per-link loads,
+// then unions tenants that share a contended link. A component whose
+// membership is identical to its previous incarnation keeps its
+// members' settled state; grown, shrunk, merged, or split components
+// lose it, because the capacity their members compete for changed. All
+// scratch is driver-owned: a rebuild that finds the same structure
+// allocates nothing.
 func (d *Driver) rebuildComponents() {
 	n := len(d.order)
 	d.ufParent = d.ufParent[:0]
 	for i := 0; i < n; i++ {
 		d.ufParent = append(d.ufParent, int32(i))
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for d.ufParent[x] != x {
-			d.ufParent[x] = d.ufParent[d.ufParent[x]] // path halving
-			x = d.ufParent[x]
-		}
-		return x
+
+	// Declared load per link, folded in (admission, pair, path) order so
+	// the sums — and the structure they decide — are the same bits on
+	// every run.
+	if len(d.linkLoad) < len(d.fabCaps) {
+		d.linkLoad = make([]float64, len(d.fabCaps))
+		d.linkOwner = make([]int32, len(d.fabCaps))
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			d.ufParent[rb] = ra
+	clear(d.linkLoad)
+	for _, key := range d.order {
+		t := d.tenants[key]
+		for i, pr := range t.pairs {
+			for _, l := range t.paths[i] {
+				d.linkLoad[l] += pr.Demand
+			}
 		}
 	}
 
-	// Tenants sharing a fabric link share a component: stamp each link
-	// with its first owner this rebuild, union later owners into it.
-	if len(d.linkStamp) < len(d.fabCaps) {
-		d.linkStamp = make([]uint64, len(d.fabCaps))
-		d.linkOwner = make([]int32, len(d.fabCaps))
-		d.linkGen = 0
+	// Tenants sharing a contended link share a component: each such link
+	// remembers its first owner this rebuild, later owners union into it.
+	// Slack links couple nobody.
+	for l := range d.linkOwner {
+		d.linkOwner[l] = -1
 	}
-	d.linkGen++
 	for ti, key := range d.order {
-		t := d.tenants[key]
-		for _, l := range t.links {
-			if d.linkStamp[l] == d.linkGen {
-				union(int32(ti), d.linkOwner[l])
+		for _, l := range d.tenants[key].links {
+			if !d.contended(l) {
+				continue
+			}
+			if o := d.linkOwner[l]; o >= 0 {
+				d.ufUnion(int32(ti), o)
 			} else {
-				d.linkStamp[l] = d.linkGen
 				d.linkOwner[l] = int32(ti)
 			}
 		}
@@ -138,19 +182,23 @@ func (d *Driver) rebuildComponents() {
 	// Group into components, ordered by first member (admission order),
 	// and detect carried-over components: same members, same size as
 	// their shared previous component — nothing joined, left, or
-	// released, so the cached fixed point still holds.
-	prevSizes := append([]int(nil), d.compSizes...)
+	// released, so the cached fixed point still holds. Union-find roots
+	// are tenant indices, so the root→component map is a dense slice.
+	d.prevSizes = append(d.prevSizes[:0], d.compSizes...)
+	d.compOf = d.compOf[:0]
+	for i := 0; i < n; i++ {
+		d.compOf = append(d.compOf, -1)
+	}
 	for i := range d.comps {
 		d.comps[i].members = d.comps[i].members[:0]
 	}
-	compOf := make(map[int32]int, 8)
 	nc := 0
 	for ti, key := range d.order {
-		r := find(int32(ti))
-		ci, ok := compOf[r]
-		if !ok {
+		r := d.ufFind(int32(ti))
+		ci := int(d.compOf[r])
+		if ci < 0 {
 			ci = nc
-			compOf[r] = ci
+			d.compOf[r] = int32(ci)
 			nc++
 			if ci == len(d.comps) {
 				d.comps = append(d.comps, component{})
@@ -164,7 +212,7 @@ func (d *Driver) rebuildComponents() {
 		members := d.comps[ci].members
 		d.compSizes = append(d.compSizes, len(members))
 		oldc := d.tenants[members[0]].comp
-		carried := oldc >= 0 && oldc < len(prevSizes) && prevSizes[oldc] == len(members)
+		carried := oldc >= 0 && oldc < len(d.prevSizes) && d.prevSizes[oldc] == len(members)
 		if carried {
 			for _, key := range members {
 				if d.tenants[key].comp != oldc {
@@ -180,6 +228,24 @@ func (d *Driver) rebuildComponents() {
 				t.settled = false
 			}
 		}
+	}
+}
+
+// ufFind returns the union-find root of tenant index x, halving the
+// path as it walks.
+func (d *Driver) ufFind(x int32) int32 {
+	for d.ufParent[x] != x {
+		d.ufParent[x] = d.ufParent[d.ufParent[x]]
+		x = d.ufParent[x]
+	}
+	return x
+}
+
+// ufUnion merges the sets of tenant indices a and b.
+func (d *Driver) ufUnion(a, b int32) {
+	ra, rb := d.ufFind(a), d.ufFind(b)
+	if ra != rb {
+		d.ufParent[rb] = ra
 	}
 }
 

@@ -315,6 +315,7 @@ func TestSetDemandValidation(t *testing.T) {
 		"out of range": {{Src: 0, Dst: 99, Mbps: 1}},
 		"self flow":    {{Src: 1, Dst: 1, Mbps: 1}},
 		"negative":     {{Src: 0, Dst: 1, Mbps: -2}},
+		"duplicate":    {{Src: 0, Dst: 1, Mbps: 1}, {Src: 1, Dst: 0, Mbps: 1}, {Src: 0, Dst: 1, Mbps: 2}},
 	} {
 		err := d.SetDemand(7, demands)
 		if place.ReasonOf(err) != place.ReasonInvalidRequest {

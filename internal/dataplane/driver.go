@@ -197,15 +197,21 @@ type StepStats struct {
 // deployments, bindings, and flow paths incrementally, and runs the
 // GP/RA control loop over the shared fabric.
 //
-// Steps are component-incremental: weighted max-min decomposes exactly
-// over connected components of the flow–link graph, so the driver
-// tracks which tenants share fabric links (union-find, rebuilt lazily
-// after lifecycle events), re-solves only components dirtied by events,
-// demand changes, or unconverged limiters, and splices cached rates for
-// the rest. Dirty components solve in parallel; results fold in
+// Steps are component-incremental: weighted max-min couples flows only
+// through links that can saturate, so the driver tracks which tenants
+// are connected through contended links — links whose declared load,
+// Σ Demand over the enforced pairs crossing them, can reach capacity
+// (union-find, rebuilt lazily after lifecycle events and demand
+// changes; see components.go) — re-solves only components dirtied by
+// events, demand changes, or unconverged limiters, and splices cached
+// rates for the rest. Tenants that merely cross the same slack link
+// stay in separate components; undeclared and Greedy flows make every
+// link on their path contended, which is the purely structural
+// decomposition. Dirty components solve in parallel; results fold in
 // deterministic component order. Config.FullRecompute restores
 // solve-everything stepping; both modes produce byte-identical
-// transcripts. All methods are safe for concurrent use.
+// transcripts, and either agrees with one whole-fabric solve to 1e-6
+// Mbps per pair. All methods are safe for concurrent use.
 type Driver struct {
 	mu      sync.Mutex
 	fab     *Fabric
@@ -216,14 +222,18 @@ type Driver struct {
 	order   []int64
 
 	// Component structure (see components.go). structureDirty forces a
-	// union-find rebuild at the next step.
+	// union-find rebuild at the next step; the rest is the rebuild's
+	// scratch: per-link declared load and first owner (indexed by
+	// LinkID), union-find parents and the root→component map (indexed by
+	// position in order), and the previous rebuild's component sizes.
 	structureDirty bool
 	comps          []component
 	compSizes      []int
+	prevSizes      []int
 	ufParent       []int32
+	compOf         []int32
+	linkLoad       []float64
 	linkOwner      []int32
-	linkStamp      []uint64
-	linkGen        uint64
 
 	// Step scratch and the pooled per-goroutine solve contexts.
 	solveSet []int
@@ -343,7 +353,9 @@ func (d *Driver) install(ev place.Event) bool {
 //
 // Re-declaring a tenant's current demands verbatim is a no-op and does
 // not dirty its component; changing only offered loads re-solves the
-// component without rebuilding flow state.
+// component without rebuilding flow state (the component structure is
+// rebuilt: loads decide which links are contended). A pair may appear
+// at most once.
 func (d *Driver) SetDemand(key int64, demands []Demand) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -375,11 +387,18 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 		}
 		return ds[i].Dst < ds[j].Dst
 	})
+	for i := 1; i < len(ds); i++ {
+		if ds[i].Src == ds[i-1].Src && ds[i].Dst == ds[i-1].Dst {
+			return place.Rejectf("enforce", place.ReasonInvalidRequest,
+				"demand pair (%d,%d) declared twice", ds[i].Src, ds[i].Dst)
+		}
+	}
 
 	// Classify the change: identical declarations are no-ops, same-pair
-	// declarations only update offered loads (paths, links, and the
-	// component structure are untouched), new pair sets rebuild flow
-	// state and the structure.
+	// declarations only update offered loads (paths and links are
+	// untouched, but the loads decide which links are contended, so the
+	// component structure is rebuilt), new pair sets rebuild flow state
+	// too.
 	if t.demands != nil && !t.flowsDirty {
 		samePairs := len(ds) == len(t.demands)
 		sameLoads := samePairs
@@ -405,6 +424,7 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 				}
 			}
 			t.dirty = true
+			d.structureDirty = true
 			return nil
 		}
 	}
@@ -458,8 +478,9 @@ func (d *Driver) RestoreCounters(c Counters) {
 }
 
 // SolveStats reports the previous step's incremental effort: how many
-// connected components were re-solved out of how many the shard holds.
-// Under FullRecompute solved always equals components.
+// components — tenants connected through contended links — were
+// re-solved out of how many the shard holds. Under FullRecompute solved
+// always equals components.
 func (d *Driver) SolveStats() (solved, components int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -560,10 +581,10 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	d.lastSolved, d.lastComps = len(d.solveSet), len(d.comps)
 
 	// 3. Solve dirty components in parallel. Components are disjoint
-	// tenant sets over disjoint links, every goroutine works on pooled
-	// scratch, and shared state (fabric, order) is read-only, so results
-	// are independent of scheduling; the fold below runs in component
-	// order.
+	// tenant sets (two may cross the same slack link, but a solve only
+	// reads its capacity), every goroutine works on pooled scratch, and
+	// shared state (fabric, order) is read-only, so results are
+	// independent of scheduling; the fold below runs in component order.
 	err := parallel.ForEach(parallel.Workers(0), len(d.solveSet), func(i int) error {
 		ctx := d.pool.Get().(*solveCtx)
 		defer d.pool.Put(ctx)
@@ -579,11 +600,28 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	// 4. Gather: splice per-tenant caches (freshly solved or carried)
 	// into the step report, in admission order.
 	st := &StepStats{Tenants: make([]TenantStats, len(d.order)), MinRatio: 1}
+	npairs := 0
+	for _, key := range d.order {
+		npairs += len(d.tenants[key].demands)
+	}
+	// Every tenant's Pairs is carved out of caller-owned blocks sized
+	// from the known total: a few allocations per period, none grown by
+	// append. Blocks stay within the allocator's 32 KiB small-object
+	// classes — one fleet-sized slab per period is a large object, and
+	// at a thousand periods a second those are not recycled fast enough
+	// to keep peak RSS flat.
+	const pairBlock = 680 // × 48 B per PairStats
+	var pairs []PairStats
 	d.allRates = d.allRates[:0]
 	for i, key := range d.order {
 		t := d.tenants[key]
 		ts := &st.Tenants[i]
 		*ts = TenantStats{Key: t.key, ID: t.id, MinRatio: 1}
+		if len(pairs)+len(t.demands) > cap(pairs) {
+			pairs = make([]PairStats, 0, max(min(pairBlock, npairs), len(t.demands)))
+		}
+		npairs -= len(t.demands) // pairs still to place after this tenant
+		lo := len(pairs)
 		for di, dm := range t.demands {
 			ps := PairStats{Src: dm.Src, Dst: dm.Dst, Demand: dm.Mbps}
 			if pi := t.pairIdx[di]; pi < 0 {
@@ -605,7 +643,10 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 				st.Pairs++
 				d.allRates = append(d.allRates, ps.Rate)
 			}
-			ts.Pairs = append(ts.Pairs, ps)
+			pairs = append(pairs, ps)
+		}
+		if len(pairs) > lo {
+			ts.Pairs = pairs[lo:len(pairs):len(pairs)]
 		}
 	}
 	for i := range st.Tenants {
