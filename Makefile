@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint analyze docs-check api-check test test-full test-fuzz determinism bench bench-json bench-diff ci
+.PHONY: all build lint analyze docs-check api-check bench-check test test-full test-fuzz determinism bench bench-json bench-diff ci
 
 all: build
 
@@ -40,6 +40,12 @@ docs-check:
 api-check:
 	./scripts/api-check.sh
 
+# bench/ is its own module (bench/go.mod replaces cloudmirror => ../), so
+# `go build ./...` at the root never compiles it: vet it and run its
+# short tests against the guarantee/dataplane API of this checkout.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # Short suite under the race detector: what CI runs on every push.
 # Includes the concurrent-admission stress tests and the quick
 # parallel-determinism checks.
@@ -70,7 +76,9 @@ test-fuzz:
 # the churn and admission sweeps), the sharded churn simulator itself
 # (locked and optimistic admission paths, with and without the
 # enforcement dataplane), the dataplane's TestDifferential* harnesses
-# (incremental vs FullRecompute byte for byte, contention-aware
+# (incremental vs FullRecompute byte for byte, cached aggregates vs a
+# fold over Pairs, kept link loads vs a from-scratch fold, one-solve
+# settling, Converge vs the rate-copy rule, contention-aware
 # components vs a whole-fabric oracle to 1e-6 Mbps per pair, components
 # sharing a slack link solved in parallel), the optimistic-vs-locked
 # output-identity check, the commit-pipeline identity and
@@ -100,10 +108,11 @@ bench-json:
 	$(GO) run ./cmd/admbench -servers 512 -out BENCH_admission.json -enforce-out BENCH_enforce.json
 
 # Regenerate the benchmarks into scratch files and diff them against
-# the committed baselines, metric by metric. Required: fails on any
-# throughput regression beyond the BENCH_FAIL fraction (default 50%,
-# loose enough to absorb CI-runner noise while catching real
-# regressions). Pass BENCH_FAIL=0 for a report-only run.
+# the committed baselines, metric by metric; fails on any throughput
+# regression beyond the BENCH_FAIL fraction (default 50%). Pass
+# BENCH_FAIL=0 for a report-only run. Not part of `make ci`: the
+# single-sample gate fails on noise against BENCH_admission.json with
+# no code change to blame (ROADMAP item 1, which deletes it).
 BENCH_FAIL ?= 0.5
 bench-diff:
 	@status=0; \
@@ -115,4 +124,4 @@ bench-diff:
 	rm -f BENCH_admission.cand.json BENCH_enforce.cand.json; \
 	exit $$status
 
-ci: lint analyze docs-check api-check build test test-fuzz determinism bench bench-diff
+ci: lint analyze docs-check api-check build bench-check test test-fuzz determinism bench

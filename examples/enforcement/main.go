@@ -85,11 +85,14 @@ func runScenario(k int) {
 	if err := enf.SetDemand(grant, demands); err != nil {
 		log.Fatal(err)
 	}
-	rep, err := enf.Converge(0, 0)
+	if _, err := enf.Converge(0, 0); err != nil {
+		log.Fatal(err)
+	}
+	// A report carries aggregates; the per-flow rates are read on demand.
+	flows, err := enf.Pairs(grant)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flows := rep.PerShard[grant.Shard()].Tenants[0].Pairs
 
 	// Receiver Z: accept one TCP stream per flow, count bytes.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

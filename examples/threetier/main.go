@@ -82,11 +82,13 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
-		rep, err := enf.Converge(0, 0)
+		if _, err := enf.Converge(0, 0); err != nil {
+			log.Fatal(err)
+		}
+		flows, err := enf.Pairs(grant)
 		if err != nil {
 			log.Fatal(err)
 		}
-		flows := rep.PerShard[grant.Shard()].Tenants[0].Pairs
 		status := "✓ 500 Mbps guarantee held"
 		if flows[0].Rate < 500 {
 			status = "✗ 500 Mbps guarantee broken"

@@ -147,8 +147,9 @@ func runOps(t *testing.T, svc Service, ops []churnOp, live []*handle, trace *[]s
 
 // fingerprint captures the service's complete observable state —
 // counters, gauges, bit-exact ledger bytes, enforcement counters, and
-// one control period's report — as one comparable string.
-func fingerprint(t *testing.T, svc Service) string {
+// one control period's report with every live grant's per-pair rows —
+// as one comparable string.
+func fingerprint(t *testing.T, svc Service, live []*handle) string {
 	t.Helper()
 	var sb strings.Builder
 	dump := func(label string, v any) {
@@ -169,8 +170,9 @@ func fingerprint(t *testing.T, svc Service) string {
 		if err != nil {
 			t.Fatalf("enforcement step: %v", err)
 		}
-		// Per-pair rates can be +Inf (backlogged flows), which JSON
-		// cannot carry; fmt renders the full report fine.
+		// Every tenant's aggregates, plus the period's solved/components
+		// counts: a recovered driver must rebuild the same link loads and
+		// the same structure from scratch.
 		for i, st := range rep.PerShard {
 			fmt.Fprintf(&sb, "enfshard%d %+v\n", i, *st)
 		}
@@ -179,6 +181,16 @@ func fingerprint(t *testing.T, svc Service) string {
 			math.Float64bits(rep.GuaranteedMbps), math.Float64bits(rep.BaseMbps),
 			math.Float64bits(rep.AchievedMbps), math.Float64bits(rep.SpareMbps),
 			math.Float64bits(rep.MinRatio))
+		// Pair by pair as well: errors that cancel in a tenant's sums must
+		// not pass. Rates can be +Inf (backlogged colocated flows), which
+		// JSON cannot carry; fmt renders them fine.
+		for _, h := range live {
+			rows, err := enf.Pairs(h.g)
+			if err != nil {
+				t.Fatalf("enforcement pairs of %d/%d: %v", h.g.Shard(), h.g.Key(), err)
+			}
+			fmt.Fprintf(&sb, "enfpairs %d/%d %v\n", h.g.Shard(), h.g.Key(), rows)
+		}
 	}
 	return sb.String()
 }
@@ -213,7 +225,7 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	}
 	var refTrace []string
 	refLive := runOps(t, refSvc, ops, nil, &refTrace)
-	refPrint := fingerprint(t, refSvc)
+	refPrint := fingerprint(t, refSvc, refLive)
 	if err := refSvc.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -255,8 +267,8 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		live[i].g = g
 	}
 
-	runOps(t, recovered, ops[crashAt:], live, &trace)
-	print := fingerprint(t, recovered)
+	live = runOps(t, recovered, ops[crashAt:], live, &trace)
+	print := fingerprint(t, recovered, live)
 
 	if len(trace) != len(refTrace) {
 		t.Fatalf("trace has %d lines, reference %d", len(trace), len(refTrace))
@@ -269,7 +281,6 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	if print != refPrint {
 		t.Fatalf("final state diverged after recovery:\n--- crashed ---\n%s--- reference ---\n%s", print, refPrint)
 	}
-	_ = refLive
 }
 
 // TestDurableMatchesInMemory: the durability layer must never perturb
@@ -289,8 +300,8 @@ func TestDurableMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var memTrace []string
-	runOps(t, mem, ops, nil, &memTrace)
-	memPrint := fingerprint(t, mem)
+	memLive := runOps(t, mem, ops, nil, &memTrace)
+	memPrint := fingerprint(t, mem, memLive)
 
 	dur, err := New(testSpec(), append(opts(), WithDurability(t.TempDir()), WithSnapshotEvery(5))...)
 	if err != nil {
@@ -298,8 +309,8 @@ func TestDurableMatchesInMemory(t *testing.T) {
 	}
 	defer dur.Close(context.Background())
 	var durTrace []string
-	runOps(t, dur, ops, nil, &durTrace)
-	durPrint := fingerprint(t, dur)
+	durLive := runOps(t, dur, ops, nil, &durTrace)
+	durPrint := fingerprint(t, dur, durLive)
 
 	for i := range memTrace {
 		if i >= len(durTrace) || memTrace[i] != durTrace[i] {

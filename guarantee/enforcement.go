@@ -16,11 +16,14 @@ type (
 	// EnforcementCounters are a dataplane's monotonic lifecycle-event
 	// counters (admitted/resized/released/skipped, fabric builds).
 	EnforcementCounters = dataplane.Counters
-	// ShardEnforcement is one shard's control-period outcome.
+	// ShardEnforcement is one shard's control-period outcome:
+	// shard-wide and per-tenant aggregates.
 	ShardEnforcement = dataplane.StepStats
-	// TenantEnforcement is one tenant's slice of a control period.
+	// TenantEnforcement is one tenant's slice of a control period:
+	// aggregates over its enforced pairs, and how many there are.
 	TenantEnforcement = dataplane.TenantStats
-	// PairEnforcement is one flow's enforcement outcome.
+	// PairEnforcement is one flow's enforcement outcome, as
+	// Enforcement.Pairs reports it.
 	PairEnforcement = dataplane.PairStats
 )
 
@@ -28,7 +31,9 @@ type (
 var Greedy = dataplane.GreedyDemand
 
 // EnforcementReport aggregates one control period (or convergence run)
-// across every shard's dataplane.
+// across every shard's dataplane. It carries aggregates only — per-pair
+// state is what does not scale with the fleet; Enforcement.Pairs serves
+// one grant's flows on demand.
 type EnforcementReport struct {
 	// PerShard holds each shard's outcome, indexed by shard ID.
 	PerShard []*ShardEnforcement
@@ -46,6 +51,11 @@ type EnforcementReport struct {
 	// across the fleet — >= 1 (up to rounding) when every guarantee is
 	// honored. 1 when nothing is being enforced.
 	MinRatio float64
+	// Components counts the components — sets of tenants connected
+	// through contended links — of this report's (final) period, and
+	// Solved how many of them it re-solved; the rest were at their fixed
+	// point and report cached outcomes.
+	Solved, Components int
 }
 
 // Enforcement is the runtime half of a Service: one dataplane driver
@@ -118,30 +128,61 @@ func (r *EnforcementReport) add(st *ShardEnforcement, iters int) {
 	if st.MinRatio < r.MinRatio {
 		r.MinRatio = st.MinRatio
 	}
+	r.Solved += st.Solved
+	r.Components += st.Components
 }
 
 // SetDemand declares a grant's active flows for subsequent control
 // periods, replacing any previous declaration; each (Src, Dst) pair
 // may appear at most once. Tenants with no declaration default to
-// every TAG-permitted pair backlogged. A resize
+// every TAG-permitted pair backlogged; an empty declaration (nil
+// included) is a declaration — the tenant is idle. A resize
 // resets the declaration to that default (the VM set changed), so
 // callers re-declare after resizing. The grant must have been issued
 // by the service this Enforcement belongs to.
 func (e *Enforcement) SetDemand(g Grant, demands []Demand) error {
+	d, key, err := e.driverOf(g)
+	if err != nil {
+		return err
+	}
+	return d.SetDemand(key, demands)
+}
+
+// Pairs reports one grant's flows — the per-pair detail a report leaves
+// out — one row per declared demand in (Src, Dst) order; an undeclared
+// grant reports the backlogged default. Right after Step or Converge
+// the rows are that period's outcome. Between periods they are the
+// declaration as it stands: Demand follows SetDemand at once, Guarantee
+// and Rate stay those of the last period that solved the pair, and are
+// zero after a resize or a declaration naming other pairs until the
+// next period has solved the new flows. Colocated (intra-server) pairs
+// are not enforced: Guarantee 0, Rate equal to Demand — +Inf for a
+// Greedy one. The slice is the caller's. The grant must have been
+// issued by the service this Enforcement belongs to, and be live.
+func (e *Enforcement) Pairs(g Grant) ([]PairEnforcement, error) {
+	d, key, err := e.driverOf(g)
+	if err != nil {
+		return nil, err
+	}
+	return d.Pairs(key)
+}
+
+// driverOf resolves a grant to its shard's dataplane and its key there.
+func (e *Enforcement) driverOf(g Grant) (*dataplane.Driver, int64, error) {
 	if e == nil {
 		// Service.Enforcement() returns nil without WithEnforcement;
 		// chained calls must degrade to a typed rejection, not a panic.
-		return place.Rejectf("enforce", Unsupported, "enforcement not enabled on this service")
+		return nil, 0, place.Rejectf("enforce", Unsupported, "enforcement not enabled on this service")
 	}
 	gr, ok := g.(*grant)
 	if !ok || gr.svc.enf != e {
 		// Grant keys are per-shard sequences, so a grant from another
 		// service could silently collide with an unrelated tenant here;
 		// identity of the issuing service is the only safe check.
-		return place.Rejectf("enforce", InvalidRequest,
+		return nil, 0, place.Rejectf("enforce", InvalidRequest,
 			"grant was not issued by this service")
 	}
-	return e.drivers[gr.ten.Shard().ID()].SetDemand(gr.ten.Key(), demands)
+	return e.drivers[gr.ten.Shard().ID()], gr.ten.Key(), nil
 }
 
 // SolveStats sums the per-shard incremental-stepping stats of the most
@@ -150,9 +191,12 @@ func (e *Enforcement) SetDemand(g Grant, demands []Demand) error {
 // reach their capacity — were re-solved versus how many exist. Tenants
 // that only share slack links stay in separate components; undeclared
 // and Greedy flows make every link they cross contended. Solved <
-// components means the incremental stepper spliced cached rates for
-// settled, untouched components; under FullRecompute the two are
-// always equal.
+// components means the stepper skipped components at their fixed point
+// and reported their cached outcome; under FullRecompute the two are
+// always equal. The same numbers ride on every report
+// (EnforcementReport.Solved, .Components), which is where to read them
+// when several callers step concurrently: this accessor describes
+// whichever period ran last.
 func (e *Enforcement) SolveStats() (solved, components int) {
 	for _, d := range e.drivers {
 		s, c := d.SolveStats()

@@ -49,11 +49,13 @@ func TestEnforcementFig13(t *testing.T) {
 		if err := enf.SetDemand(grant, demands); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := enf.Converge(0, 0)
+		if _, err := enf.Converge(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		flows, err := enf.Pairs(grant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows := rep.PerShard[grant.Shard()].Tenants[0].Pairs
 
 		dep := enforce.NewDeployment(g)
 		n := netem.New()
@@ -220,6 +222,43 @@ func TestEnforcementRejectsDuplicatePair(t *testing.T) {
 	}
 	if got := rep.Pairs + rep.Colocated; got != 1 {
 		t.Errorf("%d flows under enforcement after the rejected declaration, want the previous 1", got)
+	}
+}
+
+// TestEnforcementEmptyDeclaration: declaring no flows — a nil slice or
+// an empty one — idles the tenant; it must not fall back to the
+// undeclared default of every TAG pair backlogged.
+func TestEnforcementEmptyDeclaration(t *testing.T) {
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := svc.Admit(context.Background(), Request{ID: 1, Graph: testGraph(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grant.Release()
+	enf := svc.Enforcement()
+	for name, none := range map[string][]Demand{"nil": nil, "empty": {}} {
+		if err := enf.SetDemand(grant, []Demand{{Src: 0, Dst: 2, Mbps: 10}}); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := enf.Step(); err != nil || rep.Pairs+rep.Colocated != 1 {
+			t.Fatalf("%s: one declared flow, report %+v (%v)", name, rep, err)
+		}
+		if err := enf.SetDemand(grant, none); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := enf.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pairs != 0 || rep.Colocated != 0 || rep.AchievedMbps != 0 {
+			t.Errorf("%s: idle tenant reports %d pairs, %d colocated, %v Mbps achieved", name, rep.Pairs, rep.Colocated, rep.AchievedMbps)
+		}
+		if rows, err := enf.Pairs(grant); err != nil || len(rows) != 0 {
+			t.Errorf("%s: Pairs returns %d rows (%v), want none", name, len(rows), err)
+		}
 	}
 }
 

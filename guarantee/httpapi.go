@@ -3,6 +3,7 @@ package guarantee
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -19,6 +20,7 @@ import (
 //	GET    /v1/guarantees/{id}         inspect a grant      -> 200
 //	POST   /v1/guarantees/{id}/resize  resize in place      -> 200
 //	DELETE /v1/guarantees/{id}         release              -> 204
+//	GET    /v1/guarantees/{id}/enforcement  per-pair rates  -> 200
 //	GET    /v1/stats                   counters + loads     -> 200
 //	POST   /v1/enforcement/step        run a control period -> 200
 //	GET    /v1/enforcement             last period + events -> 200
@@ -100,6 +102,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/guarantees/{id}", s.handleGet)
 	mux.HandleFunc("POST /v1/guarantees/{id}/resize", s.handleResize)
 	mux.HandleFunc("DELETE /v1/guarantees/{id}", s.handleRelease)
+	mux.HandleFunc("GET /v1/guarantees/{id}/enforcement", s.handleGrantEnforcement)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/enforcement", s.handleEnforcementGet)
 	mux.HandleFunc("POST /v1/enforcement/step", s.handleEnforcementStep)
@@ -347,11 +350,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // enforcementBody is the /v1/enforcement wire form: the outcome of one
-// control period, aggregates only (per-pair rates can be unbounded for
-// backlogged flows, which JSON cannot carry). Components counts the
-// period's components — tenants connected through contended links —
-// and Solved how many of them it re-solved rather than spliced from
-// cache (Enforcement.SolveStats).
+// control period, aggregates only (GET /v1/guarantees/{id}/enforcement
+// serves one grant's pairs). Components counts the period's components
+// — tenants connected through contended links — and Solved how many of
+// them it re-solved rather than skipped at their fixed point; both come
+// from the report itself, so they describe the same period as the
+// rates beside them.
 type enforcementBody struct {
 	Shards         int                 `json:"shards"`
 	Tenants        int                 `json:"tenants"`
@@ -377,12 +381,15 @@ type enforcementEvents struct {
 	FabricBuilds int64 `json:"fabric_builds"`
 }
 
-// enforcementTenant is one tenant's slice of the control period.
+// enforcementTenant is one tenant's slice of the control period. Pairs
+// counts enforced (fabric-crossing) flows and Colocated intra-server
+// ones, like the top-level fields of the same names.
 type enforcementTenant struct {
 	Shard          int     `json:"shard"`
 	Key            int64   `json:"key"`
 	ID             int64   `json:"id"`
 	Pairs          int     `json:"pairs"`
+	Colocated      int     `json:"colocated_pairs"`
 	GuaranteedMbps float64 `json:"guaranteed_mbps"`
 	AchievedMbps   float64 `json:"achieved_mbps"`
 	SpareMbps      float64 `json:"spare_mbps"`
@@ -454,9 +461,10 @@ func eventsBody(c EnforcementCounters) enforcementEvents {
 	}
 }
 
-// enforcementReportBody flattens one control period's report.
+// enforcementReportBody flattens one control period's report. Every
+// field but the lifecycle counters comes from rep: concurrent steppers
+// each get a body that is consistent with its own period.
 func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcementBody {
-	solved, components := enf.SolveStats()
 	body := enforcementBody{
 		Shards:         enf.Shards(),
 		Tenants:        rep.Tenants,
@@ -467,8 +475,8 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 		AchievedMbps:   rep.AchievedMbps,
 		SpareMbps:      rep.SpareMbps,
 		MinRatio:       rep.MinRatio,
-		Components:     components,
-		Solved:         solved,
+		Components:     rep.Components,
+		Solved:         rep.Solved,
 		Events:         eventsBody(enf.Counters()),
 		PerTenant:      []enforcementTenant{},
 	}
@@ -478,7 +486,8 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 				Shard:          shard,
 				Key:            ts.Key,
 				ID:             ts.ID,
-				Pairs:          len(ts.Pairs),
+				Pairs:          ts.Pairs,
+				Colocated:      ts.Colocated,
 				GuaranteedMbps: ts.GuaranteedMbps,
 				AchievedMbps:   ts.AchievedMbps,
 				SpareMbps:      ts.SpareMbps,
@@ -487,6 +496,78 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 		}
 	}
 	return body
+}
+
+// grantEnforcementBody is the /v1/guarantees/{id}/enforcement wire
+// form: one grant's flows as Enforcement.Pairs reports them — is this
+// tenant getting its guarantee right now.
+type grantEnforcementBody struct {
+	ID        string            `json:"id"`
+	Shard     int               `json:"shard"`
+	Pairs     int               `json:"pairs"`
+	Colocated int               `json:"colocated_pairs"`
+	Flows     []enforcementPair `json:"flows"`
+}
+
+// enforcementPair is one flow on the wire. A backlogged (Greedy) source
+// offers +Inf, which JSON cannot carry: its demand_mbps is null and
+// greedy is true. rate_mbps is null only for a colocated Greedy flow,
+// which is unenforced and as unbounded as its demand.
+type enforcementPair struct {
+	Src           int      `json:"src"`
+	Dst           int      `json:"dst"`
+	Colocated     bool     `json:"colocated"`
+	Greedy        bool     `json:"greedy"`
+	DemandMbps    *float64 `json:"demand_mbps"`
+	GuaranteeMbps float64  `json:"guarantee_mbps"`
+	RateMbps      *float64 `json:"rate_mbps"`
+}
+
+// finiteOrNull is the JSON encoding of a rate that may be unbounded.
+func finiteOrNull(v float64) *float64 {
+	if math.IsInf(v, 0) {
+		return nil
+	}
+	return &v
+}
+
+// handleGrantEnforcement reports one grant's per-pair enforcement state
+// read-only: the rows of the last control period, or the declaration as
+// it stands if it changed since (Enforcement.Pairs). 422 when the
+// service was built without enforcement; 400 for a grant the dataplane
+// does not enforce (admitted under a translated model).
+func (s *Server) handleGrantEnforcement(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	sg, ok := s.grants[id]
+	s.mu.Unlock()
+	if !ok {
+		writeNotFound(w, id)
+		return
+	}
+	pairs, err := s.svc.Enforcement().Pairs(sg.grant)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	body := grantEnforcementBody{ID: id, Shard: sg.grant.Shard(), Flows: make([]enforcementPair, len(pairs))}
+	for i, p := range pairs {
+		if p.Colocated {
+			body.Colocated++
+		} else {
+			body.Pairs++
+		}
+		body.Flows[i] = enforcementPair{
+			Src:           p.Src,
+			Dst:           p.Dst,
+			Colocated:     p.Colocated,
+			Greedy:        math.IsInf(p.Demand, 1),
+			DemandMbps:    finiteOrNull(p.Demand),
+			GuaranteeMbps: p.Guarantee,
+			RateMbps:      finiteOrNull(p.Rate),
+		}
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // healthzBody is the /v1/healthz wire form: liveness plus, for

@@ -483,3 +483,132 @@ func TestHTTPUnknownReasonBody(t *testing.T) {
 		t.Errorf("unknown reason = %d %+v, want 500 with the reason passed through", rec.Code, e.Error)
 	}
 }
+
+// TestHTTPEnforcementReportNamesItsPeriod: the solved/components counts
+// of a step body come from the report it was built from, not from the
+// enforcement plane's "most recent period" accessor — so a body built
+// after a later period has run (two concurrent POSTs) still pairs its
+// rates with its own counts.
+func TestHTTPEnforcementReportNamesItsPeriod(t *testing.T) {
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithEnforcement(EnforcementConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := svc.Admit(context.Background(), Request{Graph: testGraph(2, 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enf := svc.Enforcement()
+	first, err := enf.Step() // every component is new: all solved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Components == 0 || first.Solved != first.Components {
+		t.Fatalf("first period solved %d of %d components, want all of a non-empty fleet", first.Solved, first.Components)
+	}
+	var perShard int
+	for _, st := range first.PerShard {
+		perShard += st.Components
+	}
+	if perShard != first.Components {
+		t.Errorf("report counts %d components, its shards %d", first.Components, perShard)
+	}
+	for i := 0; i < 3; i++ { // later periods settle and solve nothing
+		if _, err := enf.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if solved, comps := enf.SolveStats(); solved != 0 || comps != first.Components {
+		t.Fatalf("SolveStats = (%d,%d) after quiet periods, want (0,%d)", solved, comps, first.Components)
+	}
+	body := enforcementReportBody(enf, first)
+	if body.Solved != first.Solved || body.Components != first.Components {
+		t.Errorf("body of the first period reports %d of %d components solved, want its own %d of %d",
+			body.Solved, body.Components, first.Solved, first.Components)
+	}
+}
+
+// TestHTTPGrantEnforcement: GET /v1/guarantees/{id}/enforcement serves
+// one grant's per-pair view as valid JSON even though backlogged flows
+// offer (and colocated ones achieve) +Inf, and /v1/enforcement's
+// per-tenant pair counts mean what the top-level ones mean.
+func TestHTTPGrantEnforcement(t *testing.T) {
+	plain := newTestServer(t)
+	var g grantBody
+	if resp := do(t, "POST", plain.URL+"/v1/guarantees", `{"tag":`+tagJSON(3, 2)+`}`, &g); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit status = %d, want 201", resp.StatusCode)
+	}
+	var e errorBody
+	if resp := do(t, "GET", plain.URL+"/v1/guarantees/"+g.ID+"/enforcement", "", &e); resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Reason != string(Unsupported) {
+		t.Errorf("without enforcement: status %d reason %q, want 422 unsupported", resp.StatusCode, e.Error.Reason)
+	}
+
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(svc)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if resp := do(t, "GET", ts.URL+"/v1/guarantees/g-9/enforcement", "", &e); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown grant: status %d, want 404", resp.StatusCode)
+	}
+	if resp := do(t, "POST", ts.URL+"/v1/guarantees", `{"tag":`+tagJSON(5, 3)+`}`, &g); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit status = %d, want 201", resp.StatusCode)
+	}
+
+	// Undeclared: every web→db pair backlogged. Before any period the
+	// declaration is reported as it stands, nothing solved yet.
+	check := func(when string, solved bool) grantEnforcementBody {
+		t.Helper()
+		var body grantEnforcementBody
+		resp := do(t, "GET", ts.URL+"/v1/guarantees/"+g.ID+"/enforcement", "", &body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", when, resp.StatusCode)
+		}
+		if body.ID != g.ID || len(body.Flows) != 15 || body.Pairs+body.Colocated != 15 || body.Pairs == 0 || body.Colocated == 0 {
+			t.Fatalf("%s: %d flows, %d enforced + %d colocated; want 15 web→db flows of both kinds", when, len(body.Flows), body.Pairs, body.Colocated)
+		}
+		for _, f := range body.Flows {
+			if !f.Greedy || f.DemandMbps != nil {
+				t.Errorf("%s: flow %+v: a backlogged demand must encode as null with greedy set", when, f)
+			}
+			switch {
+			case f.Colocated && (f.RateMbps != nil || f.GuaranteeMbps != 0):
+				t.Errorf("%s: colocated flow %+v: want an unbounded (null) rate and no guarantee", when, f)
+			case !f.Colocated && f.RateMbps == nil:
+				t.Errorf("%s: enforced flow %+v has no rate", when, f)
+			case !f.Colocated && solved != (*f.RateMbps > 0 && f.GuaranteeMbps > 0):
+				t.Errorf("%s: enforced flow %+v: want solved = %v", when, f, solved)
+			}
+		}
+		return body
+	}
+	check("before any period", false)
+	var step enforcementBody
+	if resp := do(t, "POST", ts.URL+"/v1/enforcement/step", "", &step); resp.StatusCode != http.StatusOK {
+		t.Fatalf("step status = %d, want 200", resp.StatusCode)
+	}
+	body := check("after a period", true)
+
+	// One meaning of "pairs" at both levels of /v1/enforcement.
+	if len(step.PerTenant) != 1 {
+		t.Fatalf("step body lists %d tenants, want 1", len(step.PerTenant))
+	}
+	pt := step.PerTenant[0]
+	if pt.Pairs != step.Pairs || pt.Colocated != step.Colocated || pt.Pairs != body.Pairs || pt.Colocated != body.Colocated {
+		t.Errorf("per-tenant counts %d+%d, top-level %d+%d, pair view %d+%d: want enforced + colocated to agree",
+			pt.Pairs, pt.Colocated, step.Pairs, step.Colocated, body.Pairs, body.Colocated)
+	}
+
+	// A finite declaration carries its number.
+	if err := svc.Enforcement().SetDemand(srv.grants[g.ID].grant, []Demand{{Src: 0, Dst: 5, Mbps: 40}}); err != nil {
+		t.Fatal(err)
+	}
+	var one grantEnforcementBody
+	do(t, "GET", ts.URL+"/v1/guarantees/"+g.ID+"/enforcement", "", &one)
+	if len(one.Flows) != 1 || one.Flows[0].Greedy || one.Flows[0].DemandMbps == nil || *one.Flows[0].DemandMbps != 40 {
+		t.Errorf("finite declaration reads back as %+v, want one flow offering 40 Mbps", one.Flows)
+	}
+}

@@ -2,15 +2,16 @@ package dataplane
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cloudmirror/internal/enforce"
 	"cloudmirror/internal/netem"
 )
 
 // This file holds the component-incremental machinery behind
-// Driver.Step: flow-state refresh, the union-find structure rebuild,
-// and the per-component GP/RA/limiter solve.
+// Driver.Step: flow-state refresh, the kept link loads, the union-find
+// structure rebuild with the proof that lets a period skip it, and the
+// per-component GP/RA/limiter solve.
 //
 // Weighted max-min decomposes over connected components of the
 // flow–link graph, where only links that can saturate count as edges: a
@@ -44,6 +45,16 @@ import (
 // demands), contention-aware vs one whole-fabric solve within 1e-6 Mbps
 // per pair (TestDifferentialWholeFabricOracle), and same inputs ⇒ same
 // bytes at any GOMAXPROCS (loads fold in admission order).
+//
+// Link loads are kept across periods, and a link's load is always a
+// pure function of the current declarations: the fold, in admission
+// order, of each crossing tenant's contribution, itself the fold of its
+// pairs' demands in pair order. A change refolds the affected links
+// from those contributions — never a running += / -=, whose result
+// would depend on the history of declarations — so a driver rebuilt
+// from scratch (crash recovery re-attaches the surviving tenants in
+// admission order) holds the same bits as one that lived through every
+// redeclaration.
 
 // A link counts as contended when its declared load exceeds its
 // capacity less these margins: contendedRel mirrors the solver's freeze
@@ -56,24 +67,72 @@ const (
 	contendedAbs = 1e-6
 )
 
-// contended reports whether link l's declared load (as of the last
-// structure rebuild) can fill it.
+// contended reports whether link l's declared load can fill it.
 func (d *Driver) contended(l netem.LinkID) bool {
 	return d.linkLoad[l] > d.fabCaps[l]*(1-contendedRel)-contendedAbs
 }
 
 // component is one set of tenants connected through contended links.
 type component struct {
-	// members lists tenant keys in admission order.
-	members []int64
+	// members lists the tenants in admission order.
+	members []*tenant
+}
+
+// linkRef is one tenant's entry in a link's adjacency list: the tenant
+// and the link's position in its links (and loads).
+type linkRef struct {
+	t  *tenant
+	at int32
+}
+
+// prepare brings flow state, link loads and the component structure up
+// to date with every declaration that changed since the last period, at
+// a cost proportional to the change: only queued tenants are touched,
+// only the links they cross (or a released tenant crossed) are
+// refolded, and the structure is rebuilt only when it can have moved.
+//
+// The structure is a function of which tenants cross which links and of
+// each link's contended bit. Link sets move only with membership events
+// — admit, resize, release, a new pair set — and each of those sets
+// structureDirty; contended bits move only when a load is refolded, and
+// refold sets structureDirty when one does. If neither happened the
+// structure already built is the one a rebuild would produce, carried
+// settled state included, and the rebuild is skipped.
+func (d *Driver) prepare() {
+	d.refreshLoads()
+	if d.structureDirty {
+		d.rebuildComponents()
+		d.structureDirty = false
+	}
+}
+
+// refreshLoads re-derives the flow state and load contributions of the
+// queued tenants and refolds every link left stale, setting
+// structureDirty if that moved a link across the contended threshold.
+func (d *Driver) refreshLoads() {
+	for _, t := range d.changed {
+		t.queued = false
+		if t.flowsDirty {
+			d.refreshFlows(t)
+		}
+		d.foldLoads(t)
+	}
+	clear(d.changed)
+	d.changed = d.changed[:0]
+	for _, l := range d.staleLinks {
+		d.refold(l)
+	}
+	d.staleLinks = d.staleLinks[:0]
 }
 
 // refreshFlows rebuilds a tenant's derived flow state from its demands
 // and binding: enforced pairs (tenant-local IDs), their fabric paths,
-// the deduplicated link set, and the demand→pair index. Limiter values
-// carry over for pairs present before and after (by (Src, Dst) key);
-// pairs new to the declaration start unseen (NaN), which the solve
-// initializes at the pair's guarantee.
+// the deduplicated link set with the tenant's place in each link's
+// adjacency, and the demand→pair index. Limiter values carry over for
+// pairs present before and after (by (Src, Dst) key); pairs new to the
+// declaration start unseen (NaN), which the solve initializes at the
+// pair's guarantee. The last solve's guarantees and rates describe
+// flows that no longer exist and are dropped.
 func (d *Driver) refreshFlows(t *tenant) {
 	if t.demands == nil {
 		t.demands = defaultDemands(t.bind.Deployment())
@@ -84,11 +143,13 @@ func (d *Driver) refreshFlows(t *tenant) {
 	oldPairs := append([]enforce.Pair(nil), t.pairs...)
 	oldLimits := append([]float64(nil), t.limits...)
 
+	d.unlink(t)
 	t.pairIdx = t.pairIdx[:0]
 	t.pairs = t.pairs[:0]
 	t.paths = t.paths[:0]
-	t.links = t.links[:0]
 	t.limits = t.limits[:0]
+	t.guarantees = t.guarantees[:0]
+	t.rates = t.rates[:0]
 	for _, dm := range t.demands {
 		path := d.fab.Path(t.bind.Server(dm.Src), t.bind.Server(dm.Dst))
 		if len(path) == 0 {
@@ -100,14 +161,9 @@ func (d *Driver) refreshFlows(t *tenant) {
 		t.paths = append(t.paths, path)
 		t.links = append(t.links, path...)
 	}
-	sort.Slice(t.links, func(i, j int) bool { return t.links[i] < t.links[j] })
-	uniq := t.links[:0]
-	for _, l := range t.links {
-		if len(uniq) == 0 || uniq[len(uniq)-1] != l {
-			uniq = append(uniq, l)
-		}
-	}
-	t.links = uniq
+	slices.Sort(t.links)
+	t.links = slices.Compact(t.links)
+	d.link(t)
 
 	// Carry limiter state for surviving pairs.
 	oi := 0
@@ -124,40 +180,95 @@ func (d *Driver) refreshFlows(t *tenant) {
 		}
 	}
 	t.flowsDirty = false
-	t.fresh = true
 	t.settled = false
+	// The tenant may now cross other links: a membership event.
+	d.structureDirty = true
+}
+
+// unlink takes a tenant out of the adjacency of every link it crosses
+// and leaves those links to be refolded without it.
+func (d *Driver) unlink(t *tenant) {
+	for _, l := range t.links {
+		refs := d.linkTenants[l]
+		i := slices.IndexFunc(refs, func(r linkRef) bool { return r.t == t })
+		d.linkTenants[l] = slices.Delete(refs, i, i+1)
+		d.markStale(l)
+	}
+	t.links = t.links[:0]
+}
+
+// link enters a tenant into the adjacency of every link it crosses, at
+// its admission rank. A new tenant ranks last; a resized one keeps the
+// rank it was admitted with.
+func (d *Driver) link(t *tenant) {
+	for at, l := range t.links {
+		refs := d.linkTenants[l]
+		i := len(refs)
+		if i > 0 && refs[i-1].t.pos > t.pos {
+			i, _ = slices.BinarySearchFunc(refs, t.pos, func(r linkRef, pos int) int {
+				return r.t.pos - pos
+			})
+		}
+		d.linkTenants[l] = slices.Insert(refs, i, linkRef{t, int32(at)})
+	}
+}
+
+// foldLoads recomputes a tenant's contribution to the declared load of
+// each link it crosses — Σ Demand over its pairs crossing the link, in
+// (pair, path) order — and leaves those links to be refolded.
+func (d *Driver) foldLoads(t *tenant) {
+	for _, l := range t.links {
+		d.loadScratch[l] = 0
+	}
+	for i, pr := range t.pairs {
+		for _, l := range t.paths[i] {
+			d.loadScratch[l] += pr.Demand
+		}
+	}
+	t.loads = t.loads[:0]
+	for _, l := range t.links {
+		t.loads = append(t.loads, d.loadScratch[l])
+		d.markStale(l)
+	}
+}
+
+// markStale queues link l for a refold before the next period reads
+// its load.
+func (d *Driver) markStale(l netem.LinkID) {
+	if !d.stale[l] {
+		d.stale[l] = true
+		d.staleLinks = append(d.staleLinks, l)
+	}
+}
+
+// refold recomputes link l's declared load from the contributions of
+// the tenants crossing it, in admission order, and asks for a structure
+// rebuild if that moved the link across the contended threshold.
+func (d *Driver) refold(l netem.LinkID) {
+	was := d.contended(l)
+	load := 0.0
+	for _, r := range d.linkTenants[l] {
+		load += r.t.loads[r.at]
+	}
+	d.linkLoad[l] = load
+	d.stale[l] = false
+	if d.contended(l) != was {
+		d.structureDirty = true
+	}
 }
 
 // rebuildComponents recomputes the components of the tenant–link graph:
-// it folds every enforced pair's declared demand into per-link loads,
-// then unions tenants that share a contended link. A component whose
-// membership is identical to its previous incarnation keeps its
-// members' settled state; grown, shrunk, merged, or split components
-// lose it, because the capacity their members compete for changed. All
-// scratch is driver-owned: a rebuild that finds the same structure
-// allocates nothing.
+// it unions tenants that share a contended link, reading the kept link
+// loads. A component whose membership is identical to its previous
+// incarnation keeps its members' settled state; grown, shrunk, merged,
+// or split components lose it, because the capacity their members
+// compete for changed. All scratch is driver-owned: a rebuild that
+// finds the same structure allocates nothing.
 func (d *Driver) rebuildComponents() {
 	n := len(d.order)
 	d.ufParent = d.ufParent[:0]
 	for i := 0; i < n; i++ {
 		d.ufParent = append(d.ufParent, int32(i))
-	}
-
-	// Declared load per link, folded in (admission, pair, path) order so
-	// the sums — and the structure they decide — are the same bits on
-	// every run.
-	if len(d.linkLoad) < len(d.fabCaps) {
-		d.linkLoad = make([]float64, len(d.fabCaps))
-		d.linkOwner = make([]int32, len(d.fabCaps))
-	}
-	clear(d.linkLoad)
-	for _, key := range d.order {
-		t := d.tenants[key]
-		for i, pr := range t.pairs {
-			for _, l := range t.paths[i] {
-				d.linkLoad[l] += pr.Demand
-			}
-		}
 	}
 
 	// Tenants sharing a contended link share a component: each such link
@@ -166,8 +277,8 @@ func (d *Driver) rebuildComponents() {
 	for l := range d.linkOwner {
 		d.linkOwner[l] = -1
 	}
-	for ti, key := range d.order {
-		for _, l := range d.tenants[key].links {
+	for ti, t := range d.order {
+		for _, l := range t.links {
 			if !d.contended(l) {
 				continue
 			}
@@ -193,7 +304,7 @@ func (d *Driver) rebuildComponents() {
 		d.comps[i].members = d.comps[i].members[:0]
 	}
 	nc := 0
-	for ti, key := range d.order {
+	for ti, t := range d.order {
 		r := d.ufFind(int32(ti))
 		ci := int(d.compOf[r])
 		if ci < 0 {
@@ -204,25 +315,24 @@ func (d *Driver) rebuildComponents() {
 				d.comps = append(d.comps, component{})
 			}
 		}
-		d.comps[ci].members = append(d.comps[ci].members, key)
+		d.comps[ci].members = append(d.comps[ci].members, t)
 	}
 	d.comps = d.comps[:nc]
 	d.compSizes = d.compSizes[:0]
 	for ci := range d.comps {
 		members := d.comps[ci].members
 		d.compSizes = append(d.compSizes, len(members))
-		oldc := d.tenants[members[0]].comp
+		oldc := members[0].comp
 		carried := oldc >= 0 && oldc < len(d.prevSizes) && d.prevSizes[oldc] == len(members)
 		if carried {
-			for _, key := range members {
-				if d.tenants[key].comp != oldc {
+			for _, t := range members {
+				if t.comp != oldc {
 					carried = false
 					break
 				}
 			}
 		}
-		for _, key := range members {
-			t := d.tenants[key]
+		for _, t := range members {
 			t.comp = ci
 			if !carried {
 				t.settled = false
@@ -262,19 +372,35 @@ type solveCtx struct {
 	rates      []float64
 }
 
+// limiterStep moves a rate limiter alpha of the way from cur toward its
+// RA target. Both the step and the fixed-point test below go through
+// it, so the test predicts the next period's arithmetic exactly.
+func limiterStep(cur, target, alpha float64) float64 {
+	return cur + alpha*(target-cur)
+}
+
 // solveComponent runs one control period for one component: GP per
 // member tenant, a component-wide work-conserving RA, the alpha step of
 // every limiter toward its target, and the achieved-rates solve under
-// the new limits. Results land in the member tenants' caches; settled
-// is set when the solve reproduced limits and rates bit-for-bit, which
-// makes the next solve provably identical and therefore skippable.
-func (d *Driver) solveComponent(ctx *solveCtx, c *component) error {
+// the new limits. Results — and the report aggregates folded from them
+// — land in the member tenants' caches. It returns the largest change
+// of any pair's achieved rate against the cached one, +Inf when a
+// member's flows are new (nothing to compare with).
+//
+// A solve is a pure function of (pairs, guarantees, previous limits):
+// GP reads only the pairs, RA's targets only pairs, paths and
+// guarantees — neither sees a limit — and each new limit is
+// limiterStep(previous, target). So once one more limiter step would
+// change no limit, the next period's solve would compute these targets,
+// these limits and therefore these rates again, bit for bit, for as long
+// as nobody redeclares: the component is settled and skipping it is
+// exact, not approximate.
+func (d *Driver) solveComponent(ctx *solveCtx, c *component) (float64, error) {
 	// Gather the component's pairs, paths, and per-tenant guarantees.
 	ctx.pairs = ctx.pairs[:0]
 	ctx.paths = ctx.paths[:0]
 	ctx.guarantees = ctx.guarantees[:0]
-	for _, key := range c.members {
-		t := d.tenants[key]
+	for _, t := range c.members {
 		ctx.pairs = append(ctx.pairs, t.pairs...)
 		ctx.paths = append(ctx.paths, t.paths...)
 		ctx.guarantees = enforce.AppendGuarantees(ctx.guarantees, t.gp, t.pairs)
@@ -283,22 +409,25 @@ func (d *Driver) solveComponent(ctx *solveCtx, c *component) error {
 	// RA: work-conserving targets over the component's links.
 	targets, err := ctx.ra.Alloc(d.fab.Network(), ctx.pairs, ctx.paths, ctx.guarantees)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	// Limiters: alpha of the way toward the target; unseen pairs (NaN)
 	// start at their guarantee.
 	alpha := d.cfg.alpha()
+	settled := true
 	ctx.newLimits = ctx.newLimits[:0]
 	off := 0
-	for _, key := range c.members {
-		t := d.tenants[key]
-		for j := range t.pairs {
-			cur := t.limits[j]
+	for _, t := range c.members {
+		for j, cur := range t.limits {
 			if math.IsNaN(cur) {
 				cur = ctx.guarantees[off+j]
 			}
-			ctx.newLimits = append(ctx.newLimits, cur+alpha*(targets[off+j]-cur))
+			nl := limiterStep(cur, targets[off+j], alpha)
+			if math.Float64bits(limiterStep(nl, targets[off+j], alpha)) != math.Float64bits(nl) {
+				settled = false
+			}
+			ctx.newLimits = append(ctx.newLimits, nl)
 		}
 		off += len(t.pairs)
 	}
@@ -316,39 +445,54 @@ func (d *Driver) solveComponent(ctx *solveCtx, c *component) error {
 	}
 	ctx.rates, err = ctx.solver.MaxMinCaps(d.fabCaps, ctx.flows, ctx.rates[:0])
 	if err != nil {
-		return err
+		return 0, err
 	}
 
-	// Fold results into the member caches and decide settledness: a
-	// component whose limits and rates came out bit-identical to the
-	// previous period is at its fixed point — the solve is a pure
-	// function of state it just reproduced, so the next period would
-	// recompute exactly this, and may be skipped.
+	// Fold results into the member caches.
+	moved := 0.0
 	off = 0
-	settled := true
-	for _, key := range c.members {
-		t := d.tenants[key]
+	for _, t := range c.members {
 		np := len(t.pairs)
-		if t.fresh || len(t.rates) != np {
-			settled = false
+		rates := ctx.rates[off : off+np]
+		if len(t.rates) != np {
+			moved = math.Inf(1)
 		} else {
-			for j := 0; j < np; j++ {
-				if math.Float64bits(t.limits[j]) != math.Float64bits(ctx.newLimits[off+j]) ||
-					math.Float64bits(t.rates[j]) != math.Float64bits(ctx.rates[off+j]) {
-					settled = false
-					break
+			for j, r := range rates {
+				if delta := math.Abs(r - t.rates[j]); delta > moved {
+					moved = delta
 				}
 			}
 		}
 		t.guarantees = append(t.guarantees[:0], ctx.guarantees[off:off+np]...)
 		t.limits = append(t.limits[:0], ctx.newLimits[off:off+np]...)
-		t.rates = append(t.rates[:0], ctx.rates[off:off+np]...)
-		t.fresh = false
+		t.rates = append(t.rates[:0], rates...)
 		t.dirty = false
+		t.settled = settled
+		d.stats[t.pos] = t.foldStats()
 		off += np
 	}
-	for _, key := range c.members {
-		d.tenants[key].settled = settled
+	return moved, nil
+}
+
+// foldStats folds the tenant's report aggregates from its solve caches,
+// in pair order.
+func (t *tenant) foldStats() TenantStats {
+	ts := TenantStats{
+		Key: t.key, ID: t.id,
+		Pairs: len(t.pairs), Colocated: len(t.demands) - len(t.pairs),
+		MinRatio: 1,
 	}
-	return nil
+	for j, pr := range t.pairs {
+		ts.GuaranteedMbps += t.guarantees[j]
+		ts.AchievedMbps += t.rates[j]
+		base := math.Min(pr.Demand, t.guarantees[j])
+		ts.BaseMbps += base
+		if base > 0 {
+			if ratio := t.rates[j] / base; ratio < ts.MinRatio {
+				ts.MinRatio = ratio
+			}
+		}
+	}
+	ts.SpareMbps = ts.AchievedMbps - ts.BaseMbps
+	return ts
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -77,8 +78,8 @@ func structuralComponents(d *Driver) int {
 		return parent[i]
 	}
 	owner := make(map[netem.LinkID]int)
-	for ti, key := range d.order {
-		for _, l := range d.tenants[key].links {
+	for ti, tn := range d.order {
+		for _, l := range tn.links {
 			if o, ok := owner[l]; ok {
 				parent[find(ti)] = find(o)
 			} else {
@@ -98,29 +99,23 @@ func structuralComponents(d *Driver) int {
 // pendingComponents materializes the structure the next Step will see
 // (exactly its phase 1, which the step then finds already done) and
 // counts the components holding a dirty or unsettled tenant — the most
-// that step may solve.
-func pendingComponents(d *Driver) int {
+// that step may solve. rebuilt reports whether bringing the structure
+// up to date took a rebuild.
+func pendingComponents(d *Driver) (n int, rebuilt bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, key := range d.order {
-		if t := d.tenants[key]; t.flowsDirty {
-			d.refreshFlows(t)
-		}
-	}
-	if d.structureDirty {
-		d.rebuildComponents()
-		d.structureDirty = false
-	}
-	n := 0
+	d.refreshLoads()
+	rebuilt = d.structureDirty
+	d.prepare()
 	for _, c := range d.comps {
-		for _, key := range c.members {
-			if t := d.tenants[key]; t.dirty || !t.settled {
+		for _, t := range c.members {
+			if t.dirty || !t.settled {
 				n++
 				break
 			}
 		}
 	}
-	return n
+	return n, rebuilt
 }
 
 // oracle is the whole-fabric reference: every tenant's pairs as one
@@ -159,10 +154,9 @@ func (o *oracle) step(t *testing.T, d *Driver) map[oracleKey]float64 {
 		paths      [][]netem.LinkID
 		guarantees []float64
 	)
-	for _, key := range d.order {
-		tn := d.tenants[key]
+	for _, tn := range d.order {
 		for _, pr := range tn.pairs {
-			keys = append(keys, oracleKey{key, pr.Src, pr.Dst})
+			keys = append(keys, oracleKey{tn.key, pr.Src, pr.Dst})
 		}
 		pairs = append(pairs, tn.pairs...)
 		paths = append(paths, tn.paths...)
@@ -281,7 +275,7 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 				}
 				want := ref.step(t, d)
 				for _, ts := range st.Tenants {
-					for _, p := range ts.Pairs {
+					for _, p := range pairsOf(t, d, ts.Key) {
 						if p.Colocated {
 							continue
 						}
@@ -292,7 +286,7 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 						}
 					}
 				}
-				_, comps := d.SolveStats()
+				comps := st.Components
 				if structural := structuralComponents(d); comps > structural {
 					finer++
 				} else if comps < structural {
@@ -321,8 +315,10 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 // contended → slack through a single tenant's redeclarations: its
 // component merges with the bystander's and splits again, the
 // bystander's rate moves only while the link is contended, a far-away
-// tenant is never re-solved, and incremental and FullRecompute
-// transcripts stay byte-identical throughout.
+// tenant is never re-solved, the structure is rebuilt on exactly the
+// periods where the uplink changed sides of the contended threshold,
+// and incremental and FullRecompute transcripts stay byte-identical
+// throughout.
 func TestDifferentialContentionCycle(t *testing.T) {
 	tree := rackTree(2, 4, 1000, 1000)
 	inc, err := New(tree, Config{})
@@ -344,10 +340,15 @@ func TestDifferentialContentionCycle(t *testing.T) {
 	period := 0
 	// step runs one period on both drivers and returns the bystander's
 	// (tenant 2's) rate and the incremental driver's solve stats.
-	step := func() (rate float64, solved, comps int) {
+	// wantRebuild says whether the period has to rebuild the structure:
+	// one that saw no membership event and no flipped link must not.
+	step := func(wantRebuild bool) (rate float64, solved, comps int) {
 		t.Helper()
 		period++
-		pending := pendingComponents(inc)
+		pending, rebuilt := pendingComponents(inc)
+		if rebuilt != wantRebuild {
+			t.Fatalf("period %d: structure rebuilt = %v, want %v", period, rebuilt, wantRebuild)
+		}
 		stInc, err := inc.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -357,24 +358,28 @@ func TestDifferentialContentionCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireStatsIdentical(t, period, stInc, stFull)
-		solved, comps = inc.SolveStats()
+		requirePairsIdentical(t, period, inc, full, stInc)
+		solved, comps = stInc.Solved, stInc.Components
 		if solved > pending {
 			t.Fatalf("period %d: solved %d components, only %d held a dirty or unsettled tenant", period, solved, pending)
 		}
-		return stInc.Tenants[1].Pairs[0].Rate, solved, comps
+		return pairsOf(t, inc, 2)[0].Rate, solved, comps
 	}
-	// settle steps until nothing is left to solve.
+	// settle steps until nothing is left to solve; quiet periods never
+	// rebuild.
 	settle := func() {
 		t.Helper()
 		for i := 0; i < 5; i++ {
-			if _, solved, _ := step(); solved == 0 {
+			if _, solved, _ := step(false); solved == 0 {
 				return
 			}
 		}
 		t.Fatalf("period %d: not settled after 5 quiet periods", period)
 	}
 
+	// The first period installs three tenants: membership events.
 	send(t, 1, 200, inc, full)
+	step(true)
 	settle()
 	for cycle := 0; cycle < 2; cycle++ {
 		// Slack: 300 + 600 < 1000. Three components; the bystander gets
@@ -386,15 +391,15 @@ func TestDifferentialContentionCycle(t *testing.T) {
 			wantSolved = 2
 		}
 		send(t, 1, 300, inc, full)
-		if rate, solved, comps := step(); comps != 3 || solved != wantSolved || rate != 600 {
+		if rate, solved, comps := step(cycle > 0); comps != 3 || solved != wantSolved || rate != 600 {
 			t.Fatalf("cycle %d slack: %d/%d solved, bystander %v; want %d/3 and 600", cycle, solved, comps, rate, wantSolved)
 		}
 		settle()
 
 		// A redeclaration that keeps the link slack re-solves only its
-		// own component.
+		// own component, and leaves the structure alone.
 		send(t, 1, 350, inc, full)
-		if rate, solved, comps := step(); comps != 3 || solved != 1 || rate != 600 {
+		if rate, solved, comps := step(false); comps != 3 || solved != 1 || rate != 600 {
 			t.Fatalf("cycle %d slack redeclare: %d/%d solved, bystander %v; want 1/3 and 600", cycle, solved, comps, rate)
 		}
 		settle()
@@ -402,7 +407,7 @@ func TestDifferentialContentionCycle(t *testing.T) {
 		// Contended: 700 + 600 > 1000. The two merge; both get their 100
 		// Mbps guarantee plus half the remaining 800.
 		send(t, 1, 700, inc, full)
-		rate, solved, comps := step()
+		rate, solved, comps := step(true)
 		if comps != 2 || solved != 1 {
 			t.Fatalf("cycle %d contended: %d/%d solved; want 1/2", cycle, solved, comps)
 		}
@@ -420,11 +425,11 @@ func TestDifferentialContentionCycle(t *testing.T) {
 func TestDifferentialContentionBoundaries(t *testing.T) {
 	components := func(d *Driver) int {
 		t.Helper()
-		if _, err := d.Step(); err != nil {
+		st, err := d.Step()
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, comps := d.SolveStats()
-		return comps
+		return st.Components
 	}
 
 	t.Run("load at capacity", func(t *testing.T) {
@@ -449,6 +454,66 @@ func TestDifferentialContentionBoundaries(t *testing.T) {
 			send(t, 2, c.mbps, d)
 			if got := components(d); got != c.want {
 				t.Errorf("400 + %v Mbps on a 1000 Mbps uplink: %d components, want %d", c.mbps, got, c.want)
+			}
+		}
+	})
+
+	t.Run("fold order", func(t *testing.T) {
+		// Three tenants with 3, 2 and 1 flows over the same ToR uplink,
+		// offering decimal loads no float holds exactly, which sum (in the
+		// reals) to its 1000 Mbps. A link's load is the sum of per-tenant
+		// subtotals, so its last bits can differ from a flat fold over all
+		// six flows; the decision may not, since the margins dwarf an ulp.
+		tree := rackTree(6, 2, 1000, 1000)
+		d, err := New(tree, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, servers := range [][]int{{0, 1, 2, 6}, {3, 4, 7}, {5, 8}} {
+			g := tag.New("fan-in")
+			g.AddSelfLoop(g.AddTier("a", len(servers)), 100)
+			pl := make(place.Placement)
+			for _, s := range servers {
+				pl.Add(tree.Servers()[s], 1, 0, 1)
+			}
+			d.Publish(admitEvent(int64(key+1), g, pl))
+		}
+		one := []Demand{{Src: 0, Dst: 3, Mbps: 100.1}, {Src: 1, Dst: 3, Mbps: 200.2}, {Src: 2, Dst: 3, Mbps: 150.3}}
+		two := []Demand{{Src: 0, Dst: 2, Mbps: 99.7}, {Src: 1, Dst: 2, Mbps: 149.9}}
+		if err := errors.Join(d.SetDemand(1, one), d.SetDemand(2, two)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			mbps float64
+			want int
+		}{
+			{299.7, 3},        // 999.9 of 1000: slack
+			{299.8, 1},        // exactly at capacity: contended
+			{299.8 - 1e-7, 1}, // inside the margins: still contended
+			{299.8 - 1e-3, 3}, // clear of them: slack
+		} {
+			send(t, 3, c.mbps, d)
+			if got := components(d); got != c.want {
+				t.Errorf("450.6 + 249.6 + %v Mbps on a 1000 Mbps uplink: %d components, want %d", c.mbps, got, c.want)
+			}
+			nested := (one[0].Mbps + one[1].Mbps + one[2].Mbps) + (two[0].Mbps + two[1].Mbps) + c.mbps
+			flat := one[0].Mbps + one[1].Mbps + one[2].Mbps + two[0].Mbps + two[1].Mbps + c.mbps
+			shared := 0
+			for l, refs := range d.linkTenants {
+				if len(refs) != 3 {
+					continue
+				}
+				shared++
+				if !feq(d.linkLoad[l], nested) {
+					t.Errorf("link %d carries %v Mbps, want the per-tenant fold %v", l, d.linkLoad[l], nested)
+				}
+				threshold := d.fabCaps[l]*(1-contendedRel) - contendedAbs
+				if (flat > threshold) != d.contended(netem.LinkID(l)) {
+					t.Errorf("link %d at %v Mbps: a flat fold (%v) would decide contention the other way", l, nested, flat)
+				}
+			}
+			if shared != 2 {
+				t.Fatalf("%d links carry all three tenants, want the ToR uplink and the downlink opposite", shared)
 			}
 		}
 	})
@@ -541,11 +606,11 @@ func TestDifferentialSlackLinkParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireStatsIdentical(t, period, stInc, stFull)
-		if solved, comps := inc.SolveStats(); solved != tenants || comps != tenants {
+		if solved, comps := stInc.Solved, stInc.Components; solved != tenants || comps != tenants {
 			t.Fatalf("period %d: solved %d of %d components, want %d of %d", period, solved, comps, tenants, tenants)
 		}
 		for _, ts := range stInc.Tenants {
-			if p := ts.Pairs[0]; p.Rate != p.Demand {
+			if p := pairsOf(t, inc, ts.Key)[0]; p.Rate != p.Demand {
 				t.Fatalf("period %d tenant %d: %v of %v Mbps on an uncontended path", period, ts.Key, p.Rate, p.Demand)
 			}
 		}
@@ -580,67 +645,70 @@ func TestRebuildComponentsAllocs(t *testing.T) {
 	}
 }
 
-// TestStepReportCallerOwned: tenants' Pairs are carved from shared
-// per-period blocks, but the report belongs to the caller — a later
-// step must not rewrite it, appending to one tenant's Pairs must not
-// run into the next tenant's, and tenants larger than a block or
-// straddling one still get exactly their own flows.
+// TestStepReportCallerOwned: a report and a Pairs slice belong to the
+// caller — the driver fills them from its caches and keeps no reference,
+// so scribbling over either never shows in the next one, and a later
+// period never rewrites an earlier report.
 func TestStepReportCallerOwned(t *testing.T) {
 	tree := rackTree(32, 2, 1000, 1000)
 	d, err := New(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// hose installs an n-VM single-tier tenant on servers from..from+n-1;
-	// undeclared, it sends all-to-all: n·(n−1) flows.
-	hose := func(key int64, from, n int) {
-		g := tag.New("hose")
-		g.AddSelfLoop(g.AddTier("a", n), 10)
-		pl := make(place.Placement)
-		for i := 0; i < n; i++ {
-			pl.Add(tree.Servers()[from+i], 1, 0, 1)
-		}
-		d.Publish(admitEvent(key, g, pl))
-	}
 	admitPair(1, tree, 0, 32, d)
 	admitPair(2, tree, 1, 33, d)
-	hose(3, 2, 30)  // 870 flows: more than one block
-	hose(4, 34, 20) // 380 flows
-	hose(5, 2, 20)  // 380 more: straddles the next block
-	admitPair(6, tree, 60, 61, d)
+	// An undeclared 6-VM hose sends all-to-all: 30 flows.
+	g := tag.New("hose")
+	g.AddSelfLoop(g.AddTier("a", 6), 10)
+	pl := make(place.Placement)
+	for i := 0; i < 6; i++ {
+		pl.Add(tree.Servers()[2+i], 1, 0, 1)
+	}
+	d.Publish(admitEvent(3, g, pl))
 	send(t, 1, 300, d)
 	send(t, 2, 200, d)
-	send(t, 6, 100, d)
 	first, err := d.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for i, want := range []int{1, 1, 870, 380, 380, 1} {
+	for i, want := range []int{1, 1, 30} {
 		ts := first.Tenants[i]
-		if len(ts.Pairs) != want {
-			t.Fatalf("tenant %d reports %d flows, want %d", ts.Key, len(ts.Pairs), want)
+		rows := pairsOf(t, d, ts.Key)
+		if ts.Pairs != want || ts.Colocated != 0 || len(rows) != want {
+			t.Fatalf("tenant %d reports %d+%d flows in %d rows, want %d enforced", ts.Key, ts.Pairs, ts.Colocated, len(rows), want)
 		}
-		for j, p := range ts.Pairs {
-			if dm := d.tenants[ts.Key].demands[j]; p.Src != dm.Src || p.Dst != dm.Dst {
-				t.Fatalf("tenant %d flow %d is (%d,%d), want its own demand (%d,%d)", ts.Key, j, p.Src, p.Dst, dm.Src, dm.Dst)
-			}
-		}
-		total += want
 	}
-	if first.Pairs+first.Colocated != total {
-		t.Fatalf("report counts %d flows, tenants hold %d", first.Pairs+first.Colocated, total)
+	if first.Pairs != 32 || first.Colocated != 0 {
+		t.Fatalf("report counts %d+%d flows, want 32 enforced", first.Pairs, first.Colocated)
 	}
+	kept := *first
+	kept.Tenants = append([]TenantStats(nil), first.Tenants...)
 
-	first.Tenants[0].Pairs = append(first.Tenants[0].Pairs, PairStats{Src: 9, Dst: 9})
-	if p := first.Tenants[1].Pairs[0]; p.Rate != 200 || p.Src != 0 {
-		t.Fatalf("appending to tenant 1's Pairs overwrote tenant 2's: %+v", p)
+	// Scribble over a returned Pairs slice and a returned report: the
+	// next ones are read from the driver's caches, not from these.
+	rows := pairsOf(t, d, 2)
+	rows[0] = PairStats{Src: 9, Dst: 9, Rate: -1}
+	if again := pairsOf(t, d, 2); again[0].Rate != 200 || again[0].Src != 0 || again[0].Dst != 1 {
+		t.Fatalf("mutating a returned Pairs slice showed in the next: %+v", again[0])
 	}
-	send(t, 2, 250, d)
-	if _, err := d.Step(); err != nil {
+	first.Tenants[1] = TenantStats{Key: 99, AchievedMbps: -1}
+	first.AchievedMbps = -1
+	second, err := d.Step()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p := first.Tenants[1].Pairs[0]; p.Rate != 200 {
-		t.Fatalf("a later step rewrote an earlier report: rate %v, want 200", p.Rate)
+	requireStatsIdentical(t, 2, second, &kept)
+
+	// A later period with other rates leaves the earlier report alone.
+	send(t, 2, 250, d)
+	third, err := d.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := third.Tenants[1].AchievedMbps; got != 250 {
+		t.Fatalf("tenant 2 achieves %v Mbps after redeclaring 250", got)
+	}
+	if got := second.Tenants[1].AchievedMbps; got != 200 {
+		t.Fatalf("a later step rewrote an earlier report: tenant 2 at %v Mbps, want 200", got)
 	}
 }

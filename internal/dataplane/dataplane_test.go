@@ -130,8 +130,7 @@ func TestFig13Equivalence(t *testing.T) {
 		if err := d.SetDemand(1, demands); err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := d.Converge(0, 0)
-		if err != nil {
+		if _, _, err := d.Converge(0, 0); err != nil {
 			t.Fatal(err)
 		}
 
@@ -152,7 +151,7 @@ func TestFig13Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := st.Tenants[0].Pairs
+		got := pairsOf(t, d, 1)
 		if len(got) != len(ref.Rates) {
 			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(ref.Rates))
 		}
@@ -199,11 +198,12 @@ func TestWorkConservation(t *testing.T) {
 	// All three flows share the one bottleneck; the spare (link minus
 	// summed guarantees) must split proportionally to weight g+1.
 	var wsum float64
-	for _, p := range ts.Pairs {
+	pairs := pairsOf(t, d, 1)
+	for _, p := range pairs {
 		wsum += p.Guarantee + 1
 	}
 	spare := link - ts.GuaranteedMbps
-	for i, p := range ts.Pairs {
+	for i, p := range pairs {
 		want := spare * (p.Guarantee + 1) / wsum
 		if math.Abs((p.Rate-p.Guarantee)-want) > 1e-6 {
 			t.Errorf("pair %d: spare share %g, want %g (proportional to guarantee)", i, p.Rate-p.Guarantee, want)
@@ -258,7 +258,7 @@ func TestIncrementalLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Tenants[1].Pairs); got != 6 {
+	if got := st.Tenants[1].Pairs + st.Tenants[1].Colocated; got != 6 {
 		t.Errorf("resized tenant has %d default flows, want 6 (3 VMs all-to-all)", got)
 	}
 
@@ -366,11 +366,10 @@ func TestHosePartitionerBreaksGuarantee(t *testing.T) {
 		if err := d.SetDemand(1, demands); err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := d.Converge(0, 0)
-		if err != nil {
+		if _, _, err := d.Converge(0, 0); err != nil {
 			t.Fatal(err)
 		}
-		return st.Tenants[0].Pairs[0].Rate
+		return pairsOf(t, d, 1)[0].Rate
 	}
 	if got := rate("tag"); got < 500-1e-6 {
 		t.Errorf("TAG partitioning: web→logic %g Mbps, want >= 500", got)

@@ -3,7 +3,7 @@ package dataplane
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"cloudmirror/internal/enforce"
@@ -99,38 +99,51 @@ type Counters struct {
 }
 
 // tenant is one enforced tenant's dataplane state: the deployment
-// itself, plus the flow-level solve caches the incremental stepper
-// splices for components that did not change.
+// itself, plus everything a control period would otherwise recompute
+// for a tenant nothing happened to — flow paths, its share of every
+// link's declared load, the last solve's outcome, and the aggregates
+// the step report copies.
 type tenant struct {
 	key, id int64
-	graph   *tag.Graph
-	bind    *Binding
-	gp      enforce.Partitioner
+	// pos is the tenant's index in Driver.order (and Driver.stats): its
+	// admission rank among the live tenants, the order link loads and
+	// reports fold in. A release renumbers the tenants behind it.
+	pos   int
+	graph *tag.Graph
+	bind  *Binding
+	gp    enforce.Partitioner
 	// demands are the tenant's active flows, sorted by (Src, Dst); nil
 	// means "not set" and defaults, lazily, to every TAG-permitted pair
 	// backlogged.
 	demands []Demand
 
+	// queued marks a tenant on Driver.changed: its declaration moved
+	// since the last period, which will re-derive what depends on it.
+	queued bool
+
 	// Derived flow state, rebuilt by refreshFlows when flowsDirty:
 	// pairIdx maps each demand to its index in the enforced-pair lists
-	// (-1 for colocated pairs, which never cross the fabric), and links
-	// is the deduplicated set of fabric links the tenant's paths touch —
-	// the adjacency the component rebuild unions over.
+	// (-1 for colocated pairs, which never cross the fabric), links is
+	// the sorted, deduplicated set of fabric links the tenant's paths
+	// touch, and loads (parallel to links) is the tenant's contribution
+	// to each link's declared load: Σ Demand over its pairs crossing the
+	// link, in pair order.
 	flowsDirty bool
 	pairIdx    []int32
 	pairs      []enforce.Pair // tenant-local VM IDs
 	paths      [][]netem.LinkID
 	links      []netem.LinkID
+	loads      []float64
 
 	// Solve caches, one entry per enforced pair: the last solve's
 	// guarantees, the current limiter values (NaN marks a pair the
 	// limiter has not seen, which starts at its guarantee), and the last
-	// achieved rates. settled marks a solve that reproduced its limits
-	// and rates bit-for-bit — the fixed point at which re-solving is
-	// provably a no-op. fresh marks flow state rebuilt since the last
-	// solve (caches not comparable).
+	// achieved rates; guarantees and rates are empty until a solve has
+	// seen the current flow state. dirty asks for a solve; settled marks
+	// a component at its limiters' fixed point, where re-solving is
+	// provably a no-op (see solveComponent). The report aggregates folded
+	// from these caches live in Driver.stats.
 	dirty      bool
-	fresh      bool
 	settled    bool
 	guarantees []float64
 	limits     []float64
@@ -142,17 +155,20 @@ type tenant struct {
 	comp int
 }
 
-// PairStats reports one flow's enforcement outcome in a step.
+// PairStats reports one declared flow of a tenant (Driver.Pairs).
 type PairStats struct {
 	// Src and Dst are tenant-local VM IDs.
 	Src, Dst int
-	// Guarantee is the GP-assigned pair guarantee, Mbps (0 for
+	// Guarantee is the GP-assigned pair guarantee, Mbps, as of the last
+	// control period that solved the pair (0 before one has, and for
 	// colocated pairs, which never cross the fabric).
 	Guarantee float64
-	// Demand is the offered load (possibly netem.Greedy).
+	// Demand is the offered load as currently declared (possibly
+	// netem.Greedy).
 	Demand float64
-	// Rate is the rate achieved this period. Colocated pairs achieve
-	// their full demand (intra-server traffic is not enforced).
+	// Rate is the rate achieved in the last control period that solved
+	// the pair, 0 before one has. Colocated pairs achieve their full
+	// demand (intra-server traffic is not enforced).
 	Rate float64
 	// Colocated marks intra-server pairs, excluded from enforcement
 	// and from the aggregate sums.
@@ -160,12 +176,17 @@ type PairStats struct {
 }
 
 // TenantStats aggregates one tenant's step outcome. Sums and ratios
-// cover enforced (fabric-crossing) pairs only.
+// cover enforced (fabric-crossing) pairs only, folded in pair order
+// when the tenant's component was last solved; a tenant whose component
+// a period skips reports the values of that solve, which are the values
+// re-solving would produce. Per-pair detail is not part of a report:
+// ask Driver.Pairs.
 type TenantStats struct {
 	// Key is the grant key; ID the caller-chosen tenant ID.
 	Key, ID int64
-	// Pairs lists per-flow outcomes in demand order.
-	Pairs []PairStats
+	// Pairs counts the tenant's enforced (fabric-crossing) flows;
+	// Colocated its intra-server flows, excluded from enforcement.
+	Pairs, Colocated int
 	// GuaranteedMbps sums the pair guarantees; BaseMbps the
 	// demand-bounded guarantees min(demand, guarantee); AchievedMbps
 	// the achieved rates; SpareMbps is achieved minus base — the
@@ -178,7 +199,10 @@ type TenantStats struct {
 	MinRatio float64
 }
 
-// StepStats reports one control period over the whole shard.
+// StepStats reports one control period over the whole shard: per-tenant
+// and shard-wide aggregates, no per-pair rows (Driver.Pairs serves
+// those on demand). The report is the caller's: the driver keeps no
+// reference to it.
 type StepStats struct {
 	// Tenants holds per-tenant outcomes in admission order.
 	Tenants []TenantStats
@@ -190,6 +214,11 @@ type StepStats struct {
 	GuaranteedMbps, BaseMbps, AchievedMbps, SpareMbps float64
 	// MinRatio is the minimum per-tenant MinRatio (1 when idle).
 	MinRatio float64
+	// Components counts this period's components — tenants connected
+	// through contended links — and Solved how many of them it
+	// re-solved; the rest were at their fixed point and report cached
+	// outcomes.
+	Solved, Components int
 }
 
 // Driver is one shard's enforcement plane: it consumes Grant lifecycle
@@ -197,47 +226,74 @@ type StepStats struct {
 // deployments, bindings, and flow paths incrementally, and runs the
 // GP/RA control loop over the shared fabric.
 //
-// Steps are component-incremental: weighted max-min couples flows only
-// through links that can saturate, so the driver tracks which tenants
-// are connected through contended links — links whose declared load,
-// Σ Demand over the enforced pairs crossing them, can reach capacity
-// (union-find, rebuilt lazily after lifecycle events and demand
-// changes; see components.go) — re-solves only components dirtied by
-// events, demand changes, or unconverged limiters, and splices cached
-// rates for the rest. Tenants that merely cross the same slack link
-// stay in separate components; undeclared and Greedy flows make every
-// link on their path contended, which is the purely structural
-// decomposition. Dirty components solve in parallel; results fold in
-// deterministic component order. Config.FullRecompute restores
-// solve-everything stepping; both modes produce byte-identical
-// transcripts, and either agrees with one whole-fabric solve to 1e-6
-// Mbps per pair. All methods are safe for concurrent use.
+// A control period costs what changed, not what exists. Weighted
+// max-min couples flows only through links that can saturate, so the
+// driver tracks which tenants are connected through contended links —
+// links whose declared load, Σ Demand over the enforced pairs crossing
+// them, can reach capacity (see components.go) — and a period
+//
+//   - re-derives flow state and load contributions of the tenants whose
+//     declaration changed, and refolds the declared load of the links
+//     those tenants cross;
+//   - rebuilds the component structure only after a membership event
+//     (admit, resize, release, a new pair set) or when a refolded link
+//     changed sides of the contended threshold — otherwise the structure
+//     already built is provably the current one;
+//   - re-solves only components holding a changed tenant or limiters
+//     that have not reached their fixed point, in parallel, folding
+//     results in deterministic component order;
+//   - reports per-tenant aggregates cached at solve time. Per-pair
+//     detail is served on demand (Pairs), never materialised per period.
+//
+// Tenants that merely cross the same slack link stay in separate
+// components; undeclared and Greedy flows make every link on their path
+// contended, which is the purely structural decomposition.
+// Config.FullRecompute re-solves every component every period; both
+// modes produce byte-identical transcripts, and either agrees with one
+// whole-fabric solve to 1e-6 Mbps per pair. All methods are safe for
+// concurrent use.
 type Driver struct {
 	mu      sync.Mutex
 	fab     *Fabric
 	fabCaps []float64
 	cfg     Config
 
+	// tenants indexes the enforced tenants by grant key; order lists
+	// them in admission order, and stats, parallel to it, holds each
+	// one's report aggregates as of its last solve — one contiguous
+	// block, so a report is a copy of it. changed queues the tenants
+	// whose declaration moved since the last period (tenant.queued).
 	tenants map[int64]*tenant
-	order   []int64
+	order   []*tenant
+	stats   []TenantStats
+	changed []*tenant
+
+	// Declared link loads, kept across periods (see components.go), all
+	// indexed by LinkID: linkLoad is each link's load, linkTenants the
+	// tenants crossing it in admission order, and stale/staleLinks mark
+	// the links whose load must be refolded before the next period
+	// reads it. loadScratch is foldLoads' accumulator.
+	linkLoad    []float64
+	linkTenants [][]linkRef
+	stale       []bool
+	staleLinks  []netem.LinkID
+	loadScratch []float64
 
 	// Component structure (see components.go). structureDirty forces a
-	// union-find rebuild at the next step; the rest is the rebuild's
-	// scratch: per-link declared load and first owner (indexed by
-	// LinkID), union-find parents and the root→component map (indexed by
-	// position in order), and the previous rebuild's component sizes.
+	// union-find rebuild at the next step. The rest is the rebuild's
+	// scratch: each link's first owner (indexed by LinkID), union-find
+	// parents and the root→component map (indexed by position in order),
+	// and the previous rebuild's component sizes.
 	structureDirty bool
 	comps          []component
 	compSizes      []int
 	prevSizes      []int
 	ufParent       []int32
 	compOf         []int32
-	linkLoad       []float64
 	linkOwner      []int32
 
 	// Step scratch and the pooled per-goroutine solve contexts.
 	solveSet []int
-	allRates []float64
 	pool     sync.Pool
 
 	// lastSolved / lastComps report the previous step's incremental
@@ -261,16 +317,22 @@ func New(tree *topology.Tree, cfg Config) (*Driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	caps := make([]float64, fab.Network().Links())
+	links := fab.Network().Links()
+	caps := make([]float64, links)
 	for l := range caps {
 		caps[l] = fab.Network().Capacity(netem.LinkID(l))
 	}
 	d := &Driver{
-		fab:      fab,
-		fabCaps:  caps,
-		cfg:      cfg,
-		tenants:  make(map[int64]*tenant),
-		counters: Counters{FabricBuilds: 1},
+		fab:         fab,
+		fabCaps:     caps,
+		cfg:         cfg,
+		tenants:     make(map[int64]*tenant),
+		linkLoad:    make([]float64, links),
+		linkTenants: make([][]linkRef, links),
+		stale:       make([]bool, links),
+		loadScratch: make([]float64, links),
+		linkOwner:   make([]int32, links),
+		counters:    Counters{FabricBuilds: 1},
 	}
 	d.pool.New = func() any { return &solveCtx{} }
 	return d, nil
@@ -302,18 +364,23 @@ func (d *Driver) Publish(ev place.Event) {
 			d.counters.Resized++
 		}
 	case place.EventReleased:
-		if _, ok := d.tenants[ev.Key]; !ok {
+		t, ok := d.tenants[ev.Key]
+		if !ok {
 			return
 		}
 		delete(d.tenants, ev.Key)
-		for i, k := range d.order {
-			if k == ev.Key {
-				d.order = append(d.order[:i], d.order[i+1:]...)
-				break
-			}
+		d.order = slices.Delete(d.order, t.pos, t.pos+1)
+		d.stats = slices.Delete(d.stats, t.pos, t.pos+1)
+		for i := t.pos; i < len(d.order); i++ {
+			d.order[i].pos = i
 		}
-		// The departed tenant's capacity is freed; its former
-		// co-members re-solve (the rebuild sees their component shrink).
+		if t.queued {
+			d.changed = slices.DeleteFunc(d.changed, func(o *tenant) bool { return o == t })
+		}
+		// The departed tenant's load leaves its links and its capacity is
+		// freed; its former co-members re-solve (the rebuild sees their
+		// component shrink).
+		d.unlink(t)
 		d.structureDirty = true
 		d.counters.Released++
 	}
@@ -330,32 +397,47 @@ func (d *Driver) install(ev place.Event) bool {
 	}
 	t, ok := d.tenants[ev.Key]
 	if !ok {
-		t = &tenant{key: ev.Key, id: ev.ID, comp: -1}
+		t = &tenant{key: ev.Key, id: ev.ID, pos: len(d.order), comp: -1}
 		d.tenants[ev.Key] = t
-		d.order = append(d.order, ev.Key)
+		d.order = append(d.order, t)
+		d.stats = append(d.stats, TenantStats{})
 	}
 	t.graph, t.bind, t.gp = ev.Graph, bind, d.cfg.newPartitioner(bind.Deployment())
 	t.demands = nil // VM IDs changed; offered loads must be re-declared
 	// The VM set changed: flow state and limiter values are meaningless
 	// under the new binding. Pairs restart at their guarantees.
-	t.flowsDirty, t.dirty = true, true
 	t.pairs = t.pairs[:0]
 	t.limits = t.limits[:0]
-	d.structureDirty = true
+	d.redeclared(t, true)
 	return true
+}
+
+// redeclared queues a tenant whose declaration changed for the next
+// period: its component re-solves, and its link loads — with newFlows,
+// its whole flow state — are re-derived first.
+func (d *Driver) redeclared(t *tenant, newFlows bool) {
+	t.dirty = true
+	if newFlows {
+		t.flowsDirty = true
+	}
+	if !t.queued {
+		t.queued = true
+		d.changed = append(d.changed, t)
+	}
 }
 
 // SetDemand declares a tenant's active flows (replacing any previous
 // declaration) for subsequent control periods. Demands are tenant-local
 // VM pairs; a resize resets them to the backlogged default, so callers
-// re-declare after resizing. Unknown keys and malformed entries fail
-// with a typed InvalidRequest rejection.
+// re-declare after resizing. An empty declaration, nil included, means
+// no active flows — an idle tenant, not the default. Unknown keys and
+// malformed entries fail with a typed InvalidRequest rejection.
 //
 // Re-declaring a tenant's current demands verbatim is a no-op and does
 // not dirty its component; changing only offered loads re-solves the
-// component without rebuilding flow state (the component structure is
-// rebuilt: loads decide which links are contended). A pair may appear
-// at most once.
+// component without rebuilding flow state (the loads of the links the
+// tenant crosses are refolded: they decide which links are contended).
+// A pair may appear at most once.
 func (d *Driver) SetDemand(key int64, demands []Demand) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -365,9 +447,7 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 			"no tenant with key %d under enforcement", key)
 	}
 	vms := t.bind.VMs()
-	ds := make([]Demand, len(demands))
-	copy(ds, demands)
-	for _, dm := range ds {
+	for _, dm := range demands {
 		if dm.Src < 0 || dm.Src >= vms || dm.Dst < 0 || dm.Dst >= vms {
 			return place.Rejectf("enforce", place.ReasonInvalidRequest,
 				"demand pair (%d,%d) outside tenant's %d VMs", dm.Src, dm.Dst, vms)
@@ -381,11 +461,15 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 				"demand pair (%d,%d) has invalid offered load %g", dm.Src, dm.Dst, dm.Mbps)
 		}
 	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].Src != ds[j].Src {
-			return ds[i].Src < ds[j].Src
+
+	// Never nil, even for an empty declaration: nil demands mean "not
+	// declared" (the backlogged default), empty ones an idle tenant.
+	ds := append(make([]Demand, 0, len(demands)), demands...)
+	slices.SortFunc(ds, func(a, b Demand) int {
+		if a.Src != b.Src {
+			return a.Src - b.Src
 		}
-		return ds[i].Dst < ds[j].Dst
+		return a.Dst - b.Dst
 	})
 	for i := 1; i < len(ds); i++ {
 		if ds[i].Src == ds[i-1].Src && ds[i].Dst == ds[i-1].Dst {
@@ -393,45 +477,49 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 				"demand pair (%d,%d) declared twice", ds[i].Src, ds[i].Dst)
 		}
 	}
-
-	// Classify the change: identical declarations are no-ops, same-pair
-	// declarations only update offered loads (paths and links are
-	// untouched, but the loads decide which links are contended, so the
-	// component structure is rebuilt), new pair sets rebuild flow state
-	// too.
-	if t.demands != nil && !t.flowsDirty {
-		samePairs := len(ds) == len(t.demands)
-		sameLoads := samePairs
-		if samePairs {
-			for i := range ds {
-				if ds[i].Src != t.demands[i].Src || ds[i].Dst != t.demands[i].Dst {
-					samePairs, sameLoads = false, false
-					break
-				}
-				if math.Float64bits(ds[i].Mbps) != math.Float64bits(t.demands[i].Mbps) {
-					sameLoads = false
-				}
-			}
-		}
-		if sameLoads {
-			return nil
-		}
-		if samePairs {
-			t.demands = ds
-			for di, dm := range ds {
-				if pi := t.pairIdx[di]; pi >= 0 {
-					t.pairs[pi].Demand = dm.Mbps
-				}
-			}
-			t.dirty = true
-			d.structureDirty = true
-			return nil
-		}
+	// A declaration over the pairs the tenant already has only updates
+	// loads; a new pair set rebuilds the tenant's flow state.
+	if t.demands != nil && !t.flowsDirty && samePairs(ds, t.demands) {
+		d.setLoads(t, ds)
+		return nil
 	}
 	t.demands = ds
-	t.flowsDirty, t.dirty = true, true
-	d.structureDirty = true
+	d.redeclared(t, true)
 	return nil
+}
+
+// samePairs reports whether two declarations name the same pairs in the
+// same order.
+func samePairs(a, b []Demand) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst {
+			return false
+		}
+	}
+	return true
+}
+
+// setLoads takes the offered loads of a declaration over the tenant's
+// current pairs, in kept order. Paths and links are untouched; a
+// verbatim redeclaration changes nothing and dirties nothing.
+func (d *Driver) setLoads(t *tenant, ds []Demand) {
+	moved := false
+	for di, dm := range ds {
+		if math.Float64bits(dm.Mbps) == math.Float64bits(t.demands[di].Mbps) {
+			continue
+		}
+		moved = true
+		t.demands[di].Mbps = dm.Mbps
+		if pi := t.pairIdx[di]; pi >= 0 {
+			t.pairs[pi].Demand = dm.Mbps
+		}
+	}
+	if moved {
+		d.redeclared(t, false)
+	}
 }
 
 // defaultDemands backs an undeclared tenant with the backlogged
@@ -449,6 +537,50 @@ func defaultDemands(dep *enforce.Deployment) []Demand {
 		}
 	}
 	return ds
+}
+
+// Pairs reports one tenant's flows, one row per declared demand in
+// (Src, Dst) order — the per-pair detail a step report leaves out, read
+// from the same caches the report's aggregates were folded from.
+//
+// Right after a control period the rows are that period's outcome. In
+// between they are the declaration as it stands: Demand (and the set of
+// rows) follows SetDemand and resizes at once, while Guarantee and Rate
+// stay those of the last period that solved the pair — zero once the
+// tenant's pair set or placement has changed, until the next period
+// solves the new flows. An undeclared tenant reports the backlogged
+// default. The slice is the caller's. Unknown keys fail with a typed
+// InvalidRequest rejection.
+func (d *Driver) Pairs(key int64) ([]PairStats, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t, ok := d.tenants[key]
+	if !ok {
+		return nil, place.Rejectf("enforce", place.ReasonInvalidRequest,
+			"no tenant with key %d under enforcement", key)
+	}
+	demands := t.demands
+	if demands == nil {
+		demands = defaultDemands(t.bind.Deployment())
+	}
+	out := make([]PairStats, len(demands))
+	for di, dm := range demands {
+		ps := PairStats{Src: dm.Src, Dst: dm.Dst, Demand: dm.Mbps}
+		if t.flowsDirty {
+			// No period has seen these flows: pairIdx and the solve
+			// caches describe the previous declaration.
+			ps.Colocated = t.bind.Server(dm.Src) == t.bind.Server(dm.Dst)
+		} else if pi := int(t.pairIdx[di]); pi < 0 {
+			ps.Colocated = true
+		} else if pi < len(t.rates) {
+			ps.Guarantee, ps.Rate = t.guarantees[pi], t.rates[pi]
+		}
+		if ps.Colocated {
+			ps.Rate = dm.Mbps // intra-server: full demand, unenforced
+		}
+		out[di] = ps
+	}
+	return out, nil
 }
 
 // Tenants returns the number of tenants under enforcement.
@@ -477,10 +609,13 @@ func (d *Driver) RestoreCounters(c Counters) {
 	d.counters = c
 }
 
-// SolveStats reports the previous step's incremental effort: how many
-// components — tenants connected through contended links — were
-// re-solved out of how many the shard holds. Under FullRecompute solved
-// always equals components.
+// SolveStats reports the most recent control period's incremental
+// effort: how many components — tenants connected through contended
+// links — it re-solved out of how many the shard holds. Under
+// FullRecompute solved always equals components. A caller that needs
+// the numbers of one particular period reads them from that period's
+// report (StepStats.Solved, StepStats.Components): with concurrent
+// steppers, this accessor may already describe a later one.
 func (d *Driver) SolveStats() (solved, components int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -490,19 +625,22 @@ func (d *Driver) SolveStats() (solved, components int) {
 // Step runs one control period: GP re-partitions every dirty tenant's
 // guarantees over its active flows, RA computes work-conserving
 // targets, limiters move alpha of the way toward them, and the
-// achieved rates are reported per tenant — with clean components
-// spliced from cache instead of re-solved.
+// achieved rates are reported per tenant — components at their fixed
+// point are skipped and report their cached outcome.
 func (d *Driver) Step() (*StepStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, _, err := d.stepLocked()
-	return st, err
+	if _, err := d.advance(); err != nil {
+		return nil, err
+	}
+	return d.report(), nil
 }
 
 // Converge runs control periods until the enforced rates move by at
 // most eps between consecutive periods (maxIters caps the loop; 0
 // means 50 iterations and eps 0 means 1e-6). It returns the final
-// period's stats and the number of periods run.
+// period's stats and the number of periods run; at least two run
+// unless maxIters is 1, since the first has nothing to compare with.
 func (d *Driver) Converge(maxIters int, eps float64) (*StepStats, int, error) {
 	if maxIters <= 0 {
 		maxIters = 50
@@ -512,63 +650,38 @@ func (d *Driver) Converge(maxIters int, eps float64) (*StepStats, int, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var prev []float64
-	havePrev := false
 	for it := 1; ; it++ {
-		st, rates, err := d.stepLocked()
+		moved, err := d.advance()
 		if err != nil {
 			return nil, it, err
 		}
-		if havePrev && len(prev) == len(rates) {
-			worst := 0.0
-			for i := range rates {
-				if delta := math.Abs(rates[i] - prev[i]); delta > worst {
-					worst = delta
-				}
-			}
-			if worst <= eps {
-				return st, it, nil
-			}
+		if (it > 1 && moved <= eps) || it == maxIters {
+			return d.report(), it, nil
 		}
-		if it == maxIters {
-			return st, it, nil
-		}
-		prev = append(prev[:0], rates...)
-		havePrev = true
 	}
 }
 
-// stepLocked is the control period body; the caller holds d.mu. It
-// returns the stats and the enforced-pair achieved rates in global
-// (admission, demand) order — driver-owned scratch for convergence
-// detection, valid until the next step.
-func (d *Driver) stepLocked() (*StepStats, []float64, error) {
+// advance is the control period body up to the report; the caller holds
+// d.mu. It returns the largest change of any enforced pair's achieved
+// rate against the previous period: +Inf when a solved tenant's flows
+// are new this period, and exactly 0 when every component was skipped —
+// a skipped component's rates are the ones it already had.
+func (d *Driver) advance() (float64, error) {
 	if d.err != nil {
-		return nil, nil, d.err
+		return 0, d.err
 	}
 
-	// 1. Materialize flow state for tenants whose demands or binding
-	// changed, then rebuild the component structure if membership could
-	// have moved.
-	for _, key := range d.order {
-		if t := d.tenants[key]; t.flowsDirty {
-			d.refreshFlows(t)
-		}
-	}
-	if d.structureDirty {
-		d.rebuildComponents()
-		d.structureDirty = false
-	}
+	// 1. Bring the component structure up to date with the declarations
+	// that changed.
+	d.prepare()
 
 	// 2. Decide which components to solve: any member dirtied by an
 	// event or demand change, any member whose limiters have not
 	// reached their fixed point — or everything under FullRecompute.
 	d.solveSet = d.solveSet[:0]
 	for ci := range d.comps {
-		c := &d.comps[ci]
 		need := d.cfg.FullRecompute
-		for _, key := range c.members {
-			t := d.tenants[key]
+		for _, t := range d.comps[ci].members {
 			if t.dirty || !t.settled {
 				need = true
 				break
@@ -584,74 +697,42 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	// tenant sets (two may cross the same slack link, but a solve only
 	// reads its capacity), every goroutine works on pooled scratch, and
 	// shared state (fabric, order) is read-only, so results are
-	// independent of scheduling; the fold below runs in component order.
-	err := parallel.ForEach(parallel.Workers(0), len(d.solveSet), func(i int) error {
+	// independent of scheduling, and so is the largest of them.
+	moves, err := parallel.Map(parallel.Workers(0), len(d.solveSet), func(i int) (float64, error) {
 		ctx := d.pool.Get().(*solveCtx)
 		defer d.pool.Put(ctx)
 		return d.solveComponent(ctx, &d.comps[d.solveSet[i]])
 	})
 	if err != nil {
 		if errors.Is(err, netem.ErrBadInput) {
-			return nil, nil, place.Reject("enforce", place.ReasonInvalidRequest, err)
+			return 0, place.Reject("enforce", place.ReasonInvalidRequest, err)
 		}
-		return nil, nil, err
+		return 0, err
 	}
+	moved := 0.0
+	for _, m := range moves {
+		if m > moved {
+			moved = m
+		}
+	}
+	return moved, nil
+}
 
-	// 4. Gather: splice per-tenant caches (freshly solved or carried)
-	// into the step report, in admission order.
-	st := &StepStats{Tenants: make([]TenantStats, len(d.order)), MinRatio: 1}
-	npairs := 0
-	for _, key := range d.order {
-		npairs += len(d.tenants[key].demands)
-	}
-	// Every tenant's Pairs is carved out of caller-owned blocks sized
-	// from the known total: a few allocations per period, none grown by
-	// append. Blocks stay within the allocator's 32 KiB small-object
-	// classes — one fleet-sized slab per period is a large object, and
-	// at a thousand periods a second those are not recycled fast enough
-	// to keep peak RSS flat.
-	const pairBlock = 680 // × 48 B per PairStats
-	var pairs []PairStats
-	d.allRates = d.allRates[:0]
-	for i, key := range d.order {
-		t := d.tenants[key]
-		ts := &st.Tenants[i]
-		*ts = TenantStats{Key: t.key, ID: t.id, MinRatio: 1}
-		if len(pairs)+len(t.demands) > cap(pairs) {
-			pairs = make([]PairStats, 0, max(min(pairBlock, npairs), len(t.demands)))
-		}
-		npairs -= len(t.demands) // pairs still to place after this tenant
-		lo := len(pairs)
-		for di, dm := range t.demands {
-			ps := PairStats{Src: dm.Src, Dst: dm.Dst, Demand: dm.Mbps}
-			if pi := t.pairIdx[di]; pi < 0 {
-				ps.Colocated = true
-				ps.Rate = dm.Mbps // intra-server: full demand, unenforced
-				st.Colocated++
-			} else {
-				ps.Guarantee = t.guarantees[pi]
-				ps.Rate = t.rates[pi]
-				ts.GuaranteedMbps += ps.Guarantee
-				ts.AchievedMbps += ps.Rate
-				base := math.Min(ps.Demand, ps.Guarantee)
-				ts.BaseMbps += base
-				if base > 0 {
-					if ratio := ps.Rate / base; ratio < ts.MinRatio {
-						ts.MinRatio = ratio
-					}
-				}
-				st.Pairs++
-				d.allRates = append(d.allRates, ps.Rate)
-			}
-			pairs = append(pairs, ps)
-		}
-		if len(pairs) > lo {
-			ts.Pairs = pairs[lo:len(pairs):len(pairs)]
-		}
+// report gathers the period's outcome from the per-tenant aggregates
+// cached at solve time, in admission order: the same sums in the same
+// order whether a tenant was solved this period or long ago. The
+// caller holds d.mu and owns the result.
+func (d *Driver) report() *StepStats {
+	st := &StepStats{
+		Tenants:    slices.Clone(d.stats),
+		MinRatio:   1,
+		Solved:     d.lastSolved,
+		Components: d.lastComps,
 	}
 	for i := range st.Tenants {
 		ts := &st.Tenants[i]
-		ts.SpareMbps = ts.AchievedMbps - ts.BaseMbps
+		st.Pairs += ts.Pairs
+		st.Colocated += ts.Colocated
 		st.GuaranteedMbps += ts.GuaranteedMbps
 		st.BaseMbps += ts.BaseMbps
 		st.AchievedMbps += ts.AchievedMbps
@@ -660,5 +741,5 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 			st.MinRatio = ts.MinRatio
 		}
 	}
-	return st, d.allRates, nil
+	return st
 }
