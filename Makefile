@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint analyze docs-check api-check bench-check test test-full test-fuzz determinism bench bench-json bench-diff ci
+.PHONY: all build lint analyze docs-check api-check bench-check bench-smoke test test-full test-fuzz determinism bench bench-json bench-diff ci
 
 all: build
 
@@ -46,6 +46,14 @@ api-check:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
+# One short run of the repository's benchmark on the workload where the
+# placement search does nearly all the work (≈5 s after the build). The
+# benchmark exits non-zero on a failed operation or a failed correctness
+# check — capacity invariant, tallies, decisions — and never on a timing,
+# so this guards what the search decides, not how fast.
+bench-smoke:
+	bash bench/run.sh --workload lib_packed --seconds 1 --trace 0
+
 # Short suite under the race detector: what CI runs on every push.
 # Includes the concurrent-admission stress tests and the quick
 # parallel-determinism checks.
@@ -61,7 +69,9 @@ test-full:
 # untrusted bytes at recovery time — the grant-event codec (seeded from
 # the committed golden wire corpus) and the WAL frame scanner — plus
 # the event-driven max-min solver, differentially fuzzed against the
-# progressive-filling reference for Float64bits-identical rates. Ten
+# progressive-filling reference for Float64bits-identical rates, and
+# the placement search's bandwidthFit against its linear-scan reference
+# (the fuzzer picks the TAG and both budgets). Ten
 # seconds each is enough to exercise the mutation engine over every
 # seed shape without slowing CI; run longer locally with
 # `go test -fuzz ... -fuzztime 5m`.
@@ -70,6 +80,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEventCodec -fuzztime $(FUZZTIME) ./internal/place
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzMaxMin -fuzztime $(FUZZTIME) ./internal/netem
+	$(GO) test -run '^$$' -fuzz FuzzBandwidthFit -fuzztime $(FUZZTIME) ./internal/place/cloudmirror
 
 # Same seed => bit-identical tables at every worker count, exercised at
 # several GOMAXPROCS values. Covers the experiment sweeps (including
@@ -83,14 +94,18 @@ test-fuzz:
 # sharing a slack link solved in parallel), the optimistic-vs-locked
 # output-identity check, the commit-pipeline identity and
 # mixed-lifecycle stress checks (flat-combining queue vs the locked
-# Admitter, byte for byte),
+# Admitter, byte for byte), the placement search's TestDifferential*
+# harnesses (dirty-node Sync vs a sync that re-prices every touched
+# node, bandwidthFit vs the linear scan, a kept Colocate scan vs a fresh
+# one on every reuse of a packed-churn replay),
 # and the crash-recovery identity check (kill a durable service
 # mid-churn, recover from WAL + snapshot, demand a byte-identical
 # admission trace and final ledger).
 determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run TestParallelDeterminism ./internal/experiments
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism|TestEnforceChurnIncrementalMatchesFull|TestChurnOptimisticMatchesLocked|TestChurnResizeOptimisticMatchesLocked' ./internal/sim
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineDeterminism|TestCommitPipelineMixedStress' ./internal/place
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineDeterminism|TestCommitPipelineMixedStress|TestDifferential' ./internal/place
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
 
@@ -124,4 +139,4 @@ bench-diff:
 	rm -f BENCH_admission.cand.json BENCH_enforce.cand.json; \
 	exit $$status
 
-ci: lint analyze docs-check api-check build bench-check test test-fuzz determinism bench
+ci: lint analyze docs-check api-check build bench-check bench-smoke test test-fuzz determinism bench

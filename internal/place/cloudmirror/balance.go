@@ -2,6 +2,7 @@ package cloudmirror
 
 import (
 	"math"
+	"slices"
 
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
@@ -51,6 +52,12 @@ func (r *run) runBalance(st topology.NodeID, quota []int) []action {
 // the utilization ratio of each resource as the common metric, iterating
 // over tiers rather than individual VMs (§4.4).
 //
+// Plain children — none of the tenant's VMs inside, uncapped — differ to
+// packChild only in their free slots and available uplink bandwidth
+// (siblings share slot totals and uplink capacity), so of those equal in
+// all three only the first is packed: a twin would score the same and,
+// ties going to the earlier child, could not win.
+//
 // When the tenant runs under opportunistic anti-affinity and bandwidth
 // saving is undesirable at st, it instead returns a single VM for the
 // child with the most headroom, spreading the tenant across children
@@ -66,11 +73,22 @@ func (r *run) mdSubsetSum(st topology.NodeID, quota []int, failed failSet) ([]in
 		bestChild topology.NodeID = topology.NoNode
 		bestAdds  []int
 	)
+	seen := r.packSeen[:0]
 	for _, c := range tree.Children(st) {
-		if failed.has(c) {
+		free := tree.SlotsFree(c)
+		if free == 0 || failed.has(c) {
 			continue
 		}
-		adds, score := r.packChild(c, quota)
+		bare := allZero(r.tx.Count(c))
+		if bare && r.uncapped(c) {
+			out, in := childBudget(tree, c)
+			k := packKey{free, out, in}
+			if slices.Contains(seen, k) {
+				continue
+			}
+			seen = append(seen, k)
+		}
+		adds, score := r.packChild(c, quota, bare)
 		if adds != nil && score > bestScore {
 			bestScore, bestChild = score, c
 			// adds aliases packChild's scratch; keep a private copy.
@@ -80,12 +98,27 @@ func (r *run) mdSubsetSum(st topology.NodeID, quota []int, failed failSet) ([]in
 			copy(bestAdds, adds)
 		}
 	}
+	r.packSeen = seen[:0]
 	return bestAdds, bestChild
 }
 
+// packKey is everything packChild reads about a plain child.
+type packKey struct {
+	free              int
+	availOut, availIn float64
+}
+
+// uncapped reports whether nothing but slots and bandwidth limits what c
+// may host: it sits above the Eq. 7 fault domain (or the tenant has no
+// guarantee) and the tenant declares no resources.
+func (r *run) uncapped(c topology.NodeID) bool {
+	return r.resources == nil && !(r.ha.Guaranteed() && r.p.tree.Level(c) <= r.laa())
+}
+
 // packChild greedily fills child c from quota, largest relative demand
-// first, and returns the fill plus its utilization score.
-func (r *run) packChild(c topology.NodeID, quota []int) ([]int, float64) {
+// first, and returns the fill plus its utilization score. bare says the
+// child holds none of the tenant's VMs.
+func (r *run) packChild(c topology.NodeID, quota []int, bare bool) ([]int, float64) {
 	tree := r.p.tree
 	free := tree.SlotsFree(c)
 	if free == 0 {
@@ -113,7 +146,7 @@ func (r *run) packChild(c topology.NodeID, quota []int) ([]int, float64) {
 		if k <= 0 {
 			continue
 		}
-		if kb := r.bandwidthFit(c, base, adds, t, k, outLeft, inLeft); kb < k {
+		if kb := r.bandwidthFit(base, adds, bare && !placedAny, t, k, outLeft, inLeft); kb < k {
 			k = kb
 		}
 		if k <= 0 {
@@ -195,13 +228,50 @@ func (r *run) consumeHeadroom(head []float64, t, k int) {
 	}
 }
 
+// Margins of the two-probe zero proof in bandwidthFit. A marginal cut is
+// the difference of two sums of at most a few hundred non-negative
+// products; at the Mbps magnitudes the ledger works in (≤ 1e6) their
+// float error is ≈ 1e-9, three orders below fitMargin. fitRelMargin
+// keeps the proof sound for guarantees of any magnitude: it bounds the
+// relative error of such sums with six orders to spare.
+const (
+	fitMargin    = 1e-6
+	fitRelMargin = 1e-9
+)
+
 // bandwidthFit returns the largest k ≤ maxK such that adding k VMs of
-// tier t to the child's current fill keeps the marginal cut within the
-// remaining bandwidth budget. The cut is not monotone in k (a hose peaks
-// at half the tier and drops to zero at full colocation), so it scans
-// downward from maximal colocation — finding zero-cut full packings
-// first. Sync still enforces the true cut after placement.
-func (r *run) bandwidthFit(c topology.NodeID, base, adds []int, t, maxK int, outLeft, inLeft float64) int {
+// tier t to the child's current fill (base, the tenant's counts already
+// inside the child, plus adds, the fill being built) keeps the marginal
+// cut within the remaining bandwidth budget. The cut is not monotone in k
+// (a hose peaks at half the tier and drops to zero at full colocation),
+// so it probes maximal colocation first — finding zero-cut full packings
+// — and scans downward from there. Sync still enforces the true cut
+// after placement. bare says that base and adds are both all zero.
+//
+// Under the TAG model only edges touching tier t change with k, and the
+// contribution of every other edge cancels out of the marginal
+// comparison, so only the touching edges (collected once per request)
+// are priced per probe. Two shortcuts skip probes whose result is proven:
+//
+//   - Two probes prove a zero. Each touching edge contributes, per
+//     direction, min(a·k + b, c) or — a self-loop — min(k + b, c − k)·S to
+//     the cut (Eq. 1): a minimum of functions linear in k, hence concave,
+//     and so is their sum and the marginal cut m(k) = cut(k) − cut(0).
+//     The k whose m(k) exceeds a budget therefore form an interval: if
+//     k = 1 and k = maxK both overshoot the same direction, every k
+//     between does, and the downward scan would return 0. Floats are not
+//     exact, so both ends must overshoot by more than fitMargin plus
+//     fitRelMargin of the sums involved; an overshoot inside the margin
+//     proves nothing and falls through to the scan.
+//     (TestCutConcaveInK checks the concavity in exact arithmetic.)
+//   - A bare child prices like every other bare child. With nothing of
+//     the tenant inside, cut(0) is exactly (0, 0) and m(k) is the cut of
+//     "k VMs of tier t alone", the same number for every child of every
+//     subtree: it is priced once per request per (t, k).
+//
+// Other models (VOC, hose, pipe) promise no concavity and keep the plain
+// scan over Model.Cut.
+func (r *run) bandwidthFit(base, adds []int, bare bool, t, maxK int, outLeft, inLeft float64) int {
 	if maxK <= 0 {
 		return 0
 	}
@@ -213,32 +283,158 @@ func (r *run) bandwidthFit(c topology.NodeID, base, adds []int, t, maxK int, out
 		}
 	}
 	baseT := counts[t]
-	// Under the TAG model only edges touching tier t change with k, and
-	// the contribution of every other edge cancels out of the marginal
-	// comparison — so collect the touching edges without pricing the
-	// rest, and re-price just those per probe.
-	if tg, ok := r.model.(*tag.Graph); ok {
-		touch := tg.TouchingEdges(t, r.edgeScratch[:0])
-		r.edgeScratch = touch[:0]
-		out0, in0 := tg.EdgesCut(touch, counts)
+	tg := r.tg
+	if tg == nil {
+		out0, in0 := r.model.Cut(counts)
 		for k := maxK; k > 0; k-- {
 			counts[t] = baseT + k
-			eo, ei := tg.EdgesCut(touch, counts)
-			if eo-out0 <= outLeft && ei-in0 <= inLeft {
+			out, in := r.model.Cut(counts)
+			if out-out0 <= outLeft && in-in0 <= inLeft {
 				return k
 			}
 		}
 		return 0
 	}
-	out0, in0 := r.model.Cut(counts)
-	for k := maxK; k > 0; k-- {
-		counts[t] = baseT + k
-		out, in := r.model.Cut(counts)
-		if out-out0 <= outLeft && in-in0 <= inLeft {
+
+	touch := r.touching(t)
+	var out0, in0 float64
+	if !bare {
+		out0, in0 = tg.EdgesCut(touch, counts)
+	}
+	// probe prices the fill at k: the two edge sums, and whether the
+	// marginal cut fits both budgets.
+	probe := func(k int) (eo, ei float64, fits bool) {
+		if bare {
+			eo, ei = r.alonePrice(touch, t, k)
+		} else {
+			counts[t] = baseT + k
+			eo, ei = tg.EdgesCut(touch, counts)
+		}
+		return eo, ei, eo-out0 <= outLeft && ei-in0 <= inLeft
+	}
+	hiOut, hiIn, fits := probe(maxK)
+	if fits {
+		return maxK
+	}
+	if maxK == 1 {
+		return 0
+	}
+	loOut, loIn, loFits := probe(1)
+	if maxK >= 3 && !loFits {
+		over := func(e, e0, left float64) bool {
+			return e-e0 > left+fitMargin+fitRelMargin*(e+e0)
+		}
+		if over(hiOut, out0, outLeft) && over(loOut, out0, outLeft) ||
+			over(hiIn, in0, inLeft) && over(loIn, in0, inLeft) {
+			return 0
+		}
+	}
+	for k := maxK - 1; k > 1; k-- {
+		if _, _, fits := probe(k); fits {
 			return k
 		}
 	}
+	if loFits {
+		return 1
+	}
 	return 0
+}
+
+// touching returns the TAG edges incident to tier t in graph order (the
+// order EdgesCut must sum them in), from a per-request table built on
+// first use: admissions that never reach Balance never pay for it.
+func (r *run) touching(t int) []tag.Edge {
+	if !r.touchBuilt {
+		r.buildTouching()
+	}
+	return r.touchEdges[r.touchOff[t]:r.touchOff[t+1]]
+}
+
+// buildTouching fills the per-tier touching-edge table (a counting sort
+// of the edge list by endpoint tier, so each tier's edges keep graph
+// order) and sizes the alone-price memo.
+func (r *run) buildTouching() {
+	tiers := len(r.sizes)
+	off := growInts(r.touchOff, tiers+1)
+	for i := range off {
+		off[i] = 0
+	}
+	edges := r.tg.Edges()
+	for _, e := range edges {
+		off[e.From+1]++
+		if !e.SelfLoop() {
+			off[e.To+1]++
+		}
+	}
+	for t := 0; t < tiers; t++ {
+		off[t+1] += off[t]
+	}
+	if cap(r.touchEdges) < off[tiers] {
+		r.touchEdges = make([]tag.Edge, off[tiers])
+	}
+	r.touchEdges = r.touchEdges[:off[tiers]]
+	next := growInts(r.touchNext, tiers)
+	copy(next, off[:tiers])
+	for _, e := range edges {
+		r.touchEdges[next[e.From]] = e
+		next[e.From]++
+		if !e.SelfLoop() {
+			r.touchEdges[next[e.To]] = e
+			next[e.To]++
+		}
+	}
+	r.touchOff, r.touchNext = off, next
+
+	// Memo slot of (t, k) is aloneOff[t]+k, k ∈ [0, size of t]. Entries
+	// are valid when stamped with this request's epoch, so a new request
+	// invalidates the table without clearing it.
+	aoff := growInts(r.aloneOff, tiers)
+	n := 0
+	for t, sz := range r.sizes {
+		aoff[t] = n
+		n += sz + 1
+	}
+	r.aloneOff = aoff
+	if cap(r.aloneStamp) < n {
+		r.aloneOut = make([]float64, n)
+		r.aloneIn = make([]float64, n)
+		r.aloneStamp = make([]uint32, n)
+		r.aloneEpoch = 0
+	}
+	r.aloneOut, r.aloneIn = r.aloneOut[:n], r.aloneIn[:n]
+	r.aloneStamp = r.aloneStamp[:cap(r.aloneStamp)]
+	r.aloneEpoch++
+	if r.aloneEpoch == 0 { // wrapped: stale stamps could collide
+		clear(r.aloneStamp)
+		r.aloneEpoch = 1
+	}
+	r.zeroCnt = growInts(r.zeroCnt, tiers)
+	clear(r.zeroCnt)
+	r.touchBuilt = true
+}
+
+// alonePrice returns the touching-edge cut of a subtree holding k VMs of
+// tier t and nothing else of the tenant, priced once per request.
+func (r *run) alonePrice(touch []tag.Edge, t, k int) (out, in float64) {
+	i := r.aloneOff[t] + k
+	if r.aloneStamp[i] != r.aloneEpoch {
+		r.zeroCnt[t] = k
+		r.aloneOut[i], r.aloneIn[i] = r.tg.EdgesCut(touch, r.zeroCnt)
+		r.zeroCnt[t] = 0
+		r.aloneStamp[i] = r.aloneEpoch
+	}
+	return r.aloneOut[i], r.aloneIn[i]
+}
+
+// allZero reports whether every count is zero (true for nil: a subtree
+// the transaction never touched).
+func allZero(counts []int) bool {
+	for _, k := range counts {
+		if k != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // childBudget returns the available (out, in) bandwidth of c's uplink —

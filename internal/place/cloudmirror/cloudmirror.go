@@ -20,9 +20,10 @@
 package cloudmirror
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cloudmirror/internal/place"
 	"cloudmirror/internal/tag"
@@ -189,6 +190,23 @@ type run struct {
 	resources [][]float64 // per-tier per-VM resource demands (may be nil)
 	needRes   []float64   // whole-tenant demand per resource dimension (nil without resources)
 
+	// tg is the model when it is a TAG (nil otherwise): what lets
+	// bandwidthFit price touching edges only and rely on Eq. 1's
+	// concavity. The tables below belong to it and are built on the
+	// request's first bandwidthFit (see buildTouching): each tier's
+	// touching edges, and the memo of "k VMs of tier t alone" cuts.
+	tg         *tag.Graph
+	touchBuilt bool
+	touchOff   []int
+	touchNext  []int
+	touchEdges []tag.Edge
+	aloneOff   []int
+	aloneOut   []float64
+	aloneIn    []float64
+	aloneStamp []uint32
+	aloneEpoch uint32
+	zeroCnt    []int // all zero between alonePrice calls
+
 	// tierOrder is every tier sorted by decreasing per-VM bandwidth
 	// demand (index tie-break): the demand comparator is total and
 	// run-invariant, so tiersByDemand only filters this permutation.
@@ -200,10 +218,10 @@ type run struct {
 	addsScratch  []int
 	cntScratch   []int
 	headScratch  []float64
-	edgeScratch  []tag.Edge
 	exclScratch  []bool
 	lowScratch   []bool
 	quotaScratch []int
+	packSeen     []packKey
 	// Colocate-search scratch: the live-edge filter and the per-child
 	// per-tier bound cache (fillColocBounds) plus the per-subtree
 	// achievable-inside table (fillMaxInside). Filled and consumed
@@ -214,6 +232,9 @@ type run struct {
 	colocHA         []int
 	colocRC         []int
 	maxInScratch    []int
+	// colocRows holds findTiersToColoc's per-child results, one table
+	// per tree level (see colocRowsFor).
+	colocRows [][]colocRow
 	// intFree is a free list of per-tier []int buffers for the
 	// colocate/balance loops, whose allocations thread through the
 	// alloc() recursion and so can be live at several depths at once.
@@ -256,18 +277,22 @@ func (r *run) init() {
 		r.perVMOut[t], r.perVMIn[t] = r.g.VMProfile(t)
 	}
 	r.extOut, r.extIn = r.model.Cut(r.sizes)
+	r.tg, _ = r.model.(*tag.Graph)
+	r.touchBuilt = false
 	r.tierOrder = growInts(r.tierOrder, tiers)
 	for t := range r.tierOrder {
 		r.tierOrder[t] = t
 	}
-	sort.Slice(r.tierOrder, func(i, j int) bool {
-		a, b := r.tierOrder[i], r.tierOrder[j]
+	slices.SortFunc(r.tierOrder, func(a, b int) int {
 		da := r.perVMOut[a] + r.perVMIn[a]
 		db := r.perVMOut[b] + r.perVMIn[b]
-		if da != db {
-			return da > db
+		switch {
+		case da > db:
+			return -1
+		case da < db:
+			return 1
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	r.ordScratch = growInts(r.ordScratch, tiers)[:0]
 	r.addsScratch = growInts(r.addsScratch, tiers)

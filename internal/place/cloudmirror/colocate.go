@@ -14,47 +14,153 @@ import (
 // runColocate repeatedly asks findTiersToColoc for the (tier set, child)
 // pair with the largest verified bandwidth saving and allocates it,
 // until no positive saving remains (the Colocate loop of Algorithm 1).
+//
+// A refusal that changed nothing is not rescanned. findTiersToColoc
+// leaves each child's best pack in the level's row table; when
+// alloc(child) then places nothing, the next answer is the best row among
+// the children not yet failed (bestColoc) — provided every input of the
+// scan is bit-identical to what it read (colocLoop.try decides): quota
+// and the tenant's counts (integers, restored by the rollback), free
+// slots (likewise), and every uplink's available bandwidth. The last is
+// the delicate one: a reservation applied and then released need not
+// restore an accumulator's bits, so equality of reservations proves
+// nothing; what does is that the refusal applied no reservation at all
+// (Txn.Reserves stood still — a refused allocServer never gets one
+// applied). Declared resources are float accumulators the same refusal
+// does use and release, so a tenant that declares any always rescans.
 func (r *run) runColocate(st topology.NodeID, quota []int) []action {
 	var made []action
-	var failed failSet
+	loop := colocLoop{st: st, rows: r.colocRowsFor(st)}
 	for {
-		adds, child := r.findTiersToColoc(st, quota, failed)
+		adds, child := loop.next(r, quota)
 		if adds == nil {
 			return made
 		}
-		orig := r.getInts()
-		copy(orig, adds)
-		sub := r.alloc(child, adds)
-		progressed := false
-		for t := range adds {
-			if placed := orig[t] - adds[t]; placed > 0 {
-				quota[t] -= placed
-				progressed = true
-			}
-		}
-		r.putInts(orig)
-		r.putInts(adds)
-		made = append(made, sub...)
-		if !progressed {
-			// Bandwidth below child refused the allocation; do not
-			// offer this child again for colocation.
-			failed = append(failed, child)
+		made = append(made, loop.try(r, quota, adds, child)...)
+	}
+}
+
+// colocLoop is the state of one runColocate: the subtree, the table of
+// its last scan (one row per child), the children given up on, and
+// whether the table still describes the tree.
+type colocLoop struct {
+	st     topology.NodeID
+	rows   []colocRow
+	failed failSet
+	// unchanged: the last try was a refusal that left the tree and quota
+	// exactly as the scan that filled rows read them.
+	unchanged bool
+}
+
+// next returns the pack to try: the best remaining row of an unchanged
+// scan, or a fresh scan's winner.
+func (l *colocLoop) next(r *run, quota []int) ([]int, topology.NodeID) {
+	if l.unchanged {
+		return r.bestColoc(l.st, l.rows, l.failed)
+	}
+	return r.findTiersToColoc(l.st, quota, l.failed, l.rows)
+}
+
+// try allocates adds under child, charges what was placed to quota and
+// records whether the attempt left a trace.
+func (l *colocLoop) try(r *run, quota, adds []int, child topology.NodeID) []action {
+	reserves := r.tx.Reserves()
+	orig := r.getInts()
+	copy(orig, adds)
+	sub := r.alloc(child, adds)
+	progressed := false
+	for t := range adds {
+		if placed := orig[t] - adds[t]; placed > 0 {
+			quota[t] -= placed
+			progressed = true
 		}
 	}
+	r.putInts(orig)
+	r.putInts(adds)
+	l.unchanged = false
+	if !progressed {
+		// Bandwidth below child refused the allocation; do not
+		// offer this child again for colocation.
+		l.failed = append(l.failed, child)
+		l.unchanged = r.resources == nil && r.tx.Reserves() == reserves
+	}
+	return sub
+}
+
+// colocRow is one child's best pack from a findTiersToColoc scan: aT VMs
+// of tier t and aT2 of tier t2 for the given saving (zero: no verified
+// pack, or the child was skipped).
+type colocRow struct {
+	saving  float64
+	t, t2   int
+	aT, aT2 int
+	// plain marks a child the scan priced from its free-slot count
+	// alone (see findTiersToColoc); free is that count.
+	plain bool
+	free  int
+}
+
+// colocRowsFor returns the row table for a scan of st, one row per child.
+// There is one table per tree level: the Colocate loops of different
+// levels nest through alloc, and each needs its scan to survive the
+// recursion below it.
+func (r *run) colocRowsFor(st topology.NodeID) []colocRow {
+	tree := r.p.tree
+	if r.colocRows == nil {
+		r.colocRows = make([][]colocRow, tree.Height()+1)
+	}
+	lvl, n := tree.Level(st), len(tree.Children(st))
+	if cap(r.colocRows[lvl]) < n {
+		r.colocRows[lvl] = make([]colocRow, n)
+	}
+	return r.colocRows[lvl][:n]
+}
+
+// bestColoc answers from a filled scan: the first child not in failed
+// with the strictly largest saving, exactly the winner a fresh
+// findTiersToColoc over unchanged state would pick (it keeps the first
+// of equal savings, within a child and across children).
+func (r *run) bestColoc(st topology.NodeID, rows []colocRow, failed failSet) ([]int, topology.NodeID) {
+	children := r.p.tree.Children(st)
+	best := -1
+	var bestSaving float64
+	for i := range rows {
+		if rows[i].saving > bestSaving && !failed.has(children[i]) {
+			best, bestSaving = i, rows[i].saving
+		}
+	}
+	if best < 0 {
+		return nil, topology.NoNode
+	}
+	row := &rows[best]
+	adds := r.getInts()
+	adds[row.t] += row.aT
+	adds[row.t2] += row.aT2
+	return adds, children[best]
 }
 
 // findTiersToColoc evaluates every (edge, child) combination and returns
 // the per-tier VM counts to colocate under the best child, or nil when no
-// combination yields a positive, verified (Eq. 4) bandwidth saving.
+// combination yields a positive, verified (Eq. 4) bandwidth saving. Each
+// child's own best pack is left in rows for runColocate to reuse.
 //
 // Following §4.4, tiers with low per-VM bandwidth demand relative to the
 // per-slot available bandwidth of st's children are excluded whenever
 // some high-bandwidth tier cannot itself achieve colocation savings
 // (size or HA constraints): those low-bandwidth VMs are kept back for
 // Balance to pair with the high-bandwidth VMs (Fig. 6(d)).
-func (r *run) findTiersToColoc(st topology.NodeID, quota []int, failed failSet) ([]int, topology.NodeID) {
+//
+// A child that holds none of the tenant's VMs, sits above the Eq. 7
+// fault domain and faces no declared-resource cap is "plain": nothing
+// bestEdgePack reads about it differs from another plain child's except
+// its free-slot count. Plain children with equal free slots therefore
+// get equal rows, and only the first is priced — the copy ties it and so
+// could not have won this scan, but is there for bestColoc once the
+// first has failed.
+func (r *run) findTiersToColoc(st topology.NodeID, quota []int, failed failSet, rows []colocRow) ([]int, topology.NodeID) {
 	tree := r.p.tree
 	children := tree.Children(st)
+	clear(rows)
 
 	// An edge is live while at least one endpoint tier has quota left: a
 	// pack only ever adds VMs from quota, so a dead edge cannot produce
@@ -74,35 +180,39 @@ func (r *run) findTiersToColoc(st topology.NodeID, quota []int, failed failSet) 
 
 	excluded := r.lowBandwidthExclusions(st, quota)
 
-	var (
-		bestSaving float64
-		bestChild  topology.NodeID = topology.NoNode
-		bestT      int
-		bestT2     int
-		bestAT     int
-		bestAT2    int
-	)
-	for _, c := range children {
+	for i, c := range children {
 		if failed.has(c) || tree.SlotsFree(c) == 0 {
 			continue
 		}
-		free := tree.SlotsFree(c)
-		r.fillColocBounds(c)
+		row := &rows[i]
+		row.free = tree.SlotsFree(c)
+		row.plain = r.fillColocBounds(c)
+		if row.plain {
+			if j := plainTwin(rows[:i], row.free); j >= 0 {
+				*row = rows[j]
+				continue
+			}
+		}
 		for _, e := range live {
-			aT, aT2, saving := r.bestEdgePack(c, e, quota, free, excluded)
-			if saving > bestSaving {
-				bestSaving, bestChild = saving, c
-				bestT, bestT2, bestAT, bestAT2 = e.From, e.To, aT, aT2
+			aT, aT2, saving := r.bestEdgePack(c, e, quota, row.free, excluded)
+			if saving > row.saving {
+				row.saving = saving
+				row.t, row.t2, row.aT, row.aT2 = e.From, e.To, aT, aT2
 			}
 		}
 	}
-	if bestChild == topology.NoNode {
-		return nil, topology.NoNode
+	return r.bestColoc(st, rows, failed)
+}
+
+// plainTwin returns the index of a priced plain row with the given free
+// slot count, or -1.
+func plainTwin(rows []colocRow, free int) int {
+	for j := range rows {
+		if rows[j].plain && rows[j].free == free {
+			return j
+		}
 	}
-	adds := r.getInts()
-	adds[bestT] += bestAT
-	adds[bestT2] += bestAT2
-	return adds, bestChild
+	return -1
 }
 
 // fillColocBounds caches, per tier, the child-local quantities every
@@ -112,7 +222,11 @@ func (r *run) findTiersToColoc(st topology.NodeID, quota []int, failed failSet) 
 // probe. Values match haBound/resourceCap/CountOf exactly (quota plays
 // no part), so swapping the cache for the calls cannot change any
 // packing decision.
-func (r *run) fillColocBounds(c topology.NodeID) {
+//
+// It reports whether the child is plain: no VMs of the tenant inside, no
+// Eq. 7 bound at its level and no declared resources, so that all three
+// tables hold the same values for every plain child.
+func (r *run) fillColocBounds(c topology.NodeID) (plain bool) {
 	tree := r.p.tree
 	cnt, hab, rc := r.colocCnt, r.colocHA, r.colocRC
 	bounded := r.ha.Guaranteed() && tree.Level(c) <= r.laa()
@@ -120,8 +234,12 @@ func (r *run) fillColocBounds(c topology.NodeID) {
 	if bounded {
 		dom = tree.Ancestor(c, r.laa())
 	}
+	plain = r.uncapped(c)
 	for t := range cnt {
 		cnt[t] = r.tx.CountOf(c, t)
+		if cnt[t] != 0 {
+			plain = false
+		}
 		if bounded {
 			hab[t] = r.haCap[t] - r.tx.CountOf(dom, t)
 		} else {
@@ -129,6 +247,7 @@ func (r *run) fillColocBounds(c topology.NodeID) {
 		}
 		rc[t] = r.resourceCap(c, t)
 	}
+	return plain
 }
 
 // bestEdgePack computes how many VMs of edge e's endpoint tiers (aT of
@@ -136,7 +255,7 @@ func (r *run) fillColocBounds(c topology.NodeID) {
 // saving of doing so. For trunks it tries both fill orders and keeps the
 // better; for self-loops aT2 is 0 (the whole add is aT on the loop
 // tier). A zero saving means no verified pack exists. The caller must
-// have primed the per-tier bound cache with fillColocBounds(c, quota).
+// have primed the per-tier bound cache with fillColocBounds(c).
 func (r *run) bestEdgePack(c topology.NodeID, e tag.Edge, quota []int, free int, excluded []bool) (aT, aT2 int, saving float64) {
 	t := e.From
 	if e.SelfLoop() {

@@ -152,10 +152,7 @@ func (r *Reservation) Reopen(model Model) *Txn {
 	for _, server := range servers {
 		c := r.placement[server]
 		r.tree.PathToRoot(server, func(n topology.NodeID) {
-			if !tx.hasCount[n] {
-				tx.hasCount[n] = true
-				tx.touched = append(tx.touched, n)
-			}
+			tx.touch(n)
 			agg := tx.row(n)
 			for t, k := range c {
 				agg[t] += k
@@ -176,6 +173,9 @@ func (r *Reservation) Reopen(model Model) *Txn {
 		tx.hasRes[n] = true
 		tx.resTouched = append(tx.resTouched, n)
 	}
+	// The holdings were priced under whatever model committed them; the
+	// first sync re-prices every node under this one.
+	tx.markAllDirty()
 	return tx
 }
 

@@ -1,7 +1,9 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"cloudmirror/internal/topology"
 )
@@ -32,6 +34,16 @@ type Txn struct {
 	counts   []int
 	hasCount []bool
 	touched  []topology.NodeID
+	// dirty[n] is set when n's counts (or the model pricing them) may
+	// have changed since n's reservation was last reconciled. A clean
+	// node's reservation equals its desired cut bit for bit, so sync
+	// never looks at it (see Sync): it walks dirtyQueue, the dirty
+	// nodes in no particular order, and visits those in scope by pos,
+	// their index in touched. work is sync's scratch.
+	dirty      []bool
+	dirtyQueue []topology.NodeID
+	pos        []int32
+	work       []topology.NodeID
 	// resOut/resIn are the (out, in) bandwidth currently reserved on
 	// each node's uplink by this transaction; resTouched lists the nodes
 	// with hasRes set, in first-reservation order.
@@ -44,6 +56,9 @@ type Txn struct {
 	epoch uint32
 	// applied is sync's revert log, reused across calls.
 	applied []delta
+	// reserves counts the reservation changes sync has applied to the
+	// tree over the transaction's lifetime (see Reserves).
+	reserves uint64
 	// resources holds the per-tier per-VM demand vectors (nil for
 	// slot-only tenants).
 	resources [][]float64
@@ -60,6 +75,8 @@ func NewTxn(tree *topology.Tree, model Model) *Txn {
 		tiers:    tiers,
 		counts:   make([]int, n*tiers),
 		hasCount: make([]bool, n),
+		dirty:    make([]bool, n),
+		pos:      make([]int32, n),
 		resOut:   make([]float64, n),
 		resIn:    make([]float64, n),
 		hasRes:   make([]bool, n),
@@ -87,6 +104,11 @@ func (tx *Txn) Reset(tree *topology.Tree, model Model) {
 	tx.tree, tx.model, tx.tiers = tree, model, tiers
 	tx.counts = growInts(tx.counts, n*tiers)
 	tx.hasCount = growBools(tx.hasCount, n)
+	tx.dirty = growBools(tx.dirty, n)
+	if cap(tx.pos) < n {
+		tx.pos = make([]int32, n)
+	}
+	tx.pos = tx.pos[:n] // read only for touched nodes, which set it
 	tx.resOut = growFloats(tx.resOut, n)
 	tx.resIn = growFloats(tx.resIn, n)
 	tx.hasRes = growBools(tx.hasRes, n)
@@ -126,12 +148,39 @@ func growFloats(s []float64, n int) []float64 {
 // SetModel swaps the bandwidth model mid-transaction. Reservations are
 // reconciled against the new model on the next Sync. Auto-scaling uses
 // this: a tier-size change alters every cut, so the resized tenant's
-// graph replaces the original before re-synchronizing.
+// graph replaces the original before re-synchronizing — and every
+// touched node is marked dirty, since none of their reservations was
+// priced by m.
 func (tx *Txn) SetModel(m Model) {
 	if m.Tiers() != tx.model.Tiers() {
 		panic("place: SetModel with different tier count")
 	}
 	tx.model = m
+	tx.markAllDirty()
+}
+
+// markAllDirty makes the next sync re-price every touched node.
+func (tx *Txn) markAllDirty() {
+	for _, n := range tx.touched {
+		tx.markDirty(n)
+	}
+}
+
+// markDirty queues n for the next sync whose scope covers it.
+func (tx *Txn) markDirty(n topology.NodeID) {
+	if !tx.dirty[n] {
+		tx.dirty[n] = true
+		tx.dirtyQueue = append(tx.dirtyQueue, n)
+	}
+}
+
+// touch adds n to the touched nodes on its first count.
+func (tx *Txn) touch(n topology.NodeID) {
+	if !tx.hasCount[n] {
+		tx.hasCount[n] = true
+		tx.pos[n] = int32(len(tx.touched))
+		tx.touched = append(tx.touched, n)
+	}
 }
 
 // Tree returns the underlying topology.
@@ -175,13 +224,11 @@ func (tx *Txn) Place(server topology.NodeID, t, k int) error {
 		tx.tree.ReleaseResources(server, k, tx.tierDemand(t))
 		return Reject("place", ReasonNoSlots, err)
 	}
-	tx.tree.PathToRoot(server, func(n topology.NodeID) {
-		if !tx.hasCount[n] {
-			tx.hasCount[n] = true
-			tx.touched = append(tx.touched, n)
-		}
+	for n := server; n != topology.NoNode; n = tx.tree.Parent(n) {
+		tx.touch(n)
+		tx.markDirty(n)
 		tx.row(n)[t] += k
-	})
+	}
 	tx.placed += k
 	return nil
 }
@@ -197,9 +244,10 @@ func (tx *Txn) Unplace(server topology.NodeID, t, k int) {
 	}
 	tx.tree.ReleaseSlots(server, k)
 	tx.tree.ReleaseResources(server, k, tx.tierDemand(t))
-	tx.tree.PathToRoot(server, func(n topology.NodeID) {
+	for n := server; n != topology.NoNode; n = tx.tree.Parent(n) {
+		tx.markDirty(n)
 		tx.row(n)[t] -= k
-	})
+	}
 	tx.placed -= k
 }
 
@@ -240,8 +288,21 @@ func (tx *Txn) desired(n topology.NodeID) (out, in float64) {
 // is idempotent. On failure (some uplink lacks capacity) every change
 // made by this call is reverted and the error is returned; reservations
 // from earlier successful Syncs remain.
+//
+// Sync (and SyncPath, SyncBetween, SyncAll) visits only dirty nodes —
+// those whose counts a Place or Unplace moved, or whose model SetModel or
+// Reopen replaced, since they were last reconciled. Skipping a clean node
+// is not an approximation: its reservation was set to the cut of the
+// counts and model it still has, the cut is a deterministic function of
+// those, so desired − reserved is exactly (0, 0) and the node would have
+// taken the no-op return anyway. The Reserve calls a sync issues, their
+// order (first-touch order) and their arguments are therefore those of a
+// sync that visits every touched node, and so is every bit of the ledger.
+// A node is cleaned when sync finds or makes its reservation equal to
+// its cut, and dirtied again if a later failure in the same call reverts
+// that delta (the subtraction need not restore the old bits).
 func (tx *Txn) Sync(n topology.NodeID) error {
-	return tx.sync(func(m topology.NodeID) bool { return tx.tree.Contains(n, m) })
+	return tx.sync(scopeSubtree, n)
 }
 
 // SyncPath reconciles reservations on the nodes from n (inclusive) up to
@@ -249,14 +310,16 @@ func (tx *Txn) Sync(n topology.NodeID) error {
 // Algorithm 1.
 func (tx *Txn) SyncPath(n topology.NodeID) error {
 	tx.epoch++
-	tx.tree.PathToRoot(n, func(m topology.NodeID) { tx.mark[m] = tx.epoch })
-	return tx.sync(func(m topology.NodeID) bool { return tx.mark[m] == tx.epoch })
+	for m := n; m != topology.NoNode; m = tx.tree.Parent(m) {
+		tx.mark[m] = tx.epoch
+	}
+	return tx.sync(scopeMarked, topology.NoNode)
 }
 
 // SyncAll reconciles every touched node (subtree + path): used after bulk
 // placements when the caller does not track a frontier.
 func (tx *Txn) SyncAll() error {
-	return tx.sync(func(topology.NodeID) bool { return true })
+	return tx.sync(scopeAll, topology.NoNode)
 }
 
 // SyncBetween reconciles reservations on the nodes from n (inclusive) up
@@ -264,40 +327,80 @@ func (tx *Txn) SyncAll() error {
 // only the path whose counts changed.
 func (tx *Txn) SyncBetween(n, top topology.NodeID) error {
 	tx.epoch++
-	for m := n; ; m = tx.tree.Parent(m) {
+	for m := n; m != topology.NoNode; m = tx.tree.Parent(m) {
 		tx.mark[m] = tx.epoch
-		if m == top || m == topology.NoNode {
+		if m == top {
 			break
 		}
 	}
-	return tx.sync(func(m topology.NodeID) bool { return tx.mark[m] == tx.epoch })
+	return tx.sync(scopeMarked, topology.NoNode)
 }
+
+// Reserves returns how many reservation changes this transaction has
+// applied to the tree so far, counting those a failed sync applied and
+// then reverted. While it stands still, no uplink accumulator has been
+// written through this transaction — which a caller cannot conclude
+// from the reservations being equal, because reserving and releasing
+// the same amount need not restore an accumulator's bits.
+func (tx *Txn) Reserves() uint64 { return tx.reserves }
 
 type delta struct {
 	node    topology.NodeID
 	out, in float64
 }
 
-func (tx *Txn) sync(want func(topology.NodeID) bool) error {
-	// Visit the union of nodes with counts and nodes with reservations
-	// (in touch order, so the walk is deterministic), so reservations
-	// left by since-unplaced VMs are released too.
+// syncScope selects the nodes one sync call reconciles.
+type syncScope uint8
+
+const (
+	scopeAll     syncScope = iota // every touched node
+	scopeSubtree                  // the subtree of the given node
+	scopeMarked                   // nodes stamped with the current epoch
+)
+
+// sync reconciles the dirty nodes in scope, in touch order (so the walk
+// is deterministic, and the one a sync over every touched node would
+// take). Every node holding a reservation is a touched node: syncNode
+// reserves only here, and a node leaves touched only together with its
+// reservation (ReleaseAll, Commit).
+func (tx *Txn) sync(scope syncScope, sub topology.NodeID) error {
 	tx.applied = tx.applied[:0]
-	for _, n := range tx.touched {
-		if want(n) {
-			if err := tx.syncNode(n); err != nil {
-				return err
+	work := tx.work[:0]
+	for _, n := range tx.dirtyQueue {
+		switch scope {
+		case scopeSubtree:
+			if !tx.tree.Contains(sub, n) {
+				continue
+			}
+		case scopeMarked:
+			if tx.mark[n] != tx.epoch {
+				continue
 			}
 		}
+		work = append(work, n)
 	}
-	for _, n := range tx.resTouched {
-		if !tx.hasCount[n] && want(n) {
-			if err := tx.syncNode(n); err != nil {
-				return err
-			}
+	tx.work = work
+	if len(work) == 0 {
+		return nil
+	}
+	slices.SortFunc(work, func(a, b topology.NodeID) int { return cmp.Compare(tx.pos[a], tx.pos[b]) })
+	var err error
+	for _, n := range work {
+		if err = tx.syncNode(n); err != nil {
+			break
+		}
+		tx.dirty[n] = false
+	}
+	// Drop what was cleaned from the queue; a failure has re-dirtied the
+	// nodes it reverted, which are still in it.
+	queue := tx.dirtyQueue[:0]
+	for _, n := range tx.dirtyQueue {
+		if tx.dirty[n] {
+			queue = append(queue, n)
 		}
 	}
-	return nil
+	tx.dirtyQueue = queue
+	return err
 }
 
 // syncNode reconciles one node's reservation with its desired cut,
@@ -314,9 +417,11 @@ func (tx *Txn) syncNode(n topology.NodeID) error {
 			tx.tree.Release(d.node, d.out, d.in)
 			tx.resOut[d.node] -= d.out
 			tx.resIn[d.node] -= d.in
+			tx.dirty[d.node] = true
 		}
 		return Reject("reserve", ReasonInsufficientBandwidth, err)
 	}
+	tx.reserves++
 	tx.applied = append(tx.applied, delta{n, dOut, dIn})
 	tx.resOut[n], tx.resIn[n] = wantOut, wantIn
 	if !tx.hasRes[n] {
@@ -354,8 +459,10 @@ func (tx *Txn) ReleaseAll() {
 			c[t] = 0
 		}
 		tx.hasCount[n] = false
+		tx.dirty[n] = false
 	}
 	tx.touched = tx.touched[:0]
+	tx.dirtyQueue = tx.dirtyQueue[:0]
 	tx.placed = 0
 }
 
@@ -390,8 +497,10 @@ func (tx *Txn) Commit() *Reservation {
 			c[t] = 0
 		}
 		tx.hasCount[n] = false
+		tx.dirty[n] = false
 	}
 	tx.touched = tx.touched[:0]
+	tx.dirtyQueue = tx.dirtyQueue[:0]
 	for _, n := range tx.resTouched {
 		tx.resOut[n], tx.resIn[n] = 0, 0
 		tx.hasRes[n] = false

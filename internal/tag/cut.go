@@ -109,21 +109,10 @@ func (g *Graph) SplitCut(inside []int, t int, buf []Edge) (fixOut, fixIn float64
 	return fixOut, fixIn, touching
 }
 
-// TouchingEdges appends the edges incident to tier t to buf and returns
-// it: the edge subset whose cut contribution varies with inside[t].
-// Callers comparing marginal cuts at several values of one tier's count
-// need only these (the rest cancels out of any difference).
-func (g *Graph) TouchingEdges(t int, buf []Edge) []Edge {
-	for _, e := range g.edges {
-		if e.From == t || e.To == t {
-			buf = append(buf, e)
-		}
-	}
-	return buf
-}
-
-// EdgesCut sums the cut contribution of the given edges at inside —
-// the probe half of a SplitCut.
+// EdgesCut sums the cut contribution of the given edges at inside, in
+// the order given — the probe half of a SplitCut. Callers comparing
+// marginal cuts at several values of one tier's count need only the
+// edges incident to that tier (the rest cancels out of any difference).
 func (g *Graph) EdgesCut(edges []Edge, inside []int) (out, in float64) {
 	for _, e := range edges {
 		o, i := g.edgeCut(e, inside)

@@ -197,9 +197,7 @@ func (t *Tree) Validate(d Delta) error {
 		}
 		if t.upResOut[l.Node]+l.Out > t.upCap[l.Node]+capEpsilon ||
 			t.upResIn[l.Node]+l.In > t.upCap[l.Node]+capEpsilon {
-			return fmt.Errorf("%w: node %d (%s) cap %g, out %g+%g, in %g+%g", ErrNoBandwidth,
-				l.Node, t.LevelName(t.Level(l.Node)), t.upCap[l.Node],
-				t.upResOut[l.Node], l.Out, t.upResIn[l.Node], l.In)
+			return t.bandwidthError(l.Node, l.Out, l.In)
 		}
 	}
 	for _, r := range d.Resources {

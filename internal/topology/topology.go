@@ -31,6 +31,44 @@ var (
 	ErrNoBandwidth = errors.New("topology: not enough uplink bandwidth")
 )
 
+// BandwidthError is the refusal Reserve and Validate return when an
+// uplink cannot carry a reservation: which link, at which level, and in
+// each direction what was already reserved and what was asked on top of
+// it. It unwraps to ErrNoBandwidth, so errors.Is keeps classifying it.
+//
+// The placement search provokes thousands of these per admission and
+// reads none of them, so a refusal only records the numbers; the message
+// is rendered when (and if) somebody calls Error.
+type BandwidthError struct {
+	// Node is the node whose uplink refused; Level is its level name.
+	Node  NodeID
+	Level string
+	// Cap is the uplink's per-direction capacity in Mbps.
+	Cap float64
+	// ResOut and ResIn are the reservations held when the request
+	// arrived; Out and In are what the request asked to add.
+	ResOut, Out float64
+	ResIn, In   float64
+}
+
+// Error renders the refusal: the sentinel's text, then the link and the
+// per-direction "held+asked" against its capacity.
+func (e *BandwidthError) Error() string {
+	return fmt.Sprintf("%v: node %d (%s) cap %g, out %g+%g, in %g+%g", ErrNoBandwidth,
+		e.Node, e.Level, e.Cap, e.ResOut, e.Out, e.ResIn, e.In)
+}
+
+// Unwrap returns ErrNoBandwidth.
+func (e *BandwidthError) Unwrap() error { return ErrNoBandwidth }
+
+// bandwidthError records a refusal of (out, in) more on n's uplink.
+func (t *Tree) bandwidthError(n NodeID, out, in float64) *BandwidthError {
+	return &BandwidthError{
+		Node: n, Level: t.LevelName(t.Level(n)), Cap: t.upCap[n],
+		ResOut: t.upResOut[n], Out: out, ResIn: t.upResIn[n], In: in,
+	}
+}
+
 // LevelSpec describes one level of the tree, bottom-up.
 type LevelSpec struct {
 	// Name labels the level ("server", "tor", "agg").
@@ -93,6 +131,9 @@ type Tree struct {
 	parent   []NodeID
 	children [][]NodeID
 	level    []int8 // 0 = server; root has level len(Levels)
+	// last[n] is the highest ID in n's subtree. IDs are assigned in
+	// preorder, so the subtree of n is exactly the ID range [n, last[n]].
+	last []NodeID
 
 	upCap    []float64 // uplink capacity per direction (symmetric capacity)
 	upResOut []float64 // reserved toward the root
@@ -132,6 +173,7 @@ func New(spec Spec) *Tree {
 		parent:       make([]NodeID, total),
 		children:     make([][]NodeID, total),
 		level:        make([]int8, total),
+		last:         make([]NodeID, total),
 		upCap:        make([]float64, total),
 		upResOut:     make([]float64, total),
 		upResIn:      make([]float64, total),
@@ -155,6 +197,7 @@ func New(spec Spec) *Tree {
 			t.servers = append(t.servers, id)
 			t.slotsTotal[id] = int32(spec.SlotsPerServer)
 			t.slotsFree[id] = t.slotsTotal[id]
+			t.last[id] = id
 			return id
 		}
 		fan := spec.Levels[lvl-1].Fanout
@@ -165,6 +208,7 @@ func New(spec Spec) *Tree {
 			t.slotsTotal[id] += t.slotsTotal[c]
 			t.slotsFree[id] += t.slotsFree[c]
 		}
+		t.last[id] = next - 1
 		return id
 	}
 	t.root = build(NoNode, levels)
@@ -272,8 +316,8 @@ func (t *Tree) UplinkAvail(n NodeID) (out, in float64) {
 }
 
 // Reserve reserves out/in Mbps on n's uplink. The reservation is atomic:
-// if either direction lacks capacity, nothing changes and ErrNoBandwidth
-// is returned. Negative arguments release bandwidth (callers normally use
+// if either direction lacks capacity, nothing changes and a
+// *BandwidthError (which is ErrNoBandwidth to errors.Is) is returned. Negative arguments release bandwidth (callers normally use
 // Release for clarity).
 func (t *Tree) Reserve(n NodeID, out, in float64) error {
 	if n == t.root {
@@ -283,8 +327,7 @@ func (t *Tree) Reserve(n NodeID, out, in float64) error {
 		return nil
 	}
 	if t.upResOut[n]+out > t.upCap[n]+capEpsilon || t.upResIn[n]+in > t.upCap[n]+capEpsilon {
-		return fmt.Errorf("%w: node %d (%s) cap %g, out %g+%g, in %g+%g", ErrNoBandwidth,
-			n, t.LevelName(t.Level(n)), t.upCap[n], t.upResOut[n], out, t.upResIn[n], in)
+		return t.bandwidthError(n, out, in)
 	}
 	t.upResOut[n] += out
 	t.upResIn[n] += in
@@ -349,14 +392,15 @@ func (t *Tree) Ancestor(n NodeID, level int) NodeID {
 	return m
 }
 
-// Contains reports whether sub lies in the subtree rooted at n.
+// Contains reports whether sub lies in the subtree rooted at n (a node
+// contains itself; NoNode contains nothing and lies in no subtree).
+//
+// It is two comparisons, not a parent walk: New numbers the nodes in
+// preorder, so n's descendants are the nodes created between n and the
+// end of n's build call, and they received exactly the consecutive IDs
+// n+1 … last[n]. Hence sub is in n's subtree iff n ≤ sub ≤ last[n].
 func (t *Tree) Contains(n, sub NodeID) bool {
-	for m := sub; m != NoNode; m = t.parent[m] {
-		if m == n {
-			return true
-		}
-	}
-	return false
+	return n != NoNode && n <= sub && sub <= t.last[n]
 }
 
 // ServersUnder calls fn for every server in the subtree rooted at n,

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -241,5 +242,81 @@ func TestSlotConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestContainsMatchesParentWalk: the preorder-range Contains agrees with
+// the definition — sub is n or has n among its ancestors — for every
+// ordered pair of nodes, on a regular tree and on one whose fanout
+// differs at every level.
+func TestContainsMatchesParentWalk(t *testing.T) {
+	uneven := Spec{
+		SlotsPerServer: 2,
+		Levels: []LevelSpec{
+			{Name: "server", Fanout: 5, Uplink: 100},
+			{Name: "tor", Fanout: 1, Uplink: 100},
+			{Name: "agg", Fanout: 3, Uplink: 100},
+			{Name: "core", Fanout: 2, Uplink: 100},
+		},
+	}
+	for name, spec := range map[string]Spec{"small": SmallSpec(), "uneven": uneven} {
+		tr := New(spec)
+		walk := func(n, sub NodeID) bool {
+			for m := sub; m != NoNode; m = tr.Parent(m) {
+				if m == n {
+					return true
+				}
+			}
+			return false
+		}
+		for n := NodeID(0); int(n) < tr.NumNodes(); n++ {
+			for sub := NodeID(0); int(sub) < tr.NumNodes(); sub++ {
+				if got, want := tr.Contains(n, sub), walk(n, sub); got != want {
+					t.Fatalf("%s: Contains(%d, %d) = %v, parent walk says %v", name, n, sub, got, want)
+				}
+			}
+			if tr.Contains(n, NoNode) || tr.Contains(NoNode, n) {
+				t.Fatalf("%s: NoNode contained in or containing %d", name, n)
+			}
+		}
+		// A clone shares the shape, so it must answer alike.
+		if c := tr.Clone(); !c.Contains(c.Root(), c.Servers()[0]) || c.Contains(c.Servers()[0], c.Root()) {
+			t.Errorf("%s: clone lost the containment table", name)
+		}
+	}
+}
+
+// TestBandwidthError: a refused reservation is a *BandwidthError carrying
+// the link and both directions' numbers, still ErrNoBandwidth to
+// errors.Is, and renders the message fmt.Errorf used to build eagerly.
+func TestBandwidthError(t *testing.T) {
+	tr := small()
+	s0 := tr.Servers()[0]
+	if err := tr.Reserve(s0, 60.5, 20); err != nil {
+		t.Fatal(err)
+	}
+	check := func(err error, out, in float64) {
+		t.Helper()
+		if !errors.Is(err, ErrNoBandwidth) {
+			t.Fatalf("errors.Is(%v, ErrNoBandwidth) = false", err)
+		}
+		var be *BandwidthError
+		if !errors.As(err, &be) {
+			t.Fatalf("errors.As(%v, *BandwidthError) = false", err)
+		}
+		want := BandwidthError{Node: s0, Level: "server", Cap: 100, ResOut: 60.5, Out: out, ResIn: 20, In: in}
+		if *be != want {
+			t.Errorf("got %+v, want %+v", *be, want)
+		}
+		old := fmt.Errorf("%w: node %d (%s) cap %g, out %g+%g, in %g+%g", ErrNoBandwidth,
+			s0, "server", 100.0, 60.5, out, 20.0, in)
+		if err.Error() != old.Error() {
+			t.Errorf("message %q, want %q", err, old)
+		}
+	}
+	check(tr.Reserve(s0, 40, 0.25), 40, 0.25)
+	check(tr.Validate(Delta{Links: []LinkDelta{{Node: s0, Out: 1, In: 90}}}), 1, 90)
+	if out, in := tr.UplinkReserved(s0); out != 60.5 || in != 20 {
+		t.Errorf("refusals changed the ledger: (%g, %g)", out, in)
 	}
 }
