@@ -47,12 +47,16 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # One short run of the repository's benchmark on the workload where the
-# placement search does nearly all the work (≈5 s after the build). The
-# benchmark exits non-zero on a failed operation or a failed correctness
-# check — capacity invariant, tallies, decisions — and never on a timing,
-# so this guards what the search decides, not how fast.
+# placement search does nearly all the work (≈5 s after the build) and
+# one on the workload where every control period is a full solve (≈3 s:
+# every tenant redeclares, membership churns). The benchmark exits
+# non-zero on a failed operation or a failed correctness check —
+# capacity invariant, tallies, decisions, MinRatio ≥ 1 on every period —
+# and never on a timing, so this guards what the search and the control
+# loop decide, not how fast.
 bench-smoke:
 	bash bench/run.sh --workload lib_packed --seconds 1 --trace 0
+	bash bench/run.sh --workload enforce_storm --seconds 1 --trace 0
 
 # Short suite under the race detector: what CI runs on every push.
 # Includes the concurrent-admission stress tests and the quick
@@ -69,7 +73,9 @@ test-full:
 # untrusted bytes at recovery time — the grant-event codec (seeded from
 # the committed golden wire corpus) and the WAL frame scanner — plus
 # the event-driven max-min solver, differentially fuzzed against the
-# progressive-filling reference for Float64bits-identical rates, and
+# progressive-filling reference for Float64bits-identical rates (its
+# seed corpus includes instances at, just under and just over a link's
+# capacity, either side of the solver's "every cap fits" return), and
 # the placement search's bandwidthFit against its linear-scan reference
 # (the fuzzer picks the TAG and both budgets). Ten
 # seconds each is enough to exercise the mutation engine over every
@@ -90,8 +96,12 @@ test-fuzz:
 # (incremental vs FullRecompute byte for byte, cached aggregates vs a
 # fold over Pairs, kept link loads vs a from-scratch fold, one-solve
 # settling, Converge vs the rate-copy rule, contention-aware
-# components vs a whole-fabric oracle to 1e-6 Mbps per pair, components
-# sharing a slack link solved in parallel), the optimistic-vs-locked
+# components vs a whole-fabric oracle to 1e-6 Mbps per pair, a link
+# driven slack → contended → inside the margin band → slack, components
+# sharing a slack link solved in parallel), the max-min solver's
+# TestDifferentialFitsShortcut (the "every cap fits" return and its
+# fall-through vs MaxMinReference, Float64bits, with the tightest link
+# parked at every distance from capacity), the optimistic-vs-locked
 # output-identity check, the commit-pipeline identity and
 # mixed-lifecycle stress checks (flat-combining queue vs the locked
 # Admitter, byte for byte), the placement search's TestDifferential*
@@ -107,6 +117,7 @@ determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineDeterminism|TestCommitPipelineMixedStress|TestDifferential' ./internal/place
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/netem
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
 
 # One iteration of every per-artifact benchmark: regenerates the quick

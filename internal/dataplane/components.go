@@ -131,8 +131,9 @@ func (d *Driver) refreshLoads() {
 // adjacency, and the demand→pair index. Limiter values carry over for
 // pairs present before and after (by (Src, Dst) key); pairs new to the
 // declaration start unseen (NaN), which the solve initializes at the
-// pair's guarantee. The last solve's guarantees and rates describe
-// flows that no longer exist and are dropped.
+// pair's guarantee. The guarantees are partitioned anew over the new
+// pair set; the last solve's rates describe flows that no longer exist
+// and are dropped.
 func (d *Driver) refreshFlows(t *tenant) {
 	if t.demands == nil {
 		t.demands = defaultDemands(t.bind.Deployment())
@@ -140,8 +141,9 @@ func (d *Driver) refreshFlows(t *tenant) {
 	// Save the previous pair keys and limits for the carry-over merge.
 	// Both pair lists ascend by (Src, Dst) — demands are kept sorted —
 	// so a linear merge aligns them.
-	oldPairs := append([]enforce.Pair(nil), t.pairs...)
-	oldLimits := append([]float64(nil), t.limits...)
+	oldPairs := append(d.oldPairs[:0], t.pairs...)
+	oldLimits := append(d.oldLimits[:0], t.limits...)
+	d.oldPairs, d.oldLimits = oldPairs, oldLimits
 
 	d.unlink(t)
 	t.pairIdx = t.pairIdx[:0]
@@ -179,6 +181,11 @@ func (d *Driver) refreshFlows(t *tenant) {
 			t.limits = append(t.limits, math.NaN())
 		}
 	}
+	// GP reads the ordered (Src, Dst) sequence and the deployment, nothing
+	// else (enforce.Partitioner), and this is the only place that sequence
+	// changes: partition once here, and every solve until the next new
+	// pair set appends the kept slice.
+	t.guarantees = enforce.AppendGuarantees(t.guarantees, t.gp, t.pairs)
 	t.flowsDirty = false
 	t.settled = false
 	// The tenant may now cross other links: a membership event.
@@ -190,7 +197,10 @@ func (d *Driver) refreshFlows(t *tenant) {
 func (d *Driver) unlink(t *tenant) {
 	for _, l := range t.links {
 		refs := d.linkTenants[l]
-		i := slices.IndexFunc(refs, func(r linkRef) bool { return r.t == t })
+		i := 0
+		for refs[i].t != t {
+			i++
+		}
 		d.linkTenants[l] = slices.Delete(refs, i, i+1)
 		d.markStale(l)
 	}
@@ -379,22 +389,23 @@ func limiterStep(cur, target, alpha float64) float64 {
 	return cur + alpha*(target-cur)
 }
 
-// solveComponent runs one control period for one component: GP per
-// member tenant, a component-wide work-conserving RA, the alpha step of
-// every limiter toward its target, and the achieved-rates solve under
-// the new limits. Results — and the report aggregates folded from them
-// — land in the member tenants' caches. It returns the largest change
-// of any pair's achieved rate against the cached one, +Inf when a
+// solveComponent runs one control period for one component: a
+// component-wide work-conserving RA over the members' kept GP guarantees
+// (partitioned when their pair sets last changed, see refreshFlows), the
+// alpha step of every limiter toward its target, and the achieved-rates
+// solve under the new limits. Results — and the report aggregates folded
+// from them — land in the member tenants' caches. It returns the largest
+// change of any pair's achieved rate against the cached one, +Inf when a
 // member's flows are new (nothing to compare with).
 //
 // A solve is a pure function of (pairs, guarantees, previous limits):
-// GP reads only the pairs, RA's targets only pairs, paths and
-// guarantees — neither sees a limit — and each new limit is
-// limiterStep(previous, target). So once one more limiter step would
-// change no limit, the next period's solve would compute these targets,
-// these limits and therefore these rates again, bit for bit, for as long
-// as nobody redeclares: the component is settled and skipping it is
-// exact, not approximate.
+// the guarantees depend only on the pair set, RA's targets only on
+// pairs, paths and guarantees — neither sees a limit — and each new
+// limit is limiterStep(previous, target). So once one more limiter step
+// would change no limit, the next period's solve would compute these
+// targets, these limits and therefore these rates again, bit for bit,
+// for as long as nobody redeclares: the component is settled and
+// skipping it is exact, not approximate.
 func (d *Driver) solveComponent(ctx *solveCtx, c *component) (float64, error) {
 	// Gather the component's pairs, paths, and per-tenant guarantees.
 	ctx.pairs = ctx.pairs[:0]
@@ -403,7 +414,7 @@ func (d *Driver) solveComponent(ctx *solveCtx, c *component) (float64, error) {
 	for _, t := range c.members {
 		ctx.pairs = append(ctx.pairs, t.pairs...)
 		ctx.paths = append(ctx.paths, t.paths...)
-		ctx.guarantees = enforce.AppendGuarantees(ctx.guarantees, t.gp, t.pairs)
+		ctx.guarantees = append(ctx.guarantees, t.guarantees...)
 	}
 
 	// RA: work-conserving targets over the component's links.
@@ -463,7 +474,6 @@ func (d *Driver) solveComponent(ctx *solveCtx, c *component) (float64, error) {
 				}
 			}
 		}
-		t.guarantees = append(t.guarantees[:0], ctx.guarantees[off:off+np]...)
 		t.limits = append(t.limits[:0], ctx.newLimits[off:off+np]...)
 		t.rates = append(t.rates[:0], rates...)
 		t.dirty = false

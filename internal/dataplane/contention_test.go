@@ -312,7 +312,8 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 }
 
 // TestDifferentialContentionCycle drives one ToR uplink slack →
-// contended → slack through a single tenant's redeclarations: its
+// contended → just short of capacity → slack through a single tenant's
+// redeclarations: its
 // component merges with the bystander's and splits again, the
 // bystander's rate moves only while the link is contended, a far-away
 // tenant is never re-solved, the structure is rebuilt on exactly the
@@ -413,6 +414,22 @@ func TestDifferentialContentionCycle(t *testing.T) {
 		}
 		if math.Abs(rate-500) > 1e-6 {
 			t.Fatalf("cycle %d contended: bystander at %v Mbps, want 500", cycle, rate)
+		}
+		settle()
+
+		// Inside the margin band: 400 − 5e-7 + 600 is short of capacity but
+		// within the contended margins of it. The link stays contended (no
+		// rebuild, still merged), and the solver's "every cap fits" test,
+		// which shares those margins, leaves the solve to the event loop
+		// where every slack period above took the early return — which
+		// finds room for both demands all the same.
+		send(t, 1, 400-5e-7, inc, full)
+		rate, solved, comps = step(false)
+		if comps != 2 || solved != 1 {
+			t.Fatalf("cycle %d margin band: %d/%d solved; want 1/2", cycle, solved, comps)
+		}
+		if own := pairsOf(t, inc, 1)[0].Rate; math.Abs(rate-600) > 1e-6 || math.Abs(own-400) > 1e-6 {
+			t.Fatalf("cycle %d margin band: rates %v and %v Mbps, want 400 and 600", cycle, own, rate)
 		}
 		settle()
 	}

@@ -114,8 +114,11 @@ type tenant struct {
 	gp    enforce.Partitioner
 	// demands are the tenant's active flows, sorted by (Src, Dst); nil
 	// means "not set" and defaults, lazily, to every TAG-permitted pair
-	// backlogged.
+	// backlogged. perm remembers the caller's order: the i-th entry of
+	// the last accepted declaration is demands[perm[i]]. It is always a
+	// permutation of [0, len(perm)), which is all SetDemand relies on.
 	demands []Demand
+	perm    []int32
 
 	// queued marks a tenant on Driver.changed: its declaration moved
 	// since the last period, which will re-derive what depends on it.
@@ -135,14 +138,15 @@ type tenant struct {
 	links      []netem.LinkID
 	loads      []float64
 
-	// Solve caches, one entry per enforced pair: the last solve's
-	// guarantees, the current limiter values (NaN marks a pair the
-	// limiter has not seen, which starts at its guarantee), and the last
-	// achieved rates; guarantees and rates are empty until a solve has
-	// seen the current flow state. dirty asks for a solve; settled marks
-	// a component at its limiters' fixed point, where re-solving is
-	// provably a no-op (see solveComponent). The report aggregates folded
-	// from these caches live in Driver.stats.
+	// Solve caches, one entry per enforced pair: the GP guarantees of the
+	// current pair set (partitioned by refreshFlows, not per solve), the
+	// current limiter values (NaN marks a pair the limiter has not seen,
+	// which starts at its guarantee), and the last achieved rates, empty
+	// until a solve has seen the current flow state — which is what keeps
+	// Pairs off guarantees no period has reported. dirty asks for a solve;
+	// settled marks a component at its limiters' fixed point, where
+	// re-solving is provably a no-op (see solveComponent). The report
+	// aggregates folded from these caches live in Driver.stats.
 	dirty      bool
 	settled    bool
 	guarantees []float64
@@ -233,14 +237,16 @@ type StepStats struct {
 // them, can reach capacity (see components.go) — and a period
 //
 //   - re-derives flow state and load contributions of the tenants whose
-//     declaration changed, and refolds the declared load of the links
-//     those tenants cross;
+//     declaration changed — paths, links and the GP guarantees only for
+//     those that named a new pair set — and refolds the declared load of
+//     the links those tenants cross;
 //   - rebuilds the component structure only after a membership event
 //     (admit, resize, release, a new pair set) or when a refolded link
 //     changed sides of the contended threshold — otherwise the structure
 //     already built is provably the current one;
 //   - re-solves only components holding a changed tenant or limiters
-//     that have not reached their fixed point, in parallel, folding
+//     that have not reached their fixed point — RA, the limiter step and
+//     the achieved rates over the kept guarantees — in parallel, folding
 //     results in deterministic component order;
 //   - reports per-tenant aggregates cached at solve time. Per-pair
 //     detail is served on demand (Pairs), never materialised per period.
@@ -292,9 +298,14 @@ type Driver struct {
 	compOf         []int32
 	linkOwner      []int32
 
-	// Step scratch and the pooled per-goroutine solve contexts.
-	solveSet []int
-	pool     sync.Pool
+	// Step scratch and the pooled per-goroutine solve contexts; byPair is
+	// SetDemand's sort scratch, oldPairs/oldLimits refreshFlows' copy of
+	// the flow state it replaces.
+	solveSet  []int
+	pool      sync.Pool
+	byPair    []int32
+	oldPairs  []enforce.Pair
+	oldLimits []float64
 
 	// lastSolved / lastComps report the previous step's incremental
 	// effort (SolveStats).
@@ -431,13 +442,17 @@ func (d *Driver) redeclared(t *tenant, newFlows bool) {
 // VM pairs; a resize resets them to the backlogged default, so callers
 // re-declare after resizing. An empty declaration, nil included, means
 // no active flows — an idle tenant, not the default. Unknown keys and
-// malformed entries fail with a typed InvalidRequest rejection.
+// malformed entries fail with a typed InvalidRequest rejection and
+// change nothing.
 //
-// Re-declaring a tenant's current demands verbatim is a no-op and does
-// not dirty its component; changing only offered loads re-solves the
-// component without rebuilding flow state (the loads of the links the
-// tenant crosses are refolded: they decide which links are contended).
-// A pair may appear at most once.
+// A declaration over the pairs the tenant already has only updates
+// offered loads: if none moved (by bits) it is a no-op and does not dirty
+// the tenant's component; otherwise the component re-solves without
+// rebuilding flow state (the loads of the links the tenant crosses are
+// refolded: they decide which links are contended). One that lists those
+// pairs in the order of the tenant's last declaration — the shape of a
+// caller refreshing its loads every period — is recognised entry by
+// entry, without a copy or a sort. A pair may appear at most once.
 func (d *Driver) SetDemand(key int64, demands []Demand) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -462,40 +477,56 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 		}
 	}
 
-	// Never nil, even for an empty declaration: nil demands mean "not
-	// declared" (the backlogged default), empty ones an idle tenant.
-	ds := append(make([]Demand, 0, len(demands)), demands...)
-	slices.SortFunc(ds, func(a, b Demand) int {
-		if a.Src != b.Src {
-			return a.Src - b.Src
+	if !t.declaresCurrentPairs(demands) {
+		// Not the remembered order: sort the entries by pair, reject a
+		// repeated one, and remember this order instead.
+		d.byPair = d.byPair[:0]
+		for i := range demands {
+			d.byPair = append(d.byPair, int32(i))
 		}
-		return a.Dst - b.Dst
-	})
-	for i := 1; i < len(ds); i++ {
-		if ds[i].Src == ds[i-1].Src && ds[i].Dst == ds[i-1].Dst {
-			return place.Rejectf("enforce", place.ReasonInvalidRequest,
-				"demand pair (%d,%d) declared twice", ds[i].Src, ds[i].Dst)
+		slices.SortFunc(d.byPair, func(a, b int32) int {
+			if demands[a].Src != demands[b].Src {
+				return demands[a].Src - demands[b].Src
+			}
+			return demands[a].Dst - demands[b].Dst
+		})
+		for k := 1; k < len(d.byPair); k++ {
+			if a, b := demands[d.byPair[k-1]], demands[d.byPair[k]]; a.Src == b.Src && a.Dst == b.Dst {
+				return place.Rejectf("enforce", place.ReasonInvalidRequest,
+					"demand pair (%d,%d) declared twice", b.Src, b.Dst)
+			}
+		}
+		t.perm = append(t.perm[:0], d.byPair...)
+		for k, i := range d.byPair {
+			t.perm[i] = int32(k)
+		}
+		if !t.declaresCurrentPairs(demands) {
+			// A new pair set rebuilds the tenant's flow state. Never nil,
+			// even for an empty declaration: nil demands mean "not
+			// declared" (the backlogged default), empty ones an idle tenant.
+			t.demands = make([]Demand, len(demands))
+			for k, i := range d.byPair {
+				t.demands[k] = demands[i]
+			}
+			d.redeclared(t, true)
+			return nil
 		}
 	}
-	// A declaration over the pairs the tenant already has only updates
-	// loads; a new pair set rebuilds the tenant's flow state.
-	if t.demands != nil && !t.flowsDirty && samePairs(ds, t.demands) {
-		d.setLoads(t, ds)
-		return nil
-	}
-	t.demands = ds
-	d.redeclared(t, true)
+	d.setLoads(t, demands)
 	return nil
 }
 
-// samePairs reports whether two declarations name the same pairs in the
-// same order.
-func samePairs(a, b []Demand) bool {
-	if len(a) != len(b) {
+// declaresCurrentPairs reports whether a declaration names exactly the
+// pairs the tenant's flow state was built from, its i-th entry being
+// demands[perm[i]]. perm is a permutation and demands holds no pair
+// twice, so an entry-by-entry match proves the declaration is the same
+// pair set with no pair repeated.
+func (t *tenant) declaresCurrentPairs(ds []Demand) bool {
+	if t.demands == nil || t.flowsDirty || len(ds) != len(t.demands) || len(ds) != len(t.perm) {
 		return false
 	}
-	for i := range a {
-		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst {
+	for i, dm := range ds {
+		if cur := &t.demands[t.perm[i]]; cur.Src != dm.Src || cur.Dst != dm.Dst {
 			return false
 		}
 	}
@@ -503,11 +534,12 @@ func samePairs(a, b []Demand) bool {
 }
 
 // setLoads takes the offered loads of a declaration over the tenant's
-// current pairs, in kept order. Paths and links are untouched; a
-// verbatim redeclaration changes nothing and dirties nothing.
+// current pairs, in the remembered order. Paths and links are untouched;
+// a verbatim redeclaration changes nothing and dirties nothing.
 func (d *Driver) setLoads(t *tenant, ds []Demand) {
 	moved := false
-	for di, dm := range ds {
+	for i, dm := range ds {
+		di := t.perm[i]
 		if math.Float64bits(dm.Mbps) == math.Float64bits(t.demands[di].Mbps) {
 			continue
 		}
@@ -622,11 +654,12 @@ func (d *Driver) SolveStats() (solved, components int) {
 	return d.lastSolved, d.lastComps
 }
 
-// Step runs one control period: GP re-partitions every dirty tenant's
-// guarantees over its active flows, RA computes work-conserving
-// targets, limiters move alpha of the way toward them, and the
-// achieved rates are reported per tenant — components at their fixed
-// point are skipped and report their cached outcome.
+// Step runs one control period: GP re-partitions the guarantees of
+// every tenant that declared a new pair set over its active flows, RA
+// computes work-conserving targets for the components that changed,
+// limiters move alpha of the way toward them, and the achieved rates
+// are reported per tenant — components at their fixed point are skipped
+// and report their cached outcome.
 func (d *Driver) Step() (*StepStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -76,14 +76,15 @@ func (f *Fabric) Path(src, dst topology.NodeID) []netem.LinkID {
 	}
 	// Servers all sit at level 0, so walking both sides up one parent
 	// at a time reaches the LCA simultaneously.
-	var ups, downs []netem.LinkID
+	hops := 0
 	for a, b := src, dst; a != b; a, b = f.tree.Parent(a), f.tree.Parent(b) {
-		ups = append(ups, f.up[a])
-		downs = append(downs, f.down[b])
+		hops++
 	}
-	path := ups
-	for i := len(downs) - 1; i >= 0; i-- {
-		path = append(path, downs[i])
+	path := make([]netem.LinkID, 2*hops)
+	i := 0
+	for a, b := src, dst; a != b; a, b = f.tree.Parent(a), f.tree.Parent(b) {
+		path[i], path[len(path)-1-i] = f.up[a], f.down[b]
+		i++
 	}
 	return path
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -542,5 +543,161 @@ func TestSetDemandRedeclarations(t *testing.T) {
 				t.Errorf("%s: link %d carries %v Mbps of declared load, want 0", c.name, l, load)
 			}
 		}
+	}
+}
+
+// TestSetDemandRememberedOrder: SetDemand recognises a declaration that
+// lists the tenant's pairs in the order of its last accepted one and
+// applies the loads without sorting; anything else takes the sorting
+// path and is remembered in turn. Either way the outcome is the one a
+// caller who pre-sorts every declaration gets: after each case the step
+// report and every Pairs row are compared by bits against a second
+// driver fed exactly that, and the remembered permutation must map the
+// last accepted declaration onto the kept demands.
+func TestSetDemandRememberedOrder(t *testing.T) {
+	tree := topology.New(flatSpec(8, 1000))
+	d, err := New(tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fig13Graph(3, 100) // VM 0 in C1, VMs 1..4 in C2
+	d.Publish(admitEvent(1, g, spread(tree, g)))
+	ref.Publish(admitEvent(1, g, spread(tree, g)))
+	admitPair(2, tree, 6, 7, d, ref) // a bystander nothing here may move
+	tn := d.tenants[1]
+	presorted := func(ds []Demand) []Demand {
+		if ds == nil {
+			return nil
+		}
+		out := slices.Clone(ds)
+		slices.SortFunc(out, func(a, b Demand) int {
+			if a.Src != b.Src {
+				return a.Src - b.Src
+			}
+			return a.Dst - b.Dst
+		})
+		return out
+	}
+	var accepted []Demand // the last declaration SetDemand took
+	step := 0
+	// declare feeds one declaration to both drivers (sorted for ref),
+	// checks the flags it must leave on the tenant, runs a period on both
+	// and compares everything observable.
+	declare := func(name string, ds []Demand, wantErr, flowsDirty, dirty bool) {
+		t.Helper()
+		step++
+		err := d.SetDemand(1, ds)
+		refErr := ref.SetDemand(1, presorted(ds))
+		if (err != nil) != wantErr || (refErr != nil) != wantErr {
+			t.Fatalf("%s: SetDemand = %v, pre-sorted %v, want error %v", name, err, refErr, wantErr)
+		}
+		if wantErr && place.ReasonOf(err) != place.ReasonInvalidRequest {
+			t.Errorf("%s: reason = %q, want invalid_request", name, place.ReasonOf(err))
+		}
+		if !wantErr {
+			accepted = slices.Clone(ds)
+		}
+		if tn.flowsDirty != flowsDirty || tn.dirty != dirty || tn.queued != dirty {
+			t.Errorf("%s: flowsDirty %v dirty %v queued %v, want %v %v %v", name, tn.flowsDirty, tn.dirty, tn.queued, flowsDirty, dirty, dirty)
+		}
+		if accepted != nil || tn.demands != nil {
+			if len(tn.perm) != len(accepted) || len(tn.demands) != len(accepted) {
+				t.Fatalf("%s: %d demands, permutation of %d, for a declaration of %d", name, len(tn.demands), len(tn.perm), len(accepted))
+			}
+			for i, dm := range accepted {
+				if got := tn.demands[tn.perm[i]]; got.Src != dm.Src || got.Dst != dm.Dst || !feq(got.Mbps, dm.Mbps) {
+					t.Errorf("%s: entry %d %+v is remembered as %+v", name, i, dm, got)
+				}
+			}
+		}
+		st, err := d.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSt, err := ref.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Solved != refSt.Solved {
+			t.Errorf("%s: period solved %d components, pre-sorted %d", name, st.Solved, refSt.Solved)
+		}
+		requireStatsIdentical(t, step, st, refSt)
+		requirePairsIdentical(t, step, d, ref, st)
+	}
+
+	order := []Demand{{Src: 3, Dst: 1, Mbps: 30}, {Src: 0, Dst: 1, Mbps: 10}, {Src: 4, Dst: 1, Mbps: 40}, {Src: 2, Dst: 1, Mbps: 20}}
+	with := func(ds []Demand, mbps ...float64) []Demand {
+		out := slices.Clone(ds)
+		for i, m := range mbps {
+			out[i].Mbps = m
+		}
+		return out
+	}
+	other := []Demand{order[1], order[3], order[0], order[2]}
+	declare("first declaration", order, false, true, true)
+	declare("remembered order, loads move", with(order, 31, 11, 41, 21), false, false, true)
+	declare("remembered order, verbatim", with(order, 31, 11, 41, 21), false, false, false)
+	declare("remembered order, one load moves", with(order, 31, 11, 41, GreedyDemand), false, false, true)
+	declare("another order, loads move", with(other, 12, 22, 32, 42), false, false, true)
+	declare("that order again, verbatim", with(other, 12, 22, 32, 42), false, false, false)
+	declare("the first order, no longer remembered", with(order, 32, 12, 42, 22), false, false, false)
+	swapped := with(order, 33, 13, 43, 23)
+	swapped[2] = Demand{Src: 1, Dst: 2, Mbps: 43}
+	declare("same length, one pair swapped for another", swapped, false, true, true)
+	twice := with(swapped, 1, 2, 3, 4)
+	twice[3] = twice[0]
+	declare("same length, one pair twice", twice, true, false, false)
+	bad := with(swapped, 5, 6, 7, math.NaN())
+	declare("remembered order, last entry invalid", bad, true, false, false)
+	declare("remembered order after the rejections", with(swapped, 34, 14, 44, 24), false, false, true)
+	declare("shorter", swapped[:3], false, true, true)
+	declare("longer", append(with(swapped, 1, 2, 3, 4), Demand{Src: 0, Dst: 4, Mbps: 5}), false, true, true)
+	declare("nil", nil, false, true, true)
+	declare("empty after nil", []Demand{}, false, false, false)
+	declare("pairs again", order, false, true, true)
+	for _, drv := range []*Driver{d, ref} {
+		drv.Publish(place.Event{Kind: place.EventResized, Key: 1, ID: 1, Graph: g, Placement: spread(tree, g)})
+	}
+	accepted = nil
+	declare("remembered order after a resize", order, false, true, true)
+	declare("and once more", with(order, 1, 2, 3, 4), false, false, true)
+}
+
+// TestSetDemandAllocs: refreshing a tenant's loads over the pairs and in
+// the order of its last declaration — what a caller does every period —
+// allocates nothing, whether or not a load moved.
+func TestSetDemandAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	tree := topology.New(flatSpec(8, 1000))
+	d, err := New(tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fig13Graph(3, 100)
+	d.Publish(admitEvent(1, g, spread(tree, g)))
+	ds := []Demand{{Src: 3, Dst: 1, Mbps: 30}, {Src: 0, Dst: 1, Mbps: 10}, {Src: 4, Dst: 1, Mbps: 40}, {Src: 2, Dst: 1, Mbps: 20}}
+	if err := d.SetDemand(1, ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Step(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ds[1].Mbps++
+		if err := d.SetDemand(1, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SetDemand(1, ds); err != nil { // verbatim
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a same-pairs, same-order SetDemand allocates %v times, want 0", allocs)
 	}
 }

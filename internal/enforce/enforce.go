@@ -92,7 +92,13 @@ type Pair struct {
 }
 
 // Partitioner computes per-pair bandwidth guarantees from the active
-// communication pattern (the GP half of ElasticSwitch).
+// communication pattern (the GP half of ElasticSwitch). The pattern is
+// which pairs are active, not how much they offer: an implementation is
+// a pure function of its deployment and the ordered (Src, Dst) sequence
+// and must not read Pair.Demand. Callers rely on it — the dataplane
+// partitions once per pair set and keeps the result while offered loads
+// move (TestPartitionersIgnoreDemand holds every partitioner here to
+// it).
 type Partitioner interface {
 	// PairGuarantees returns one guarantee per pair, in order.
 	PairGuarantees(pairs []Pair) []float64

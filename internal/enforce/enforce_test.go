@@ -2,6 +2,7 @@ package enforce
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cloudmirror/internal/netem"
@@ -230,5 +231,66 @@ func TestPathCountMismatch(t *testing.T) {
 	addLink(n, "l", 1000)
 	if _, err := WorkConservingRates(n, []Pair{{Src: 0, Dst: 1}}, nil, NewTAGPartitioner(d)); err == nil {
 		t.Error("mismatched paths accepted")
+	}
+}
+
+// TestPartitionersIgnoreDemand holds every partitioner to the
+// Partitioner contract: guarantees are a function of the deployment and
+// the ordered (Src, Dst) sequence alone. Random pair sets over random
+// TAGs must partition to the same bits whether the pairs offer nothing,
+// random finite loads, or are backlogged — and on a second call of the
+// same partitioner, whose counting scratch is reused.
+func TestPartitionersIgnoreDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for it := 0; it < 200; it++ {
+		g := tag.New("t")
+		tiers := 1 + rng.Intn(3)
+		for ti := 0; ti < tiers; ti++ {
+			g.AddTier("tier", 1+rng.Intn(4))
+			if ti > 0 && rng.Intn(4) > 0 {
+				g.AddEdge(ti-1, ti, float64(1+rng.Intn(500)), float64(1+rng.Intn(500)))
+			}
+			if rng.Intn(2) == 0 {
+				g.AddSelfLoop(ti, float64(1+rng.Intn(500))/3)
+			}
+		}
+		dep := NewDeployment(g)
+		var pairs []Pair
+		for s := 0; s < dep.VMs(); s++ {
+			for d := 0; d < dep.VMs(); d++ {
+				if s != d && rng.Intn(3) > 0 { // TAG-permitted or not
+					pairs = append(pairs, Pair{Src: s, Dst: d})
+				}
+			}
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		for name, gp := range map[string]Partitioner{
+			"tag":        NewTAGPartitioner(dep),
+			"hose":       NewHosePartitioner(dep),
+			"gatekeeper": NewGatekeeperPartitioner(dep),
+		} {
+			want := gp.PairGuarantees(pairs) // every demand zero
+			for round := 0; round < 3; round++ {
+				for i := range pairs {
+					switch rng.Intn(3) {
+					case 0:
+						pairs[i].Demand = 0
+					case 1:
+						pairs[i].Demand = 1000 * rng.Float64()
+					default:
+						pairs[i].Demand = netem.Greedy
+					}
+				}
+				got := AppendGuarantees(nil, gp, pairs)
+				if len(got) != len(want) {
+					t.Fatalf("iter %d %s: %d guarantees for %d pairs", it, name, len(got), len(pairs))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("iter %d %s: pair %+v is guaranteed %v, %v with every demand zero", it, name, pairs[i], got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 // AppendPartitioner is the scratch-reusing variant of Partitioner:
 // guarantees are appended to a caller-supplied buffer and the
 // partitioner reuses its internal counting state across calls. Every
-// partitioner in this package implements it; the RA hot path uses it
-// when available so steady-state control periods allocate nothing.
+// partitioner in this package implements it; callers that partition
+// repeatedly use it when available so they allocate nothing in steady
+// state. Like PairGuarantees, the result is a pure function of the
+// deployment and the ordered (Src, Dst) sequence — never of Pair.Demand.
 type AppendPartitioner interface {
 	Partitioner
 	// AppendPairGuarantees appends one guarantee per pair, in order, to

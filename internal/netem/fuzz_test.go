@@ -15,6 +15,13 @@ func FuzzMaxMin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 20, 30, 2, 0, 1, 2, 50, 0, 4, 1, 1, 0, 255, 8, 2})
 	f.Add([]byte{1, 0, 1, 1, 0, 0, 0, 0})
+	// Around the solver's fits test: three flows (a weighted one over both
+	// links, a Greedy one under a Limit, one crossing link 1 twice) whose
+	// caps sum to 98 of 100 Mbps on link 0 and to 40 on link 1, which has
+	// room to spare (44), exactly that (40), or less (36).
+	for _, cap1 := range []byte{11, 10, 9} {
+		f.Add([]byte{1, 25, cap1, 3, 2, 0, 1, 10, 1, 1, 0, 4, 1, 0, 0, 0, 0, 39, 1, 2, 1, 1, 5, 1, 1, 1})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() byte {

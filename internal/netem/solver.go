@@ -10,6 +10,17 @@ import (
 // reference's: a link is saturated within eps, a flow capped within it.
 const eps = 1e-9
 
+// The fits test (see Solver): a link provably never saturates when the
+// caps crossing it sum to less than capacity·(1−fitsRel) − fitsAbs — the
+// margins dataplane's contended test uses — on instances of at most
+// fitsMaxOcc (flow, link) occurrences, the degree bound under which the
+// margin dominates eps plus the rounding of every sum involved.
+const (
+	fitsRel    = 1e-9
+	fitsAbs    = 1e-6
+	fitsMaxOcc = 1 << 20
+)
+
 // Solver is the event-driven weighted max-min allocator: the same
 // progressive filling MaxMinReference performs, restructured so each
 // water-level round touches only the links that still carry unfrozen
@@ -29,6 +40,42 @@ const eps = 1e-9
 // order — per-link sums run over flows in increasing flow index, the
 // order the reference's rescans impose), so the two can never diverge,
 // not even in the 1e-9 epsilon bands around freeze decisions.
+//
+// When every cap fits, the answer is the caps. While handing out dense
+// link ids the solver also sums the caps of the unfrozen flows per link
+// (a link listed twice on a path counts twice, as the reference's double
+// subtract does). If on every touched link that sum stays under
+// capacity·(1−fitsRel) − fitsAbs, every unfrozen flow's cap event level
+// cap/weight is finite, and the instance has at most fitsMaxOcc (flow,
+// link) occurrences, the rates are the caps and the solve returns before
+// the CSR build, both sorts and the event loop. Proof that
+// MaxMinReference returns exactly that (u = 2⁻⁵³, deg a link's
+// occurrence count):
+//
+//   - θ never passes the smallest unfrozen cap event, which is one of the
+//     candidates of the min that picks the next level. So an unfrozen
+//     flow transmits fl(w·θ) ≤ fl(w·fl(cap/w)) ≤ cap·(1+3u) + 2⁻⁵¹ in
+//     every round; a flow frozen at its cap holds it exactly.
+//   - No link saturates. The residual the reference tests with
+//     rem ≤ eps subtracts deg terms, each at most its flow's cap up to
+//     the rounding above, so it differs from capacity − Σcap by at most
+//     (3·deg+8)·u·capacity + deg·2⁻⁵¹, fold error of both sums included.
+//     With deg ≤ fitsMaxOcc = 2²⁰ that is below 3.5e-10·capacity + 5e-10,
+//     which the margin fitsRel·capacity + fitsAbs exceeds by more than
+//     eps: rem > eps on every link in every round.
+//   - So a flow can only freeze at its cap event, which assigns
+//     rate = cap exactly, and the loop cannot end any other way: with
+//     finite cap events the next level is never +Inf. (It does end: by
+//     the mediant inequality a link's level rem/Σw, rem ≥ Σcap + margin,
+//     lies above the smallest cap event on it by more than the
+//     (4·deg+5)·u·capacity its roundings can move it, so each round's
+//     level is that event and freezes its flow — unless w·fl(cap/w)
+//     rounds below cap − eps, where the reference itself spins.)
+//
+// The test is written so that anything else falls through to the event
+// loop — the comparison is a strict "sum < bound", false for a NaN or
+// +Inf sum (a Greedy flow without a limit), for a NaN, zero or negative
+// capacity, and for any link within the margin.
 //
 // A Solver is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
@@ -56,7 +103,8 @@ type Solver struct {
 	// Per-link sparse scratch, sized to the network; generation-stamped
 	// so calls never pay an O(links) clear.
 	linkGen []uint64
-	denseOf []int32 // link -> dense id, valid when linkGen matches
+	denseOf []int32   // link -> dense id, valid when linkGen matches
+	capSum  []float64 // link -> Σ cap of its unfrozen flows (the fits test)
 	gen     uint64
 
 	// Dense per-touched-link scratch (CSR adjacency and incremental
@@ -145,6 +193,7 @@ func (s *Solver) grow(nflows, nlinks int) {
 	if len(s.linkGen) < nlinks {
 		s.linkGen = make([]uint64, nlinks)
 		s.denseOf = make([]int32, nlinks)
+		s.capSum = make([]float64, nlinks)
 		s.gen = 0
 	}
 }
@@ -191,6 +240,7 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 	// no positive cap or no path never transmit (a pathless unbounded
 	// flow is undefined and sends nothing).
 	active := 0
+	fits := true
 	for i, f := range flows {
 		s.capOf[i] = f.cap()
 		s.weightOf[i] = f.weight()
@@ -207,6 +257,9 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 		// The reference recomputes cap/weight every round; the operands
 		// never change, so one division yields the same bits.
 		s.capEvent[i] = s.capOf[i] / s.weightOf[i]
+		if !(s.capEvent[i] <= math.MaxFloat64) {
+			fits = false
+		}
 		s.unf = append(s.unf, int32(i))
 		active++
 	}
@@ -216,7 +269,9 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 
 	// Touched links, dense ids in first-touch order. Pre-frozen flows
 	// are excluded: their rate is exactly 0, and subtracting 0 leaves
-	// every residual bit-identical.
+	// every residual bit-identical. The same pass runs the fits test
+	// (see Solver): caps are positive, so a partial sum that does not fit
+	// settles it and the summing stops there.
 	s.gen++
 	nt := 0
 	total := 0
@@ -225,10 +280,21 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 			if s.linkGen[l] != s.gen {
 				s.linkGen[l] = s.gen
 				s.denseOf[l] = int32(nt)
+				s.capSum[l] = 0
 				nt++
 			}
 			total++
+			if fits {
+				s.capSum[l] += s.capOf[fi]
+				fits = s.capSum[l] < caps[l]*(1-fitsRel)-fitsAbs
+			}
 		}
+	}
+	if fits && total <= fitsMaxOcc {
+		for _, fi := range s.unf {
+			s.rates[fi] = s.capOf[fi]
+		}
+		return
 	}
 	s.growDense(nt, total)
 

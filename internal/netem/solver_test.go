@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -285,18 +286,30 @@ func BenchmarkMaxMin(b *testing.B) {
 		a, c := rng.Intn(links), rng.Intn(links)
 		flows[i] = Flow{Path: []LinkID{ids[a], ids[c]}, Demand: Greedy, Weight: 1 + rng.Float64()}
 	}
-	b.Run("solver", func(b *testing.B) {
-		var s Solver
-		var buf []float64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = s.MaxMin(n, flows, buf[:0])
-			if err != nil {
-				b.Fatal(err)
+	solver := func(flows []Flow) func(*testing.B) {
+		return func(b *testing.B) {
+			var s Solver
+			var buf []float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				buf, err = s.MaxMin(n, flows, buf[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	// Backlogged flows: the fits test gives up at the first link and the
+	// event loop runs.
+	b.Run("solver", solver(flows))
+	// The same flows with demands every link has room for (≈32 flows of
+	// at most 10 Mbps on each 1000 Mbps link): the early return.
+	fitting := slices.Clone(flows)
+	for i := range fitting {
+		fitting[i].Demand = 10 * rng.Float64()
+	}
+	b.Run("fits", solver(fitting))
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -305,4 +318,173 @@ func BenchmarkMaxMin(b *testing.B) {
 			}
 		}
 	})
+}
+
+// fitsDeltas are the distances from capacity at which
+// TestDifferentialFitsShortcut parks the tightest link's Σcap: well clear
+// of the fits margin, straddling it (1e-5 … 1e-6 decide by the link's
+// size), inside it, at capacity, and past it.
+var fitsDeltas = []float64{1e-3, 1e-5, 2e-6, 1e-6, 1e-7, 1e-9, 1e-12, 0, -1e-12, -1e-9, -1e-6}
+
+// fitsInstance builds an instance around the solver's fits test: every
+// touched link has room for the caps crossing it except one, whose
+// capacity is its Σcap (summed as the solver sums it) plus delta. The two
+// largest cap events on that link are gap apart, so where the link does
+// fill, a flow short of its cap by more than the freeze epsilon is still
+// rising — the case in which the answer is not the caps. Limits, weights
+// 1/8…8, a Greedy flow with and without a Limit, a duplicated link on one
+// path and pre-frozen (zero-demand, pathless) flows are mixed in.
+func fitsInstance(rng *rand.Rand, delta, gap float64) (*Network, []Flow) {
+	links := 1 + rng.Intn(6)
+	tight := LinkID(rng.Intn(links))
+	randPath := func() []LinkID {
+		path := make([]LinkID, 1+rng.Intn(3))
+		for h := range path {
+			path[h] = LinkID(rng.Intn(links))
+		}
+		return path
+	}
+	var flows []Flow
+	top := 0.0 // largest cap event so far
+	for i, n := 0, 1+rng.Intn(20); i < n; i++ {
+		f := Flow{Path: randPath(), Demand: float64(1+rng.Intn(4096)) / 8}
+		switch rng.Intn(8) {
+		case 0:
+			f.Demand = 500 * rng.Float64() // not dyadic: the sums round
+		case 1:
+			f.Demand, f.Limit = Greedy, float64(1+rng.Intn(4096))/8
+		case 2:
+			f.Demand = 0 // pre-frozen, on a path
+		case 3:
+			f.Path = nil // pre-frozen, pathless
+		case 4:
+			f.Path = append(f.Path, f.Path[0]) // a link crossed twice
+		}
+		if rng.Intn(3) == 0 {
+			f.Limit = float64(1+rng.Intn(4096)) / 8
+		}
+		if rng.Intn(2) == 0 {
+			f.Weight = math.Ldexp(1, rng.Intn(7)-3)
+		}
+		if len(f.Path) > 0 {
+			top = math.Max(top, f.cap()/f.weight())
+		}
+		flows = append(flows, f)
+	}
+	// The last two events on the tight link, gap apart, at random places
+	// in the flow order.
+	for _, c := range []float64{top + 1, top + 1 + gap} {
+		at := rng.Intn(len(flows) + 1)
+		flows = append(flows, Flow{})
+		copy(flows[at+1:], flows[at:])
+		flows[at] = Flow{Path: []LinkID{tight}, Demand: c}
+	}
+	if rng.Intn(6) == 0 {
+		// Unbounded: no fit is possible, the event loop must run.
+		flows = append(flows, Flow{Path: randPath(), Demand: Greedy})
+	}
+
+	sum := make([]float64, links)
+	for _, f := range flows {
+		if f.cap() > 0 && !math.IsInf(f.cap(), 1) {
+			for _, l := range f.Path {
+				sum[l] += f.cap()
+			}
+		}
+	}
+	n := New()
+	for l := 0; l < links; l++ {
+		c := 2*sum[l] + 10
+		if LinkID(l) == tight {
+			c = sum[l] + delta
+		}
+		if _, err := n.AddLink("l", c); err != nil {
+			panic(err)
+		}
+	}
+	return n, flows
+}
+
+// TestDifferentialFitsShortcut drives the solver's "every cap fits" early
+// return and its fall-through across the margin, Float64bits against
+// MaxMinReference: instances whose tightest link sits at every
+// fitsDeltas distance from capacity, with the last two flows on it
+// between nothing and 3 Mbps apart — a margin on the wrong side of
+// capacity fails here — and then the rounding band, Σcap within a few
+// ulps of capacity and the last flow just over the freeze epsilon short
+// of its cap when the link fills, where only the folds' rounding decides
+// whether the link saturates first: what the margin exists for, and
+// where a margin of 0 fails. Far from capacity the answer must be the
+// caps themselves.
+func TestDifferentialFitsShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Solver
+	var buf []float64
+	check := func(delta, gap float64) {
+		t.Helper()
+		n, flows := fitsInstance(rng, delta, gap)
+		want, err := n.MaxMinReference(flows)
+		if err != nil {
+			t.Fatalf("delta %g gap %g: reference: %v", delta, gap, err)
+		}
+		got, err := s.MaxMin(n, flows, buf[:0])
+		if err != nil {
+			t.Fatalf("delta %g gap %g: solver: %v", delta, gap, err)
+		}
+		buf = got
+		requireBitIdentical(t, got, want)
+		if delta < 1e-3 {
+			return
+		}
+		for _, f := range flows {
+			if len(f.Path) > 0 && math.IsInf(f.cap(), 1) {
+				return // unbounded: the event loop ran
+			}
+		}
+		for i, f := range flows {
+			if len(f.Path) > 0 && got[i] != math.Max(f.cap(), 0) {
+				t.Fatalf("flow %d got %v with every link slack, want its cap %v", i, got[i], f.cap())
+			}
+		}
+	}
+	gaps := []float64{0, 5e-10, 2e-9, 1e-7, 5e-7, 3}
+	iters, band := 300, 12000
+	if testing.Short() {
+		iters, band = 60, 6000
+	}
+	for it := 0; it < iters; it++ {
+		for _, delta := range fitsDeltas {
+			check(delta, gaps[rng.Intn(len(gaps))])
+		}
+	}
+	for it := 0; it < band; it++ {
+		check([]float64{0, 1e-13, 3e-13, 1e-12}[it%4], 1e-9+[]float64{1e-13, 3e-13, 1e-12}[rng.Intn(3)])
+	}
+
+	// Shapes the random instances do not reach.
+	for _, tc := range []struct {
+		name  string
+		cap   float64
+		flows []Flow
+	}{
+		{"a link crossed twice counts twice", 30, []Flow{{Path: []LinkID{0, 0}, Demand: 20}}},
+		{"cap event overflows: nothing ever rises", 1000, []Flow{{Path: []LinkID{0}, Demand: 100, Weight: 1e-320}}},
+		{"unbounded link, bounded flows", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy, Limit: 3}}},
+		{"unbounded link, unbounded flow", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy}}},
+		{"empty link", 0, []Flow{{Path: []LinkID{0}, Demand: 7}}},
+	} {
+		n := New()
+		if _, err := n.AddLink("l", tc.cap); err != nil {
+			t.Fatal(err)
+		}
+		want, err := n.MaxMinReference(tc.flows)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		got, err := s.MaxMin(n, tc.flows, nil)
+		if err != nil {
+			t.Fatalf("%s: solver: %v", tc.name, err)
+		}
+		requireBitIdentical(t, got, want)
+	}
 }
