@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint analyze docs-check api-check bench-check bench-smoke test test-full test-fuzz determinism bench bench-json bench-diff ci
+.PHONY: all build lint analyze docs-check bench-check bench-smoke test test-full test-fuzz determinism bench ci
 
 all: build
 
@@ -19,9 +19,10 @@ lint:
 # The cloudlint analyzer suite (internal/lint): map-iteration-order and
 # float-accumulation determinism checks, wall-clock/global-RNG/env bans
 # in deterministic packages, the apibound public-API boundary rules on
-# the real import graph, and the errwrap typed-error taxonomy. The tree
-# must be analyzer-clean: every intentional exception carries a
-# justified //cloudlint:<name> directive.
+# the real import graph (cmd/ and examples/ obtain admission only
+# through the guarantee package), and the errwrap typed-error taxonomy.
+# The tree must be analyzer-clean: every intentional exception carries
+# a justified //cloudlint:<name> directive.
 analyze: bin/cloudlint
 	./bin/cloudlint ./...
 
@@ -33,12 +34,6 @@ bin/cloudlint: $(shell find internal/lint cmd/cloudlint -name '*.go' -not -path 
 docs-check:
 	$(GO) vet ./internal/... ./guarantee/...
 	./scripts/docs-check.sh
-
-# Public-API boundary: cmd/ and examples/ obtain admission only through
-# the guarantee package (no internal admitter/cluster/placer usage).
-# The script is a thin wrapper over `cloudlint -apibound`.
-api-check:
-	./scripts/api-check.sh
 
 # bench/ is its own module (bench/go.mod replaces cloudmirror => ../), so
 # `go build ./...` at the root never compiles it: vet it and run its
@@ -90,9 +85,9 @@ test-fuzz:
 
 # Same seed => bit-identical tables at every worker count, exercised at
 # several GOMAXPROCS values. Covers the experiment sweeps (including
-# the churn and admission sweeps), the sharded churn simulator itself
-# (locked and optimistic admission paths, with and without the
-# enforcement dataplane), the dataplane's TestDifferential* harnesses
+# the churn sweep), the sharded churn simulator itself (with and
+# without elastic resizes and the enforcement dataplane), the
+# dataplane's TestDifferential* harnesses
 # (incremental vs FullRecompute byte for byte, cached aggregates vs a
 # fold over Pairs, kept link loads vs a from-scratch fold, one-solve
 # settling, Converge vs the rate-copy rule, contention-aware
@@ -101,10 +96,10 @@ test-fuzz:
 # sharing a slack link solved in parallel), the max-min solver's
 # TestDifferentialFitsShortcut (the "every cap fits" return and its
 # fall-through vs MaxMinReference, Float64bits, with the tightest link
-# parked at every distance from capacity), the optimistic-vs-locked
-# output-identity check, the commit-pipeline identity and
-# mixed-lifecycle stress checks (flat-combining queue vs the locked
-# Admitter, byte for byte), the placement search's TestDifferential*
+# parked at every distance from capacity), the commit pipeline's
+# mixed-lifecycle stress check (admit, batch, resize and release
+# through one flat-combining queue under -race, drained to a pristine
+# ledger), the placement search's TestDifferential*
 # harnesses (dirty-node Sync vs a sync that re-prices every touched
 # node, bandwidthFit vs the linear scan, a kept Colocate scan vs a fresh
 # one on every reuse of a packed-churn replay),
@@ -113,41 +108,17 @@ test-fuzz:
 # admission trace and final ledger).
 determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run TestParallelDeterminism ./internal/experiments
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism|TestEnforceChurnIncrementalMatchesFull|TestChurnOptimisticMatchesLocked|TestChurnResizeOptimisticMatchesLocked' ./internal/sim
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineDeterminism|TestCommitPipelineMixedStress|TestDifferential' ./internal/place
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism|TestEnforceChurnIncrementalMatchesFull' ./internal/sim
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineMixedStress|TestDifferential' ./internal/place
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/netem
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
 
 # One iteration of every per-artifact benchmark: regenerates the quick
-# experiment suite and the admission-throughput numbers.
+# experiment suite and times the core primitives once. A smoke run, not
+# a measurement: perf claims come from bench/run.sh (README.md).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 
-# Machine-readable admission throughput (locked vs optimistic at 1/4/8
-# goroutines) plus enforcement control-loop throughput and convergence
-# latency vs tenant count; both JSONs are committed as the baseline so
-# the perf trajectory is tracked per commit. 512 servers: the smallest
-# spec with room for the full 8/32/128-tenant enforcement sweep.
-bench-json:
-	$(GO) run ./cmd/admbench -servers 512 -out BENCH_admission.json -enforce-out BENCH_enforce.json
-
-# Regenerate the benchmarks into scratch files and diff them against
-# the committed baselines, metric by metric; fails on any throughput
-# regression beyond the BENCH_FAIL fraction (default 50%). Pass
-# BENCH_FAIL=0 for a report-only run. Not part of `make ci`: the
-# single-sample gate fails on noise against BENCH_admission.json with
-# no code change to blame (ROADMAP item 1, which deletes it).
-BENCH_FAIL ?= 0.5
-bench-diff:
-	@status=0; \
-	$(GO) run ./cmd/admbench -servers 512 -out BENCH_admission.cand.json -enforce-out BENCH_enforce.cand.json || status=$$?; \
-	if [ $$status -eq 0 ]; then \
-		$(GO) run ./cmd/benchdiff -old BENCH_admission.json -new BENCH_admission.cand.json -fail $(BENCH_FAIL) || status=$$?; \
-		$(GO) run ./cmd/benchdiff -old BENCH_enforce.json -new BENCH_enforce.cand.json -fail $(BENCH_FAIL) || status=$$?; \
-	fi; \
-	rm -f BENCH_admission.cand.json BENCH_enforce.cand.json; \
-	exit $$status
-
-ci: lint analyze docs-check api-check build bench-check bench-smoke test test-fuzz determinism bench
+ci: lint analyze docs-check build bench-check bench-smoke test test-fuzz determinism bench

@@ -9,12 +9,8 @@ package cloudmirror
 
 import (
 	"context"
-	"errors"
-	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"cloudmirror/guarantee"
@@ -27,7 +23,6 @@ import (
 	"cloudmirror/internal/place/cloudmirror"
 	"cloudmirror/internal/place/oktopus"
 	"cloudmirror/internal/place/secondnet"
-	"cloudmirror/internal/sim"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 	"cloudmirror/internal/trace"
@@ -212,135 +207,6 @@ func benchTenant(size int) *tag.Graph {
 	}
 	g.AddSelfLoop(tiers-1, 20)
 	return g
-}
-
-// BenchmarkConcurrentAdmission measures admission throughput on ONE
-// shared tree through the thread-safe admission path (place.Admitter):
-// every parallel worker places bing-like tenants, holding a small
-// window of live reservations and churning the oldest, so the tree sits
-// at steady-state occupancy. Run with -cpu=1,4,8 to see how admission
-// decisions scale with concurrent clients.
-func BenchmarkConcurrentAdmission(b *testing.B) {
-	tree := topology.New(topology.MediumSpec())
-	adm := place.NewAdmitter(tree, cloudmirror.New(tree))
-	pool := workload.BingLike(1)
-	workload.ScaleToBmax(pool, 800)
-	var nextSeed atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := rand.New(rand.NewSource(nextSeed.Add(1)))
-		var live []*place.Admitted
-		defer func() {
-			for _, ad := range live {
-				ad.Release()
-			}
-		}()
-		for pb.Next() {
-			g := pool[r.Intn(len(pool))]
-			ad, err := adm.Place(&place.Request{Graph: g, Model: g})
-			if err != nil {
-				if !errors.Is(err, place.ErrRejected) {
-					b.Errorf("placement failed: %v", err)
-					return
-				}
-				// Full: churn a tenant to keep decisions flowing.
-				if len(live) > 0 {
-					live[0].Release()
-					live = live[1:]
-				}
-				continue
-			}
-			live = append(live, ad)
-			if len(live) > 8 {
-				live[0].Release()
-				live = live[1:]
-			}
-		}
-	})
-	b.StopTimer()
-	stats := adm.Stats()
-	if total := stats.Admitted + stats.Rejected; total > 0 {
-		b.ReportMetric(float64(stats.Admitted)/float64(total), "admit-rate")
-	}
-}
-
-// BenchmarkOptimisticAdmission is the optimistic counterpart of
-// BenchmarkConcurrentAdmission: the same workload admitted through the
-// two-phase plan/validate/commit pipeline (place.OptimisticAdmitter)
-// with GOMAXPROCS planners, so -cpu=1,4,8 contrasts intra-shard
-// scaling of the optimistic path against the locked path's serial
-// ceiling.
-func BenchmarkOptimisticAdmission(b *testing.B) {
-	tree := topology.New(topology.MediumSpec())
-	adm := place.NewOptimisticAdmitter(tree,
-		func(t *topology.Tree) place.Placer { return cloudmirror.New(t) },
-		runtime.GOMAXPROCS(0))
-	pool := workload.BingLike(1)
-	workload.ScaleToBmax(pool, 800)
-	var nextSeed atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := rand.New(rand.NewSource(nextSeed.Add(1)))
-		var live []place.Grant
-		defer func() {
-			for _, g := range live {
-				g.Release()
-			}
-		}()
-		for pb.Next() {
-			g := pool[r.Intn(len(pool))]
-			grant, err := adm.Admit(&place.Request{Graph: g, Model: g})
-			if err != nil {
-				if !errors.Is(err, place.ErrRejected) {
-					b.Errorf("placement failed: %v", err)
-					return
-				}
-				if len(live) > 0 {
-					live[0].Release()
-					live = live[1:]
-				}
-				continue
-			}
-			live = append(live, grant)
-			if len(live) > 8 {
-				live[0].Release()
-				live = live[1:]
-			}
-		}
-	})
-	b.StopTimer()
-	st := adm.OptStats()
-	if total := st.Admitted + st.Rejected; total > 0 {
-		b.ReportMetric(float64(st.Admitted)/float64(total), "admit-rate")
-		b.ReportMetric(float64(st.Conflicts)/float64(total), "conflict-rate")
-	}
-}
-
-// BenchmarkAdmissionThroughput measures the end-to-end sim.Throughput
-// path (shared tree, per-worker RNG streams, drain on exit) at one and
-// four workers.
-func BenchmarkAdmissionThroughput(b *testing.B) {
-	pool := workload.BingLike(1)
-	workload.ScaleToBmax(pool, 800)
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			var last *sim.ThroughputResult
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Throughput(sim.Config{
-					Spec:      topology.SmallSpec(),
-					NewPlacer: func(t *topology.Tree) place.Placer { return cloudmirror.New(t) },
-					Pool:      pool,
-					Arrivals:  500,
-					Seed:      1,
-				}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.AttemptsPerSec, "decisions/s")
-		})
-	}
 }
 
 // --- micro-benchmarks of the core primitives ---

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	bwd [-addr :8080] [-alg cm|cm-oppha|cm-coloc|cm-balance|ovoc|ovoc-aware|secondnet]
-//	    [-servers 128|512|2048] [-shards N] [-planners N] [-policy rr|least|p2c]
+//	    [-servers 128|512|2048] [-shards N] [-policy rr|least|p2c]
 //	    [-seed N] [-enforce] [-enforce-alpha F] [-enforce-gp tag|hose|gatekeeper]
 //	    [-wal-dir DIR] [-snapshot-every N] [-pprof localhost:6060]
 //
@@ -45,8 +45,8 @@
 //
 // Every rejection carries a machine-readable reason code in its JSON
 // body ({"error":{"reason":"insufficient_bandwidth",...}}); capacity
-// rejections map to 409, malformed requests to 400, optimistic retry
-// exhaustion to 503 (retry), released grants to 410.
+// rejections map to 409, malformed requests to 400, a closed or wedged
+// service to 503, released grants to 410.
 //
 // Example session:
 //
@@ -85,7 +85,6 @@ func main() {
 	alg := flag.String("alg", "cm", "placement algorithm: "+strings.Join(guarantee.Algorithms(), ", "))
 	servers := flag.Int("servers", 512, "per-shard datacenter size: 128, 512, or 2048 servers")
 	shards := flag.Int("shards", 1, "number of independent datacenter trees behind the dispatcher")
-	planners := flag.Int("planners", 0, "per-shard optimistic planner count (0 = locked admission)")
 	policy := flag.String("policy", "rr", "dispatch policy: rr, least, p2c")
 	seed := flag.Int64("seed", 1, "seed for randomized dispatch policies")
 	enforce := flag.Bool("enforce", false, "attach the enforcement dataplane (serves GET /v1/enforcement)")
@@ -138,7 +137,6 @@ func main() {
 	opts := []guarantee.Option{
 		guarantee.WithAlgorithm(*alg),
 		guarantee.WithShards(*shards),
-		guarantee.WithPlanners(*planners),
 		guarantee.WithPolicy(*policy),
 		guarantee.WithSeed(*seed),
 	}
@@ -186,8 +184,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bwd: serving %s guarantees on %s (%d shards, policy %s, recovered ledger)\n",
 			svc.Name(), *addr, svc.Shards(), svc.Policy())
 	} else {
-		fmt.Fprintf(os.Stderr, "bwd: serving %s guarantees on %s (%d shards × %d servers, policy %s, admission %s)\n",
-			svc.Name(), *addr, svc.Shards(), *servers, svc.Policy(), admissionMode(*planners))
+		fmt.Fprintf(os.Stderr, "bwd: serving %s guarantees on %s (%d shards × %d servers, policy %s)\n",
+			svc.Name(), *addr, svc.Shards(), *servers, svc.Policy())
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -210,14 +208,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// admissionMode names the per-shard admission path the flags selected.
-func admissionMode(planners int) string {
-	if planners > 0 {
-		return fmt.Sprintf("optimistic (%d planners)", planners)
-	}
-	return "locked"
 }
 
 func fatal(err error) {

@@ -1,14 +1,14 @@
 // Command cloudlint runs the repository's analyzer suite (internal/lint):
 // mapiter, floatorder, nodrift, apibound and errwrap — the machine-checked
 // form of the determinism and public-API invariants that the determinism
-// suite, crash-recovery replay and scripts/api-check.sh rely on.
+// suite and crash-recovery replay rely on.
 //
 // Standalone (what `make analyze` runs):
 //
 //	cloudlint [-mapiter] [-floatorder] [-nodrift] [-apibound] [-errwrap] [packages]
 //
 // With no analyzer flags the whole suite runs; naming flags selects a
-// subset (scripts/api-check.sh runs `cloudlint -apibound ./...`).
+// subset (`cloudlint -apibound ./...` checks only the API boundaries).
 // Packages default to ./... and are loaded with full module import-graph
 // visibility, so apibound checks transitive boundary breaches.
 //

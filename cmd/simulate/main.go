@@ -7,8 +7,8 @@
 //	simulate [-alg cm|cm-oppha|cm-coloc|cm-balance|ovoc|ovoc-aware|secondnet]
 //	         [-workload bing|hpcloud|synthetic] [-servers 128|512|2048]
 //	         [-arrivals N] [-load F] [-bmax Mbps] [-rwcs F] [-oversub R]
-//	         [-seed N] [-parallel N] [-churn] [-shards N] [-policy rr|least|p2c]
-//	         [-planners N] [-resize F] [-enforce] [-enforce-every N]
+//	         [-seed N] [-churn] [-shards N] [-policy rr|least|p2c] [-parallel N]
+//	         [-resize F] [-enforce] [-enforce-every N]
 //
 // Example:
 //
@@ -23,20 +23,6 @@
 // identical across repeated runs and across -parallel values, which
 // only bound the goroutines building and draining shards.
 //
-// With -parallel N (N > 0, without -churn) the command measures
-// concurrent admission throughput: N workers hammer the shard fleet
-// (default one shared tree) through the thread-safe admission path,
-// issuing -arrivals admission attempts in total, and the sustained
-// decisions-per-second rate is reported.
-//
-// With -planners N (N > 0, combined with -churn or -parallel) each
-// shard runs the optimistic two-phase admission pipeline instead of
-// the locked one: requests plan speculatively on N private replica
-// trees and only a short validate-and-commit section serializes on
-// the authoritative ledger. -planners 1 reproduces the locked path's
-// decisions exactly; higher values trade strict arrival-order
-// decision making for intra-shard concurrency.
-//
 // With -resize F (combined with -churn) each arrival is followed, with
 // probability F, by an elastic tier resize of one live tenant through
 // the guarantee API — the paper's §6 auto-scaling under churn.
@@ -49,9 +35,8 @@
 // Enforcement demands come from a dedicated RNG, so the admission
 // trace is byte-identical with and without -enforce.
 //
-// Algorithm, policy, shard, and planner validation lives in the public
-// guarantee package; this command only maps flags onto its functional
-// options.
+// Algorithm, policy, and shard validation lives in the public guarantee
+// package; this command only maps flags onto its functional options.
 package main
 
 import (
@@ -76,21 +61,20 @@ func main() {
 	rwcs := flag.Float64("rwcs", 0, "required worst-case survivability in [0,1)")
 	oversub := flag.Float64("oversub", 0, "override total oversubscription ratio (2048-server topology only)")
 	seed := flag.Int64("seed", 1, "random seed")
-	par := flag.Int("parallel", 0, "measure concurrent admission throughput with N workers instead of simulating")
+	par := flag.Int("parallel", 0, "goroutines building and draining shards (churn mode; 0 = all cores)")
 	churn := flag.Bool("churn", false, "run the dynamic-churn simulation (arrivals and departures over a sharded fleet)")
 	shards := flag.Int("shards", 1, "number of independent datacenter trees behind the dispatcher")
 	policy := flag.String("policy", "rr", "dispatch policy: rr, least, p2c")
-	planners := flag.Int("planners", 0, "per-shard optimistic planner count (0 = locked admission; requires -churn or -parallel)")
 	resize := flag.Float64("resize", 0, "per-arrival probability of an elastic tier resize (churn mode)")
 	enforce := flag.Bool("enforce", false, "attach the enforcement dataplane and interleave GP/RA control periods (churn mode)")
 	enforceEvery := flag.Int("enforce-every", 16, "control-period cadence in arrivals (with -enforce)")
 	flag.Parse()
 
-	// Fleet-option validation (policy names, shard and planner counts)
-	// lives in guarantee.New; only the flag interplay this command owns
-	// is checked here.
-	if *planners > 0 && !*churn && *par <= 0 {
-		fatal(fmt.Errorf("-planners %d needs -churn or -parallel: the single-run mode always places serially", *planners))
+	// Fleet-option validation (policy names, shard counts) lives in
+	// guarantee.New; only the flag interplay this command owns is
+	// checked here.
+	if *par != 0 && !*churn {
+		fatal(fmt.Errorf("-parallel %d needs -churn: the single-run mode has no shards to build or drain", *par))
 	}
 	if *resize > 0 && !*churn {
 		fatal(fmt.Errorf("-resize %g needs -churn: only the churn simulation drives elastic scaling", *resize))
@@ -155,7 +139,6 @@ func main() {
 			ModelFor:     cfg.ModelFor,
 			Pool:         cfg.Pool,
 			Shards:       *shards,
-			Planners:     *planners,
 			Policy:       *policy,
 			Arrivals:     cfg.Arrivals,
 			Load:         cfg.Load,
@@ -171,8 +154,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("algorithm        %s\n", cr.Placer)
-		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s, admission %s\n",
-			cr.Shards, spec.Servers(), spec.SlotsPerServer, cr.Policy, admissionMode(*planners))
+		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s\n",
+			cr.Shards, spec.Servers(), spec.SlotsPerServer, cr.Policy)
 		fmt.Printf("arrivals         %d  (admitted %d, rejected %d, departed %d)\n",
 			cr.Arrivals, cr.Admitted, cr.Rejected, cr.Departures)
 		if cr.Resized+cr.ResizeRejected > 0 {
@@ -201,28 +184,6 @@ func main() {
 		return
 	}
 
-	if *par > 0 {
-		var tr *sim.ThroughputResult
-		var err error
-		if *planners > 0 {
-			tr, err = sim.OptimisticThroughput(cfg, *shards, *policy, *planners, *par)
-		} else {
-			tr, err = sim.ShardedThroughput(cfg, *shards, *policy, *par)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("algorithm        %s\n", tr.Placer)
-		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s, admission %s\n",
-			tr.Shards, spec.Servers(), spec.SlotsPerServer, tr.Policy, admissionMode(*planners))
-		fmt.Printf("workers          %d concurrent admission clients\n", tr.Workers)
-		fmt.Printf("attempts         %d  (admitted %d, rejected %d, failovers %d)\n",
-			tr.Attempts, tr.Admitted, tr.Rejected, tr.Failovers)
-		fmt.Printf("elapsed          %s\n", tr.Elapsed.Round(1e6))
-		fmt.Printf("throughput       %.0f admission decisions/s\n", tr.AttemptsPerSec)
-		return
-	}
-
 	res, err := sim.Run(cfg)
 	if err != nil {
 		fatal(err)
@@ -242,14 +203,6 @@ func main() {
 		}
 	}
 	fmt.Printf("placement time   %s total\n", res.PlacementTime.Round(1e6))
-}
-
-// admissionMode names the per-shard admission path the flags selected.
-func admissionMode(planners int) string {
-	if planners > 0 {
-		return fmt.Sprintf("optimistic (%d planners)", planners)
-	}
-	return "locked"
 }
 
 func fatal(err error) {

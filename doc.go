@@ -9,9 +9,9 @@
 // The evaluation harness runs on a concurrent sweep engine
 // (internal/parallel + experiments.Options.Workers) whose output is
 // bit-identical to the serial order at any worker count, and the
-// placement framework exposes a thread-safe admission path
-// (place.Admitter, sim.Throughput) for concurrent Place/Release on one
-// shared datacenter tree. Beyond one tree, internal/cluster shards
+// placement framework exposes one thread-safe admission path
+// (place.Admitter) for concurrent Place/Release on one shared
+// datacenter tree. Beyond one tree, internal/cluster shards
 // admission across a fleet of independent trees behind a dispatcher
 // with pluggable policies (round-robin, least-loaded,
 // power-of-two-choices) and failover, and sim.Churn drives it with a
@@ -25,11 +25,11 @@
 // Reason codes) — and cmd/bwd serves that API as an HTTP JSON daemon.
 //
 // See README.md for a tour: module setup, the -parallel, -shards,
-// -policy and -churn flags of cmd/experiments and cmd/simulate, and
-// how to run the CI checks locally (make ci mirrors
-// .github/workflows/ci.yml), and docs/ARCHITECTURE.md for the package
-// map, layer contracts, and concurrency invariants. The root package
-// holds only the per-artifact benchmarks (bench_test.go); the
-// implementation lives under internal/ and the runnable entry points
-// under cmd/ and examples/.
+// -policy and -churn flags of cmd/experiments and cmd/simulate, how to
+// run the CI checks locally (make ci mirrors .github/workflows/ci.yml),
+// and how a performance claim is measured (bash bench/run.sh), and
+// docs/ARCHITECTURE.md for the package map, layer contracts, and
+// concurrency invariants. The root package holds only the per-artifact
+// benchmarks (bench_test.go); the implementation lives under internal/
+// and the runnable entry points under cmd/ and examples/.
 package cloudmirror

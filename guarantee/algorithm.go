@@ -22,7 +22,7 @@ type Algorithm struct {
 	// Name is the registry key ("cm", "ovoc", "secondnet", ...).
 	Name string
 	// NewPlacer builds the algorithm on a shard tree (one instance per
-	// tree; per planner replica when optimistic).
+	// tree).
 	NewPlacer func(*topology.Tree) place.Placer
 	// ModelFor translates a tenant's TAG into the model used for
 	// admission and reservation; nil prices tenants by the TAG itself.

@@ -14,7 +14,7 @@ import (
 // Afterwards every surviving grant is released and the fleet must drain
 // to exactly zero.
 func TestConcurrentBatchChurn(t *testing.T) {
-	svc, err := New(testSpec(), WithShards(2), WithPlanners(2), WithPolicy("rr"))
+	svc, err := New(testSpec(), WithShards(2), WithPolicy("rr"))
 	if err != nil {
 		t.Fatal(err)
 	}

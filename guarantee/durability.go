@@ -43,10 +43,11 @@ const snapshotVersion = 1
 
 // durableConfig is the construction-time configuration persisted in
 // every snapshot, so Open rebuilds the identical service without the
-// caller repeating options.
+// caller repeating options. Ledgers written by older builds may also
+// carry "planners"; encoding/json ignores the unknown field, so they
+// still open.
 type durableConfig struct {
 	Shards        int                `json:"shards"`
-	Planners      int                `json:"planners"`
 	Policy        string             `json:"policy"`
 	Seed          int64              `json:"seed"`
 	Algorithm     string             `json:"algorithm"`
@@ -57,7 +58,11 @@ type durableConfig struct {
 // shardSnap is one shard's durable state within a snapshot. The ledger
 // arrays and the reserved gauge are captured byte-exactly — both carry
 // float residue from the full admission history that cannot be
-// reconstructed from the surviving tenants.
+// reconstructed from the surviving tenants. PlacerStates holds the
+// placer's demand estimator as its only element (absent when the placer
+// keeps none); snapshots written with planner replicas carry one entry
+// per planner, and recovery restores entry 0, the one a single-planner
+// writer would have recorded.
 type shardSnap struct {
 	Ledger       topology.Ledger     `json:"ledger"`
 	ReservedMbps float64             `json:"reserved_mbps"`
@@ -142,7 +147,6 @@ func createDurability(spec topology.Spec, c *config, svc *service) error {
 		spec:  spec,
 		cfg: durableConfig{
 			Shards:        c.shards,
-			Planners:      c.planners,
 			Policy:        c.policy,
 			Seed:          c.seed,
 			Algorithm:     c.algorithm,
@@ -194,7 +198,6 @@ func Open(dir string, opts ...Option) (Service, error) {
 	}
 	c := config{
 		shards:    snap.Config.Shards,
-		planners:  snap.Config.Planners,
 		policy:    snap.Config.Policy,
 		seed:      snap.Config.Seed,
 		algorithm: snap.Config.Algorithm,
@@ -244,9 +247,9 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 		if err := sh.Tree().ImportLedger(snap.Shards[i].Ledger); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		// Re-base optimistic planner replicas on the imported bits.
-		sh.Resync()
-		sh.RestorePlacerStates(snap.Shards[i].PlacerStates)
+		if states := snap.Shards[i].PlacerStates; len(states) > 0 {
+			sh.RestorePlacerState(states[0])
+		}
 	}
 	// 2. Attach the snapshot's live grants (sorted by key within each
 	// shard when written): no ledger or gauge mutation — the imported
@@ -300,11 +303,6 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 	// position from it.
 	if sp, ok := svc.disp.Policy().(cluster.StatefulPolicy); ok {
 		sp.RestorePicks(snap.Picks+dispatched, n)
-	}
-	// 6. Replicas re-based once more after replay advanced the
-	// authoritative ledgers, trimming the delta logs.
-	for i := 0; i < n; i++ {
-		svc.cl.Shard(i).Resync()
 	}
 	return nil
 }
@@ -363,7 +361,7 @@ func (d *Durability) replayEvent(ev place.Event) error {
 			// lifecycle event still reached the enforcement sink.
 			return g.ten.Resize(ev.Graph)
 		}
-		return g.ten.ReplayResize(ev)
+		g.ten.ReplayResize(ev)
 	case place.EventRejected:
 		svc.cl.Shard(ev.Shard).ReplayReject()
 	case place.EventFailed:
@@ -407,8 +405,10 @@ func (d *Durability) encodeSnapshot() ([]byte, error) {
 			Tenants:      tenants,
 			Seq:          seq,
 			Stats:        sh.Stats(),
-			PlacerStates: sh.PlacerStates(),
 			Grants:       []place.GrantRecord{},
+		}
+		if v, ok := sh.PlacerState(); ok {
+			snap.Shards[i].PlacerStates = []float64{v}
 		}
 	}
 	//cloudlint:ordered grant records are appended per shard and each shard's slice is sorted by key just below

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cloudmirror/internal/tag"
+	"cloudmirror/internal/wal"
 )
 
 // The crash-recovery determinism contract: a service recovered from
@@ -371,6 +372,115 @@ func TestCloseReopen(t *testing.T) {
 	for _, ld := range re.Loads() {
 		if ld.Tenants != 0 {
 			t.Fatalf("release after recovery left load %+v", ld)
+		}
+	}
+}
+
+// TestOpenLegacyPlannersSnapshot: ledgers written while services could
+// run planner replicas carry "planners" in their config and one placer
+// state per replica. Such a snapshot must still open, with the writer's
+// ledger bits, grants and counters, and the estimator of entry 0.
+func TestOpenLegacyPlannersSnapshot(t *testing.T) {
+	ctx := context.Background()
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithDurability(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(ctx)
+	for i := 0; i < 6; i++ {
+		if _, err := svc.Admit(ctx, Request{ID: int64(i), Graph: testGraph(1+i%3, 1+i%2)}); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	if _, err := svc.Admit(ctx, Request{ID: 99, Graph: testGraph(1000, 1)}); ReasonOf(err) == "" {
+		t.Fatalf("impossible tenant: err = %v, want a typed rejection", err)
+	}
+	writer := svc.(*service)
+	writer.dur.mu.Lock()
+	snap, err := writer.dur.encodeSnapshot()
+	writer.dur.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the snapshot into the legacy shape.
+	var doc, cfg map[string]json.RawMessage
+	var shards []map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["shards"], &shards); err != nil {
+		t.Fatal(err)
+	}
+	cfg["planners"] = json.RawMessage("2")
+	for i, sh := range shards {
+		var states []float64
+		if err := json.Unmarshal(sh["placer_states"], &states); err != nil || len(states) != 1 {
+			t.Fatalf("shard %d placer_states = %s (%v), want one state", i, sh["placer_states"], err)
+		}
+		if sh["placer_states"], err = json.Marshal([]float64{states[0], states[0] + 123.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if doc["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if doc["shards"], err = json.Marshal(shards); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	log, err := wal.Create(dir, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open legacy snapshot: %v", err)
+	}
+	defer re.Close(ctx)
+	asJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	records := func(s Service) string {
+		var recs []any
+		for _, g := range s.Durability().Grants() {
+			rec, _ := g.(*grant).ten.Record()
+			recs = append(recs, rec)
+		}
+		return asJSON(recs)
+	}
+	if got, want := asJSON(re.Stats()), asJSON(svc.Stats()); got != want {
+		t.Errorf("stats = %s, want %s", got, want)
+	}
+	if got, want := asJSON(re.Loads()), asJSON(svc.Loads()); got != want {
+		t.Errorf("loads = %s, want %s", got, want)
+	}
+	if got, want := records(re), records(svc); got != want {
+		t.Errorf("grants = %s, want %s", got, want)
+	}
+	for i := 0; i < svc.Shards(); i++ {
+		if got, want := asJSON(re.Topology(i).ExportLedger()), asJSON(svc.Topology(i).ExportLedger()); got != want {
+			t.Errorf("shard %d ledger differs from the writer's", i)
+		}
+		got, _ := re.(*service).cl.Shard(i).PlacerState()
+		want, ok := writer.cl.Shard(i).PlacerState()
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("shard %d estimator = %v, want placer_states[0] = %v", i, got, want)
 		}
 	}
 }

@@ -11,8 +11,7 @@
 //	svc, _ := guarantee.New(topology.MediumSpec(),
 //	        guarantee.WithAlgorithm("cm"),
 //	        guarantee.WithShards(4),
-//	        guarantee.WithPolicy("p2c"),
-//	        guarantee.WithPlanners(2))
+//	        guarantee.WithPolicy("p2c"))
 //	grant, err := svc.Admit(ctx, guarantee.Request{Graph: g, HA: guarantee.HASpec{RWCS: 0.5}})
 //	...
 //	err = grant.Resize(ctx, biggerG) // tier sizes changed, per-VM guarantees untouched
@@ -20,13 +19,11 @@
 //	grant.Release()
 //
 // Construction is by functional options over one constructor: shard
-// count, dispatch policy, optimistic planner count, and placement
-// algorithm compose freely, replacing the locked/optimistic
-// constructor fork the internal packages expose. Every failure is a
-// typed *RejectionError carrying a machine-readable Reason, so callers
-// (and the cmd/bwd HTTP daemon) can act on rejection causes without
-// string matching; capacity-class rejections keep satisfying
-// errors.Is(err, place.ErrRejected) for older code.
+// count, dispatch policy, and placement algorithm compose freely. Every
+// failure is a typed *RejectionError carrying a machine-readable
+// Reason, so callers (and the cmd/bwd HTTP daemon) can act on rejection
+// causes without string matching; capacity-class rejections keep
+// satisfying errors.Is(err, place.ErrRejected) for older code.
 package guarantee
 
 import (
@@ -72,9 +69,6 @@ const (
 	// NoPlacement: the placement search exhausted the tree without a
 	// feasible embedding.
 	NoPlacement = place.ReasonNoPlacement
-	// ConflictRetriesExhausted: the optimistic pipeline could not
-	// validate a plan within its retry budget; retry the operation.
-	ConflictRetriesExhausted = place.ReasonConflictRetriesExhausted
 	// InvalidRequest: the request (or an option) is malformed.
 	InvalidRequest = place.ReasonInvalidRequest
 	// Unsupported: the configured algorithm cannot perform the

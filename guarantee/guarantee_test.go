@@ -87,7 +87,6 @@ func TestServiceLifecycle(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	cases := map[string][]Option{
 		"bad shards":    {WithShards(0)},
-		"bad planners":  {WithPlanners(-1)},
 		"bad policy":    {WithPolicy("banana")},
 		"bad algorithm": {WithAlgorithm("banana")},
 	}
@@ -96,8 +95,8 @@ func TestOptionValidation(t *testing.T) {
 			t.Errorf("%s: reason %q (err %v), want %q", name, ReasonOf(err), err, InvalidRequest)
 		}
 	}
-	// The options that matter compose: optimistic, sharded, seeded p2c.
-	svc, err := New(testSpec(), WithShards(3), WithPlanners(2), WithPolicy("p2c"), WithSeed(42))
+	// The options that matter compose: sharded, seeded p2c.
+	svc, err := New(testSpec(), WithShards(3), WithPolicy("p2c"), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestModelOverrideCannotResize(t *testing.T) {
 // mixing admit, resize, and release (run under -race), then checks the
 // fleet drains to zero.
 func TestConcurrentServiceChurn(t *testing.T) {
-	svc, err := New(testSpec(), WithShards(2), WithPlanners(2), WithPolicy("rr"))
+	svc, err := New(testSpec(), WithShards(2), WithPolicy("rr"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,9 +155,8 @@ type errorBody struct {
 
 // statusOf maps a rejection Reason to an HTTP status: malformed
 // requests are client errors, capacity rejections are 409 Conflict
-// (the datacenter cannot host the tenant right now), optimistic retry
-// exhaustion is 503 with retry semantics, and operations on released
-// grants are 410 Gone.
+// (the datacenter cannot host the tenant right now), a closed or wedged
+// service is 503, and operations on released grants are 410 Gone.
 func statusOf(reason Reason) int {
 	switch reason {
 	case InvalidRequest:
@@ -166,7 +165,7 @@ func statusOf(reason Reason) int {
 		return http.StatusUnprocessableEntity
 	case Released:
 		return http.StatusGone
-	case ConflictRetriesExhausted, ShuttingDown:
+	case ShuttingDown:
 		return http.StatusServiceUnavailable
 	case Canceled:
 		return 499 // client closed request (nginx convention)

@@ -9,11 +9,9 @@ import (
 )
 
 // config collects the functional options New folds together. The zero
-// value plus defaults() is a valid single-shard locked-admission
-// CloudMirror service.
+// value plus defaults() is a valid single-shard CloudMirror service.
 type config struct {
 	shards    int
-	planners  int
 	policy    string
 	seed      int64
 	workers   int
@@ -35,13 +33,6 @@ type Option func(*config)
 // the dispatcher (default 1). Shards share nothing, so admissions on
 // different shards proceed fully in parallel.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// WithPlanners selects the per-shard admission path: 0 (the default)
-// uses the locked Admitter; n >= 1 uses the optimistic two-phase
-// pipeline with n concurrent planner replicas per shard. planners=1
-// produces decisions byte-identical to the locked path under serial
-// callers.
-func WithPlanners(n int) Option { return func(c *config) { c.planners = n } }
 
 // WithPolicy names the dispatch policy routing requests across shards:
 // "rr" (round-robin, the default), "least" (least-loaded), or "p2c"
@@ -67,7 +58,7 @@ func WithAlgorithm(name string) Option {
 }
 
 // WithPlacer installs a custom placement-algorithm constructor, one
-// instance per shard tree (per planner replica when optimistic). It
+// instance per shard tree. It
 // overrides WithAlgorithm; the service's model defaults to the
 // tenant's TAG unless WithModelFor is also given.
 func WithPlacer(newPlacer func(*topology.Tree) place.Placer) Option {
@@ -136,10 +127,9 @@ func WithSnapshotEvery(n int) Option { return func(c *config) { c.snapEvery = n 
 func WithIndex(on bool) Option { return func(c *config) { c.noIndex = !on } }
 
 // New builds a Service over n identical shards of the given topology:
-// the one public constructor behind which the locked/optimistic
-// admission fork, the dispatch policy, and the algorithm registry all
-// hide. Invalid options fail with a typed InvalidRequest rejection
-// naming the valid values.
+// the one public constructor behind which the shard fleet, the dispatch
+// policy, and the algorithm registry all hide. Invalid options fail
+// with a typed InvalidRequest rejection naming the valid values.
 func New(spec topology.Spec, opts ...Option) (Service, error) {
 	c := config{shards: 1, policy: "rr", seed: 1, algorithm: "cm", snapEvery: defaultSnapshotEvery}
 	for _, opt := range opts {
@@ -164,10 +154,6 @@ func build(spec topology.Spec, c *config) (*service, error) {
 	if c.shards < 1 {
 		return nil, place.Rejectf(op, InvalidRequest, "invalid shards %d: need an integer >= 1", c.shards)
 	}
-	if c.planners < 0 {
-		return nil, place.Rejectf(op, InvalidRequest,
-			"invalid planners %d: need 0 (locked admission) or an integer >= 1 (optimistic)", c.planners)
-	}
 	if c.snapEvery < 1 {
 		return nil, place.Rejectf(op, InvalidRequest,
 			"invalid snapshot interval %d: need an integer >= 1", c.snapEvery)
@@ -188,12 +174,7 @@ func build(spec topology.Spec, c *config) (*service, error) {
 		}
 		newPlacer, modelFor = alg.NewPlacer, alg.ModelFor
 	}
-	var cl *cluster.Cluster
-	if c.planners > 0 {
-		cl, err = cluster.NewOptimistic(spec, c.shards, newPlacer, c.planners, c.workers)
-	} else {
-		cl, err = cluster.New(spec, c.shards, newPlacer, c.workers)
-	}
+	cl, err := cluster.New(spec, c.shards, newPlacer, c.workers)
 	if err != nil {
 		return nil, place.Reject(op, InvalidRequest, err)
 	}

@@ -1,7 +1,6 @@
 // Package cluster scales admission beyond one datacenter tree: it
 // manages a fleet of independent shards — each its own topology tree
-// behind a thread-safe admission path (the locked place.Admitter or
-// the optimistic place.OptimisticAdmitter) — and routes tenant requests
+// behind a thread-safe place.Admitter — and routes tenant requests
 // across them through a Dispatcher with a pluggable placement policy
 // (round-robin, least-loaded, power-of-two-choices) and per-shard
 // failover.
@@ -60,14 +59,12 @@ type Load struct {
 	Tenants int
 }
 
-// Shard is one independent datacenter tree with its own admission path.
+// Shard is one independent datacenter tree with its own admitter.
 // Place and Release on different shards never contend; within a shard
-// the embedded place.Admission path serializes ledger mutations —
-// entirely (locked place.Admitter) or only through a short
-// validate-and-commit section (place.OptimisticAdmitter).
+// the place.Admitter serializes ledger mutations.
 type Shard struct {
 	id         int
-	adm        place.Admission
+	adm        *place.Admitter
 	tree       *topology.Tree
 	slotsTotal int
 
@@ -130,10 +127,33 @@ func (s *Shard) Stats() place.AdmitStats { return s.adm.Stats() }
 // from any goroutine; on success the returned Tenant owns the tenant's
 // resources until its Release.
 func (s *Shard) Place(req *place.Request) (*Tenant, error) {
-	ad, err := s.adm.Admit(req)
+	ad, err := s.adm.Place(req)
 	if err != nil {
 		return nil, err
 	}
+	return s.admit(ad, req), nil
+}
+
+// PlaceBatch admits the requests in order through one admission
+// critical section (see place.Admitter.AdmitBatch). Tenants and errors
+// are parallel to reqs; a batch is not atomic — earlier admissions
+// stand when later elements reject. Gauges and lifecycle events are
+// updated per admitted element exactly as Place would.
+func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
+	grants, errs := s.adm.AdmitBatch(reqs)
+	tens := make([]*Tenant, len(reqs))
+	for i, ad := range grants {
+		if ad != nil {
+			tens[i] = s.admit(ad, reqs[i])
+		}
+	}
+	return tens, errs
+}
+
+// admit wraps a committed admission as a Tenant: it takes the next
+// grant key, adds the tenant to the load gauges, and publishes the
+// admission event.
+func (s *Shard) admit(ad *place.Admitted, req *place.Request) *Tenant {
 	res := ad.Reservation()
 	ten := &Tenant{
 		shard:        s,
@@ -155,69 +175,13 @@ func (s *Shard) Place(req *place.Request) (*Tenant, error) {
 			Placement: res.Placement(),
 		})
 	}
-	return ten, nil
+	return ten
 }
 
 // SetIndexed toggles the topology free-capacity index on the shard's
-// admission path — the authoritative tree and, for optimistic shards,
-// every planner replica. Must not race in-flight admissions; the
-// differential harness uses it to build rescan-path services.
-func (s *Shard) SetIndexed(on bool) {
-	if t, ok := s.adm.(place.IndexToggler); ok {
-		t.SetIndexed(on)
-	}
-}
-
-// PlaceBatch admits the requests in order through one admission
-// critical section (see place.BatchAdmission). Tenants and errors are
-// parallel to reqs; a batch is not atomic — earlier admissions stand
-// when later elements reject. Gauges and lifecycle events are updated
-// per admitted element exactly as Place would.
-func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
-	tens := make([]*Tenant, len(reqs))
-	ba, ok := s.adm.(place.BatchAdmission)
-	if !ok {
-		errs := make([]error, len(reqs))
-		for i, req := range reqs {
-			ten, err := s.Place(req)
-			if err != nil {
-				errs[i] = place.WithBatchIndex(err, i)
-				continue
-			}
-			tens[i] = ten
-		}
-		return tens, errs
-	}
-	grants, errs := ba.AdmitBatch(reqs)
-	for i, ad := range grants {
-		if ad == nil {
-			continue
-		}
-		res := ad.Reservation()
-		ten := &Tenant{
-			shard:        s,
-			ad:           ad,
-			key:          s.seq.Add(1),
-			id:           reqs[i].ID,
-			reservedMbps: res.TotalReserved(),
-			vms:          res.Placement().VMs(),
-		}
-		s.reserved.add(ten.reservedMbps)
-		s.slots.Add(int64(ten.vms))
-		s.tenants.Add(1)
-		if s.sink != nil {
-			s.sink.Publish(place.Event{
-				Kind:      place.EventAdmitted,
-				Key:       ten.key,
-				ID:        reqs[i].ID,
-				Graph:     place.EnforceableGraph(reqs[i]),
-				Placement: res.Placement(),
-			})
-		}
-		tens[i] = ten
-	}
-	return tens, errs
-}
+// tree. Must not race in-flight admissions; the differential harness
+// uses it to build rescan-path services.
+func (s *Shard) SetIndexed(on bool) { s.adm.SetIndexed(on) }
 
 // Tenant is a committed tenant admitted through a Shard (directly or
 // via a Dispatcher). Release and Resize are safe to call from any
@@ -225,7 +189,7 @@ func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
 // Release at most once has an effect.
 type Tenant struct {
 	shard *Shard
-	ad    place.Grant
+	ad    *place.Admitted
 	// key is the shard-unique grant key lifecycle events carry; id is
 	// the caller-chosen request ID.
 	key, id int64
@@ -253,7 +217,7 @@ func (t *Tenant) Key() int64 { return t.key }
 func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
 
 // Resize grows or shrinks the tenant in place to newGraph through the
-// shard's admission path (see place.Grant.Resize), refreshing the
+// shard's admitter (see place.Admitted.Resize), refreshing the
 // shard's load gauges by the change. On failure the shard and the
 // tenant are exactly as before, and the error carries a typed
 // place.Reason.
@@ -311,35 +275,14 @@ type Cluster struct {
 }
 
 // New builds a cluster of n identical shards, each its own tree from
-// spec with its own placer from newPlacer behind the locked admission
-// path. Construction fans out across at most workers goroutines (0
-// means all cores); shard i's tree and placer are a function of i
-// alone, so the result is identical at any worker count.
+// spec with its own placer from newPlacer behind a place.Admitter.
+// Construction fans out across at most workers goroutines (0 means all
+// cores); shard i's tree and placer are a function of i alone, so the
+// result is identical at any worker count.
 func New(spec topology.Spec, n int, newPlacer func(*topology.Tree) place.Placer, workers int) (*Cluster, error) {
 	if newPlacer == nil {
 		return nil, errors.New("cluster: nil placer constructor")
 	}
-	return build(spec, n, workers, func(tree *topology.Tree) place.Admission {
-		return place.NewAdmitter(tree, newPlacer(tree))
-	})
-}
-
-// NewOptimistic builds a cluster of n identical shards whose admission
-// runs the optimistic two-phase pipeline: each shard's tree becomes an
-// authoritative ledger with `planners` concurrent planner replicas, so
-// admission scales with cores inside a shard as well as across shards.
-func NewOptimistic(spec topology.Spec, n int, newPlacer func(*topology.Tree) place.Placer, planners, workers int) (*Cluster, error) {
-	if newPlacer == nil {
-		return nil, errors.New("cluster: nil placer constructor")
-	}
-	return build(spec, n, workers, func(tree *topology.Tree) place.Admission {
-		return place.NewOptimisticAdmitter(tree, newPlacer, planners)
-	})
-}
-
-// build is the shared constructor: one tree per shard, wrapped by
-// whichever admission path mk builds on it.
-func build(spec topology.Spec, n, workers int, mk func(*topology.Tree) place.Admission) (*Cluster, error) {
 	if n <= 0 {
 		return nil, errors.New("cluster: shard count must be positive")
 	}
@@ -347,7 +290,7 @@ func build(spec topology.Spec, n, workers int, mk func(*topology.Tree) place.Adm
 		tree := topology.New(spec)
 		return &Shard{
 			id:         i,
-			adm:        mk(tree),
+			adm:        place.NewAdmitter(tree, newPlacer(tree)),
 			tree:       tree,
 			slotsTotal: tree.SlotsTotal(tree.Root()),
 		}, nil

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 
 	"cloudmirror/internal/place"
@@ -14,28 +13,17 @@ import (
 // nothing else should call them, and no live traffic may run
 // concurrently.
 
-// replayer returns the shard's admission path as a place.Replayer.
-// Both admission paths implement it, so failure means a foreign
-// Admission implementation was injected — a programming error.
-func (s *Shard) replayer() place.Replayer {
-	r, ok := s.adm.(place.Replayer)
-	if !ok {
-		panic(fmt.Sprintf("cluster: admission path %T is not replayable", s.adm))
-	}
-	return r
-}
-
 // Attach materializes a live tenant from a snapshot record without
 // touching the ledger, the gauges, or the counters: the imported ledger
 // bits already include the tenant and RestoreGauges supplies the
 // aggregate state. The lifecycle event is still published, so a
 // dataplane sink rebuilds its per-tenant enforcement state.
 func (s *Shard) Attach(rec place.GrantRecord) *Tenant {
-	grant := s.replayer().AttachGrant(rec)
-	res := grant.Reservation()
+	ad := s.adm.AttachGrant(rec)
+	res := ad.Reservation()
 	ten := &Tenant{
 		shard:        s,
-		ad:           grant,
+		ad:           ad,
 		key:          rec.Key,
 		id:           rec.ID,
 		reservedMbps: res.TotalReserved(),
@@ -54,15 +42,15 @@ func (s *Shard) Attach(rec place.GrantRecord) *Tenant {
 }
 
 // ReplayAdmit commits a recorded admission exactly like a live Place:
-// the recorded delta is applied through the admission path, the gauges
+// the recorded delta is applied through the admitter, the gauges
 // advance by the tenant's footprint, and the lifecycle event is
 // published to the sink.
 func (s *Shard) ReplayAdmit(ev place.Event) *Tenant {
-	grant := s.replayer().ReplayAdmit(ev)
-	res := grant.Reservation()
+	ad := s.adm.ReplayAdmit(ev)
+	res := ad.Reservation()
 	ten := &Tenant{
 		shard:        s,
-		ad:           grant,
+		ad:           ad,
 		key:          ev.Key,
 		id:           ev.ID,
 		reservedMbps: res.TotalReserved(),
@@ -89,29 +77,27 @@ func (s *Shard) ReplayAdmit(ev place.Event) *Tenant {
 }
 
 // ReplayReject counts one recorded capacity rejection at this shard.
-func (s *Shard) ReplayReject() { s.replayer().ReplayReject() }
+func (s *Shard) ReplayReject() { s.adm.ReplayReject() }
 
 // ReplayFail counts one recorded non-capacity failure at this shard.
-func (s *Shard) ReplayFail() { s.replayer().ReplayFail() }
+func (s *Shard) ReplayFail() { s.adm.ReplayFail() }
 
 // ObserveDemand feeds one recorded arrival's per-VM demand to the
 // shard's placer demand estimator (if it keeps one) — the replay-time
 // stand-in for the observation the placer made when it actually ran.
-func (s *Shard) ObserveDemand(perVM float64) { s.replayer().ObserveDemand(perVM) }
+func (s *Shard) ObserveDemand(perVM float64) { s.adm.ObserveDemand(perVM) }
 
-// PlacerStates exports the shard's placer demand-estimator states for a
-// snapshot; nil when the placer keeps none.
-func (s *Shard) PlacerStates() []float64 { return s.replayer().PlacerStates() }
+// PlacerState exports the shard's placer demand-estimator state for a
+// snapshot; ok is false when the placer keeps none.
+func (s *Shard) PlacerState() (v float64, ok bool) { return s.adm.PlacerState() }
 
-// RestorePlacerStates overwrites the placer demand-estimator states
-// with snapshot values.
-func (s *Shard) RestorePlacerStates(states []float64) {
-	s.replayer().RestorePlacerStates(states)
-}
+// RestorePlacerState overwrites the placer demand-estimator state with
+// a snapshot value.
+func (s *Shard) RestorePlacerState(v float64) { s.adm.RestorePlacerState(v) }
 
 // RestoreAdmitStats overwrites the shard's admission counters with
 // snapshot values.
-func (s *Shard) RestoreAdmitStats(st place.AdmitStats) { s.replayer().RestoreStats(st) }
+func (s *Shard) RestoreAdmitStats(st place.AdmitStats) { s.adm.RestoreStats(st) }
 
 // RestoreGauges overwrites the shard's load gauges and key counter with
 // snapshot values. The reserved gauge is restored bit-exactly: its live
@@ -132,14 +118,8 @@ func (s *Shard) ExportGauges() (reservedMbps float64, slots, tenants, seq int64)
 }
 
 // ExportLedger copies the shard tree's mutable ledger state out
-// byte-exactly under the admission path's lock.
-func (s *Shard) ExportLedger() topology.Ledger {
-	e, ok := s.adm.(interface{ ExportLedger() topology.Ledger })
-	if !ok {
-		panic(fmt.Sprintf("cluster: admission path %T cannot export its ledger", s.adm))
-	}
-	return e.ExportLedger()
-}
+// byte-exactly under the admission lock.
+func (s *Shard) ExportLedger() topology.Ledger { return s.adm.ExportLedger() }
 
 // Record exports the tenant's durable state for a snapshot. It reports
 // false when the tenant was already released (a snapshot racing a
@@ -148,35 +128,18 @@ func (t *Tenant) Record() (place.GrantRecord, bool) {
 	if t.released.Load() {
 		return place.GrantRecord{}, false
 	}
-	rg, ok := t.ad.(place.ReplayableGrant)
-	if !ok {
-		return place.GrantRecord{}, false
-	}
-	rec := rg.Record()
+	rec := t.ad.Record()
 	rec.Key, rec.ID = t.key, t.id
 	return rec, true
 }
 
-// Resync re-bases the optimistic admission path's planner replicas on
-// the authoritative tree (see place.OptimisticAdmitter.Resync); a no-op
-// for the locked path, whose placer works on the tree directly.
-func (s *Shard) Resync() {
-	if r, ok := s.adm.(interface{ Resync() }); ok {
-		r.Resync()
-	}
-}
-
 // ReplayResize commits a recorded resize exactly like a live Resize:
-// the net delta is applied through the admission path, the gauges
-// advance by the change, and the lifecycle event is published.
-func (t *Tenant) ReplayResize(ev place.Event) error {
+// the net delta is applied through the admitter, the gauges advance by
+// the change, and the lifecycle event is published.
+func (t *Tenant) ReplayResize(ev place.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rg, ok := t.ad.(place.ReplayableGrant)
-	if !ok {
-		return fmt.Errorf("cluster: grant %T is not replayable", t.ad)
-	}
-	rg.ReplayResize(ev)
+	t.ad.ReplayResize(ev)
 	res := t.ad.Reservation()
 	reserved, vms := res.TotalReserved(), res.Placement().VMs()
 	t.shard.reserved.add(reserved - t.reservedMbps)
@@ -191,7 +154,6 @@ func (t *Tenant) ReplayResize(ev place.Event) error {
 			Placement: res.Placement(),
 		})
 	}
-	return nil
 }
 
 // ID returns the caller-chosen tenant ID from the admitting request.

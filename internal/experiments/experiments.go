@@ -68,7 +68,6 @@ type Func func(Options) (*Table, error)
 
 // registry maps experiment IDs to implementations.
 var registry = map[string]Func{
-	"admission": AdmissionSweep,
 	"fig1":      Fig1,
 	"table1":    Table1,
 	"table1hpc": Table1HPCloud,

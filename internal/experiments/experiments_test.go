@@ -23,7 +23,7 @@ func parse(t *testing.T, cell string) float64 {
 }
 
 func TestRegistryRunsEverything(t *testing.T) {
-	if len(Names()) != 20 {
+	if len(Names()) != 19 {
 		t.Fatalf("registry has %d experiments: %v", len(Names()), Names())
 	}
 	if _, err := Run("nope", quick()); err == nil {

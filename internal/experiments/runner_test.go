@@ -21,7 +21,7 @@ func render(t *testing.T, tb *Table) string {
 // mode checks the cheap Table 1 family; the full run sweeps every
 // placement figure.
 func TestParallelDeterminism(t *testing.T) {
-	names := []string{"table1", "table1hpc", "table1syn", "churn", "admission"}
+	names := []string{"table1", "table1hpc", "table1syn", "churn"}
 	workerCounts := []int{1, 2, 5, 0}
 	if !testing.Short() {
 		names = append(names, "baselines", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12")

@@ -9,9 +9,9 @@ import (
 	"cloudmirror/internal/lint/analysis"
 )
 
-// APIBoundAnalyzer enforces the public-API boundary rules that
-// scripts/api-check.sh used to grep for, on the real import graph and
-// the type checker's resolved references. Each BoundaryRule in
+// APIBoundAnalyzer enforces the public-API boundary rules on the real
+// import graph and the type checker's resolved references. Each
+// BoundaryRule in
 // boundaryRules is checked three ways:
 //
 //   - direct imports of a forbidden package, regardless of alias;

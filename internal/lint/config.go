@@ -58,16 +58,15 @@ type BoundaryRule struct {
 	Hint string
 }
 
-// cmdAndExamples is the checked surface of the original api-check rules
-// 1-4: binaries and examples.
+// cmdAndExamples is the checked surface of rules 1-4: binaries and
+// examples.
 var cmdAndExamples = []string{"cloudmirror/cmd", "cloudmirror/examples"}
 
 // guaranteeGateway is the sanctioned route to every internal admission
 // and enforcement package.
 var guaranteeGateway = []string{"cloudmirror/guarantee"}
 
-// boundaryRules carries the five public-API boundary contracts,
-// formerly the five grep rules of scripts/api-check.sh.
+// boundaryRules carries the five public-API boundary contracts.
 var boundaryRules = []BoundaryRule{
 	{
 		Name:      "cluster",
@@ -79,11 +78,7 @@ var boundaryRules = []BoundaryRule{
 	{
 		Name: "place-admission",
 		Objects: map[string][]string{
-			"cloudmirror/internal/place": {
-				"NewAdmitter", "NewOptimisticAdmitter",
-				"Admitter", "OptimisticAdmitter",
-				"Admission", "Grant",
-			},
+			"cloudmirror/internal/place": {"NewAdmitter", "Admitter", "Admitted"},
 		},
 		Checked: cmdAndExamples,
 		Hint:    "use guarantee.Service",

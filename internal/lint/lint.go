@@ -6,8 +6,8 @@
 //   - floatorder: no float accumulation driven by map iteration order.
 //   - nodrift: no wall clocks, global RNG, or environment reads in
 //     deterministic packages.
-//   - apibound: the public-API boundary rules of scripts/api-check.sh,
-//     checked on the real import graph and resolved objects.
+//   - apibound: the public-API boundary rules (config.go), checked on
+//     the real import graph and resolved objects.
 //   - errwrap: errors returned around internal/netem wrap a typed
 //     sentinel, preserving the ErrBadInput taxonomy.
 //

@@ -9,63 +9,24 @@ import (
 	"cloudmirror/internal/topology"
 )
 
-// Admission is the concurrent admission interface shared by the locked
-// Admitter and the optimistic OptimisticAdmitter, so callers (cluster
-// shards, the simulators) can swap admission strategies without caring
-// which one they drive. Implementations are safe for concurrent use.
-type Admission interface {
-	// Name identifies the underlying placement algorithm.
-	Name() string
-	// Admit attempts to admit the request. On success the returned
-	// Grant owns the tenant's resources until its Release; on failure
-	// the shared ledger is exactly as if the request had never arrived.
-	Admit(*Request) (Grant, error)
-	// Stats reports the admission counters so far.
-	Stats() AdmitStats
-}
-
-// Grant is a committed tenant admitted through an Admission path.
-// Release and Resize are safe to call from any goroutine; operations on
-// one grant serialize against each other, and Release at most once has
-// an effect.
-type Grant interface {
-	// Reservation exposes the tenant's current placement and per-uplink
-	// holdings for inspection; the returned reservation is fixed (a
-	// Resize swaps in a new one rather than mutating it).
-	Reservation() *Reservation
-	// Resize grows or shrinks the tenant in place to newGraph — the
-	// tenant's TAG with one or more tier sizes changed (per-VM
-	// guarantees are untouched, §3/§6). On success the grant's
-	// reservation and footprint reflect the new size; on failure the
-	// ledger and the grant are exactly as before, and the error carries
-	// a typed Reason (ReasonUnsupported when the placer cannot resize,
-	// ReasonInvalidRequest for structural changes, capacity reasons
-	// when the datacenter cannot host the growth).
-	Resize(newGraph *tag.Graph) error
-	// Release returns the tenant's slots and bandwidth to the shared
-	// ledger. Subsequent calls are no-ops.
-	Release()
-}
-
-// Admitter is the locked admission path: it makes one shared
-// datacenter tree safe for simultaneous Place and Release calls from
-// many goroutines.
+// Admitter is the admission path: it makes one shared datacenter tree
+// safe for simultaneous Place and Release calls from many goroutines.
 //
 // Placement decisions on a single tree must serialize — an admission
 // test is only sound against a ledger that cannot change between the
-// test and the reservation — so the Admitter guards the whole
-// place-and-commit critical section with one mutex. Commits go through
-// the topology delta layer: the placer runs speculatively inside the
-// lock, the ledger is rolled back to a byte-exact snapshot, and the
-// recorded net Delta is applied in one step. The shared ledger
-// therefore only ever advances by delta application — placements that
-// fail (or succeed) leave no float residue from the placer's
-// intermediate reserve/rollback arithmetic — which makes the locked
-// path bit-compatible with the optimistic path: OptimisticAdmitter
-// with one planner produces a byte-identical ledger. Departures go
-// through Admitted.Release, which commits the negated delta under the
-// same lock, and resizes through Admitted.Resize, which commits the
-// net delta of the tenant's old-to-new transition.
+// test and the reservation — so every placement runs inside one
+// critical section, in arrival order. Commits go through the topology
+// delta layer: the placer runs inside the lock, the ledger is rolled
+// back to a byte-exact snapshot, and the recorded net Delta is applied
+// in one step. The shared ledger therefore only ever advances by delta
+// application — placements that fail (or succeed) leave no float
+// residue from the placer's intermediate reserve/rollback arithmetic —
+// which is what makes replay exact: recovery applies each logged delta
+// to the same ledger bits the live commit applied it to (see
+// ReplayAdmit). Departures go through Admitted.Release, which commits
+// the negated delta under the same lock, and resizes through
+// Admitted.Resize, which commits the net delta of the tenant's
+// old-to-new transition.
 //
 // The zero value is not usable; construct with NewAdmitter.
 type Admitter struct {
@@ -108,12 +69,6 @@ func NewAdmitter(tree *topology.Tree, p Placer) *Admitter {
 	return &Admitter{tree: tree, placer: p, ck: tree.NewSnapshot(), comb: newCombiner()}
 }
 
-// Compile-time check that both admission paths satisfy the interface.
-var (
-	_ Admission = (*Admitter)(nil)
-	_ Admission = (*OptimisticAdmitter)(nil)
-)
-
 // Name identifies the underlying algorithm.
 func (a *Admitter) Name() string { return a.placer.Name() }
 
@@ -130,8 +85,8 @@ func (a *Admitter) Place(req *Request) (*Admitted, error) {
 	// (O(nodes), two memcpys of a few hundred KB at paper scale) rather
 	// than tracking the placer's touched set; the copies cost a few
 	// microseconds against a placement search that costs hundreds, and
-	// byte-exactness is what keeps this path bit-compatible with the
-	// optimistic one.
+	// byte-exactness is what lets recovery replay the logged delta onto
+	// the same bits this commit applied it to.
 	//
 	// The bracket runs through the commit combiner: concurrent Place
 	// calls are drained in arrival batches under one lock acquisition,
@@ -165,15 +120,6 @@ func (a *Admitter) Place(req *Request) (*Admitted, error) {
 	a.admitted.Add(1)
 	res.released = true // inspection-only: departures commit the delta
 	return &Admitted{a: a, res: res, delta: d, graph: resizableGraph(req), ha: req.HA}, nil
-}
-
-// Admit implements Admission by delegating to Place.
-func (a *Admitter) Admit(req *Request) (Grant, error) {
-	ad, err := a.Place(req)
-	if err != nil {
-		return nil, err
-	}
-	return ad, nil
 }
 
 // Stats reports the admission counters so far.
@@ -227,11 +173,16 @@ func (ad *Admitted) Reservation() *Reservation {
 	return ad.res
 }
 
-// Resize grows or shrinks the tenant in place to newGraph, running the
-// placer's incremental auto-scaling inside the admission critical
-// section and committing the net old-to-new delta in one step. The
-// whole multi-tier transition is atomic: on any failure the ledger is
-// byte-identical to before the call and the grant is unchanged.
+// Resize grows or shrinks the tenant in place to newGraph — the
+// tenant's TAG with one or more tier sizes changed (per-VM guarantees
+// are untouched, §3/§6) — running the placer's incremental auto-scaling
+// inside the admission critical section and committing the net
+// old-to-new delta in one step. The whole multi-tier transition is
+// atomic: on any failure the ledger is byte-identical to before the
+// call, the grant is unchanged, and the error carries a typed Reason
+// (ReasonUnsupported when the placer cannot resize, ReasonInvalidRequest
+// for structural changes, capacity reasons when the datacenter cannot
+// host the growth).
 func (ad *Admitted) Resize(newGraph *tag.Graph) error {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
@@ -261,7 +212,7 @@ func (ad *Admitted) Resize(newGraph *tag.Graph) error {
 	)
 	a.comb.do(&a.mu, func() {
 		a.tree.Save(a.ck)
-		newRes, err = runResize(a.tree, rz, ad.res.data(), ad.graph, steps, ad.ha)
+		newRes, err = runResize(rz, ad.res, ad.graph, steps, ad.ha)
 		if err != nil {
 			a.tree.RestoreSnapshot(a.ck)
 			return

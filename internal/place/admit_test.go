@@ -190,3 +190,43 @@ func TestAdmittedReleaseIdempotent(t *testing.T) {
 		t.Errorf("released counter = %d, want 1", s.Released)
 	}
 }
+
+// TestGrantDoubleReleaseRace: concurrent double-Release of many grants
+// frees each tenant exactly once — counters match and the ledger drains
+// to pristine. The "locked" subtest name is kept from when a second
+// admission path existed; it is the one Admitter.
+func TestGrantDoubleReleaseRace(t *testing.T) {
+	t.Run("locked", func(t *testing.T) {
+		tr := testTree()
+		adm := NewAdmitter(tr, &firstFit{tree: tr})
+		var grants []*Admitted
+		for i := 0; len(grants) < 6; i++ {
+			g := stressTenant(i)
+			grant, err := adm.Place(&Request{ID: int64(i), Graph: g, Model: g})
+			if err != nil {
+				t.Fatalf("admit %d: %v", i, err)
+			}
+			grants = append(grants, grant)
+		}
+		var wg sync.WaitGroup
+		for _, g := range grants {
+			for k := 0; k < 4; k++ {
+				wg.Add(1)
+				go func(g *Admitted) {
+					defer wg.Done()
+					g.Release()
+				}(g)
+			}
+		}
+		wg.Wait()
+		pristine(t, tr)
+		st := adm.Stats()
+		if st.Released != int64(len(grants)) {
+			t.Errorf("released counter = %d, want %d (double releases must not count)",
+				st.Released, len(grants))
+		}
+		if st.Admitted != int64(len(grants)) {
+			t.Errorf("admitted counter = %d, want %d", st.Admitted, len(grants))
+		}
+	})
+}

@@ -2,53 +2,18 @@ package place
 
 import "errors"
 
-// Batch admission: both admission paths coalesce a whole batch of
-// requests into ONE critical section instead of re-acquiring the
-// admission lock (and, optimistically, re-running the plan/validate
-// conflict dance) per request. Decisions are element-wise identical to
-// admitting the batch sequentially on an otherwise idle admitter: each
-// element still runs the full validate → save → place → restore →
-// apply bracket against the ledger state its predecessors left behind,
-// so the ledger evolves byte-identically to the sequential path.
-
-// BatchAdmission is implemented by admission paths that can admit a
-// batch of requests in one critical section. Grants and errors are
-// parallel to reqs: exactly one of grants[i], errs[i] is non-nil. A
-// batch is not atomic — earlier admissions stand when later elements
-// reject — and every non-nil error carries the failing element's index
-// (RejectionError.BatchIndex).
-type BatchAdmission interface {
-	AdmitBatch(reqs []*Request) (grants []Grant, errs []error)
-}
-
-// Compile-time check that both admission paths coalesce batches.
-var (
-	_ BatchAdmission = (*Admitter)(nil)
-	_ BatchAdmission = (*OptimisticAdmitter)(nil)
-)
-
-// IndexToggler is implemented by admission paths whose trees (and
-// planner replicas) can switch the topology free-capacity index on or
-// off — the knob the differential harness uses to compare the indexed
-// and rescan builds.
-type IndexToggler interface {
-	SetIndexed(on bool)
-}
-
-// SetIndexed toggles the free-capacity index on the admitter's tree.
-// Safe to call between admissions; must not race an in-flight Place.
-func (a *Admitter) SetIndexed(on bool) {
-	a.mu.Lock()
-	a.tree.SetIndexed(on)
-	a.mu.Unlock()
-}
-
-// AdmitBatch implements BatchAdmission: one combiner submission (and
-// so one lock acquisition), then the same per-element
-// validate/save/place/restore/apply bracket Place runs, so the ledger
-// and decisions match sequential admission exactly.
-func (a *Admitter) AdmitBatch(reqs []*Request) ([]Grant, []error) {
-	grants := make([]Grant, len(reqs))
+// AdmitBatch admits a batch of requests in ONE critical section instead
+// of re-acquiring the admission lock per request: one combiner
+// submission, then the same per-element validate → save → place →
+// restore → apply bracket Place runs, against the ledger state its
+// predecessors left behind — so decisions and the ledger match admitting
+// the batch sequentially on an otherwise idle admitter. Grants and
+// errors are parallel to reqs: exactly one of grants[i], errs[i] is
+// non-nil. A batch is not atomic — earlier admissions stand when later
+// elements reject — and every non-nil error carries the failing
+// element's index (RejectionError.BatchIndex).
+func (a *Admitter) AdmitBatch(reqs []*Request) ([]*Admitted, []error) {
+	grants := make([]*Admitted, len(reqs))
 	errs := make([]error, len(reqs))
 	a.comb.do(&a.mu, func() {
 		for i, req := range reqs {
@@ -80,65 +45,12 @@ func (a *Admitter) AdmitBatch(reqs []*Request) ([]Grant, []error) {
 	return grants, errs
 }
 
-// SetIndexed toggles the free-capacity index on the authoritative tree
-// and every planner replica. It drains the planner pool first, so it
-// must not be called concurrently with AdmitBatch or SetIndexed from
-// another goroutine that already holds planners.
-func (a *OptimisticAdmitter) SetIndexed(on bool) {
-	slots := make([]*plannerSlot, len(a.seqs))
-	for i := range slots {
-		slots[i] = a.pool.get()
-	}
+// SetIndexed toggles the free-capacity index on the admitter's tree —
+// the knob the differential harness uses to compare the indexed and
+// rescan builds. Safe to call between admissions; must not race an
+// in-flight Place.
+func (a *Admitter) SetIndexed(on bool) {
 	a.mu.Lock()
-	a.auth.SetIndexed(on)
+	a.tree.SetIndexed(on)
 	a.mu.Unlock()
-	for _, s := range slots {
-		s.pl.rep.Tree().SetIndexed(on)
-	}
-	for _, s := range slots {
-		a.pool.put(s)
-	}
-}
-
-// AdmitBatch implements BatchAdmission for the optimistic path: the
-// whole batch plans and commits under the commit lock (the locked
-// fallback every element would reach anyway under contention), so each
-// element's plan sees every predecessor's commit and no conflict is
-// possible. One planner replica serves the batch; each commit is
-// applied and logged element-by-element, preserving the log order a
-// sequential caller would produce.
-func (a *OptimisticAdmitter) AdmitBatch(reqs []*Request) ([]Grant, []error) {
-	grants := make([]Grant, len(reqs))
-	errs := make([]error, len(reqs))
-	slot := a.pool.get()
-	defer a.pool.put(slot)
-
-	a.comb.do(&a.mu, func() {
-		slot.pl.Sync(a.auth)
-		for i, req := range reqs {
-			if err := ValidateRequest(a.auth, req); err != nil {
-				a.failed.Add(1)
-				errs[i] = WithBatchIndex(err, i)
-				continue
-			}
-			plan, err := slot.pl.Plan(req)
-			a.seqs[slot.id].Store(slot.pl.Seq())
-			if err != nil {
-				if errors.Is(err, ErrRejected) {
-					a.rejected.Add(1)
-				} else {
-					a.failed.Add(1)
-				}
-				errs[i] = WithBatchIndex(err, i)
-				continue
-			}
-			a.auth.Apply(plan.Delta())
-			a.log.Append(plan.Delta())
-			a.admitted.Add(1)
-			g := &optimisticGrant{a: a, res: plan.reservation(a.auth), delta: plan.Footprint()}
-			grants[i] = a.grant(g, req)
-		}
-	})
-	a.trim()
-	return grants, errs
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // Differential harness for the topology free-capacity index: for every
-// placer, admission mode and seed, the same churn+resize trace is run
+// placer and seed, the same churn+resize trace is run
 // twice — once with the index on (the default) and once with the pure
 // rescan path (WithIndex(false)) — and everything observable must be
 // byte-identical: admission outcomes, rejection reasons, resize
@@ -43,7 +43,7 @@ func diffSpec() topology.Spec {
 
 // diffTrace drives a deterministic admission/release/resize trace
 // against svc and returns a printable transcript. Every random draw
-// comes from one seeded RNG, so equal (alg, planners, seed) configs see
+// comes from one seeded RNG, so equal (alg, seed) configs see
 // the identical op sequence regardless of the index setting. audit, when
 // non-nil, is called periodically to verify index invariants mid-trace.
 func diffTrace(t *testing.T, svc guarantee.Service, seed int64, resize bool, audit func() error) string {
@@ -161,11 +161,10 @@ func ledgerBits(l topology.Ledger) string {
 // runDiff builds a service with the given config and index setting and
 // returns the full observable transcript: op outcomes plus the final
 // per-shard ledgers in bit-exact form.
-func runDiff(t *testing.T, alg string, planners int, seed int64, indexed bool) string {
+func runDiff(t *testing.T, alg string, seed int64, indexed bool) string {
 	t.Helper()
 	svc, err := guarantee.New(diffSpec(),
 		guarantee.WithAlgorithm(alg),
-		guarantee.WithPlanners(planners),
 		guarantee.WithIndex(indexed),
 		guarantee.WithSeed(seed),
 	)
@@ -190,27 +189,25 @@ func runDiff(t *testing.T, alg string, planners int, seed int64, indexed bool) s
 }
 
 // TestIndexDifferential is the harness proper: indexed and rescan runs
-// must be observationally identical for every placer × admission mode ×
-// seed combination.
+// must be observationally identical for every placer × seed
+// combination. The "planners=0" name level is kept from when a second
+// admission path existed; it is the one Admitter.
 func TestIndexDifferential(t *testing.T) {
 	for _, alg := range []string{"cm", "ovoc", "secondnet"} {
-		for _, planners := range []int{0, 2} {
-			for _, seed := range []int64{1, 7} {
-				name := fmt.Sprintf("%s/planners=%d/seed=%d", alg, planners, seed)
-				t.Run(name, func(t *testing.T) {
-					withIdx := runDiff(t, alg, planners, seed, true)
-					rescan := runDiff(t, alg, planners, seed, false)
-					if withIdx != rescan {
-						t.Fatalf("indexed and rescan runs diverged:\n%s", firstDiff(withIdx, rescan))
-					}
-				})
-			}
+		for _, seed := range []int64{1, 7} {
+			t.Run(fmt.Sprintf("%s/planners=0/seed=%d", alg, seed), func(t *testing.T) {
+				withIdx := runDiff(t, alg, seed, true)
+				rescan := runDiff(t, alg, seed, false)
+				if withIdx != rescan {
+					t.Fatalf("indexed and rescan runs diverged:\n%s", firstDiff(withIdx, rescan))
+				}
+			})
 		}
 	}
 }
 
 // TestIndexRebuildMatchesIncremental verifies the maintenance contract
-// directly: after a full trace of deltas, snapshots and reverts, an
+// directly: after a full trace of deltas and snapshot rollbacks, an
 // exact rebuild must produce bounds that are <= the incrementally
 // maintained ones (never tighter the wrong way: the live bounds must
 // dominate) and the audit invariant must hold throughout.
@@ -261,7 +258,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	seq := build()
 	var seqOut []string
 	for i, req := range reqs {
-		_, err := seq.Admit(req)
+		_, err := seq.Place(req)
 		seqOut = append(seqOut, fmt.Sprintf("%d %v", i, place.ReasonOf(err)))
 	}
 

@@ -7,16 +7,16 @@ import (
 
 // Flat-combining commit pipeline.
 //
-// Both admission paths funnel their critical sections through a
-// combiner: callers publish operations on a lock-free MPSC list, and
-// whichever caller wins a combiner token drains the list and executes
-// the whole batch — in arrival order — under ONE acquisition of the
-// admitter mutex. Under contention this replaces N mutex handoffs (each
-// a scheduler wakeup) with one: the combiner executes the short
-// validate-and-commit sections back to back while the other submitters
-// sleep exactly once on their op's completion signal. With a single
-// caller the queue degenerates to push + self-execute, so the serial
-// path's behavior — and the ledger it produces — is unchanged.
+// The Admitter funnels its critical sections through a combiner:
+// callers publish operations on a lock-free MPSC list, and whichever
+// caller wins a combiner token drains the list and executes the whole
+// batch — in arrival order — under ONE acquisition of the admitter
+// mutex. Under contention this replaces N mutex handoffs (each a
+// scheduler wakeup) with one: the combiner executes the place-and-commit
+// and release sections back to back while the other submitters sleep
+// exactly once on their op's completion signal. With a single caller
+// the queue degenerates to push + self-execute, so the serial path's
+// behavior — and the ledger it produces — is unchanged.
 //
 // The combiner executes operations strictly in arrival order, so with
 // serial callers the commit order (and therefore the ledger bytes) is
@@ -38,8 +38,7 @@ var opPool = sync.Pool{
 	New: func() any { return &combineOp{done: make(chan struct{}, 1)} },
 }
 
-// combiner is the flat-combining queue guarding one admitter's
-// authoritative ledger.
+// combiner is the flat-combining queue guarding one admitter's ledger.
 type combiner struct {
 	// head is the MPSC publication list (Treiber push; drained by a
 	// whole-list swap). Push order is LIFO, so the drain reverses it to

@@ -3,102 +3,20 @@ package place
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
-
-	"cloudmirror/internal/topology"
 )
-
-// pipelineRun is one seeded drive's observable output: the
-// admit/reject transcript and the ledger's float bit patterns taken
-// mid-run, while tenants still hold slots and bandwidth.
-type pipelineRun struct {
-	trace string
-	bits  []uint64
-}
-
-// drivePipeline runs a fixed seeded admit/churn sequence against adm
-// and captures the transcript plus the ledger bits before draining.
-func drivePipeline(t *testing.T, adm Admission, tr *topology.Tree) pipelineRun {
-	t.Helper()
-	r := rand.New(rand.NewSource(11))
-	const ops = 400
-	trace := make([]byte, 0, ops)
-	var live []Grant
-	for i := 0; i < ops; i++ {
-		g := stressTenant(r.Intn(50))
-		grant, err := adm.Admit(&Request{ID: int64(i), Graph: g, Model: g})
-		if err != nil {
-			if !errors.Is(err, ErrRejected) {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			trace = append(trace, 'R')
-		} else {
-			trace = append(trace, 'A')
-			live = append(live, grant)
-		}
-		if len(live) > 0 && (len(live) > 6 || r.Intn(3) == 0) {
-			j := r.Intn(len(live))
-			live[j].Release()
-			live = append(live[:j], live[j+1:]...)
-		}
-	}
-	out := pipelineRun{trace: string(trace), bits: ledgerBits(tr)}
-	for _, g := range live {
-		g.Release()
-	}
-	return out
-}
-
-// TestCommitPipelineDeterminism is the correctness gate of the
-// flat-combining commit pipeline, wired into `make determinism` at
-// -cpu=1,4,8: on a seeded sequence, the pipeline with one planner must
-// be byte-identical to the locked Admitter — the same admit/reject
-// transcript and Float64bits-identical ledger accumulators while
-// tenants are still live — and repeated pipeline runs must reproduce
-// themselves exactly regardless of GOMAXPROCS (which flips the
-// pipeline between combiner-side planning and speculative planning).
-func TestCommitPipelineDeterminism(t *testing.T) {
-	lockedTree := testTree()
-	want := drivePipeline(t, NewAdmitter(lockedTree, newFF(lockedTree)), lockedTree)
-	if len(want.trace) == 0 || !containsBoth(want.trace) {
-		t.Fatalf("degenerate workload: trace %q", want.trace)
-	}
-	for run := 0; run < 3; run++ {
-		tr := testTree()
-		got := drivePipeline(t, NewOptimisticAdmitter(tr, newFF, 1), tr)
-		if got.trace != want.trace {
-			t.Fatalf("run %d: pipeline transcript diverges from locked:\nlocked   %s\npipeline %s",
-				run, want.trace, got.trace)
-		}
-		if !reflect.DeepEqual(got.bits, want.bits) {
-			t.Fatalf("run %d: pipeline ledger bits diverge from locked mid-run", run)
-		}
-	}
-}
-
-// containsBoth reports whether a transcript exercises both outcomes.
-func containsBoth(trace string) bool {
-	var a, r bool
-	for i := 0; i < len(trace); i++ {
-		a = a || trace[i] == 'A'
-		r = r || trace[i] == 'R'
-	}
-	return a && r
-}
 
 // TestCommitPipelineMixedStress hammers one combiner with every
 // lifecycle verb at once — single admits, batched admits, resizes, and
 // releases from concurrent goroutines — and then checks conservation:
 // no non-rejection failures, every admission released, and the tree
-// drained back to pristine. Run under -race in CI, it is the memory-
-// safety gate for the flat-combining queue, the per-planner replicas,
-// and the scratch pools behind them.
+// drained back to pristine. Run under -race in CI (and in `make
+// determinism` at -cpu=1,4,8), it is the memory-safety gate for the
+// flat-combining queue and the grant locks ordered before it.
 func TestCommitPipelineMixedStress(t *testing.T) {
 	tr := testTree()
-	newRZ := func(t *topology.Tree) Placer { return &fitResizer{firstFit{tree: t}} }
-	adm := NewOptimisticAdmitter(tr, newRZ, 4)
+	adm := NewAdmitter(tr, &fitResizer{firstFit{tree: tr}})
 
 	const goroutines = 8
 	const iters = 50
@@ -108,7 +26,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w) + 100))
-			var live []Grant
+			var live []*Admitted
 			release := func(j int) {
 				live[j].Release()
 				live = append(live[:j], live[j+1:]...)
@@ -143,7 +61,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 					}
 				default: // single admit
 					g := stressTenant(r.Intn(50))
-					grant, err := adm.Admit(&Request{ID: id, Graph: g, Model: g})
+					grant, err := adm.Place(&Request{ID: id, Graph: g, Model: g})
 					if err != nil {
 						if !errors.Is(err, ErrRejected) {
 							t.Errorf("worker %d: admit error: %v", w, err)
@@ -168,7 +86,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 	wg.Wait()
 
 	pristine(t, tr)
-	st := adm.OptStats()
+	st := adm.Stats()
 	if st.Failed != 0 {
 		t.Errorf("%d non-rejection failures", st.Failed)
 	}

@@ -32,10 +32,6 @@ const (
 	// without finding a feasible embedding (the per-site cause is mixed
 	// or unknown).
 	ReasonNoPlacement Reason = "no_feasible_placement"
-	// ReasonConflictRetriesExhausted: the optimistic path could not
-	// validate a plan within its retry budget; the operation is safe to
-	// retry.
-	ReasonConflictRetriesExhausted Reason = "conflict_retries_exhausted"
 	// ReasonInvalidRequest: the request is malformed (nil/empty graph,
 	// negative tier size, mismatched resource dimensions, bad option).
 	ReasonInvalidRequest Reason = "invalid_request"
@@ -61,7 +57,7 @@ const (
 func (r Reason) Capacity() bool {
 	switch r {
 	case ReasonNoSlots, ReasonInsufficientBandwidth, ReasonInsufficientResources,
-		ReasonNoPlacement, ReasonConflictRetriesExhausted:
+		ReasonNoPlacement:
 		return true
 	}
 	return false

@@ -7,16 +7,15 @@ import (
 
 // Replay: deterministic reconstruction of an admitter from a ledger
 // snapshot plus a write-ahead-log suffix of Events. The shared ledger
-// only ever advances by delta application (both admission paths commit
-// through Apply), so replaying the recorded deltas onto the imported
-// snapshot bits reproduces the live tree byte-exactly — including the
-// float residue departed tenants left behind. Replay never runs a
-// placer: placements, footprints, and rejection outcomes come from the
-// log, and placer-internal estimator state is fed through
-// DemandObserver.
+// only ever advances by delta application, so replaying the recorded
+// deltas onto the imported snapshot bits reproduces the live tree
+// byte-exactly — including the float residue departed tenants left
+// behind. Replay never runs a placer: placements, footprints, and
+// rejection outcomes come from the log, and placer-internal estimator
+// state is fed through DemandObserver.
 //
 // All replay methods assume single-threaded recovery: no concurrent
-// Admit/Resize/Release may run until recovery finishes.
+// Place/Resize/Release may run until recovery finishes.
 
 // DemandObserver is the optional placer interface for demand-estimator
 // state. Placers that adapt to observed tenant demand (cloudmirror's
@@ -35,7 +34,7 @@ type DemandObserver interface {
 }
 
 // GrantRecord is the serializable form of one live grant in a ledger
-// snapshot: everything needed to attach an equivalent Grant to a
+// snapshot: everything needed to attach an equivalent grant to a
 // recovered admitter without re-running placement or re-applying its
 // delta (the snapshot's ledger bits already carry every live tenant).
 type GrantRecord struct {
@@ -58,65 +57,6 @@ type GrantRecord struct {
 	Delta topology.Delta `json:"delta"`
 }
 
-// Replayer is the replay face of an admission path; both Admitter and
-// OptimisticAdmitter implement it. The durability layer drives it
-// during recovery; nothing else should.
-type Replayer interface {
-	// AttachGrant materializes a live Grant from a snapshot record
-	// without touching the ledger or the counters — the imported
-	// snapshot bits already include the tenant, and RestoreStats
-	// supplies the counters.
-	AttachGrant(rec GrantRecord) Grant
-	// ReplayAdmit commits a recorded admission: it applies the event's
-	// delta through the same path live commits use and returns the
-	// grant.
-	ReplayAdmit(ev Event) Grant
-	// ReplayReject counts one capacity rejection at this shard.
-	ReplayReject()
-	// ReplayFail counts one non-capacity failure at this shard.
-	ReplayFail()
-	// RestoreStats overwrites the admission counters with snapshot
-	// values.
-	RestoreStats(s AdmitStats)
-	// ObserveDemand feeds one recorded arrival to the placer's demand
-	// estimator, if it keeps one.
-	ObserveDemand(perVM float64)
-	// PlacerStates exports the demand-estimator state of every placer
-	// instance this admitter owns (one for the locked path, one per
-	// planner for the optimistic path); nil when the placer keeps no
-	// state.
-	PlacerStates() []float64
-	// RestorePlacerStates overwrites the estimator states with snapshot
-	// values; a nil slice is a no-op.
-	RestorePlacerStates(states []float64)
-}
-
-// ReplayableGrant is the replay face of a Grant: a resize recorded in
-// the log is re-committed without re-running the placer, and the
-// grant's durable state is exported for snapshots.
-type ReplayableGrant interface {
-	Grant
-	// ReplayResize commits a recorded resize: the net old-to-new delta
-	// is applied exactly as the live resize applied it, and the grant's
-	// reservation, footprint, and graph are swapped to the recorded
-	// after state.
-	ReplayResize(ev Event)
-	// Record exports the grant's durable state for a snapshot; Key and
-	// ID are left for the owning layer to fill.
-	Record() GrantRecord
-	// Footprint returns the grant's committed canonical delta — the
-	// exact bits its Release will negate.
-	Footprint() topology.Delta
-}
-
-// Compile-time checks that both paths are replayable.
-var (
-	_ Replayer        = (*Admitter)(nil)
-	_ Replayer        = (*OptimisticAdmitter)(nil)
-	_ ReplayableGrant = (*Admitted)(nil)
-	_ ReplayableGrant = (*optimisticGrant)(nil)
-)
-
 // replayReservation rebuilds a grant's reservation from recorded state.
 // Uplink holdings come from the footprint's link entries; zero-valued
 // holdings the live map may have carried are dropped by the canonical
@@ -137,8 +77,10 @@ func replayReservation(tree *topology.Tree, pl Placement, resources [][]float64,
 	}
 }
 
-// AttachGrant implements Replayer: no ledger mutation, no counters.
-func (a *Admitter) AttachGrant(rec GrantRecord) Grant {
+// AttachGrant materializes a live grant from a snapshot record without
+// touching the ledger or the counters — the imported snapshot bits
+// already include the tenant, and RestoreStats supplies the counters.
+func (a *Admitter) AttachGrant(rec GrantRecord) *Admitted {
 	return &Admitted{
 		a:     a,
 		res:   replayReservation(a.tree, rec.Placement, rec.Resources, rec.Delta),
@@ -148,10 +90,11 @@ func (a *Admitter) AttachGrant(rec GrantRecord) Grant {
 	}
 }
 
-// ReplayAdmit implements Replayer: the recorded delta is applied to the
-// same pre-event ledger bits the live commit applied it to, so the
-// resulting tree is byte-identical (the delta bit-exactness contract).
-func (a *Admitter) ReplayAdmit(ev Event) Grant {
+// ReplayAdmit commits a recorded admission: the recorded delta is
+// applied to the same pre-event ledger bits the live commit applied it
+// to, so the resulting tree is byte-identical (the delta bit-exactness
+// contract).
+func (a *Admitter) ReplayAdmit(ev Event) *Admitted {
 	a.mu.Lock()
 	a.tree.Apply(ev.Delta)
 	a.mu.Unlock()
@@ -165,13 +108,13 @@ func (a *Admitter) ReplayAdmit(ev Event) Grant {
 	}
 }
 
-// ReplayReject implements Replayer.
+// ReplayReject counts one recorded capacity rejection.
 func (a *Admitter) ReplayReject() { a.rejected.Add(1) }
 
-// ReplayFail implements Replayer.
+// ReplayFail counts one recorded non-capacity failure.
 func (a *Admitter) ReplayFail() { a.failed.Add(1) }
 
-// RestoreStats implements Replayer.
+// RestoreStats overwrites the admission counters with snapshot values.
 func (a *Admitter) RestoreStats(s AdmitStats) {
 	a.admitted.Store(s.Admitted)
 	a.rejected.Store(s.Rejected)
@@ -180,7 +123,8 @@ func (a *Admitter) RestoreStats(s AdmitStats) {
 	a.resized.Store(s.Resized)
 }
 
-// ObserveDemand implements Replayer.
+// ObserveDemand feeds one recorded arrival to the placer's demand
+// estimator, if it keeps one.
 func (a *Admitter) ObserveDemand(perVM float64) {
 	o, ok := a.placer.(DemandObserver)
 	if !ok {
@@ -191,16 +135,26 @@ func (a *Admitter) ObserveDemand(perVM float64) {
 	a.mu.Unlock()
 }
 
-// PlacerStates implements Replayer. Safe against concurrent admissions:
-// the placer only runs under the admission lock, which this takes.
-func (a *Admitter) PlacerStates() []float64 {
+// PlacerState exports the placer's demand-estimator state for a
+// snapshot; ok is false when the placer keeps none. Safe against
+// concurrent admissions: the placer only runs under the admission lock,
+// which this takes.
+func (a *Admitter) PlacerState() (v float64, ok bool) {
 	o, ok := a.placer.(DemandObserver)
 	if !ok {
-		return nil
+		return 0, false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return []float64{o.DemandState()}
+	return o.DemandState(), true
+}
+
+// RestorePlacerState overwrites the placer's demand-estimator state with
+// a snapshot value; a no-op for placers that keep none.
+func (a *Admitter) RestorePlacerState(v float64) {
+	if o, ok := a.placer.(DemandObserver); ok {
+		o.RestoreDemandState(v)
+	}
 }
 
 // ExportLedger copies the shared tree's mutable ledger state out
@@ -212,16 +166,8 @@ func (a *Admitter) ExportLedger() topology.Ledger {
 	return a.tree.ExportLedger()
 }
 
-// RestorePlacerStates implements Replayer.
-func (a *Admitter) RestorePlacerStates(states []float64) {
-	o, ok := a.placer.(DemandObserver)
-	if !ok || len(states) == 0 {
-		return
-	}
-	o.RestoreDemandState(states[0])
-}
-
-// Record implements ReplayableGrant.
+// Record exports the grant's durable state for a snapshot; Key and ID
+// are left for the owning layer to fill.
 func (ad *Admitted) Record() GrantRecord {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
@@ -234,15 +180,10 @@ func (ad *Admitted) Record() GrantRecord {
 	}
 }
 
-// Footprint implements ReplayableGrant.
-func (ad *Admitted) Footprint() topology.Delta {
-	ad.gmu.Lock()
-	defer ad.gmu.Unlock()
-	return ad.delta
-}
-
-// ReplayResize implements ReplayableGrant on the locked path: commit
-// the net old-to-new delta exactly as the live Resize committed it.
+// ReplayResize commits a recorded resize: the net old-to-new delta is
+// applied exactly as the live Resize applied it, and the grant's
+// reservation, footprint, and graph are swapped to the recorded after
+// state.
 func (ad *Admitted) ReplayResize(ev Event) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
@@ -255,178 +196,5 @@ func (ad *Admitted) ReplayResize(ev Event) {
 	ad.delta = ev.Delta
 	if ev.Graph != nil {
 		ad.graph = ev.Graph
-	}
-}
-
-// AttachGrant implements Replayer: no ledger mutation, no log append —
-// planner replicas learn the snapshot state through Resync, not the
-// delta log.
-func (a *OptimisticAdmitter) AttachGrant(rec GrantRecord) Grant {
-	return &optimisticGrant{
-		a:     a,
-		res:   replayReservation(a.auth, rec.Placement, rec.Resources, rec.Delta),
-		delta: rec.Delta,
-		graph: rec.Graph,
-		ha:    rec.HA,
-	}
-}
-
-// ReplayAdmit implements Replayer: apply and append like a live commit,
-// so planner replicas catch the replayed suffix up through the ordinary
-// delta log.
-func (a *OptimisticAdmitter) ReplayAdmit(ev Event) Grant {
-	a.mu.Lock()
-	a.auth.Apply(ev.Delta)
-	a.log.Append(ev.Delta)
-	a.mu.Unlock()
-	a.admitted.Add(1)
-	return &optimisticGrant{
-		a:     a,
-		res:   replayReservation(a.auth, ev.Placement, ev.Resources, ev.Delta),
-		delta: ev.Delta,
-		graph: ev.Graph,
-		ha:    ev.HA,
-	}
-}
-
-// ReplayReject implements Replayer.
-func (a *OptimisticAdmitter) ReplayReject() { a.rejected.Add(1) }
-
-// ReplayFail implements Replayer.
-func (a *OptimisticAdmitter) ReplayFail() { a.failed.Add(1) }
-
-// RestoreStats implements Replayer.
-func (a *OptimisticAdmitter) RestoreStats(s AdmitStats) {
-	a.admitted.Store(s.Admitted)
-	a.rejected.Store(s.Rejected)
-	a.failed.Store(s.Failed)
-	a.released.Store(s.Released)
-	a.resized.Store(s.Resized)
-}
-
-// ObserveDemand implements Replayer. Every planner's placer observes
-// the arrival: live, only the planner that happened to take the request
-// does, but with one planner (the configuration whose recovery is
-// byte-exact) the two are identical, and with several the estimators
-// were already path-dependent on scheduling.
-func (a *OptimisticAdmitter) ObserveDemand(perVM float64) {
-	for _, p := range a.placers {
-		if o, ok := p.(DemandObserver); ok {
-			o.ObserveDemand(perVM)
-		}
-	}
-}
-
-// PlacerStates implements Replayer: one state per planner. The planner
-// pool is drained for the read, so a snapshot taken during live traffic
-// never races a speculative plan's estimator update.
-func (a *OptimisticAdmitter) PlacerStates() []float64 {
-	if _, ok := a.placers[0].(DemandObserver); !ok {
-		return nil
-	}
-	var states []float64
-	a.quiesced(func([]*plannerSlot) {
-		states = make([]float64, 0, len(a.placers))
-		for _, p := range a.placers {
-			states = append(states, p.(DemandObserver).DemandState())
-		}
-	})
-	return states
-}
-
-// ExportLedger copies the authoritative tree's mutable ledger state out
-// byte-exactly under the commit lock, so a snapshot taken during live
-// traffic never reads a half-committed delta.
-func (a *OptimisticAdmitter) ExportLedger() topology.Ledger {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.auth.ExportLedger()
-}
-
-// quiesced runs fn while holding every planner slot, so fn can touch
-// planner-owned state (placers, replicas) without racing a speculative
-// plan. It blocks until in-flight plans finish.
-func (a *OptimisticAdmitter) quiesced(fn func(slots []*plannerSlot)) {
-	slots := make([]*plannerSlot, 0, a.pool.size())
-	for len(slots) < a.pool.size() {
-		slots = append(slots, a.pool.get())
-	}
-	fn(slots)
-	for _, slot := range slots {
-		a.pool.put(slot)
-	}
-}
-
-// RestorePlacerStates implements Replayer. States beyond the planner
-// count are ignored; missing states leave the remaining planners at
-// their zero estimator (a recovery with more planners than the
-// snapshot's writer had is best-effort beyond planner one).
-func (a *OptimisticAdmitter) RestorePlacerStates(states []float64) {
-	for i, p := range a.placers {
-		if i >= len(states) {
-			return
-		}
-		if o, ok := p.(DemandObserver); ok {
-			o.RestoreDemandState(states[i])
-		}
-	}
-}
-
-// Resync re-bases every planner replica on the authoritative tree's
-// current state. Recovery calls it twice: after importing the ledger
-// snapshot (the replicas were cloned from the pre-import tree and must
-// be replaced wholesale) and after replaying the log suffix (to trim
-// the replayed deltas out of the delta log). It drains the planner
-// pool, so no admission may be in flight.
-func (a *OptimisticAdmitter) Resync() {
-	a.quiesced(func(slots []*plannerSlot) {
-		a.mu.Lock()
-		seq := a.log.Seq()
-		for _, slot := range slots {
-			slot.pl.rep.ResyncFrom(a.auth, seq)
-			a.seqs[slot.id].Store(seq)
-		}
-		a.mu.Unlock()
-	})
-	a.trim()
-}
-
-// Record implements ReplayableGrant.
-func (g *optimisticGrant) Record() GrantRecord {
-	g.gmu.Lock()
-	defer g.gmu.Unlock()
-	return GrantRecord{
-		Graph:     g.graph,
-		HA:        g.ha,
-		Placement: g.res.placement,
-		Resources: g.res.resources,
-		Delta:     g.delta,
-	}
-}
-
-// Footprint implements ReplayableGrant.
-func (g *optimisticGrant) Footprint() topology.Delta {
-	g.gmu.Lock()
-	defer g.gmu.Unlock()
-	return g.delta
-}
-
-// ReplayResize implements ReplayableGrant on the optimistic path: the
-// net delta is applied and appended exactly as the live resize's
-// validate-and-commit section applied it.
-func (g *optimisticGrant) ReplayResize(ev Event) {
-	g.gmu.Lock()
-	defer g.gmu.Unlock()
-	a := g.a
-	net := topology.Merge(g.delta.Negate(), ev.Delta)
-	a.mu.Lock()
-	a.auth.Apply(net)
-	a.log.Append(net)
-	a.mu.Unlock()
-	a.resized.Add(1)
-	g.res = replayReservation(a.auth, ev.Placement, ev.Resources, ev.Delta)
-	g.delta = ev.Delta
-	if ev.Graph != nil {
-		g.graph = ev.Graph
 	}
 }

@@ -51,9 +51,10 @@ func (r *Reservation) TotalReserved() float64 {
 // Delta exports the reservation's net resource footprint as a
 // topology.Delta in canonical (node-ID sorted) form: per-server slot
 // and declared-resource consumption plus per-uplink bandwidth. The
-// delta is what the optimistic admission path validates and applies on
-// the authoritative ledger; accounting-only reservations (Account)
-// export bandwidth entries only, since they never consumed slots.
+// delta is what the Admitter applies to the ledger after rolling the
+// placer's own arithmetic back, and what a release negates;
+// accounting-only reservations (Account) export bandwidth entries
+// only, since they never consumed slots.
 func (r *Reservation) Delta() topology.Delta {
 	var d topology.Delta
 	if r.ownsSlots {

@@ -74,47 +74,32 @@ func resizeSteps(oldG, newG *tag.Graph) ([]resizeStep, error) {
 	return steps, nil
 }
 
-// reservationData is the tree-independent payload of a committed grant:
-// everything needed to rebuild a live reservation on any tree whose
-// ledger carries the tenant (the authoritative tree or a planner
-// replica — node IDs are identical across trees built from one Spec).
-type reservationData struct {
-	placement Placement
-	reserved  map[topology.NodeID][2]float64
-	resources [][]float64
-}
-
-// data snapshots the reservation's payload for rebuilding elsewhere.
-func (r *Reservation) data() reservationData {
-	return reservationData{placement: r.placement, reserved: r.reserved, resources: r.resources}
-}
-
-// rebuild materializes a live reservation on the given tree from the
-// snapshot. Maps are deep-copied: placer Resize implementations mutate
-// the reservation they consume, and a failed or speculative resize must
-// never corrupt the grant's committed state.
-func (d reservationData) rebuild(tree *topology.Tree) *Reservation {
-	reserved := make(map[topology.NodeID][2]float64, len(d.reserved))
-	for n, v := range d.reserved {
+// liveCopy returns a live copy of a committed, inspection-only
+// reservation. Maps are deep-copied: placer Resize implementations
+// mutate the reservation they consume, and a failed resize must never
+// corrupt the grant's committed state.
+func (r *Reservation) liveCopy() *Reservation {
+	reserved := make(map[topology.NodeID][2]float64, len(r.reserved))
+	for n, v := range r.reserved {
 		reserved[n] = v
 	}
 	return &Reservation{
-		tree:      tree,
-		placement: d.placement.Clone(),
+		tree:      r.tree,
+		placement: r.placement.Clone(),
 		reserved:  reserved,
-		resources: d.resources,
+		resources: r.resources,
 		ownsSlots: true,
 	}
 }
 
-// runResize replays the per-tier steps on the given tree, whose ledger
-// must currently carry the tenant's old footprint, and returns the
-// resized reservation. The tree is left with the resize arithmetic
-// applied; callers roll it back (snapshot restore or replica checkpoint)
-// and commit the net delta instead, so both admission paths advance
-// their ledgers identically.
-func runResize(tree *topology.Tree, rz Resizer, base reservationData, oldG *tag.Graph, steps []resizeStep, ha HASpec) (*Reservation, error) {
-	cur := base.rebuild(tree)
+// runResize replays the per-tier steps on the committed reservation's
+// tree, whose ledger must currently carry the tenant's old footprint,
+// and returns the resized reservation. The tree is left with the resize
+// arithmetic applied; the caller restores its snapshot and commits the
+// net delta instead, so the ledger advances exactly as replay will
+// advance it.
+func runResize(rz Resizer, base *Reservation, oldG *tag.Graph, steps []resizeStep, ha HASpec) (*Reservation, error) {
+	cur := base.liveCopy()
 	g := oldG
 	for _, st := range steps {
 		next, err := rz.Resize(cur, g, st.graph, st.tier, ha)

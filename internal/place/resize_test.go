@@ -3,7 +3,6 @@ package place
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -89,14 +88,11 @@ func resizeSpec() topology.Spec {
 	}
 }
 
-// admitters builds a locked and a planners=1 optimistic admission path
-// over identical trees, so tests can assert the two stay byte-aligned.
-func admitters() (locked *Admitter, opt *OptimisticAdmitter, lockedTree, optTree *topology.Tree) {
-	lockedTree = topology.New(resizeSpec())
-	optTree = topology.New(resizeSpec())
-	locked = NewAdmitter(lockedTree, &fitResizer{firstFit{tree: lockedTree}})
-	opt = NewOptimisticAdmitter(optTree, func(t *topology.Tree) Placer { return &fitResizer{firstFit{tree: t}} }, 1)
-	return
+// resizeAdmitter builds an admitter over a fresh resize tree whose
+// placer supports Resize.
+func resizeAdmitter() (*Admitter, *topology.Tree) {
+	tr := topology.New(resizeSpec())
+	return NewAdmitter(tr, &fitResizer{firstFit{tree: tr}}), tr
 }
 
 // reservedProfile summarizes a tree's ledger for byte-equality checks:
@@ -112,94 +108,40 @@ func reservedProfile(t *topology.Tree) string {
 	return s
 }
 
-// TestGrantResizeGrowShrink drives grow and shrink through both
-// admission paths and checks they stay byte-identical and fully
-// reversible.
+// TestGrantResizeGrowShrink drives a multi-tier grow and a shrink
+// through the admitter and checks they are fully reversible.
 func TestGrantResizeGrowShrink(t *testing.T) {
-	locked, opt, lt, ot := admitters()
-	idleL, idleO := reservedProfile(lt), reservedProfile(ot)
+	adm, tr := resizeAdmitter()
+	idle := reservedProfile(tr)
 
-	for name, admit := range map[string]func(*Request) (Grant, error){
-		"locked":     func(r *Request) (Grant, error) { return locked.Admit(r) },
-		"optimistic": func(r *Request) (Grant, error) { return opt.Admit(r) },
-	} {
-		g0 := resizeGraph(4, 2)
-		grant, err := admit(&Request{ID: 1, Graph: g0, Model: g0})
-		if err != nil {
-			t.Fatalf("%s: admit: %v", name, err)
-		}
-		if got := grant.Reservation().Placement().VMs(); got != 6 {
-			t.Fatalf("%s: placed %d VMs, want 6", name, got)
-		}
-
-		grown := resizeGraph(8, 3) // two tiers change in one call
-		if err := grant.Resize(grown); err != nil {
-			t.Fatalf("%s: grow: %v", name, err)
-		}
-		if got := grant.Reservation().Placement().VMs(); got != 11 {
-			t.Errorf("%s: after grow placed %d VMs, want 11", name, got)
-		}
-
-		shrunk := resizeGraph(2, 1)
-		if err := grant.Resize(shrunk); err != nil {
-			t.Fatalf("%s: shrink: %v", name, err)
-		}
-		if got := grant.Reservation().Placement().VMs(); got != 3 {
-			t.Errorf("%s: after shrink placed %d VMs, want 3", name, got)
-		}
-		grant.Release()
+	g0 := resizeGraph(4, 2)
+	grant, err := adm.Place(&Request{ID: 1, Graph: g0, Model: g0})
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	if got := grant.Reservation().Placement().VMs(); got != 6 {
+		t.Fatalf("placed %d VMs, want 6", got)
 	}
 
-	if got := reservedProfile(lt); got != idleL {
-		t.Errorf("locked ledger not clean after release:\n got %s\nwant %s", got, idleL)
+	grown := resizeGraph(8, 3) // two tiers change in one call
+	if err := grant.Resize(grown); err != nil {
+		t.Fatalf("grow: %v", err)
 	}
-	if got := reservedProfile(ot); got != idleO {
-		t.Errorf("optimistic ledger not clean after release:\n got %s\nwant %s", got, idleO)
+	if got := grant.Reservation().Placement().VMs(); got != 11 {
+		t.Errorf("after grow placed %d VMs, want 11", got)
 	}
-}
 
-// TestGrantResizeLockedMatchesOptimistic runs one seeded
-// admit/resize/release interleave through both paths and requires the
-// final ledgers to be byte-identical — resize commits through the same
-// delta machinery on both sides.
-func TestGrantResizeLockedMatchesOptimistic(t *testing.T) {
-	locked, opt, lt, ot := admitters()
-	run := func(admit func(*Request) (Grant, error)) {
-		r := rand.New(rand.NewSource(7))
-		var live []Grant
-		for i := 0; i < 60; i++ {
-			switch {
-			case len(live) > 0 && r.Intn(3) == 0: // resize
-				j := r.Intn(len(live))
-				ng := resizeGraph(1+r.Intn(6), 1+r.Intn(3))
-				if err := live[j].Resize(ng); err != nil && !errors.Is(err, ErrRejected) {
-					t.Fatalf("resize: %v", err)
-				}
-			case len(live) > 2 && r.Intn(3) == 0: // release
-				j := r.Intn(len(live))
-				live[j].Release()
-				live = append(live[:j], live[j+1:]...)
-			default: // admit
-				g := resizeGraph(1+r.Intn(4), 1+r.Intn(2))
-				grant, err := admit(&Request{ID: int64(i), Graph: g, Model: g})
-				if err != nil {
-					if !errors.Is(err, ErrRejected) {
-						t.Fatalf("admit: %v", err)
-					}
-					continue
-				}
-				live = append(live, grant)
-			}
-		}
+	shrunk := resizeGraph(2, 1)
+	if err := grant.Resize(shrunk); err != nil {
+		t.Fatalf("shrink: %v", err)
 	}
-	run(func(r *Request) (Grant, error) { return locked.Admit(r) })
-	run(func(r *Request) (Grant, error) { return opt.Admit(r) })
-	if lp, op := reservedProfile(lt), reservedProfile(ot); lp != op {
-		t.Errorf("ledgers diverged:\nlocked     %s\noptimistic %s", lp, op)
+	if got := grant.Reservation().Placement().VMs(); got != 3 {
+		t.Errorf("after shrink placed %d VMs, want 3", got)
 	}
-	ls, os := locked.Stats(), opt.Stats()
-	if ls != os {
-		t.Errorf("stats diverged: locked %+v, optimistic %+v", ls, os)
+	grant.Release()
+
+	if got := reservedProfile(tr); got != idle {
+		t.Errorf("ledger not clean after release:\n got %s\nwant %s", got, idle)
 	}
 }
 
@@ -212,7 +154,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	tree := topology.New(resizeSpec())
 	plain := NewAdmitter(tree, &firstFit{tree: tree})
 	g := resizeGraph(2, 1)
-	grant, err := plain.Admit(&Request{ID: 1, Graph: g, Model: g})
+	grant, err := plain.Place(&Request{ID: 1, Graph: g, Model: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,103 +163,74 @@ func TestResizeTypedReasons(t *testing.T) {
 	}
 	grant.Release()
 
-	locked, opt, lt, ot := admitters()
-	for name, admit := range map[string]func(*Request) (Grant, error){
-		"locked":     func(r *Request) (Grant, error) { return locked.Admit(r) },
-		"optimistic": func(r *Request) (Grant, error) { return opt.Admit(r) },
-	} {
-		g := resizeGraph(2, 1)
-		grant, err := admit(&Request{ID: 1, Graph: g, Model: g})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	adm, tr := resizeAdmitter()
+	grant, err = adm.Place(&Request{ID: 1, Graph: g, Model: g})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Structural change: different edge guarantees.
-		bad := tag.New("resizable")
-		a := bad.AddTier("a", 2)
-		b := bad.AddTier("b", 1)
-		bad.AddBidirectional(a, b, 999, 50)
-		if err := grant.Resize(bad); ReasonOf(err) != ReasonInvalidRequest {
-			t.Errorf("%s: structural change: reason %q, want %q", name, ReasonOf(err), ReasonInvalidRequest)
-		}
+	// Structural change: different edge guarantees.
+	bad := tag.New("resizable")
+	a := bad.AddTier("a", 2)
+	b := bad.AddTier("b", 1)
+	bad.AddBidirectional(a, b, 999, 50)
+	if err := grant.Resize(bad); ReasonOf(err) != ReasonInvalidRequest {
+		t.Errorf("structural change: reason %q, want %q", ReasonOf(err), ReasonInvalidRequest)
+	}
 
-		// Capacity: growing past the tree must reject, wrap ErrRejected
-		// for back-compat, and leave the ledger exactly as it was.
-		before := ""
-		if name == "locked" {
-			before = reservedProfile(lt)
-		} else {
-			before = reservedProfile(ot)
-		}
-		err = grant.Resize(resizeGraph(1000, 1))
-		if !errors.Is(err, ErrRejected) {
-			t.Errorf("%s: impossible grow: %v does not wrap ErrRejected", name, err)
-		}
-		if r := ReasonOf(err); !r.Capacity() {
-			t.Errorf("%s: impossible grow: reason %q is not capacity-class", name, r)
-		}
-		after := ""
-		if name == "locked" {
-			after = reservedProfile(lt)
-		} else {
-			after = reservedProfile(ot)
-		}
-		if before != after {
-			t.Errorf("%s: failed resize moved the ledger:\nbefore %s\nafter  %s", name, before, after)
-		}
+	// Capacity: growing past the tree must reject, wrap ErrRejected for
+	// back-compat, and leave the ledger exactly as it was.
+	before := reservedProfile(tr)
+	err = grant.Resize(resizeGraph(1000, 1))
+	if !errors.Is(err, ErrRejected) {
+		t.Errorf("impossible grow: %v does not wrap ErrRejected", err)
+	}
+	if r := ReasonOf(err); !r.Capacity() {
+		t.Errorf("impossible grow: reason %q is not capacity-class", r)
+	}
+	if after := reservedProfile(tr); before != after {
+		t.Errorf("failed resize moved the ledger:\nbefore %s\nafter  %s", before, after)
+	}
 
-		// Released grants reject with ReasonReleased.
-		grant.Release()
-		if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonReleased {
-			t.Errorf("%s: resize after release: reason %q, want %q", name, ReasonOf(err), ReasonReleased)
-		}
+	// Released grants reject with ReasonReleased.
+	grant.Release()
+	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonReleased {
+		t.Errorf("resize after release: reason %q, want %q", ReasonOf(err), ReasonReleased)
 	}
 }
 
 // TestConcurrentResizeRelease races Resize against Release (and a
-// second Release) on the same grant through both admission paths: the
-// operations must serialize, never double-free, and leave the ledger
-// fully clean whichever order wins.
+// second Release) on the same grant: the operations must serialize,
+// never double-free, and leave the ledger fully clean whichever order
+// wins. The "locked" subtest name is kept from when a second admission
+// path existed; it is the one Admitter.
 func TestConcurrentResizeRelease(t *testing.T) {
-	for name, mk := range map[string]func() (func(*Request) (Grant, error), *topology.Tree){
-		"locked": func() (func(*Request) (Grant, error), *topology.Tree) {
-			tr := topology.New(resizeSpec())
-			a := NewAdmitter(tr, &fitResizer{firstFit{tree: tr}})
-			return func(r *Request) (Grant, error) { return a.Admit(r) }, tr
-		},
-		"optimistic": func() (func(*Request) (Grant, error), *topology.Tree) {
-			tr := topology.New(resizeSpec())
-			a := NewOptimisticAdmitter(tr, func(t *topology.Tree) Placer { return &fitResizer{firstFit{tree: t}} }, 2)
-			return func(r *Request) (Grant, error) { return a.Admit(r) }, tr
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			admit, tree := mk()
-			idle := reservedProfile(tree)
-			for round := 0; round < 50; round++ {
-				g := resizeGraph(2, 1)
-				grant, err := admit(&Request{ID: int64(round), Graph: g, Model: g})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				wg.Add(3)
-				go func() {
-					defer wg.Done()
-					// A resize may succeed or lose to the release; it
-					// must never fail with anything but a typed error.
-					if err := grant.Resize(resizeGraph(3, 2)); err != nil && ReasonOf(err) == "" {
-						t.Errorf("untyped resize error: %v", err)
-					}
-				}()
-				go func() { defer wg.Done(); grant.Release() }()
-				go func() { defer wg.Done(); grant.Release() }()
-				wg.Wait()
-				if got := reservedProfile(tree); got != idle {
-					t.Fatalf("round %d: ledger dirty after concurrent resize/release:\n got %s\nwant %s",
-						round, got, idle)
-				}
+	t.Run("locked", func(t *testing.T) {
+		adm, tree := resizeAdmitter()
+		idle := reservedProfile(tree)
+		for round := 0; round < 50; round++ {
+			g := resizeGraph(2, 1)
+			grant, err := adm.Place(&Request{ID: int64(round), Graph: g, Model: g})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				// A resize may succeed or lose to the release; it must
+				// never fail with anything but a typed error.
+				if err := grant.Resize(resizeGraph(3, 2)); err != nil && ReasonOf(err) == "" {
+					t.Errorf("untyped resize error: %v", err)
+				}
+			}()
+			go func() { defer wg.Done(); grant.Release() }()
+			go func() { defer wg.Done(); grant.Release() }()
+			wg.Wait()
+			if got := reservedProfile(tree); got != idle {
+				t.Fatalf("round %d: ledger dirty after concurrent resize/release:\n got %s\nwant %s",
+					round, got, idle)
+			}
+		}
+	})
 }

@@ -4,8 +4,8 @@ import (
 	"cloudmirror/internal/topology"
 )
 
-// ValidateRequest is the central admission-request check both admission
-// paths run before planning: a malformed request fails here with a
+// ValidateRequest is the central admission-request check the Admitter
+// runs before placing: a malformed request fails here with a
 // typed ReasonInvalidRequest rejection instead of a placer-specific
 // panic or silent misplacement deeper in the stack. tree supplies the
 // declared resource dimensions the request's Resources must match.

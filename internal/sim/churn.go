@@ -31,13 +31,6 @@ type ChurnConfig struct {
 	Pool []*tag.Graph
 	// Shards is the number of independent datacenter trees (at least 1).
 	Shards int
-	// Planners selects the per-shard admission path: 0 uses the locked
-	// place.Admitter; >= 1 uses the optimistic two-phase
-	// place.OptimisticAdmitter with that many planner replicas per
-	// shard. The event loop is serial either way, so results remain a
-	// deterministic function of the config — and with Planners == 1
-	// they are byte-identical to the locked path's.
-	Planners int
 	// Policy names the dispatch policy: "rr", "least", or "p2c"
 	// (see cluster.NewPolicy). Empty means "rr".
 	Policy string
@@ -149,9 +142,7 @@ type ChurnResult struct {
 	Enforcement *ChurnEnforcement
 }
 
-// policySeed derives the dispatch-policy seed from a config seed. One
-// shared derivation keeps Churn and ShardedThroughput comparable (p2c
-// draws the same pick sequence for the same config seed), while
+// policySeed derives the dispatch-policy seed from a config seed,
 // decoupling the policy RNG from the workload RNG so adding policy
 // randomness never perturbs the arrival sequence.
 func policySeed(seed int64) int64 { return seed ^ 0x5DEECE66D }
@@ -209,9 +200,7 @@ func (q *churnQueue) Pop() any {
 // The event loop is serial and fully deterministic: equal configs give
 // byte-identical results at any cfg.Workers value, which only bounds
 // the goroutines building shards up front and draining live tenants at
-// the end. Unlike Throughput this is a results artifact, not a
-// performance measurement — nothing in the output depends on wall
-// clock or scheduling.
+// the end. Nothing in the output depends on wall clock or scheduling.
 func Churn(cfg ChurnConfig) (*ChurnResult, error) {
 	if len(cfg.Pool) == 0 {
 		return nil, errors.New("sim: empty tenant pool")
@@ -239,7 +228,6 @@ func Churn(cfg ChurnConfig) (*ChurnResult, error) {
 		guarantee.WithPlacer(cfg.NewPlacer),
 		guarantee.WithModelFor(cfg.ModelFor),
 		guarantee.WithShards(cfg.Shards),
-		guarantee.WithPlanners(cfg.Planners),
 		guarantee.WithPolicy(cfg.Policy),
 		guarantee.WithSeed(policySeed(cfg.Seed)),
 		guarantee.WithWorkers(cfg.Workers),

@@ -5,14 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"cloudmirror/internal/pipe"
 	"cloudmirror/internal/place"
 	"cloudmirror/internal/place/cloudmirror"
-	"cloudmirror/internal/place/oktopus"
-	"cloudmirror/internal/place/secondnet"
-	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
-	"cloudmirror/internal/voc"
 	"cloudmirror/internal/workload"
 )
 
@@ -46,134 +41,31 @@ func renderChurn(r *ChurnResult) string {
 
 // TestChurnDeterminism: equal configs give identical results at any
 // Workers value — the event loop is serial, Workers only parallelizes
-// shard construction and the final drain. The optimistic admission
-// path (planners > 0) must be just as deterministic: serial dispatch
-// rotates the planner pool in a fixed order, so plans, commits, and
-// placer state all replay identically. Run with -cpu=1,4,8 so the
-// Workers:0 (GOMAXPROCS) case exercises different pool sizes.
+// shard construction and the final drain. Run with -cpu=1,4,8 so the
+// Workers:0 (GOMAXPROCS) case exercises different pool sizes. The
+// "planners=0" name level is kept from when a second admission path
+// existed; it is the one Admitter.
 func TestChurnDeterminism(t *testing.T) {
 	for _, policy := range []string{"rr", "least", "p2c"} {
-		for _, planners := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/planners=%d", policy, planners), func(t *testing.T) {
-				var ref *ChurnResult
-				for _, workers := range []int{1, 4, 8, 0} {
-					cfg := churnConfig(400, 4, policy)
-					cfg.Planners = planners
-					cfg.Workers = workers
-					res, err := Churn(cfg)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					if !reflect.DeepEqual(res, ref) {
-						t.Errorf("workers=%d result differs:\n--- want ---\n%s--- got ---\n%s",
-							workers, renderChurn(ref), renderChurn(res))
-					}
+		t.Run(policy+"/planners=0", func(t *testing.T) {
+			var ref *ChurnResult
+			for _, workers := range []int{1, 4, 8, 0} {
+				cfg := churnConfig(400, 4, policy)
+				cfg.Workers = workers
+				res, err := Churn(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
-			})
-		}
-	}
-}
-
-// TestChurnOptimisticMatchesLocked is the correctness proof of the
-// concurrency refactor, by output identity: on the seeded churn
-// workload, optimistic admission with one planner must produce
-// byte-identical results to the locked Admitter — the same
-// admit/reject sequence, the same placements (ReservedGbps), and the
-// same final utilization. With one planner every plan runs against a
-// replica that is byte-identical to the authoritative ledger, and both
-// paths advance the ledger exclusively through delta application.
-func TestChurnOptimisticMatchesLocked(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		locked := churnConfig(800, shards, "least")
-		want, err := Churn(locked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := churnConfig(800, shards, "least")
-		opt.Planners = 1
-		got, err := Churn(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: optimistic(planners=1) diverges from locked:\n--- locked ---\n%s--- optimistic ---\n%s",
-				shards, renderChurn(want), renderChurn(got))
-		}
-		if want.Admitted == 0 || want.Rejected == 0 {
-			t.Fatalf("shards=%d: degenerate workload (admitted %d, rejected %d)",
-				shards, want.Admitted, want.Rejected)
-		}
-	}
-}
-
-// TestChurnOptimisticMatchesLockedAllPlacers drives every placement
-// algorithm (CloudMirror, Oktopus/OVOC, SecondNet) through the
-// optimistic pipeline: the unmodified placers plan on replicas, their
-// reservations round-trip through the delta layer, and planners=1
-// must reproduce the locked path byte-for-byte for each.
-func TestChurnOptimisticMatchesLockedAllPlacers(t *testing.T) {
-	placers := map[string]struct {
-		newPlacer func(*topology.Tree) place.Placer
-		modelFor  func(*tag.Graph) place.Model
-	}{
-		"cm":        {newPlacer: func(tr *topology.Tree) place.Placer { return cloudmirror.New(tr) }},
-		"ovoc":      {newPlacer: func(tr *topology.Tree) place.Placer { return oktopus.New(tr) }, modelFor: func(g *tag.Graph) place.Model { return voc.FromTAG(g) }},
-		"secondnet": {newPlacer: func(tr *topology.Tree) place.Placer { return secondnet.New(tr) }, modelFor: func(g *tag.Graph) place.Model { return pipe.FromTAG(g) }},
-	}
-	for name, p := range placers {
-		t.Run(name, func(t *testing.T) {
-			mk := func(planners int) ChurnConfig {
-				cfg := churnConfig(400, 2, "rr")
-				cfg.NewPlacer = p.newPlacer
-				cfg.ModelFor = p.modelFor
-				cfg.Planners = planners
-				return cfg
-			}
-			want, err := Churn(mk(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Churn(mk(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("optimistic(planners=1) diverges from locked:\n--- locked ---\n%s--- optimistic ---\n%s",
-					renderChurn(want), renderChurn(got))
-			}
-			if want.Admitted == 0 {
-				t.Fatal("degenerate workload admitted nothing")
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if !reflect.DeepEqual(res, ref) {
+					t.Errorf("workers=%d result differs:\n--- want ---\n%s--- got ---\n%s",
+						workers, renderChurn(ref), renderChurn(res))
+				}
 			}
 		})
-	}
-}
-
-// TestChurnOptimisticMultiPlanner: more planners keep the run
-// deterministic and conservation-correct, though decisions may
-// legitimately differ from the locked path (plans race only in
-// configuration, not in execution, under the serial event loop).
-func TestChurnOptimisticMultiPlanner(t *testing.T) {
-	cfg := churnConfig(600, 2, "rr")
-	cfg.Planners = 4
-	a, err := Churn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := churnConfig(600, 2, "rr")
-	cfg2.Planners = 4
-	b, err := Churn(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("planners=4 churn is not reproducible")
-	}
-	if a.Admitted+a.Rejected != a.Arrivals {
-		t.Errorf("admitted %d + rejected %d != arrivals %d", a.Admitted, a.Rejected, a.Arrivals)
 	}
 }
 
@@ -275,65 +167,30 @@ func TestChurnValidation(t *testing.T) {
 // TestChurnResizeDeterminism: the churn-with-resize workload is a pure
 // function of the config too — equal configs give identical results at
 // any Workers value, with elastic scaling events interleaved through
-// the guarantee API.
+// the guarantee API. The subtest name is kept from when a second
+// admission path existed; it is the one Admitter.
 func TestChurnResizeDeterminism(t *testing.T) {
-	for _, planners := range []int{0, 2} {
-		t.Run(fmt.Sprintf("planners=%d", planners), func(t *testing.T) {
-			var ref *ChurnResult
-			for _, workers := range []int{1, 4, 0} {
-				cfg := churnConfig(400, 2, "least")
-				cfg.ResizeProb = 0.4
-				cfg.Planners = planners
-				cfg.Workers = workers
-				res, err := Churn(cfg)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if !reflect.DeepEqual(res, ref) {
-					t.Errorf("workers=%d result differs:\n--- want ---\n%s--- got ---\n%s",
-						workers, renderChurn(ref), renderChurn(res))
-				}
-			}
-			if ref.Resized == 0 {
-				t.Fatalf("degenerate workload: no resizes committed (rejected %d)", ref.ResizeRejected)
-			}
-		})
-	}
-}
-
-// TestChurnResizeOptimisticMatchesLocked extends the byte-identity
-// proof to elastic scaling: on the seeded churn+resize workload,
-// optimistic admission with one planner must reproduce the locked
-// path exactly — the same admit/reject/resize sequence, the same
-// placements, the same final ledger-derived statistics. Resizes commit
-// through the same net-delta machinery on both paths, which is what
-// this pins down.
-func TestChurnResizeOptimisticMatchesLocked(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		mk := func(planners int) ChurnConfig {
-			cfg := churnConfig(600, shards, "least")
+	t.Run("planners=0", func(t *testing.T) {
+		var ref *ChurnResult
+		for _, workers := range []int{1, 4, 0} {
+			cfg := churnConfig(400, 2, "least")
 			cfg.ResizeProb = 0.4
-			cfg.Planners = planners
-			return cfg
+			cfg.Workers = workers
+			res, err := Churn(cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Errorf("workers=%d result differs:\n--- want ---\n%s--- got ---\n%s",
+					workers, renderChurn(ref), renderChurn(res))
+			}
 		}
-		want, err := Churn(mk(0))
-		if err != nil {
-			t.Fatal(err)
+		if ref.Resized == 0 {
+			t.Fatalf("degenerate workload: no resizes committed (rejected %d)", ref.ResizeRejected)
 		}
-		got, err := Churn(mk(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: optimistic(planners=1) diverges from locked under resize:\n--- locked ---\n%s--- optimistic ---\n%s",
-				shards, renderChurn(want), renderChurn(got))
-		}
-		if want.Resized == 0 {
-			t.Fatalf("shards=%d: degenerate workload: no resizes committed", shards)
-		}
-	}
+	})
 }

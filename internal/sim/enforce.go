@@ -1,18 +1,14 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"cloudmirror/guarantee"
 	"cloudmirror/internal/dataplane"
 	"cloudmirror/internal/enforce"
 	"cloudmirror/internal/tag"
-	"cloudmirror/internal/topology"
 )
 
 // enforceMaxPairs bounds the active flows one tenant contributes to a
@@ -141,155 +137,4 @@ func controlPeriod(r *rand.Rand, enf *guarantee.Enforcement, live []*churnTenant
 	agg.AchievedMbps = rep.AchievedMbps
 	agg.SpareMbps = rep.SpareMbps
 	return nil
-}
-
-// EnforceBenchCell is one (tenant count, dirty fraction) measurement
-// of the enforcement control loop's performance.
-type EnforceBenchCell struct {
-	// Tenants is the number of tenants under enforcement; Pairs the
-	// enforced flows per control period.
-	Tenants, Pairs int
-	// DirtyFraction is the fraction of tenants that redeclared their
-	// demands before each measured step — the knob the incremental
-	// stepper's win depends on (1.0 dirties the whole fleet every
-	// period).
-	DirtyFraction float64
-	// Steps is how many control periods the measurement ran;
-	// StepsPerSec the sustained rate; MsPerStep its inverse in
-	// milliseconds.
-	Steps       int
-	StepsPerSec float64
-	MsPerStep   float64
-	// ConvergeIterations and ConvergeMs measure a cold convergence
-	// after a fleet-wide demand change.
-	ConvergeIterations int
-	ConvergeMs         float64
-}
-
-// EnforceBenchConfig parameterizes EnforceBench.
-type EnforceBenchConfig struct {
-	// Spec is the datacenter topology.
-	Spec topology.Spec
-	// Pool is the tenant template pool.
-	Pool []*tag.Graph
-	// TenantCounts lists the fleet sizes to measure.
-	TenantCounts []int
-	// DirtyFractions lists the per-step redeclare fractions to sweep
-	// for each fleet size; empty means just 1.0 (every tenant
-	// redeclares every period).
-	DirtyFractions []float64
-	// Seed drives tenant sampling and demand draws.
-	Seed int64
-}
-
-// EnforceBench measures Controller.Step throughput and convergence
-// latency versus tenant count: for each count it admits that many
-// tenants through an enforcement-enabled service, declares bounded
-// demand matrices, and times the control loop. Wall-clock numbers —
-// a performance artifact, not a results artifact.
-func EnforceBench(cfg EnforceBenchConfig) ([]EnforceBenchCell, error) {
-	if len(cfg.Pool) == 0 {
-		return nil, errors.New("sim: empty tenant pool")
-	}
-	var cells []EnforceBenchCell
-	for _, count := range cfg.TenantCounts {
-		svc, err := guarantee.New(cfg.Spec,
-			guarantee.WithAlgorithm("cm"),
-			guarantee.WithEnforcement(guarantee.EnforcementConfig{}),
-		)
-		if err != nil {
-			return nil, err
-		}
-		r := rand.New(rand.NewSource(cfg.Seed))
-		enf := svc.Enforcement()
-		grants := make([]guarantee.Grant, 0, count)
-		plans := make([]*demandPlan, 0, count)
-		for attempts := 0; len(grants) < count; attempts++ {
-			if attempts > 10*count {
-				return nil, fmt.Errorf("sim: could not admit %d tenants (stuck at %d): datacenter too small", count, len(grants))
-			}
-			g := cfg.Pool[r.Intn(len(cfg.Pool))]
-			grant, err := svc.Admit(context.Background(), guarantee.Request{ID: int64(attempts), Graph: g})
-			if err != nil {
-				continue
-			}
-			grants = append(grants, grant)
-			plans = append(plans, newDemandPlan(g))
-		}
-		declare := func() error {
-			for i, grant := range grants {
-				if err := enf.SetDemand(grant, plans[i].draw(r)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := declare(); err != nil {
-			return nil, err
-		}
-
-		// Warm up (installs limits and settles components).
-		rep, err := enf.Step()
-		if err != nil {
-			return nil, err
-		}
-
-		fracs := cfg.DirtyFractions
-		if len(fracs) == 0 {
-			fracs = []float64{1}
-		}
-		for _, frac := range fracs {
-			dirty := int(math.Ceil(frac * float64(count)))
-			if dirty < 1 {
-				dirty = 1
-			}
-			if dirty > count {
-				dirty = count
-			}
-
-			// Measure the sustained control loop: each period, a
-			// rotating window of `dirty` tenants redeclares fresh
-			// demands, then the fleet steps.
-			cell := EnforceBenchCell{Tenants: count, Pairs: rep.Pairs, DirtyFraction: frac}
-			rot := 0
-			start := time.Now() //cloudlint:wallclock benchmark timing measurement only; never feeds simulated state
-			//cloudlint:wallclock wall-time budget bounds benchmark duration, not simulation behavior
-			for cell.Steps < 10 || (time.Since(start) < 100*time.Millisecond && cell.Steps < 10_000) {
-				for k := 0; k < dirty; k++ {
-					i := (rot + k) % count
-					if err := enf.SetDemand(grants[i], plans[i].draw(r)); err != nil {
-						return nil, err
-					}
-				}
-				rot = (rot + dirty) % count
-				if _, err := enf.Step(); err != nil {
-					return nil, err
-				}
-				cell.Steps++
-			}
-			elapsed := time.Since(start).Seconds() //cloudlint:wallclock benchmark timing measurement only; never feeds simulated state
-			if elapsed > 0 {
-				cell.StepsPerSec = float64(cell.Steps) / elapsed
-				cell.MsPerStep = 1000 * elapsed / float64(cell.Steps)
-			}
-
-			// Cold convergence after a fleet-wide demand change.
-			if err := declare(); err != nil {
-				return nil, err
-			}
-			cstart := time.Now() //cloudlint:wallclock benchmark timing measurement only; never feeds simulated state
-			crep, err := enf.Converge(0, 0)
-			if err != nil {
-				return nil, err
-			}
-			cell.ConvergeIterations = crep.Iterations
-			cell.ConvergeMs = 1000 * time.Since(cstart).Seconds() //cloudlint:wallclock benchmark timing measurement only; never feeds simulated state
-			cells = append(cells, cell)
-		}
-
-		for _, grant := range grants {
-			grant.Release()
-		}
-	}
-	return cells, nil
 }

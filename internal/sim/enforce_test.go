@@ -7,9 +7,7 @@ import (
 
 	"cloudmirror/internal/place"
 	"cloudmirror/internal/tag"
-	"cloudmirror/internal/topology"
 	"cloudmirror/internal/voc"
-	"cloudmirror/internal/workload"
 )
 
 // enforceChurnConfig is the shared scenario: churn plus resizes with
@@ -163,30 +161,5 @@ func TestEnforceChurnValidation(t *testing.T) {
 	cfg.ModelFor = func(g *tag.Graph) place.Model { return voc.FromTAG(g) }
 	if _, err := Churn(cfg); err == nil {
 		t.Error("Enforce with a translated model was accepted")
-	}
-}
-
-func TestEnforceBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	pool := workload.BingLike(1)
-	workload.ScaleToBmax(pool, 800)
-	cells, err := EnforceBench(EnforceBenchConfig{
-		Spec:         topology.SmallSpec(),
-		Pool:         pool,
-		TenantCounts: []int{4, 8},
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("%d cells, want 2", len(cells))
-	}
-	for _, c := range cells {
-		if c.StepsPerSec <= 0 || c.Pairs == 0 || c.ConvergeIterations == 0 {
-			t.Errorf("degenerate cell %+v", c)
-		}
 	}
 }

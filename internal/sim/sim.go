@@ -30,10 +30,6 @@ type Config struct {
 	Spec topology.Spec
 	// NewPlacer constructs the algorithm under test on the built tree.
 	NewPlacer func(*topology.Tree) place.Placer
-	// AlgorithmName is the registered name of the algorithm, required
-	// only by DurableThroughput (durable ledgers persist the placer by
-	// name, so snapshot recovery can rebuild it).
-	AlgorithmName string
 	// ModelFor selects the bandwidth abstraction used for admission and
 	// reservation (TAG, VOC, pipe). Nil means the TAG itself.
 	ModelFor func(*tag.Graph) place.Model

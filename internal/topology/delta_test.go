@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -48,106 +47,6 @@ func mutableState(t *Tree) [][]uint64 {
 	return st
 }
 
-// randomDelta builds a random feasible positive delta against tr's
-// current state, the shape a committed placement would export.
-func randomDelta(r *rand.Rand, tr *Tree) Delta {
-	var d Delta
-	for _, s := range tr.Servers() {
-		if r.Intn(2) == 0 {
-			continue
-		}
-		free := tr.SlotsFree(s)
-		if free == 0 {
-			continue
-		}
-		n := 1 + r.Intn(free)
-		d.Slots = append(d.Slots, SlotDelta{s, n})
-		if tr.res != nil {
-			d.Resources = append(d.Resources, ResourceDelta{s, []float64{
-				math.Min(float64(n), tr.ResourceFree(s, 0)),
-				math.Min(float64(n)*2, tr.ResourceFree(s, 1)),
-			}})
-		}
-	}
-	for n := NodeID(0); int(n) < tr.NumNodes(); n++ {
-		if n == tr.Root() || r.Intn(2) == 0 {
-			continue
-		}
-		availOut, availIn := tr.UplinkAvail(n)
-		if availOut <= 0 && availIn <= 0 {
-			continue
-		}
-		d.Links = append(d.Links, LinkDelta{n, r.Float64() * availOut, r.Float64() * availIn})
-	}
-	return d.Normalize()
-}
-
-// TestDeltaApplyRevertRoundTrip: Apply then Revert of any recorded
-// delta restores the ledger byte-identically — the property the
-// optimistic commit path's conflict aborts rely on.
-func TestDeltaApplyRevertRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	tr := smallRes()
-	for iter := 0; iter < 200; iter++ {
-		// Drift the tree into an arbitrary occupied state first.
-		warm := randomDelta(r, tr)
-		if err := tr.Validate(warm); err == nil {
-			tr.Apply(warm)
-		}
-		before := mutableState(tr)
-		d := randomDelta(r, tr)
-		if err := tr.Validate(d); err != nil {
-			t.Fatalf("iter %d: random feasible delta rejected: %v", iter, err)
-		}
-		u := tr.Apply(d)
-		tr.Revert(u)
-		if !reflect.DeepEqual(mutableState(tr), before) {
-			t.Fatalf("iter %d: Apply+Revert did not restore the ledger byte-identically", iter)
-		}
-		// Keep some occupancy across iterations, released arithmetically.
-		if iter%3 == 0 {
-			tr.Apply(d)
-			tr.Apply(d.Negate())
-		}
-	}
-}
-
-// TestDeltaValidate covers the rejection cases: slot, bandwidth, and
-// resource exhaustion, plus malformed entries.
-func TestDeltaValidate(t *testing.T) {
-	tr := smallRes()
-	s := tr.Servers()[0]
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{s, 5}}}); err == nil {
-		t.Error("5 slots on a 4-slot server validated")
-	}
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{s, -1}}}); err == nil {
-		t.Error("over-release validated")
-	}
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{tr.Root(), 1}}}); err == nil {
-		t.Error("slot delta on the root validated")
-	}
-	if err := tr.Validate(Delta{Links: []LinkDelta{{s, 101, 0}}}); err == nil {
-		t.Error("over-capacity link delta validated")
-	}
-	if err := tr.Validate(Delta{Links: []LinkDelta{{tr.Root(), 1, 0}}}); err == nil {
-		t.Error("bandwidth on the root validated")
-	}
-	if err := tr.Validate(Delta{Resources: []ResourceDelta{{s, []float64{17, 0}}}}); err == nil {
-		t.Error("over-capacity resource delta validated")
-	}
-	if err := tr.Validate(Delta{Resources: []ResourceDelta{{s, []float64{1}}}}); err == nil {
-		t.Error("wrong-dimension resource delta validated")
-	}
-	ok := Delta{
-		Slots:     []SlotDelta{{s, 2}},
-		Links:     []LinkDelta{{s, 50, 25}},
-		Resources: []ResourceDelta{{s, []float64{2, 4}}},
-	}
-	if err := tr.Validate(ok); err != nil {
-		t.Errorf("feasible delta rejected: %v", err)
-	}
-}
-
 // TestDeltaApplyMatchesIncremental: applying a delta reaches the same
 // state as the equivalent UseSlots/Reserve/UseResources calls, so the
 // delta path and the incremental path agree on semantics.
@@ -158,9 +57,6 @@ func TestDeltaApplyMatchesIncremental(t *testing.T) {
 		Slots:     []SlotDelta{{s0, 3}, {s1, 2}},
 		Links:     []LinkDelta{{s0, 40, 10}, {s1, 5, 5}, {a.Parent(s0), 40, 10}},
 		Resources: []ResourceDelta{{s0, []float64{3, 6}}, {s1, []float64{2, 4}}},
-	}
-	if err := a.Validate(d); err != nil {
-		t.Fatal(err)
 	}
 	a.Apply(d)
 
@@ -193,6 +89,33 @@ func TestDeltaApplyMatchesIncremental(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreByteExact: a Save/RestoreSnapshot bracket around
+// arbitrary incremental mutation — the Admitter's rollback of a
+// placer's attempt — restores every accumulator's bits.
+func TestSnapshotRestoreByteExact(t *testing.T) {
+	tr := smallRes()
+	s := tr.Servers()[0]
+	tr.Apply(Delta{Slots: []SlotDelta{{s, 2}}, Links: []LinkDelta{{s, 30.1, 30.3}},
+		Resources: []ResourceDelta{{s, []float64{2, 4}}}})
+	before := mutableState(tr)
+	snap := tr.NewSnapshot()
+	tr.Save(snap)
+	if err := tr.UseSlots(s, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.UseResources(s, 2, []float64{0.7, 1.3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Reserve(s, 49.9, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	tr.Release(s, 49.9, 0.1)
+	tr.RestoreSnapshot(snap)
+	if !reflect.DeepEqual(mutableState(tr), before) {
+		t.Fatal("RestoreSnapshot was not byte-exact")
+	}
+}
+
 // TestDeltaApplyPanics: over-release and non-server slot deltas panic
 // exactly like the incremental release path.
 func TestDeltaApplyPanics(t *testing.T) {
@@ -216,100 +139,4 @@ func TestDeltaApplyPanics(t *testing.T) {
 			tr.Apply(dd)
 		})
 	}
-}
-
-// TestDeltaLog: append/replay/trim bookkeeping, including the panic on
-// replaying a trimmed prefix.
-func TestDeltaLog(t *testing.T) {
-	l := NewDeltaLog()
-	if l.Seq() != 0 {
-		t.Fatalf("fresh log seq = %d", l.Seq())
-	}
-	for i := 0; i < 5; i++ {
-		if got := l.Append(Delta{Slots: []SlotDelta{{NodeID(i), 1}}}); got != uint64(i+1) {
-			t.Fatalf("append %d returned seq %d", i, got)
-		}
-	}
-	var seen []NodeID
-	if got := l.Replay(2, func(d Delta) { seen = append(seen, d.Slots[0].Server) }); got != 5 {
-		t.Fatalf("replay reached %d, want 5", got)
-	}
-	if !reflect.DeepEqual(seen, []NodeID{2, 3, 4}) {
-		t.Fatalf("replayed %v", seen)
-	}
-	l.TrimTo(3)
-	if l.Seq() != 5 {
-		t.Fatalf("seq after trim = %d", l.Seq())
-	}
-	seen = nil
-	l.Replay(3, func(d Delta) { seen = append(seen, d.Slots[0].Server) })
-	if !reflect.DeepEqual(seen, []NodeID{3, 4}) {
-		t.Fatalf("replayed %v after trim", seen)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("replay below trim did not panic")
-			}
-		}()
-		l.Replay(1, func(Delta) {})
-	}()
-	l.TrimTo(99) // clamps
-	if l.Seq() != 5 {
-		t.Fatalf("seq after over-trim = %d", l.Seq())
-	}
-}
-
-// TestReplicaLifecycle: clone shares shape but not ledger state;
-// catch-up replays committed deltas; checkpoint/restore is byte-exact.
-func TestReplicaLifecycle(t *testing.T) {
-	auth := smallRes()
-	log := NewDeltaLog()
-	rep := NewReplica(auth, log)
-	if rep.Tree() == auth {
-		t.Fatal("replica shares the authoritative tree")
-	}
-	if !reflect.DeepEqual(mutableState(rep.Tree()), mutableState(auth)) {
-		t.Fatal("fresh replica differs from authoritative tree")
-	}
-
-	// Commit two deltas on the authoritative side.
-	s := auth.Servers()[0]
-	d1 := Delta{Slots: []SlotDelta{{s, 2}}, Links: []LinkDelta{{s, 30, 30}},
-		Resources: []ResourceDelta{{s, []float64{2, 4}}}}
-	auth.Apply(d1)
-	log.Append(d1)
-	d2 := d1.Negate()
-	auth.Apply(d2)
-	log.Append(d2)
-
-	if got := rep.CatchUp(); got != 2 {
-		t.Fatalf("CatchUp reached %d, want 2", got)
-	}
-	if !reflect.DeepEqual(mutableState(rep.Tree()), mutableState(auth)) {
-		t.Fatal("replica drifted after catch-up")
-	}
-
-	// Speculate and roll back.
-	before := mutableState(rep.Tree())
-	rep.Checkpoint()
-	if err := rep.Tree().UseSlots(s, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Tree().Reserve(s, 99, 99); err != nil {
-		t.Fatal(err)
-	}
-	rep.Restore()
-	if !reflect.DeepEqual(mutableState(rep.Tree()), before) {
-		t.Fatal("restore was not byte-exact")
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Restore without Checkpoint did not panic")
-			}
-		}()
-		rep.Restore()
-	}()
 }

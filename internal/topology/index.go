@@ -26,14 +26,14 @@ import (
 // break:
 //
 //   - Increases (slot/bandwidth/resource releases, negative delta
-//     entries, Revert) raise the touched level's bound to the new value
-//     in O(1) — the only operations that can violate "bound >= max".
+//     entries) raise the touched level's bound to the new value in
+//     O(1) — the only operations that can violate "bound >= max".
 //   - Decreases (placements) leave bounds stale-high, which costs
 //     pruning power but never correctness; a staleness counter triggers
 //     an exact O(nodes) recompute once enough decreases accumulate.
-//   - Wholesale overwrites (ImportLedger, CopyLedgerFrom, Clone)
-//     rebuild exactly, which is how WAL recovery re-derives the index
-//     from the imported ledger bits.
+//   - A wholesale overwrite (ImportLedger) rebuilds exactly, which is
+//     how WAL recovery re-derives the index from the imported ledger
+//     bits.
 //   - Save/RestoreSnapshot need no per-value hooks: restored values are
 //     <= the bounds captured at Save time, and rebuilds are suppressed
 //     while a speculation bracket is open (frozen), so bounds cannot

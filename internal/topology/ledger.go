@@ -76,33 +76,3 @@ func (t *Tree) ImportLedger(l Ledger) error {
 	t.IndexRebuild()
 	return nil
 }
-
-// CopyLedgerFrom overwrites the tree's mutable ledger state with a
-// byte-exact copy of src's. Both trees must come from the same Spec.
-// Recovery uses it to re-base planner replicas (cloned before the
-// authoritative tree imported its snapshot) onto the imported state.
-func (t *Tree) CopyLedgerFrom(src *Tree) {
-	copy(t.upResOut, src.upResOut)
-	copy(t.upResIn, src.upResIn)
-	copy(t.slotsFree, src.slotsFree)
-	if t.res != nil {
-		for r := range t.res.free {
-			copy(t.res.free[r], src.res.free[r])
-		}
-	}
-	t.IndexRebuild()
-}
-
-// ResyncFrom re-bases the replica on the authoritative tree's current
-// state and marks it caught up to sequence seq. Recovery calls it after
-// importing a ledger snapshot into the authoritative tree: the replica
-// was cloned at construction (before the import), so its state must be
-// replaced wholesale rather than advanced by deltas. Must not be called
-// between Checkpoint and Restore.
-func (r *Replica) ResyncFrom(auth *Tree, seq uint64) {
-	if r.saved {
-		panic("topology: ResyncFrom during speculation")
-	}
-	r.tree.CopyLedgerFrom(auth)
-	r.seq = seq
-}

@@ -147,11 +147,6 @@ type Tree struct {
 	root         NodeID
 	res          *resourceState
 	idx          *Index
-
-	// undoScratch backs the Undo returned by Apply. One buffer per tree
-	// suffices: an Undo is only valid until the tree's next mutation, so
-	// at most one is ever live.
-	undoScratch Undo
 }
 
 // New builds the tree described by spec. It panics if the spec is

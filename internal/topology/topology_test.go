@@ -279,10 +279,6 @@ func TestContainsMatchesParentWalk(t *testing.T) {
 				t.Fatalf("%s: NoNode contained in or containing %d", name, n)
 			}
 		}
-		// A clone shares the shape, so it must answer alike.
-		if c := tr.Clone(); !c.Contains(c.Root(), c.Servers()[0]) || c.Contains(c.Servers()[0], c.Root()) {
-			t.Errorf("%s: clone lost the containment table", name)
-		}
 	}
 }
 
@@ -315,7 +311,6 @@ func TestBandwidthError(t *testing.T) {
 		}
 	}
 	check(tr.Reserve(s0, 40, 0.25), 40, 0.25)
-	check(tr.Validate(Delta{Links: []LinkDelta{{Node: s0, Out: 1, In: 90}}}), 1, 90)
 	if out, in := tr.UplinkReserved(s0); out != 60.5 || in != 20 {
 		t.Errorf("refusals changed the ledger: (%g, %g)", out, in)
 	}

@@ -69,7 +69,7 @@ done
 # the contract they pin (the Indexes section is the soundness contract
 # of the topology free-capacity index; the README batch note is the
 # public AdmitBatch semantics).
-for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### Flat combining' '^### Persistent planner replicas' '^### Group commit'; do
+for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### Flat combining' '^### Group commit'; do
     if ! grep -q "$want" docs/ARCHITECTURE.md; then
         echo "docs/ARCHITECTURE.md: missing section matching '$want'"
         fail=1
