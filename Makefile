@@ -64,9 +64,13 @@ test:
 test-full:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz smoke over the two parsers that face
-# untrusted bytes at recovery time — the grant-event codec (seeded from
-# the committed golden wire corpus) and the WAL frame scanner — plus
+# Short coverage-guided fuzz smoke over the parsers that face
+# untrusted bytes — the HTTP admit handler (never a panic or a 5xx,
+# every refusal the error envelope, and the one-pass body decode
+# accepting exactly the bodies the two-pass *tag.Graph decode accepts,
+# with the same graph), and at recovery time the grant-event codec
+# (seeded from the committed golden wire corpus) and the WAL frame
+# scanner — plus
 # the event-driven max-min solver, differentially fuzzed against the
 # progressive-filling reference for Float64bits-identical rates (its
 # seed corpus includes instances at, just under and just over a link's
@@ -78,6 +82,7 @@ test-full:
 # `go test -fuzz ... -fuzztime 5m`.
 FUZZTIME ?= 10s
 test-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzHTTPAdmit -fuzztime $(FUZZTIME) ./guarantee
 	$(GO) test -run '^$$' -fuzz FuzzEventCodec -fuzztime $(FUZZTIME) ./internal/place
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzMaxMin -fuzztime $(FUZZTIME) ./internal/netem

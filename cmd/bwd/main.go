@@ -15,8 +15,8 @@
 // Endpoints (bodies are JSON; TAGs use the internal/tag wire format):
 //
 //	POST   /v1/guarantees              admit a TAG            -> 201 + grant
-//	GET    /v1/guarantees/{id}         inspect a grant        -> 200
-//	POST   /v1/guarantees/{id}/resize  resize tiers in place  -> 200
+//	GET    /v1/guarantees/{id}         grant + its TAG        -> 200
+//	POST   /v1/guarantees/{id}/resize  resize tiers in place  -> 200 + grant
 //	DELETE /v1/guarantees/{id}         release                -> 204
 //	GET    /v1/stats                   counters + shard loads -> 200
 //	POST   /v1/enforcement/step        run one control period -> 200
@@ -25,6 +25,14 @@
 //	POST   /v1/snapshot                snapshot now           -> 200
 //	GET    /v1/wal                     log position           -> 200
 //	GET    /healthz                    liveness               -> 200
+//
+// Replies are one line of compact JSON each; pipe them to jq to read
+// them. A grant is {"id","shard","vms","servers","reserved_mbps"}:
+// admit and resize return it without the TAG the client just sent, GET
+// adds the TAG the grant currently guarantees. Admit and resize bodies
+// are capped at 1 MiB (413 past it). An admit body's optional positive
+// "id" names the grant g-<id>, refused with 400 while a live grant
+// holds it.
 //
 // With -wal-dir the daemon is durable: every admit/resize/release is
 // fsynced to a write-ahead log under the directory before it is
@@ -56,6 +64,7 @@
 //	          "tiers":[{"name":"web","n":8},{"name":"db","n":4}],
 //	          "edges":[{"from":"web","to":"db","s":100,"r":300}]},
 //	  "rwcs": 0.5}'
+//	curl -s localhost:8080/v1/guarantees/g-1 | jq .
 //	curl -s localhost:8080/v1/guarantees/g-1/resize -d '{
 //	  "tag": {"name":"shop",
 //	          "tiers":[{"name":"web","n":16},{"name":"db","n":4}],

@@ -1,7 +1,9 @@
 package guarantee
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -33,12 +35,20 @@ import (
 // registry in memory, mirroring the paper's controller owning tenant
 // state. For a durable service the registry survives anyway — NewServer
 // rebinds a recovered service's grants under their pre-crash ids.
+//
+// Admit and resize bodies are bounded (maxBody) and decoded in one
+// pass; admit and resize reply with the grant alone, and GET returns
+// it with the TAG it currently guarantees. Replies are compact JSON.
 type Server struct {
 	svc Service
 
 	mu     sync.Mutex
 	grants map[string]*servedGrant
-	nextID int64
+	// claimed holds the ids of admissions in flight: an id is claimed
+	// before its admission runs, so no two grants are ever served under
+	// one URL.
+	claimed map[string]bool
+	nextID  int64
 	// lastEnforcement caches the most recent control period's outcome,
 	// so GET /v1/enforcement stays read-only (only POST .../step
 	// advances the loop).
@@ -58,16 +68,18 @@ type servedGrant struct {
 // NewServer wraps the service for HTTP serving. A recovered durable
 // service (guarantee.Open) comes with live grants; NewServer re-serves
 // them immediately, each under the id its admission logged — the
-// server passes its minted id through Request.ID, so grant URLs are
-// stable across a crash and recovery. Grants whose recorded id is
-// absent or already taken (a caller-chosen Request.ID can collide with
-// a minted one) are re-minted in Durability.Grants order.
+// server passes the grant's number, minted or chosen by the caller,
+// through Request.ID, so grant URLs are stable across a crash and
+// recovery. Grants whose recorded id is absent or already taken (only
+// a ledger written by direct library use can repeat one) are re-minted
+// in Durability.Grants order once every recorded id is bound.
 func NewServer(svc Service) *Server {
-	s := &Server{svc: svc, grants: make(map[string]*servedGrant)}
+	s := &Server{svc: svc, grants: make(map[string]*servedGrant), claimed: make(map[string]bool)}
 	dur := svc.Durability()
 	if dur == nil {
 		return s
 	}
+	var unbound []*servedGrant
 	for _, rg := range dur.Grants() {
 		g, ok := rg.(*grant)
 		if !ok {
@@ -77,22 +89,64 @@ func NewServer(svc Service) *Server {
 		if !ok {
 			continue
 		}
-		id := ""
-		if rec.ID > 0 {
-			if c := "g-" + strconv.FormatInt(rec.ID, 10); s.grants[c] == nil {
-				id = c
-				if rec.ID > s.nextID {
-					s.nextID = rec.ID
-				}
-			}
+		sg := &servedGrant{grant: g, graph: rec.Graph}
+		if id := grantID(rec.ID); rec.ID > 0 && s.grants[id] == nil {
+			s.grants[id] = sg
+			s.nextID = max(s.nextID, rec.ID)
+			continue
 		}
-		if id == "" {
-			s.nextID++
-			id = "g-" + strconv.FormatInt(s.nextID, 10)
-		}
-		s.grants[id] = &servedGrant{grant: g, graph: rec.Graph}
+		unbound = append(unbound, sg)
+	}
+	for _, sg := range unbound {
+		id, _ := s.mint()
+		s.grants[id] = sg
 	}
 	return s
+}
+
+// grantID is the URL id of the grant numbered n.
+func grantID(n int64) string { return "g-" + strconv.FormatInt(n, 10) }
+
+// mint returns the next number no served or claimed grant holds, with
+// its id. The caller holds s.mu (or owns s outright).
+func (s *Server) mint() (string, int64) {
+	for {
+		s.nextID++
+		id := grantID(s.nextID)
+		if s.grants[id] == nil && !s.claimed[id] {
+			return id, s.nextID
+		}
+	}
+}
+
+// claim reserves the id an admission will be served under: the
+// caller's number when the body chose one, else a freshly minted one.
+// It fails when a live grant or an admission in flight holds the
+// caller's number. A claimed id is released by settle.
+func (s *Server) claim(chosen int64) (id string, n int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if chosen == 0 {
+		id, n = s.mint()
+	} else {
+		id, n = grantID(chosen), chosen
+		if s.grants[id] != nil || s.claimed[id] {
+			return "", 0, false
+		}
+	}
+	s.claimed[id] = true
+	return id, n, true
+}
+
+// settle releases a claimed id and, when the admission succeeded,
+// serves its grant under it.
+func (s *Server) settle(id string, sg *servedGrant) {
+	s.mu.Lock()
+	delete(s.claimed, id)
+	if sg != nil {
+		s.grants[id] = sg
+	}
+	s.mu.Unlock()
 }
 
 // Handler returns the route table as a stdlib http.Handler.
@@ -117,10 +171,13 @@ func (s *Server) Handler() http.Handler {
 
 // admitBody is the admit request wire form. The "tag" field uses the
 // TAG JSON format of internal/tag (tiers by name, edges with per-VM
-// s/r guarantees, self-loops with sr).
+// s/r guarantees, self-loops with sr), decoded in the same pass as the
+// rest of the body. A non-zero "id" chooses the grant's number: the
+// grant is served as g-<id>, and the id must be positive and not held
+// by a live grant.
 type admitBody struct {
 	ID            int64       `json:"id,omitempty"`
-	TAG           *tag.Graph  `json:"tag"`
+	TAG           *tag.Wire   `json:"tag"`
 	RWCS          float64     `json:"rwcs,omitempty"`
 	LAA           int         `json:"laa,omitempty"`
 	Opportunistic bool        `json:"opportunistic,omitempty"`
@@ -130,11 +187,65 @@ type admitBody struct {
 // resizeBody is the resize request wire form: the tenant's full TAG
 // with tier sizes changed.
 type resizeBody struct {
-	TAG *tag.Graph `json:"tag"`
+	TAG *tag.Wire `json:"tag"`
 }
 
-// grantBody is the grant representation returned by admit, get, and
-// resize.
+// maxBody bounds an admit or resize request body. The largest workload
+// TAG encodes in a few KB; a body past the bound is answered 413 with
+// the invalid_request envelope, unread beyond it.
+const maxBody = 1 << 20
+
+// bodyBufs recycles the buffers request bodies are read into. A buffer
+// that grew past keepBuf for an unusually large body is dropped rather
+// than kept.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const keepBuf = 64 << 10
+
+// decodeBody reads r's body — at most maxBody bytes — into a pooled
+// buffer and decodes it into v with one json.Unmarshal. On failure it
+// has written the error reply and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, op string, v any) bool {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= keepBuf {
+			bodyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErrorStatus(w, http.StatusRequestEntityTooLarge,
+				Rejectf(op, InvalidRequest, "body exceeds %d bytes", maxBody))
+			return false
+		}
+		writeError(w, Rejectf(op, InvalidRequest, "reading body: %v", err))
+		return false
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		writeError(w, Rejectf(op, InvalidRequest, "bad JSON: %v", err))
+		return false
+	}
+	return true
+}
+
+// graphOf resolves a decoded body's TAG. A missing or invalid TAG is an
+// invalid request, worded as when the TAG was decoded on its own.
+func graphOf(op string, w *tag.Wire) (*tag.Graph, error) {
+	if w == nil {
+		return nil, Rejectf(op, InvalidRequest, "missing tag")
+	}
+	g, err := w.Graph()
+	if err != nil {
+		return nil, Rejectf(op, InvalidRequest, "bad JSON: %v", err)
+	}
+	return g, nil
+}
+
+// grantBody is the grant representation: admit and resize return it
+// without the TAG (the client sent it), GET with the TAG the grant
+// currently guarantees.
 type grantBody struct {
 	ID           string     `json:"id"`
 	Shard        int        `json:"shard"`
@@ -178,14 +289,17 @@ func statusOf(reason Reason) int {
 // writeError serializes err with its typed Reason (falling back to
 // "internal" for untyped failures, which should not happen).
 func writeError(w http.ResponseWriter, err error) {
-	reason := ReasonOf(err)
-	status := http.StatusInternalServerError
+	writeErrorStatus(w, statusOf(ReasonOf(err)), err)
+}
+
+// writeErrorStatus serializes err like writeError, under the given
+// status.
+func writeErrorStatus(w http.ResponseWriter, status int, err error) {
 	body := errorBody{}
 	body.Error.Reason = "internal"
 	body.Error.Message = err.Error()
-	if reason != "" {
+	if reason := ReasonOf(err); reason != "" {
 		body.Error.Reason = string(reason)
-		status = statusOf(reason)
 	}
 	writeJSON(w, status, body)
 }
@@ -200,67 +314,70 @@ func writeNotFound(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusNotFound, body)
 }
 
+// writeJSON writes v as one line of compact JSON (pipe it to jq to
+// read it).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed write
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a failed write
 }
 
-// body renders a registered grant under the grant's lock.
-func (sg *servedGrant) body(id string) grantBody {
+// body renders a registered grant under the grant's lock, with the TAG
+// it currently guarantees when withTAG is set.
+func (sg *servedGrant) body(id string, withTAG bool) grantBody {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	res := sg.grant.Reservation()
-	return grantBody{
+	b := grantBody{
 		ID:           id,
 		Shard:        sg.grant.Shard(),
 		VMs:          res.Placement().VMs(),
 		Servers:      len(res.Placement()),
 		ReservedMbps: res.TotalReserved(),
-		TAG:          sg.graph,
 	}
+	if withTAG {
+		b.TAG = sg.graph
+	}
+	return b
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var body admitBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, Rejectf("admit", InvalidRequest, "bad JSON: %v", err))
+	if !decodeBody(w, r, "admit", &body) {
 		return
 	}
-	if body.TAG == nil {
-		writeError(w, Rejectf("admit", InvalidRequest, "missing tag"))
-		return
-	}
-	// The id is minted before the admission so it can ride along as
-	// Request.ID: a durable service logs it, and a recovered server
-	// rebinds the grant under the same URL (a failed admission burns
-	// the number — ids are unique, not dense).
-	s.mu.Lock()
-	s.nextID++
-	n := s.nextID
-	s.mu.Unlock()
-	reqID := body.ID
-	if reqID == 0 {
-		reqID = n
-	}
-	grant, err := s.svc.Admit(r.Context(), Request{
-		ID:        reqID,
-		Graph:     body.TAG,
-		HA:        HASpec{RWCS: body.RWCS, LAA: body.LAA, Opportunistic: body.Opportunistic},
-		Resources: body.Resources,
-	})
+	g, err := graphOf("admit", body.TAG)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	sg := &servedGrant{grant: grant, graph: body.TAG}
-	id := "g-" + strconv.FormatInt(n, 10)
-	s.mu.Lock()
-	s.grants[id] = sg
-	s.mu.Unlock()
-	resp := sg.body(id)
+	if body.ID < 0 {
+		writeError(w, Rejectf("admit", InvalidRequest, "id %d is not positive", body.ID))
+		return
+	}
+	// The id is claimed before the admission so its number can ride
+	// along as Request.ID: a durable service logs it, and a recovered
+	// server rebinds the grant under the same URL (a failed admission
+	// burns a minted number — ids are unique, not dense).
+	id, n, ok := s.claim(body.ID)
+	if !ok {
+		writeError(w, Rejectf("admit", InvalidRequest, "id %d is held by grant %s", body.ID, grantID(body.ID)))
+		return
+	}
+	grant, err := s.svc.Admit(r.Context(), Request{
+		ID:        n,
+		Graph:     g,
+		HA:        HASpec{RWCS: body.RWCS, LAA: body.LAA, Opportunistic: body.Opportunistic},
+		Resources: body.Resources,
+	})
+	if err != nil {
+		s.settle(id, nil)
+		writeError(w, err)
+		return
+	}
+	sg := &servedGrant{grant: grant, graph: g}
+	s.settle(id, sg)
+	resp := sg.body(id, false)
 	w.Header().Set("Location", "/v1/guarantees/"+id)
 	writeJSON(w, http.StatusCreated, resp)
 }
@@ -274,18 +391,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeNotFound(w, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, sg.body(id))
+	writeJSON(w, http.StatusOK, sg.body(id, true))
 }
 
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var body resizeBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, Rejectf("resize", InvalidRequest, "bad JSON: %v", err))
+	if !decodeBody(w, r, "resize", &body) {
 		return
 	}
-	if body.TAG == nil {
-		writeError(w, Rejectf("resize", InvalidRequest, "missing tag"))
+	g, err := graphOf("resize", body.TAG)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	// The registry lock covers only the lookup; the grant's own lock
@@ -300,14 +417,14 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sg.mu.Lock()
-	if err := sg.grant.Resize(r.Context(), body.TAG); err != nil {
+	if err := sg.grant.Resize(r.Context(), g); err != nil {
 		sg.mu.Unlock()
 		writeError(w, err)
 		return
 	}
-	sg.graph = body.TAG
+	sg.graph = g
 	sg.mu.Unlock()
-	writeJSON(w, http.StatusOK, sg.body(id))
+	writeJSON(w, http.StatusOK, sg.body(id, false))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

@@ -5,9 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
+
+	"cloudmirror/internal/tag"
+	"cloudmirror/internal/topology"
+	"cloudmirror/internal/workload"
 )
 
 // newTestServer spins up the HTTP API over a small single-shard
@@ -50,15 +58,57 @@ func do(t *testing.T, method, url, body string, out any) *http.Response {
 	return resp
 }
 
-// TestHTTPLifecycle: admit → get → resize → release over the wire.
+// doRaw issues a request and returns the response with its raw body.
+func doRaw(t *testing.T, method, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// grantReply decodes an admit or resize reply and checks its contract:
+// one line of compact JSON carrying the grant without its TAG.
+func grantReply(t *testing.T, op string, raw []byte) grantBody {
+	t.Helper()
+	if n := bytes.Count(raw, []byte("\n")); n != 1 || raw[len(raw)-1] != '\n' {
+		t.Errorf("%s reply is %d lines, want one line: %s", op, n, raw)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatalf("%s reply: %v", op, err)
+	}
+	if _, ok := keys["tag"]; ok {
+		t.Errorf("%s reply echoes the TAG: %s", op, raw)
+	}
+	var g grantBody
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatalf("%s reply: %v", op, err)
+	}
+	return g
+}
+
+// TestHTTPLifecycle: admit → get → resize → get → release over the
+// wire. Admit and resize reply with the grant alone; GET returns the
+// TAG the grant currently guarantees.
 func TestHTTPLifecycle(t *testing.T) {
 	ts := newTestServer(t)
 
-	var g grantBody
-	resp := do(t, "POST", ts.URL+"/v1/guarantees", `{"tag":`+tagJSON(3, 2)+`,"rwcs":0.5}`, &g)
+	resp, raw := doRaw(t, "POST", ts.URL+"/v1/guarantees", `{"tag":`+tagJSON(3, 2)+`,"rwcs":0.5}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("admit status = %d, want 201", resp.StatusCode)
 	}
+	g := grantReply(t, "admit", raw)
 	if g.ID == "" || g.VMs != 5 || g.ReservedMbps <= 0 {
 		t.Fatalf("admit body = %+v", g)
 	}
@@ -70,17 +120,23 @@ func TestHTTPLifecycle(t *testing.T) {
 	if resp := do(t, "GET", ts.URL+"/v1/guarantees/"+g.ID, "", &got); resp.StatusCode != 200 {
 		t.Fatalf("get status = %d", resp.StatusCode)
 	}
-	if got.VMs != 5 {
-		t.Errorf("get VMs = %d, want 5", got.VMs)
+	if got.VMs != 5 || got.TAG == nil || got.TAG.TierSize(0) != 3 {
+		t.Errorf("get = %+v with TAG %v, want 5 VMs and the admitted TAG", got, got.TAG)
 	}
 
-	var resized grantBody
-	resp = do(t, "POST", ts.URL+"/v1/guarantees/"+g.ID+"/resize", `{"tag":`+tagJSON(6, 2)+`}`, &resized)
+	resp, raw = doRaw(t, "POST", ts.URL+"/v1/guarantees/"+g.ID+"/resize", `{"tag":`+tagJSON(6, 2)+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resize status = %d, want 200", resp.StatusCode)
 	}
-	if resized.VMs != 8 {
-		t.Errorf("resize VMs = %d, want 8", resized.VMs)
+	if resized := grantReply(t, "resize", raw); resized.VMs != 8 || resized.ID != g.ID {
+		t.Errorf("resize body = %+v, want %s with 8 VMs", resized, g.ID)
+	}
+	got = grantBody{}
+	if resp := do(t, "GET", ts.URL+"/v1/guarantees/"+g.ID, "", &got); resp.StatusCode != 200 {
+		t.Fatalf("get after resize status = %d", resp.StatusCode)
+	}
+	if got.VMs != 8 || got.TAG == nil || got.TAG.TierSize(0) != 6 || got.TAG.TierSize(1) != 2 {
+		t.Errorf("get after resize = %+v with TAG %v, want 8 VMs and the resized TAG", got, got.TAG)
 	}
 
 	var stats statsBody
@@ -453,6 +509,45 @@ func TestHTTPMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestHTTPTAGValidation: a TAG that decodes as JSON but not as a TAG is
+// an invalid request on both endpoints, with the message naming the
+// fault — the same text whether the TAG is resolved in the body's own
+// decode pass or by Graph.UnmarshalJSON.
+func TestHTTPTAGValidation(t *testing.T) {
+	ts := newTestServer(t)
+	var g grantBody
+	if resp := do(t, "POST", ts.URL+"/v1/guarantees", `{"tag":`+tagJSON(2, 1)+`}`, &g); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit status = %d, want 201", resp.StatusCode)
+	}
+	cases := []struct{ name, tag, message string }{
+		{"duplicate tier",
+			`{"name":"shop","tiers":[{"name":"web","n":2},{"name":"web","n":1}],"edges":[]}`,
+			`bad JSON: tag: duplicate tier "web"`},
+		{"edge to unknown tier",
+			`{"name":"shop","tiers":[{"name":"web","n":2}],"edges":[{"from":"web","to":"cache","s":1,"r":1}]}`,
+			`bad JSON: tag: edge references unknown tier "cache"`},
+		{"not an object", `42`, `bad JSON: json: cannot unmarshal number into Go `},
+	}
+	for _, ep := range []struct{ op, path string }{
+		{"admit", "/v1/guarantees"},
+		{"resize", "/v1/guarantees/" + g.ID + "/resize"},
+	} {
+		for _, c := range cases {
+			t.Run(ep.op+"/"+c.name, func(t *testing.T) {
+				var e errorBody
+				resp := do(t, "POST", ts.URL+ep.path, `{"tag":`+c.tag+`}`, &e)
+				if resp.StatusCode != http.StatusBadRequest || e.Error.Reason != string(InvalidRequest) {
+					t.Errorf("status %d reason %q, want 400 %s", resp.StatusCode, e.Error.Reason, InvalidRequest)
+				}
+				want := "place: " + ep.op + " rejected (invalid_request): " + c.message
+				if !strings.HasPrefix(e.Error.Message, want) {
+					t.Errorf("message %q, want it to start %q", e.Error.Message, want)
+				}
+			})
+		}
+	}
+}
+
 // TestHTTPUnknownReasonBody pins the error envelope's fallback rules:
 // a reason outside the taxonomy maps to 500 (not a zero status), and
 // an untyped error serializes as the "internal" reason with the
@@ -610,5 +705,404 @@ func TestHTTPGrantEnforcement(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/guarantees/"+g.ID+"/enforcement", "", &one)
 	if len(one.Flows) != 1 || one.Flows[0].Greedy || one.Flows[0].DemandMbps == nil || *one.Flows[0].DemandMbps != 40 {
 		t.Errorf("finite declaration reads back as %+v, want one flow offering 40 Mbps", one.Flows)
+	}
+}
+
+// serve runs one request through h in process.
+func serve(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestHTTPBodyLimit: an admit or resize body past maxBody is answered
+// 413 with the invalid_request envelope and changes nothing — even when
+// the bytes past the bound are only whitespace around a TAG that would
+// be admitted.
+func TestHTTPBodyLimit(t *testing.T) {
+	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(svc).Handler()
+	rec := serve(h, "POST", "/v1/guarantees", []byte(`{"tag":`+tagJSON(2, 1)+`}`))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("admit status = %d, want 201", rec.Code)
+	}
+	path := rec.Header().Get("Location")
+	stats, loads := svc.Stats(), svc.Loads()
+
+	padded := func(tagJSON string) []byte {
+		b := []byte(`{"tag":` + tagJSON)
+		b = append(b, bytes.Repeat([]byte(" "), 10<<20)...)
+		return append(b, '}')
+	}
+	for _, c := range []struct{ op, path, tag string }{
+		{"admit", "/v1/guarantees", tagJSON(1, 1)},
+		{"resize", path + "/resize", tagJSON(3, 1)},
+	} {
+		rec := serve(h, "POST", c.path, padded(c.tag))
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: undecodable reply %q: %v", c.op, rec.Body, err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || e.Error.Reason != string(InvalidRequest) || e.Error.Message == "" {
+			t.Errorf("%s of a 10 MB body: %d %+v, want 413 %s", c.op, rec.Code, e.Error, InvalidRequest)
+		}
+	}
+	if got := svc.Stats(); !reflect.DeepEqual(got, stats) {
+		t.Errorf("stats moved: %+v -> %+v", stats, got)
+	}
+	if got := svc.Loads(); !reflect.DeepEqual(got, loads) {
+		t.Errorf("loads moved: %+v -> %+v", loads, got)
+	}
+	var g grantBody
+	if err := json.Unmarshal(serve(h, "GET", path, nil).Body.Bytes(), &g); err != nil || g.VMs != 3 {
+		t.Errorf("grant after the refused resize: %+v (%v), want 3 VMs", g, err)
+	}
+}
+
+// TestHTTPCallerChosenID: a body that chooses its id is served as
+// g-<id>, the id a durable service logs, so the URL the client got
+// serves the same grant after a crash and recovery. A live grant's id
+// cannot be chosen again, a non-positive one not at all, and minting
+// skips ids callers hold.
+func TestHTTPCallerChosenID(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(svc).Handler())
+
+	admit := func(body string, want string) {
+		t.Helper()
+		resp, raw := doRaw(t, "POST", ts.URL+"/v1/guarantees", body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("admit %s: status %d (%s), want 201", body, resp.StatusCode, raw)
+		}
+		if g := grantReply(t, "admit", raw); g.ID != want || resp.Header.Get("Location") != "/v1/guarantees/"+want {
+			t.Fatalf("admit %s served as %s at %s, want %s", body, g.ID, resp.Header.Get("Location"), want)
+		}
+	}
+	admit(`{"id":77,"tag":`+tagJSON(2, 1)+`}`, "g-77")
+	admit(`{"id":1,"tag":`+tagJSON(1, 1)+`}`, "g-1")
+	admit(`{"tag":`+tagJSON(3, 2)+`}`, "g-2") // minting skips g-1
+
+	for _, body := range []string{
+		`{"id":77,"tag":` + tagJSON(1, 1) + `}`,
+		`{"id":-3,"tag":` + tagJSON(1, 1) + `}`,
+	} {
+		var e errorBody
+		if resp := do(t, "POST", ts.URL+"/v1/guarantees", body, &e); resp.StatusCode != http.StatusBadRequest || e.Error.Reason != string(InvalidRequest) {
+			t.Errorf("admit %s: %d %q, want 400 %s", body, resp.StatusCode, e.Error.Reason, InvalidRequest)
+		}
+	}
+	if st := svc.Stats(); st.Admitted != 3 {
+		t.Fatalf("admitted %d, want 3: a refused id must not reach the service", st.Admitted)
+	}
+	// A grant admitted through the library logs no id; after recovery
+	// it is served under a number minted past every recorded one.
+	if _, err := svc.Admit(context.Background(), Request{Graph: testGraph(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	before := map[string][]byte{}
+	for _, id := range []string{"g-77", "g-1", "g-2"} {
+		resp, raw := doRaw(t, "GET", ts.URL+"/v1/guarantees/"+id, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("get %s: %d", id, resp.StatusCode)
+		}
+		before[id] = raw
+	}
+	ts.Close()
+	svc.Durability().abandon() // crash: no drain, no final snapshot
+
+	recovered, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close(context.Background())
+	ts2 := httptest.NewServer(NewServer(recovered).Handler())
+	defer ts2.Close()
+	for id, raw := range before {
+		resp, got := doRaw(t, "GET", ts2.URL+"/v1/guarantees/"+id, "")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, raw) {
+			t.Errorf("recovered %s: %d %s, want the pre-crash grant %s", id, resp.StatusCode, got, raw)
+		}
+	}
+	var lib grantBody
+	if resp := do(t, "GET", ts2.URL+"/v1/guarantees/g-78", "", &lib); resp.StatusCode != http.StatusOK || lib.VMs != 2 {
+		t.Errorf("library grant after recovery: %d %+v, want it served as g-78 with 2 VMs", resp.StatusCode, lib)
+	}
+}
+
+// TestHTTPConcurrentClaims: admissions racing for one chosen id and for
+// minted ids never share a URL — at most one is served as g-1, the rest
+// of those are refused with 400, every minted admission is served, and
+// the registry holds exactly the grants that were acknowledged.
+func TestHTTPConcurrentClaims(t *testing.T) {
+	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(svc)
+	h := srv.Handler()
+	const n = 8
+	recs := make([]*httptest.ResponseRecorder, 2*n)
+	var wg sync.WaitGroup
+	for i := range recs {
+		body := `{"tag":` + tagJSON(1, 1) + `}`
+		if i%2 == 0 {
+			body = `{"id":1,"tag":` + tagJSON(1, 1) + `}`
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = serve(h, "POST", "/v1/guarantees", []byte(body))
+		}()
+	}
+	wg.Wait()
+	served := map[string]bool{}
+	for i, rec := range recs {
+		loc := rec.Header().Get("Location")
+		switch {
+		case rec.Code == http.StatusCreated && !served[loc]:
+			served[loc] = true
+		case rec.Code == http.StatusCreated:
+			t.Errorf("two admissions served at %s", loc)
+		case i%2 == 1 || rec.Code != http.StatusBadRequest:
+			t.Errorf("admission %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if len(served) < n || len(served) > n+1 {
+		t.Errorf("%d admissions served, want the %d minted ones and at most one g-1", len(served), n)
+	}
+	if st := svc.Stats(); int(st.Admitted) != len(served) || len(srv.grants) != len(served) || len(srv.claimed) != 0 {
+		t.Errorf("service admitted %d, registry holds %d (%d claims left), want %d", st.Admitted, len(srv.grants), len(srv.claimed), len(served))
+	}
+}
+
+// twoPassAdmitBody is admitBody with the TAG as a *tag.Graph: encoding/
+// json scans the TAG's bytes to hand them to Graph.UnmarshalJSON, which
+// scans them again. It is the reference FuzzHTTPAdmit holds the
+// one-pass decode to.
+type twoPassAdmitBody struct {
+	ID            int64       `json:"id,omitempty"`
+	TAG           *tag.Graph  `json:"tag"`
+	RWCS          float64     `json:"rwcs,omitempty"`
+	LAA           int         `json:"laa,omitempty"`
+	Opportunistic bool        `json:"opportunistic,omitempty"`
+	Resources     [][]float64 `json:"resources,omitempty"`
+}
+
+// repeatsTAG reports whether data is an object naming "tag" more than
+// once, in any case (encoding/json matches field names that way). The
+// one-pass decode fills a repeated object field into what the first
+// occurrence built, where a *tag.Graph field built a fresh graph from
+// each, so the two may disagree on such a body; RFC 8259 leaves a
+// repeated name's meaning to the implementation, and either way the
+// handler serves only a graph Wire.Graph validated.
+func repeatsTAG(data []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	n := 0
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		if k, _ := key.(string); strings.EqualFold(k, "tag") {
+			n++
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return false
+		}
+	}
+	return n > 1
+}
+
+// FuzzHTTPAdmit drives handleAdmit with arbitrary bodies on a small
+// service. The handler never panics and never answers 5xx, every reply
+// but a 201 is the error envelope, and a body is accepted iff the
+// two-pass decode accepts it, with the same graph (by MarshalJSON
+// bytes) and the same other fields.
+func FuzzHTTPAdmit(f *testing.F) {
+	for _, s := range []string{
+		"", `{"tag":{"name":"x"`, "::: not json :::", `{"tag":42}`, `[1,2,3]`, `{}`, `{"tag":null}`,
+		`{"tag":` + tagJSON(2, 1) + `}`,
+		`{"id":7,"tag":` + tagJSON(3, 2) + `,"rwcs":0.5,"laa":1}`,
+		`{"tag":{"name":"x","tiers":[{"name":"a","n":2},{"name":"a","n":1}],"edges":[]}}`,
+		`{"tag":{"name":"x","tiers":[{"name":"a","n":2}],"edges":[{"from":"a","to":"b","s":1,"r":1}]}}`,
+		`{"tag":{"name":"x","tiers":[{"name":"a","n":4},{"name":"net","external":true}],"edges":[{"from":"a","to":"a","sr":50},{"from":"a","to":"net","s":10,"r":5}]}}`,
+		`{"tag":` + tagJSON(2, 1) + `,"tag":{"name":"y"}}`,
+		`{"tag":` + tagJSON(2, 1) + `} {}`,
+	} {
+		f.Add([]byte(s))
+	}
+	pool := workload.BingLike(1)
+	workload.ScaleToBmax(pool, 800)
+	for added := 0; added < 4 && len(pool) > 0; pool = pool[1:] {
+		if g := pool[0]; g.VMs() <= 16 {
+			b, err := json.Marshal(struct {
+				TAG *tag.Graph `json:"tag"`
+			}{g})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+			added++
+		}
+	}
+
+	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(svc)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := httptest.NewRecorder()
+		srv.handleAdmit(rec, httptest.NewRequest(http.MethodPost, "/v1/guarantees", bytes.NewReader(data)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var e errorBody
+		if rec.Code == http.StatusCreated {
+			g := grantReply(t, "admit", rec.Body.Bytes())
+			if rel := serve(h, http.MethodDelete, "/v1/guarantees/"+g.ID, nil); rel.Code != http.StatusNoContent {
+				t.Fatalf("release %s: %d", g.ID, rel.Code)
+			}
+		} else {
+			dec := json.NewDecoder(rec.Body)
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&e); err != nil || e.Error.Reason == "" || e.Error.Message == "" {
+				t.Fatalf("status %d: reply %q is not the error envelope (%v)", rec.Code, rec.Body, err)
+			}
+		}
+
+		var one admitBody
+		var g *tag.Graph
+		err := json.Unmarshal(data, &one)
+		if err == nil {
+			g, err = graphOf("admit", one.TAG)
+		}
+		if err != nil && (rec.Code != http.StatusBadRequest || e.Error.Reason != string(InvalidRequest)) {
+			t.Fatalf("decode refused the body (%v) but the handler answered %d %q", err, rec.Code, e.Error.Reason)
+		}
+		if repeatsTAG(data) {
+			return
+		}
+		var two twoPassAdmitBody
+		errTwo := json.Unmarshal(data, &two)
+		if errTwo == nil && two.TAG == nil {
+			errTwo = fmt.Errorf("missing tag")
+		}
+		if (err == nil) != (errTwo == nil) {
+			t.Fatalf("one-pass decode: %v; two-pass decode: %v", err, errTwo)
+		}
+		if err != nil {
+			return
+		}
+		gotJSON, err1 := g.MarshalJSON()
+		wantJSON, err2 := two.TAG.MarshalJSON()
+		if err1 != nil || err2 != nil || !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("graphs differ: %s (%v) vs %s (%v)", gotJSON, err1, wantJSON, err2)
+		}
+		if one.ID != two.ID || one.RWCS != two.RWCS || one.LAA != two.LAA || one.Opportunistic != two.Opportunistic ||
+			!reflect.DeepEqual(one.Resources, two.Resources) {
+			t.Fatalf("fields differ: %+v vs %+v", one, two)
+		}
+	})
+}
+
+// admitBodies encodes the benchmark's admission workload — BingLike
+// tenants scaled to Bmax 800 Mbps — as admit request bodies.
+func admitBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	pool := workload.BingLike(1)
+	workload.ScaleToBmax(pool, 800)
+	bodies := make([][]byte, len(pool))
+	for i, g := range pool {
+		b, err := json.Marshal(struct {
+			TAG *tag.Graph `json:"tag"`
+		}{g})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	return bodies
+}
+
+// BenchmarkHTTPAdmit times an admit and its release through Handler on
+// PaperSpec, cycling through the workload's TAGs.
+func BenchmarkHTTPAdmit(b *testing.B) {
+	svc, err := New(topology.PaperSpec(), WithAlgorithm("cm"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewServer(svc).Handler()
+	bodies := admitBodies(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := serve(h, http.MethodPost, "/v1/guarantees", bodies[i%len(bodies)])
+		if rec.Code != http.StatusCreated {
+			b.Fatalf("admit: %d %s", rec.Code, rec.Body)
+		}
+		if rec = serve(h, http.MethodDelete, rec.Header().Get("Location"), nil); rec.Code != http.StatusNoContent {
+			b.Fatalf("release: %d", rec.Code)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but its header
+// map.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// maxCodecAllocs is the allocation budget of the handler's own work on
+// an admit of codecTAG: reading and decoding the body, resolving the
+// TAG, encoding the reply. 38 measured (go1.24), plus 10%.
+const maxCodecAllocs = 41
+
+// codecTAG is a three-tier TAG with a self-loop and an external tier.
+const codecTAG = `{"tag":{"name":"shop","tiers":[{"name":"web","n":8},{"name":"app","n":6},{"name":"db","n":4},{"name":"net","external":true}],
+	"edges":[{"from":"net","to":"web","s":20,"r":40},{"from":"web","to":"app","s":100,"r":150},{"from":"app","to":"web","s":150,"r":100},
+	{"from":"app","to":"db","s":80,"r":120},{"from":"db","to":"db","sr":60}]}}`
+
+// TestHTTPCodecAllocs guards the allocations of an admit's decode and
+// encode, with no placement between them. Skipped under the race
+// detector, where sync.Pool drops buffers at random.
+func TestHTTPCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	body := []byte(codecTAG)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/guarantees", io.NopCloser(rd))
+	w := discardWriter{h: make(http.Header)}
+	reply := grantBody{ID: "g-1", VMs: 18, Servers: 5, ReservedMbps: 1234.5}
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		var b admitBody
+		if !decodeBody(w, req, "admit", &b) {
+			t.Fatal("decode failed")
+		}
+		if _, err := graphOf("admit", b.TAG); err != nil {
+			t.Fatal(err)
+		}
+		writeJSON(w, http.StatusCreated, reply)
+	})
+	t.Logf("decode + encode: %.1f allocs", allocs)
+	if allocs > maxCodecAllocs {
+		t.Errorf("decode + encode allocates %.1f times, budget %d", allocs, maxCodecAllocs)
 	}
 }

@@ -2,6 +2,7 @@ package tag
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -226,6 +227,47 @@ func TestJSONErrors(t *testing.T) {
 		var g Graph
 		if err := json.Unmarshal([]byte(c), &g); err == nil {
 			t.Errorf("unmarshal accepted invalid input %q", c)
+		}
+	}
+}
+
+// TestWireGraphNameLookup resolves tier names on both sides of
+// linearTiers — the scan over built tiers and the map past it — with
+// the same results and the same messages.
+func TestWireGraphNameLookup(t *testing.T) {
+	for _, n := range []int{2, linearTiers, linearTiers + 1, 3 * linearTiers} {
+		g := New("ring")
+		for i := 0; i < n; i++ {
+			g.AddTier(fmt.Sprintf("t%d", i), i+1)
+		}
+		for i := 0; i < n; i++ {
+			g.AddEdge(i, (i+1)%n, 2, 3)
+			g.AddSelfLoop(i, 1)
+		}
+		data, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w Wire
+		if err := json.Unmarshal(data, &w); err != nil {
+			t.Fatal(err)
+		}
+		back, err := w.Graph()
+		if err != nil {
+			t.Fatalf("%d tiers: %v", n, err)
+		}
+		if again, _ := json.Marshal(back); string(again) != string(data) {
+			t.Errorf("%d tiers: round trip\n%s\nwant\n%s", n, again, data)
+		}
+
+		last := w.Tiers[n-1].Name
+		w.Edges = append(w.Edges, WireEdge{From: last, To: "nowhere", S: 1, R: 1})
+		if _, err := w.Graph(); err == nil || err.Error() != `tag: edge references unknown tier "nowhere"` {
+			t.Errorf("%d tiers, unknown edge target: %v", n, err)
+		}
+		w.Tiers = append(w.Tiers, WireTier{Name: last, N: 1})
+		if _, err := w.Graph(); err == nil || err.Error() != fmt.Sprintf("tag: duplicate tier %q", last) {
+			t.Errorf("%d tiers, duplicate last tier: %v", n, err)
 		}
 	}
 }
