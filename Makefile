@@ -42,16 +42,19 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # One short run of the repository's benchmark on the workload where the
-# placement search does nearly all the work (≈5 s after the build) and
-# one on the workload where every control period is a full solve (≈3 s:
-# every tenant redeclares, membership churns). The benchmark exits
-# non-zero on a failed operation or a failed correctness check —
-# capacity invariant, tallies, decisions, MinRatio ≥ 1 on every period —
-# and never on a timing, so this guards what the search and the control
-# loop decide, not how fast.
+# placement search does nearly all the work (≈5 s after the build), one
+# on the workload where every control period is a full solve (≈3 s:
+# every tenant redeclares, membership churns), and one on the durable
+# daemon, which ends in kill -9 and recovery from the write-ahead log.
+# The benchmark exits non-zero on a failed operation or a failed
+# correctness check — capacity invariant, tallies, decisions,
+# MinRatio ≥ 1 on every period, recovered state equal to the
+# acknowledged one — and never on a timing, so this guards what the
+# search, the control loop and recovery decide, not how fast.
 bench-smoke:
 	bash bench/run.sh --workload lib_packed --seconds 1 --trace 0
 	bash bench/run.sh --workload enforce_storm --seconds 1 --trace 0
+	bash bench/run.sh --workload http_durable --seconds 1 --trace 0
 
 # Short suite under the race detector: what CI runs on every push.
 # Includes the concurrent-admission stress tests and the quick

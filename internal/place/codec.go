@@ -2,7 +2,6 @@ package place
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -31,8 +30,10 @@ const eventCodecVersion = 1
 func EncodeEvent(ev Event) ([]byte, error) {
 	var graphJSON []byte
 	if ev.Graph != nil {
+		// Called directly: json.Marshal would re-scan and re-compact the
+		// already compact bytes MarshalJSON returns.
 		var err error
-		graphJSON, err = json.Marshal(ev.Graph)
+		graphJSON, err = ev.Graph.MarshalJSON()
 		if err != nil {
 			return nil, fmt.Errorf("place: encoding event graph: %w", err)
 		}
@@ -85,8 +86,8 @@ func DecodeEvent(b []byte) (Event, error) {
 		return Event{}, fmt.Errorf("place: decoding event: %d trailing bytes", len(r.buf)-r.off)
 	}
 	if len(graphJSON) > 0 {
-		g := new(tag.Graph)
-		if err := json.Unmarshal(graphJSON, g); err != nil {
+		g := new(tag.Graph) // UnmarshalJSON validates the bytes itself
+		if err := g.UnmarshalJSON(graphJSON); err != nil {
 			return Event{}, fmt.Errorf("place: decoding event graph: %w", err)
 		}
 		ev.Graph = g

@@ -13,14 +13,27 @@
 // snapshot is durable. Appends are fsynced before they are
 // acknowledged: an admission the control plane confirmed is on disk.
 //
-// Record framing is [u32 length][u32 CRC-32C][payload], little-endian.
-// Recovery reads records until end of file or the first frame whose
-// length or checksum does not hold, truncates the tail there, and
-// never panics: a torn final write loses only the unacknowledged
-// record it belongs to.
+// Record framing is [u32 length][u32 CRC-32C][payload], little-endian,
+// frames back to back from offset 0. A segment is preallocated: the
+// bytes past the last record are zeros, written and fsynced a chunk at
+// a time before any record lands in them, so a record's fsync flushes
+// data inside an extent that is already allocated and durable instead
+// of also committing the block allocation and the new file size. A
+// zero length therefore ends the log — an empty record would be eight
+// zero bytes, so Write refuses one.
+//
+// Recovery reads records until the end of the file, a zero length, or
+// the first frame whose length or checksum does not hold, and never
+// panics: a torn final write loses only the unacknowledged record it
+// belongs to. It then overwrites any non-zero bytes past the last valid
+// record with zeros, so a record appended later can never be followed
+// by stale bytes a second recovery would misread as frames. A segment
+// written before preallocation (no zeros, ending at end of file) reads
+// the same and grows on its next append.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,9 +50,14 @@ import (
 // frameHeaderSize is the per-record overhead: u32 length + u32 CRC-32C.
 const frameHeaderSize = 8
 
-// maxRecordSize bounds a single record (64 MiB) so a corrupted length
-// prefix cannot drive recovery into a huge allocation.
-const maxRecordSize = 64 << 20
+// chunkSize is how far a segment is zero-filled ahead of its records at
+// a time. Larger chunks mean fewer extensions (each one an fsync on the
+// appending operation) but a longer fill on every snapshot rotation,
+// which starts its segment with one chunk.
+const chunkSize = 256 << 10
+
+// zeroChunk is the source of every zero-fill; it is never written.
+var zeroChunk [chunkSize]byte
 
 // castagnoli is the CRC-32C table (the iSCSI polynomial, hardware-
 // accelerated on current CPUs).
@@ -52,6 +70,13 @@ var ErrExists = errors.New("wal: ledger already exists")
 // ErrNoLedger reports an Open of a directory with no ledger in it.
 var ErrNoLedger = errors.New("wal: no ledger found")
 
+// errClosed refuses a flush after Close or after a failed fsync.
+var errClosed = errors.New("wal: log closed")
+
+// errEmptyRecord refuses a Write of an empty payload, whose frame would
+// be indistinguishable from the zeros that end the log.
+var errEmptyRecord = errors.New("wal: empty record")
+
 // Stats is a point-in-time snapshot of the log's storage state, the
 // payload of the serving daemon's /v1/wal endpoint.
 type Stats struct {
@@ -60,7 +85,9 @@ type Stats struct {
 	// Records is the number of records appended since the generation
 	// began — the replay work a crash right now would cost.
 	Records uint64 `json:"records"`
-	// Offset is the live segment's size in bytes.
+	// Offset is the logical end of the live segment's records in bytes:
+	// where the next record will be written. The file itself is larger,
+	// by the zero-filled room preallocated past it.
 	Offset int64 `json:"offset_bytes"`
 	// Fsyncs counts fsync calls issued since this process opened the
 	// ledger.
@@ -81,7 +108,9 @@ type Log struct {
 	dir    string
 	gen    uint64
 	f      *os.File
-	offset int64
+	offset int64  // logical end of the records
+	alloc  int64  // segment size: offset plus the zero-filled room past it
+	frame  []byte // Write's scratch: one record's header and payload
 
 	records  uint64
 	fsyncs   atomic.Uint64
@@ -95,12 +124,12 @@ type Log struct {
 	// LSNs are monotone across rotations.
 	written atomic.Uint64
 	synced  atomic.Uint64
-	// syncMu serializes Sync bodies against each other and against the
-	// file swap in Rotate and Close, so a flush never touches a segment
-	// mid-replacement. failed latches after an fsync error: a later
-	// fsync on the same descriptor can report success after the kernel
-	// dropped the dirty pages, so no claim of durability is trusted
-	// once one flush has failed.
+	// syncMu serializes Sync bodies against each other, against grow,
+	// and against the file swap in Rotate and Close, so a flush never
+	// touches a segment mid-replacement. failed latches after an fsync
+	// error: a later fsync on the same descriptor can report success
+	// after the kernel dropped the dirty pages, so no claim of
+	// durability is trusted once one flush has failed.
 	syncMu sync.Mutex
 	failed bool
 }
@@ -127,7 +156,10 @@ func listGens(dir string) ([]uint64, error) {
 	var gens []uint64
 	for _, e := range ents {
 		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "snap-%d.snap", &g); err == nil {
+		// Sscanf ignores what follows the pattern: the name must match
+		// exactly, or an in-flight snap-<g>.snap.tmp would pass for
+		// generation g.
+		if _, err := fmt.Sscanf(e.Name(), "snap-%d.snap", &g); err == nil && e.Name() == snapName(g) {
 			gens = append(gens, g)
 		}
 	}
@@ -153,9 +185,10 @@ func Create(dir string, snapshot []byte) (*Log, error) {
 }
 
 // Open recovers the ledger in dir: it loads the newest generation's
-// snapshot and every valid record of its log segment, truncating the
-// segment after the last valid record (a torn tail from a mid-write
-// crash). The returned records are the replay suffix in append order.
+// snapshot and every valid record of its log segment, and zeroes
+// whatever non-zero bytes follow the last valid record (a torn tail
+// from a mid-write crash). The returned records are the replay suffix
+// in append order; they share one buffer.
 func Open(dir string) (l *Log, snapshot []byte, records [][]byte, err error) {
 	gens, err := listGens(dir)
 	if err != nil {
@@ -181,50 +214,50 @@ func Open(dir string) (l *Log, snapshot []byte, records [][]byte, err error) {
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	records, valid, err := scan(f)
+	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l.f, l.offset, l.records = f, valid, uint64(len(records))
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		f.Close()
+		return nil, nil, nil, fmt.Errorf("wal: reading segment: %w", err)
+	}
+	records, valid := scan(data)
+	l.f, l.offset, l.alloc, l.records = f, int64(valid), int64(len(data)), uint64(len(records))
+	if residue := len(bytes.TrimRight(data[valid:], "\x00")); residue > 0 {
+		if err := zeroFill(f, l.offset, l.offset+int64(residue)); err != nil {
+			f.Close()
+			return nil, nil, nil, fmt.Errorf("wal: zeroing torn tail: %w", err)
+		}
+		l.fsyncs.Add(1)
+	}
 	return l, snapshot, records, nil
 }
 
-// scan reads frames from the start of f until EOF or the first invalid
-// frame, returning the valid payloads and the byte offset they end at.
-// Corruption is not an error — it marks the end of the durable prefix.
-func scan(f *os.File) (records [][]byte, valid int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	var hdr [frameHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return records, valid, nil // clean EOF or torn header
+// scan parses frames from the start of data until its end, a zero
+// length, or the first frame that is torn or fails its checksum,
+// returning the valid payloads (sub-slices of data) and the offset they
+// end at. Corruption is not an error — it marks the end of the durable
+// prefix.
+func scan(data []byte) (records [][]byte, valid int) {
+	for len(data)-valid >= frameHeaderSize {
+		n := binary.LittleEndian.Uint32(data[valid:])
+		sum := binary.LittleEndian.Uint32(data[valid+4:])
+		start := valid + frameHeaderSize
+		if n == 0 || uint64(n) > uint64(len(data)-start) {
+			break // end of the log, garbled length, or torn payload
 		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxRecordSize {
-			return records, valid, nil // garbled length
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, valid, nil // torn payload
-		}
+		end := start + int(n)
+		payload := data[start:end:end]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return records, valid, nil // corrupted record
+			break // corrupted record
 		}
 		records = append(records, payload)
-		valid += frameHeaderSize + int64(n)
+		valid = end
 	}
+	return records, valid
 }
 
 // Append frames, writes, and fsyncs one record. On return the record is
@@ -241,20 +274,63 @@ func (l *Log) Append(payload []byte) error {
 // Write frames and writes one record to the OS without making it
 // durable, returning its LSN. The record is on disk only after a Sync
 // (or Rotate) whose return happens after this Write returns — callers
-// must not acknowledge it before then. Serialized by the owner's lock.
+// must not acknowledge it before then. A record that would cross the
+// segment's preallocated end first extends it (see grow). The payload
+// must not be empty. Serialized by the owner's lock.
 func (l *Log) Write(payload []byte) (uint64, error) {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := l.f.Write(hdr[:]); err != nil {
+	if len(payload) == 0 {
+		return 0, errEmptyRecord
+	}
+	end := l.offset + frameHeaderSize + int64(len(payload))
+	if end > l.alloc {
+		if err := l.grow(end); err != nil {
+			return 0, err
+		}
+	}
+	l.frame = binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
+	l.frame = binary.LittleEndian.AppendUint32(l.frame, crc32.Checksum(payload, castagnoli))
+	l.frame = append(l.frame, payload...)
+	if _, err := l.f.WriteAt(l.frame, l.offset); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := l.f.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.offset += frameHeaderSize + int64(len(payload))
+	l.offset = end
 	l.records++
 	return l.written.Add(1), nil
+}
+
+// grow zero-fills the segment from its end by whole chunks until it
+// reaches at least end, and fsyncs it, so the records that land there
+// flush only their own data. A failure latches like a failed Sync.
+// Called by Write under the owner's lock.
+func (l *Log) grow(end int64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.f == nil || l.failed {
+		return errClosed
+	}
+	alloc := l.alloc
+	for alloc < end {
+		alloc += chunkSize
+	}
+	if err := zeroFill(l.f, l.alloc, alloc); err != nil {
+		l.failed = true
+		return fmt.Errorf("wal: extending segment: %w", err)
+	}
+	l.fsyncs.Add(1)
+	l.alloc = alloc
+	return nil
+}
+
+// zeroFill writes zeros over [from, to) of f and fsyncs it.
+func zeroFill(f *os.File, from, to int64) error {
+	for from < to {
+		n := min(to-from, chunkSize)
+		if _, err := f.WriteAt(zeroChunk[:n], from); err != nil {
+			return err
+		}
+		from += n
+	}
+	return f.Sync()
 }
 
 // Sync makes every record whose Write returned before this call began
@@ -271,7 +347,7 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	if l.f == nil || l.failed {
-		return errors.New("wal: log closed")
+		return errClosed
 	}
 	if err := l.f.Sync(); err != nil {
 		l.failed = true
@@ -313,30 +389,39 @@ func (l *Log) Rotate(snapshot []byte) error {
 }
 
 // installGen writes gen's snapshot durably and opens its fresh empty
-// segment, leaving l pointing at the new generation.
+// segment, preallocated by one chunk, leaving l pointing at the new
+// generation. The segment is created before the snapshot is renamed
+// into place, so one directory sync makes both names durable: a crash
+// before the rename leaves generation gen-1 live beside a stray
+// zero-filled segment, which the next rotation truncates; a crash after
+// it whose segment name did not persist recovers an empty suffix.
 func (l *Log) installGen(gen uint64, snapshot []byte) error {
 	final := filepath.Join(l.dir, snapName(gen))
 	tmp := final + ".tmp"
 	if err := writeDurable(tmp, snapshot); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: installing snapshot: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
-	}
 	f, err := os.OpenFile(filepath.Join(l.dir, logName(gen)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("wal: creating segment: %w", err)
+	}
+	if err := zeroFill(f, 0, chunkSize); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("wal: preallocating segment: %w", err)
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("wal: installing snapshot: %w", err)
 	}
 	if err := syncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
-	l.gen, l.f, l.offset, l.records = gen, f, 0, 0
-	l.fsyncs.Add(3) // snapshot + two directory syncs
+	l.gen, l.f, l.offset, l.alloc, l.records = gen, f, 0, chunkSize, 0
+	l.fsyncs.Add(3) // snapshot, segment, directory
 	return l.statSnapshot()
 }
 
