@@ -42,10 +42,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # One short run of the repository's benchmark on the workload where the
-# placement search does nearly all the work (≈5 s after the build), one
-# on the workload where every control period is a full solve (≈3 s:
-# every tenant redeclares, membership churns), and one on the durable
-# daemon, which ends in kill -9 and recovery from the write-ahead log.
+# placement search does nearly all the work (≈5 s after the build), two
+# on the control loop — one where every period is a full solve (≈3 s:
+# every tenant redeclares, membership churns) and one where 1% of the
+# tenants redeclare, both through the closed-form slack solve — and one
+# on the durable daemon, which ends in kill -9 and recovery from the
+# write-ahead log.
 # The benchmark exits non-zero on a failed operation or a failed
 # correctness check — capacity invariant, tallies, decisions,
 # MinRatio ≥ 1 on every period, recovered state equal to the
@@ -54,6 +56,7 @@ bench-check:
 bench-smoke:
 	bash bench/run.sh --workload lib_packed --seconds 1 --trace 0
 	bash bench/run.sh --workload enforce_storm --seconds 1 --trace 0
+	bash bench/run.sh --workload enforce_steady --seconds 1 --trace 0
 	bash bench/run.sh --workload http_durable --seconds 1 --trace 0
 
 # Short suite under the race detector: what CI runs on every push.
@@ -77,7 +80,10 @@ test-full:
 # the event-driven max-min solver, differentially fuzzed against the
 # progressive-filling reference for Float64bits-identical rates (its
 # seed corpus includes instances at, just under and just over a link's
-# capacity, either side of the solver's "every cap fits" return), and
+# capacity, either side of the solver's "every cap fits" return), the
+# dataplane's closed-form slack solve against the general RA/max-min
+# path for Float64bits-identical limits, rates and aggregates (the
+# fuzzer picks the guarantee, the loads, alpha and poked limits), and
 # the placement search's bandwidthFit against its linear-scan reference
 # (the fuzzer picks the TAG and both budgets). Ten
 # seconds each is enough to exercise the mutation engine over every
@@ -89,6 +95,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEventCodec -fuzztime $(FUZZTIME) ./internal/place
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzMaxMin -fuzztime $(FUZZTIME) ./internal/netem
+	$(GO) test -run '^$$' -fuzz FuzzSlackSolve -fuzztime $(FUZZTIME) ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz FuzzBandwidthFit -fuzztime $(FUZZTIME) ./internal/place/cloudmirror
 
 # Same seed => bit-identical tables at every worker count, exercised at
@@ -101,7 +108,8 @@ test-fuzz:
 # settling, Converge vs the rate-copy rule, contention-aware
 # components vs a whole-fabric oracle to 1e-6 Mbps per pair, a link
 # driven slack → contended → inside the margin band → slack, components
-# sharing a slack link solved in parallel), the max-min solver's
+# sharing a slack link solved in parallel, the closed-form slack solve
+# vs the general RA/max-min path by Float64bits), the max-min solver's
 # TestDifferentialFitsShortcut (the "every cap fits" return and its
 # fall-through vs MaxMinReference, Float64bits, with the tightest link
 # parked at every distance from capacity), the commit pipeline's

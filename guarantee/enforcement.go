@@ -54,8 +54,11 @@ type EnforcementReport struct {
 	// Components counts the components — sets of tenants connected
 	// through contended links — of this report's (final) period, and
 	// Solved how many of them it re-solved; the rest were at their fixed
-	// point and report cached outcomes.
-	Solved, Components int
+	// point and report cached outcomes. Contended counts the components
+	// holding a contended link: zero means no guarantee can bind on the
+	// fabric right now, and every pair gets its demand up to its
+	// limiter.
+	Solved, Components, Contended int
 }
 
 // Enforcement is the runtime half of a Service: one dataplane driver
@@ -130,6 +133,7 @@ func (r *EnforcementReport) add(st *ShardEnforcement, iters int) {
 	}
 	r.Solved += st.Solved
 	r.Components += st.Components
+	r.Contended += st.Contended
 }
 
 // SetDemand declares a grant's active flows for subsequent control

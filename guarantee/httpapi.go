@@ -468,10 +468,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // enforcementBody is the /v1/enforcement wire form: the outcome of one
 // control period, aggregates only (GET /v1/guarantees/{id}/enforcement
 // serves one grant's pairs). Components counts the period's components
-// — tenants connected through contended links — and Solved how many of
-// them it re-solved rather than skipped at their fixed point; both come
-// from the report itself, so they describe the same period as the
-// rates beside them.
+// (tenants connected through contended links), Solved how many of
+// them it re-solved rather than skipped at their fixed point, and
+// Contended how many hold a contended link, where a guarantee can bind;
+// all come from the report itself, so they describe the same period as
+// the rates beside them.
 type enforcementBody struct {
 	Shards         int                 `json:"shards"`
 	Tenants        int                 `json:"tenants"`
@@ -484,6 +485,7 @@ type enforcementBody struct {
 	MinRatio       float64             `json:"min_ratio"`
 	Components     int                 `json:"components"`
 	Solved         int                 `json:"solved_components"`
+	Contended      int                 `json:"contended_components"`
 	Events         enforcementEvents   `json:"events"`
 	PerTenant      []enforcementTenant `json:"per_tenant"`
 }
@@ -499,7 +501,8 @@ type enforcementEvents struct {
 
 // enforcementTenant is one tenant's slice of the control period. Pairs
 // counts enforced (fabric-crossing) flows and Colocated intra-server
-// ones, like the top-level fields of the same names.
+// ones, and BaseMbps sums min(demand, guarantee), the amount MinRatio is
+// measured against, like the top-level fields of the same names.
 type enforcementTenant struct {
 	Shard          int     `json:"shard"`
 	Key            int64   `json:"key"`
@@ -507,6 +510,7 @@ type enforcementTenant struct {
 	Pairs          int     `json:"pairs"`
 	Colocated      int     `json:"colocated_pairs"`
 	GuaranteedMbps float64 `json:"guaranteed_mbps"`
+	BaseMbps       float64 `json:"base_mbps"`
 	AchievedMbps   float64 `json:"achieved_mbps"`
 	SpareMbps      float64 `json:"spare_mbps"`
 	MinRatio       float64 `json:"min_ratio"`
@@ -593,6 +597,7 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 		MinRatio:       rep.MinRatio,
 		Components:     rep.Components,
 		Solved:         rep.Solved,
+		Contended:      rep.Contended,
 		Events:         eventsBody(enf.Counters()),
 		PerTenant:      []enforcementTenant{},
 	}
@@ -605,6 +610,7 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 				Pairs:          ts.Pairs,
 				Colocated:      ts.Colocated,
 				GuaranteedMbps: ts.GuaranteedMbps,
+				BaseMbps:       ts.BaseMbps,
 				AchievedMbps:   ts.AchievedMbps,
 				SpareMbps:      ts.SpareMbps,
 				MinRatio:       ts.MinRatio,

@@ -217,7 +217,8 @@ func TestHTTPTypedRejections(t *testing.T) {
 
 // TestHTTPEnforcement: POST /v1/enforcement/step runs a control
 // period, GET /v1/enforcement reads state without advancing the loop,
-// and both 422 on a service built without enforcement.
+// both count the components holding a contended link and give each
+// tenant's base, and both 422 on a service built without enforcement.
 func TestHTTPEnforcement(t *testing.T) {
 	// Without enforcement: typed Unsupported rejection on both routes.
 	plain := newTestServer(t)
@@ -234,7 +235,8 @@ func TestHTTPEnforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(svc).Handler())
+	srv := NewServer(svc)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	var g grantBody
@@ -277,6 +279,40 @@ func TestHTTPEnforcement(t *testing.T) {
 	}
 	if got.Components != 1 || got.Solved != 1 {
 		t.Errorf("post-step GET reports %d of %d components solved, want the period's 1 of 1", got.Solved, got.Components)
+	}
+	// Undeclared flows are backlogged, so every link they cross is
+	// contended. The tenant's row carries the base its MinRatio is
+	// measured against — the whole report's, with one tenant.
+	for _, b := range []enforcementBody{body, got} {
+		if b.Contended != 1 {
+			t.Errorf("backlogged tenant: %d contended components, want 1", b.Contended)
+		}
+		if pt := b.PerTenant[0]; !(pt.BaseMbps > 0) || pt.BaseMbps != b.BaseMbps {
+			t.Errorf("per-tenant base_mbps %v, want the report's %v", pt.BaseMbps, b.BaseMbps)
+		}
+	}
+
+	// One Mbps per web → db pair fills no link: still one component,
+	// none contended.
+	var demands []Demand
+	for src := 0; src < 3; src++ {
+		for dst := 3; dst < 5; dst++ {
+			demands = append(demands, Demand{Src: src, Dst: dst, Mbps: 1})
+		}
+	}
+	srv.mu.Lock()
+	sg := srv.grants[g.ID]
+	srv.mu.Unlock()
+	if err := svc.Enforcement().SetDemand(sg.grant, demands); err != nil {
+		t.Fatal(err)
+	}
+	resp = do(t, "POST", ts.URL+"/v1/enforcement/step", "", &body)
+	if resp.StatusCode != http.StatusOK || body.Components != 1 || body.Contended != 0 {
+		t.Errorf("declared step = %d, %d components of which %d contended; want 200, 1 and 0",
+			resp.StatusCode, body.Components, body.Contended)
+	}
+	if pt := body.PerTenant[0]; !(pt.BaseMbps > 0) || pt.BaseMbps != body.BaseMbps || pt.MinRatio < 1-1e-9 {
+		t.Errorf("declared tenant row %+v, want the report's base_mbps %v and min_ratio >= 1", pt, body.BaseMbps)
 	}
 
 	// Release: counters refresh on GET without running a period; the

@@ -11,7 +11,8 @@ import (
 // This file holds the component-incremental machinery behind
 // Driver.Step: flow-state refresh, the kept link loads, the union-find
 // structure rebuild with the proof that lets a period skip it, and the
-// per-component GP/RA/limiter solve.
+// per-component RA/limiter/max-min solve with its closed form for
+// components no contended link touches.
 //
 // Weighted max-min decomposes over connected components of the
 // flow–link graph, where only links that can saturate count as edges: a
@@ -32,10 +33,20 @@ import (
 // its saturation level is never the next water-level event (every flow
 // on it reaches its own cap first), and RA's guarantee-overflow check
 // on it is implied (Σ base ≤ Σ demand ≤ capacity). Slack links still
-// appear on the paths handed to the solvers; they just never bind.
-// Greedy demands are +Inf, so a link carrying a backlogged or
-// undeclared flow is always contended: the purely structural
-// decomposition is the special case "every demand Greedy".
+// appear on the paths a contended component hands the solvers; they
+// just never bind. Greedy demands are +Inf, so a link carrying a
+// backlogged or undeclared flow is always contended: the purely
+// structural decomposition is the special case "every demand Greedy".
+//
+// A component that holds no contended link is therefore a single tenant
+// (tenants union only through contended links) on which no link binds,
+// and its solve has a closed form: RA hands every pair its whole demand,
+// the achieved rates are the caps min(demand, limit), and nothing but
+// the limiter step is left to compute. solveComponent takes it — one
+// pass over the pairs, no path read, no solver set up — and its godoc
+// proves the bits are the general path's. The flag that selects it is
+// set by rebuildComponents, which tests every member link's contended
+// bit anyway and runs whenever one can flip.
 //
 // What splitting a component can change: within one solve the water
 // level stops at the events of every flow in it, and freeze decisions
@@ -67,6 +78,12 @@ const (
 	contendedAbs = 1e-6
 )
 
+// slackMaxOcc bounds a tenant's (pair, link) occurrences for the
+// closed-form solve: it is the netem fits test's degree bound, under
+// which the contended margins dominate the rounding of every fold the
+// proof (solveComponent) bounds.
+const slackMaxOcc = 1 << 20
+
 // contended reports whether link l's declared load can fill it.
 func (d *Driver) contended(l netem.LinkID) bool {
 	return d.linkLoad[l] > d.fabCaps[l]*(1-contendedRel)-contendedAbs
@@ -76,6 +93,10 @@ func (d *Driver) contended(l netem.LinkID) bool {
 type component struct {
 	// members lists the tenants in admission order.
 	members []*tenant
+	// contended marks a component holding a contended link. One that
+	// holds none has a single member and, when that member is
+	// certified, is solved in closed form (solveComponent).
+	contended bool
 }
 
 // linkRef is one tenant's entry in a link's adjacency list: the tenant
@@ -152,6 +173,7 @@ func (d *Driver) refreshFlows(t *tenant) {
 	t.limits = t.limits[:0]
 	t.guarantees = t.guarantees[:0]
 	t.rates = t.rates[:0]
+	occ := 0
 	for _, dm := range t.demands {
 		path := d.fab.Path(t.bind.Server(dm.Src), t.bind.Server(dm.Dst))
 		if len(path) == 0 {
@@ -162,10 +184,17 @@ func (d *Driver) refreshFlows(t *tenant) {
 		t.pairs = append(t.pairs, enforce.Pair{Src: dm.Src, Dst: dm.Dst, Demand: dm.Mbps})
 		t.paths = append(t.paths, path)
 		t.links = append(t.links, path...)
+		occ += len(path)
 	}
 	slices.Sort(t.links)
 	t.links = slices.Compact(t.links)
 	d.link(t)
+	t.certified = occ <= slackMaxOcc
+	for _, l := range t.links {
+		if !(d.fabCaps[l] <= math.MaxFloat64) {
+			t.certified = false
+		}
+	}
 
 	// Carry limiter state for surviving pairs.
 	oi := 0
@@ -186,6 +215,11 @@ func (d *Driver) refreshFlows(t *tenant) {
 	// changes: partition once here, and every solve until the next new
 	// pair set appends the kept slice.
 	t.guarantees = enforce.AppendGuarantees(t.guarantees, t.gp, t.pairs)
+	for _, g := range t.guarantees {
+		if !(g >= 0 && g <= math.MaxFloat64) {
+			t.certified = false
+		}
+	}
 	t.flowsDirty = false
 	t.settled = false
 	// The tenant may now cross other links: a membership event.
@@ -288,10 +322,12 @@ func (d *Driver) rebuildComponents() {
 		d.linkOwner[l] = -1
 	}
 	for ti, t := range d.order {
+		t.onContended = false
 		for _, l := range t.links {
 			if !d.contended(l) {
 				continue
 			}
+			t.onContended = true
 			if o := d.linkOwner[l]; o >= 0 {
 				d.ufUnion(int32(ti), o)
 			} else {
@@ -332,6 +368,9 @@ func (d *Driver) rebuildComponents() {
 	for ci := range d.comps {
 		members := d.comps[ci].members
 		d.compSizes = append(d.compSizes, len(members))
+		// Every member of a multi-tenant component crosses a contended
+		// link (that is how it joined), so the first member decides.
+		d.comps[ci].contended = members[0].onContended
 		oldc := members[0].comp
 		carried := oldc >= 0 && oldc < len(d.prevSizes) && d.prevSizes[oldc] == len(members)
 		if carried {
@@ -406,7 +445,122 @@ func limiterStep(cur, target, alpha float64) float64 {
 // targets, these limits and therefore these rates again, bit for bit,
 // for as long as nobody redeclares: the component is settled and
 // skipping it is exact, not approximate.
-func (d *Driver) solveComponent(ctx *solveCtx, c *component) (float64, error) {
+//
+// A slack component — no contended link, so a single tenant t — whose
+// tenant is certified takes a closed form (solveSlack), one pass over
+// t's pairs in pair order that reads no path and sets up no solver:
+//
+//	base   = min(d, g)
+//	target = base + (d − base)
+//	nl     = limiterStep(cur, target, α)       (cur = g while NaN)
+//	rate   = nl if 0 < nl < d, else d; 0 if that is ≤ 0
+//
+// beside the same settled test, moved maximum and report fold. This is
+// a proof, not an approximation: RA.Alloc and both MaxMinCaps calls of
+// the general path return exactly these bits. With u = 2⁻⁵³, certified
+// means every guarantee g finite and ≥ 0, every link capacity C finite,
+// and at most 2²⁰ (pair, link) occurrences on t's paths, so deg ≤ 2²⁰
+// on each link; demands are ≥ 0 (SetDemand) and finite (each is part of
+// a slack link's load).
+//
+//   - Room. A link's load folds non-negative tenant contributions in
+//     admission order, and rounding is monotone, so it is at least t's
+//     own contribution, a fold of deg demands. With the load at most
+//     C·(1−1e-9) − 1e-6 (threshold rounding included), in exact
+//     arithmetic C − Σd ≥ 8.8e-10·C + 1e-6 on every link t crosses.
+//   - RA phase 1 subtracts base ≤ d along each path, so a residual never
+//     drops below C − Σd − deg·u·C > 0: neither the ErrInvariant check
+//     nor the clamp at 0 can fire (Σbase ≤ Σd ≤ C).
+//   - RA phase 2 caps each pair at d − base, exactly 0 when d ≤ g (the
+//     flow is frozen at 0 from the start), leaving the residual at least
+//     7.6e-10·C + 1e-6 of room; the achieved-rates solve caps it at
+//     min(d, nl) ≤ d, leaving 8.8e-10·C + 1e-6. netem.Solver's proof
+//     bounds the rounding of its residuals by 3.5e-10·C + 5e-10, so
+//     rem > 1e-9 on every link in every round of both solves, and that
+//     is all its conclusion needs: a flow can only freeze at its cap
+//     event, which assigns rate = cap exactly. This holds where the
+//     solver's strict fits test fails and its event loop runs: in the
+//     rounding band of a load exactly at the threshold, or of the solver
+//     folding per link in flow order where the driver folds per tenant
+//     in admission order.
+//   - So RA's targets are base + fl(d − base), the achieved rates are
+//     the caps (max(cap, 0) for a cap ≤ 0, which only d = −0 reaches),
+//     and the rest is the general path's own expressions in its order.
+//
+// Whenever the general path returns, then, it returns the closed form's
+// bits. (Its event loop can spin only on a cap event that rounds more
+// than 1e-9 short of the cap, a cap above 10⁶ Mbps; see netem.Solver.)
+func (d *Driver) solveComponent(c *component) (float64, error) {
+	if !c.contended && c.members[0].certified {
+		return d.solveSlack(c.members[0]), nil
+	}
+	ctx := d.pool.Get().(*solveCtx)
+	defer d.pool.Put(ctx)
+	return d.solveGeneral(ctx, c)
+}
+
+// solveSlack is the closed-form solve of a slack component whose only
+// member is t (see solveComponent), returning the same moved value.
+func (d *Driver) solveSlack(t *tenant) float64 {
+	alpha := d.cfg.alpha()
+	np := len(t.pairs)
+	moved := 0.0
+	fresh := len(t.rates) != np
+	if fresh {
+		moved = math.Inf(1)
+		t.rates = slices.Grow(t.rates[:0], np)[:np]
+	}
+	settled := true
+	ts := TenantStats{
+		Key: t.key, ID: t.id,
+		Pairs: np, Colocated: len(t.demands) - np,
+		MinRatio: 1,
+	}
+	for j, pr := range t.pairs {
+		dm, g := pr.Demand, t.guarantees[j]
+		base := min(dm, g)
+		target := base + (dm - base)
+		cur := t.limits[j]
+		if math.IsNaN(cur) {
+			cur = g
+		}
+		nl := limiterStep(cur, target, alpha)
+		if math.Float64bits(limiterStep(nl, target, alpha)) != math.Float64bits(nl) {
+			settled = false
+		}
+		t.limits[j] = nl
+		r := dm
+		if nl > 0 && nl < r {
+			r = nl
+		}
+		if r <= 0 {
+			r = 0
+		}
+		if !fresh {
+			if delta := math.Abs(r - t.rates[j]); delta > moved {
+				moved = delta
+			}
+		}
+		t.rates[j] = r
+		ts.GuaranteedMbps += g
+		ts.AchievedMbps += r
+		ts.BaseMbps += base
+		if base > 0 {
+			if ratio := r / base; ratio < ts.MinRatio {
+				ts.MinRatio = ratio
+			}
+		}
+	}
+	ts.SpareMbps = ts.AchievedMbps - ts.BaseMbps
+	t.dirty = false
+	t.settled = settled
+	d.stats[t.pos] = ts
+	return moved
+}
+
+// solveGeneral is solveComponent's general path: RA, the limiter step
+// and the achieved-rates max-min over the gathered component.
+func (d *Driver) solveGeneral(ctx *solveCtx, c *component) (float64, error) {
 	// Gather the component's pairs, paths, and per-tenant guarantees.
 	ctx.pairs = ctx.pairs[:0]
 	ctx.paths = ctx.paths[:0]

@@ -156,7 +156,14 @@ type tenant struct {
 	// comp is the component id assigned by the last structure rebuild;
 	// -1 before the first. The rebuild uses it to detect components
 	// whose membership is unchanged, which may keep their settled state.
-	comp int
+	// onContended, set by the same rebuild, marks a tenant crossing a
+	// contended link. certified, set by refreshFlows, holds the
+	// load-independent preconditions of the closed-form solve (see
+	// solveComponent): finite non-negative guarantees, finite link
+	// capacities, at most slackMaxOcc (pair, link) occurrences.
+	comp        int
+	onContended bool
+	certified   bool
 }
 
 // PairStats reports one declared flow of a tenant (Driver.Pairs).
@@ -221,8 +228,10 @@ type StepStats struct {
 	// Components counts this period's components — tenants connected
 	// through contended links — and Solved how many of them it
 	// re-solved; the rest were at their fixed point and report cached
-	// outcomes.
-	Solved, Components int
+	// outcomes. Contended counts the components holding a contended
+	// link, the only places a guarantee can bind this period: the rest
+	// give every pair its demand capped by its limiter.
+	Solved, Components, Contended int
 }
 
 // Driver is one shard's enforcement plane: it consumes Grant lifecycle
@@ -246,7 +255,8 @@ type StepStats struct {
 //     already built is provably the current one;
 //   - re-solves only components holding a changed tenant or limiters
 //     that have not reached their fixed point — RA, the limiter step and
-//     the achieved rates over the kept guarantees — in parallel, folding
+//     the achieved rates over the kept guarantees, in closed form for a
+//     component no contended link touches — in parallel, folding
 //     results in deterministic component order;
 //   - reports per-tenant aggregates cached at solve time. Per-pair
 //     detail is served on demand (Pairs), never materialised per period.
@@ -308,8 +318,8 @@ type Driver struct {
 	oldLimits []float64
 
 	// lastSolved / lastComps report the previous step's incremental
-	// effort (SolveStats).
-	lastSolved, lastComps int
+	// effort (SolveStats), lastContended its contended components.
+	lastSolved, lastComps, lastContended int
 
 	counters Counters
 	// err latches control-plane invariant violations (a placement that
@@ -708,23 +718,8 @@ func (d *Driver) advance() (float64, error) {
 	// that changed.
 	d.prepare()
 
-	// 2. Decide which components to solve: any member dirtied by an
-	// event or demand change, any member whose limiters have not
-	// reached their fixed point — or everything under FullRecompute.
-	d.solveSet = d.solveSet[:0]
-	for ci := range d.comps {
-		need := d.cfg.FullRecompute
-		for _, t := range d.comps[ci].members {
-			if t.dirty || !t.settled {
-				need = true
-				break
-			}
-		}
-		if need {
-			d.solveSet = append(d.solveSet, ci)
-		}
-	}
-	d.lastSolved, d.lastComps = len(d.solveSet), len(d.comps)
+	// 2. Decide which components to solve.
+	d.pickSolveSet()
 
 	// 3. Solve dirty components in parallel. Components are disjoint
 	// tenant sets (two may cross the same slack link, but a solve only
@@ -732,9 +727,7 @@ func (d *Driver) advance() (float64, error) {
 	// shared state (fabric, order) is read-only, so results are
 	// independent of scheduling, and so is the largest of them.
 	moves, err := parallel.Map(parallel.Workers(0), len(d.solveSet), func(i int) (float64, error) {
-		ctx := d.pool.Get().(*solveCtx)
-		defer d.pool.Put(ctx)
-		return d.solveComponent(ctx, &d.comps[d.solveSet[i]])
+		return d.solveComponent(&d.comps[d.solveSet[i]])
 	})
 	if err != nil {
 		if errors.Is(err, netem.ErrBadInput) {
@@ -751,6 +744,31 @@ func (d *Driver) advance() (float64, error) {
 	return moved, nil
 }
 
+// pickSolveSet lists in d.solveSet the components this period solves —
+// those with a member dirtied by an event or demand change or whose
+// limiters have not reached their fixed point, or all of them under
+// FullRecompute — and records the period's component counts.
+func (d *Driver) pickSolveSet() {
+	d.solveSet = d.solveSet[:0]
+	contended := 0
+	for ci := range d.comps {
+		if d.comps[ci].contended {
+			contended++
+		}
+		need := d.cfg.FullRecompute
+		for _, t := range d.comps[ci].members {
+			if t.dirty || !t.settled {
+				need = true
+				break
+			}
+		}
+		if need {
+			d.solveSet = append(d.solveSet, ci)
+		}
+	}
+	d.lastSolved, d.lastComps, d.lastContended = len(d.solveSet), len(d.comps), contended
+}
+
 // report gathers the period's outcome from the per-tenant aggregates
 // cached at solve time, in admission order: the same sums in the same
 // order whether a tenant was solved this period or long ago. The
@@ -761,6 +779,7 @@ func (d *Driver) report() *StepStats {
 		MinRatio:   1,
 		Solved:     d.lastSolved,
 		Components: d.lastComps,
+		Contended:  d.lastContended,
 	}
 	for i := range st.Tenants {
 		ts := &st.Tenants[i]

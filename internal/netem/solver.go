@@ -77,6 +77,15 @@ const (
 // +Inf sum (a Greedy flow without a limit), for a NaN, zero or negative
 // capacity, and for any link within the margin.
 //
+// The dataplane relies on this proof's conclusion, not on the fits
+// test: a component whose links' declared loads all stay these margins
+// below capacity is solved there in closed form, without calling the
+// solver, as rates = caps. Its proof
+// (dataplane.Driver's solveComponent) shows rem > eps in every round
+// even in the rounding band where the strict test fails and the event
+// loop runs, and needs nothing else from this one. A change to the
+// freeze rules, eps or this bound must keep that conclusion.
+//
 // A Solver is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
 type Solver struct {
