@@ -103,7 +103,7 @@ test-fuzz:
 # the churn sweep), the sharded churn simulator itself (with and
 # without elastic resizes and the enforcement dataplane), the
 # dataplane's TestDifferential* harnesses
-# (incremental vs FullRecompute byte for byte, cached aggregates vs a
+# (incremental vs full recompute byte for byte, cached aggregates vs a
 # fold over Pairs, kept link loads vs a from-scratch fold, one-solve
 # settling, Converge vs the rate-copy rule, contention-aware
 # components vs a whole-fabric oracle to 1e-6 Mbps per pair, a link
@@ -124,7 +124,7 @@ test-fuzz:
 # admission trace and final ledger).
 determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run TestParallelDeterminism ./internal/experiments
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism|TestEnforceChurnIncrementalMatchesFull' ./internal/sim
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism' ./internal/sim
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineMixedStress|TestDifferential' ./internal/place
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane

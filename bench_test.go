@@ -319,7 +319,6 @@ func BenchmarkControllerStep(b *testing.B) {
 // tenants under default (all-pairs backlogged) demands.
 func BenchmarkDataplaneStep(b *testing.B) {
 	svc, err := guarantee.New(topology.SmallSpec(),
-		guarantee.WithAlgorithm("cm"),
 		guarantee.WithEnforcement(guarantee.EnforcementConfig{}))
 	if err != nil {
 		b.Fatal(err)

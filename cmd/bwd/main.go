@@ -3,12 +3,12 @@
 // simulated datacenter fleet and serves admit / resize / release /
 // stats as an HTTP JSON API, so applications request, scale, and drop
 // bandwidth guarantees the way the paper's workflows describe (§2,
-// Fig. 2) instead of linking the library.
+// Fig. 2) instead of linking the library. Every tenant is placed by
+// CloudMirror and priced by its own TAG.
 //
 // Usage:
 //
-//	bwd [-addr :8080] [-alg cm|cm-oppha|cm-coloc|cm-balance|ovoc|ovoc-aware|secondnet]
-//	    [-servers 128|512|2048] [-shards N] [-policy rr|least|p2c]
+//	bwd [-addr :8080] [-servers 128|512|2048] [-shards N] [-policy rr|least|p2c]
 //	    [-seed N] [-enforce] [-enforce-alpha F] [-enforce-gp tag|hose|gatekeeper]
 //	    [-wal-dir DIR] [-snapshot-every N] [-pprof localhost:6060]
 //
@@ -38,8 +38,8 @@
 // fsynced to a write-ahead log under the directory before it is
 // acknowledged, and snapshots truncate the log every -snapshot-every
 // events. If the directory already holds a ledger the daemon recovers
-// it (the topology/algorithm/policy flags are then read from the
-// ledger, not the command line); otherwise it starts fresh. On SIGTERM
+// it (the topology/policy flags are then read from the ledger, not the
+// command line); otherwise it starts fresh. On SIGTERM
 // the daemon drains HTTP, writes a final snapshot, and closes the log,
 // so the next start replays nothing.
 //
@@ -58,7 +58,7 @@
 //
 // Example session:
 //
-//	bwd -addr :8080 -alg cm -servers 512 &
+//	bwd -addr :8080 -servers 512 &
 //	curl -s localhost:8080/v1/guarantees -d '{
 //	  "tag": {"name":"shop",
 //	          "tiers":[{"name":"web","n":8},{"name":"db","n":4}],
@@ -81,7 +81,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -91,7 +90,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	alg := flag.String("alg", "cm", "placement algorithm: "+strings.Join(guarantee.Algorithms(), ", "))
 	servers := flag.Int("servers", 512, "per-shard datacenter size: 128, 512, or 2048 servers")
 	shards := flag.Int("shards", 1, "number of independent datacenter trees behind the dispatcher")
 	policy := flag.String("policy", "rr", "dispatch policy: rr, least, p2c")
@@ -144,7 +142,6 @@ func main() {
 	}
 
 	opts := []guarantee.Option{
-		guarantee.WithAlgorithm(*alg),
 		guarantee.WithShards(*shards),
 		guarantee.WithPolicy(*policy),
 		guarantee.WithSeed(*seed),

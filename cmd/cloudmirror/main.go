@@ -1,10 +1,12 @@
-// Command cloudmirror places a tenant described by a TAG (JSON) onto a
-// simulated datacenter through the public guarantee API and reports the
-// placement and the bandwidth it reserves at each network level.
+// Command cloudmirror places a tenant described by a TAG (JSON) onto an
+// empty simulated datacenter under CloudMirror or one of the variants
+// and baselines the paper compares (internal/experiments), and reports
+// the placement and the bandwidth it reserves at each network level.
 //
 // Usage:
 //
-//	cloudmirror -tag tenant.json [-alg cm|ovoc|secondnet] [-servers N] [-rwcs R]
+//	cloudmirror -tag tenant.json [-alg cm|cm-oppha|cm-coloc|cm-balance|ovoc|ovoc-aware|secondnet]
+//	            [-oppha] [-servers 512|2048] [-rwcs R] [-dot]
 //
 // The TAG wire format (see internal/tag) names tiers and edges:
 //
@@ -17,22 +19,23 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
-	"cloudmirror/guarantee"
+	"cloudmirror/internal/experiments"
 	"cloudmirror/internal/ha"
+	"cloudmirror/internal/place"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
 
 func main() {
 	tagPath := flag.String("tag", "", "path to the tenant TAG (JSON)")
-	alg := flag.String("alg", "cm", "placement algorithm: cm, ovoc, or secondnet")
+	alg := flag.String("alg", "cm", "placement algorithm: "+strings.Join(experiments.Algorithms(), ", "))
 	servers := flag.Int("servers", 512, "datacenter size: 512 or 2048 servers")
 	rwcs := flag.Float64("rwcs", 0, "required worst-case survivability in [0,1)")
 	oppHA := flag.Bool("oppha", false, "opportunistic anti-affinity (cm only)")
@@ -73,22 +76,20 @@ func main() {
 	if name == "cm" && *oppHA {
 		name = "cm-oppha"
 	}
-	svc, err := guarantee.New(spec, guarantee.WithAlgorithm(name))
+	algorithm, err := experiments.AlgorithmByName(name)
 	if err != nil {
 		fatal(err)
 	}
-
-	grant, err := svc.Admit(context.Background(), guarantee.Request{
+	tree, res, err := experiments.PlaceOne(spec, algorithm, place.Request{
 		Graph: &g,
-		HA:    guarantee.HASpec{RWCS: *rwcs},
+		HA:    place.HASpec{RWCS: *rwcs},
 	})
 	if err != nil {
 		fatal(err)
 	}
 
-	tree := svc.Topology(0)
-	fmt.Printf("placed %q: %d VMs via %s on %s\n", g.Name, g.VMs(), svc.Name(), tree)
-	pl := grant.Reservation().Placement()
+	fmt.Printf("placed %q: %d VMs via %s on %s\n", g.Name, g.VMs(), name, tree)
+	pl := res.Placement()
 	nodes := make([]topology.NodeID, 0, len(pl))
 	for n := range pl {
 		nodes = append(nodes, n)

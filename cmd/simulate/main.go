@@ -35,8 +35,10 @@
 // Enforcement demands come from a dedicated RNG, so the admission
 // trace is byte-identical with and without -enforce.
 //
-// Algorithm, policy, and shard validation lives in the public guarantee
-// package; this command only maps flags onto its functional options.
+// -alg resolves through internal/experiments. -churn runs the guarantee
+// service, which prices every tenant by its TAG, so it takes only the cm
+// variants. Policy and shard validation lives in guarantee.New; this
+// command only maps flags onto its functional options.
 package main
 
 import (
@@ -45,6 +47,7 @@ import (
 	"os"
 
 	"cloudmirror/guarantee"
+	"cloudmirror/internal/experiments"
 	"cloudmirror/internal/sim"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
@@ -116,9 +119,12 @@ func main() {
 	}
 	workload.ScaleToBmax(pool, *bmax)
 
-	algorithm, err := guarantee.AlgorithmByName(*alg)
+	algorithm, err := experiments.AlgorithmByName(*alg)
 	if err != nil {
 		fatal(err)
+	}
+	if *churn && algorithm.ModelFor != nil {
+		fatal(fmt.Errorf("-churn needs a TAG-priced -alg (cm, cm-oppha, cm-coloc, cm-balance): the churn simulation runs the guarantee service, which prices every tenant by its TAG, and %s prices by its own model", *alg))
 	}
 	cfg := sim.Config{
 		Spec:      spec,
@@ -136,7 +142,6 @@ func main() {
 		cr, err := sim.Churn(sim.ChurnConfig{
 			Spec:         cfg.Spec,
 			NewPlacer:    cfg.NewPlacer,
-			ModelFor:     cfg.ModelFor,
 			Pool:         cfg.Pool,
 			Shards:       *shards,
 			Policy:       *policy,

@@ -23,6 +23,9 @@
 // guarantees (guarantee.Service / guarantee.Grant, functional-options
 // construction, a typed rejection taxonomy with machine-readable
 // Reason codes) — and cmd/bwd serves that API as an HTTP JSON daemon.
+// The service is CloudMirror pricing every tenant by its TAG; the
+// baselines are the experiments' comparison points
+// (internal/experiments), never a service option.
 //
 // See README.md for a tour: module setup, the -parallel, -shards,
 // -policy and -churn flags of cmd/experiments and cmd/simulate, how to

@@ -31,7 +31,7 @@ func buildTenant(webVMs, logicVMs int) *tag.Graph {
 }
 
 func main() {
-	svc, err := guarantee.New(topology.MediumSpec(), guarantee.WithAlgorithm("cm"))
+	svc, err := guarantee.New(topology.MediumSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Enforcement runs the §5.2 prototype idea on real sockets: TAG
-// guarantees enforced by sender-side token buckets over loopback TCP —
+// guarantees enforced by sender-side pacing over loopback TCP —
 // with the enforced rates now computed by the service's own
 // enforcement plane rather than hand-rolled GP/RA wiring.
 //
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"cloudmirror/guarantee"
-	"cloudmirror/internal/ratelimit"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
@@ -54,10 +53,7 @@ func runScenario(k int) {
 	svc, err := guarantee.New(topology.Spec{
 		SlotsPerServer: 1,
 		Levels:         []topology.LevelSpec{{Name: "server", Fanout: 8, Uplink: linkMbps}},
-	},
-		guarantee.WithAlgorithm("cm"),
-		guarantee.WithEnforcement(guarantee.EnforcementConfig{}),
-	)
+	}, guarantee.WithEnforcement(guarantee.EnforcementConfig{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,29 +118,33 @@ func runScenario(k int) {
 		}
 	}()
 
-	// Senders: each flow rate-limited to its enforced allocation.
+	// Senders: each flow paced to its enforced allocation. After every
+	// chunk the sender sleeps until the bytes sent so far are due at
+	// that rate — the per-pair limiter, at the sender as in ElasticSwitch.
 	var senders sync.WaitGroup
 	for i := range flows {
 		senders.Add(1)
 		go func(id int, mbps float64) {
 			defer senders.Done()
-			raw, err := net.Dial("tcp", ln.Addr().String())
+			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				log.Print(err)
 				return
 			}
-			defer raw.Close()
-			bytesPerSec := mbps * 1e6 / 8
-			conn := ratelimit.NewConn(raw, ratelimit.NewBucket(bytesPerSec, 16*1024))
+			defer conn.Close()
 			if _, err := conn.Write([]byte{byte(id)}); err != nil {
 				return
 			}
+			bytesPerSec := mbps * 1e6 / 8
 			chunk := make([]byte, 16*1024)
-			deadline := time.Now().Add(duration)
-			for time.Now().Before(deadline) {
-				if _, err := conn.Write(chunk); err != nil {
+			start := time.Now()
+			for sent := 0; time.Since(start) < duration; {
+				n, err := conn.Write(chunk)
+				if err != nil {
 					return
 				}
+				sent += n
+				time.Sleep(time.Until(start.Add(time.Duration(float64(sent) / bytesPerSec * float64(time.Second)))))
 			}
 		}(i, flows[i].Rate)
 	}

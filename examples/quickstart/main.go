@@ -38,7 +38,7 @@ func main() {
 
 	// 2. Build the guarantee service: one front door for admit, resize,
 	// and release, here a single CloudMirror-placed datacenter.
-	svc, err := guarantee.New(topology.MediumSpec(), guarantee.WithAlgorithm("cm"))
+	svc, err := guarantee.New(topology.MediumSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

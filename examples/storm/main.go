@@ -38,7 +38,7 @@ func main() {
 			{Name: "tor", Fanout: 2, Uplink: 10_000},
 		},
 	}
-	svc, err := guarantee.New(spec, guarantee.WithAlgorithm("cm"))
+	svc, err := guarantee.New(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,10 +63,7 @@ func main() {
 		svc, err := guarantee.New(topology.Spec{
 			SlotsPerServer: 1,
 			Levels:         []topology.LevelSpec{{Name: "server", Fanout: 4, Uplink: 600}},
-		},
-			guarantee.WithAlgorithm("cm"),
-			guarantee.WithEnforcement(guarantee.EnforcementConfig{Partitioner: m.partitioner}),
-		)
+		}, guarantee.WithEnforcement(guarantee.EnforcementConfig{Partitioner: m.partitioner}))
 		if err != nil {
 			log.Fatal(err)
 		}

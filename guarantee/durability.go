@@ -43,9 +43,10 @@ const snapshotVersion = 1
 
 // durableConfig is the construction-time configuration persisted in
 // every snapshot, so Open rebuilds the identical service without the
-// caller repeating options. Ledgers written by older builds may also
-// carry "planners"; encoding/json ignores the unknown field, so they
-// still open.
+// caller repeating options. Algorithm is always defaultAlgorithm; Open
+// refuses a ledger naming any other. Ledgers written by older builds
+// may also carry "planners" or the enforcement full-recompute flag;
+// encoding/json ignores the unknown fields, so they still open.
 type durableConfig struct {
 	Shards        int                `json:"shards"`
 	Policy        string             `json:"policy"`
@@ -137,9 +138,9 @@ func HasLedger(dir string) bool { return wal.HasLedger(dir) }
 // to it.
 func createDurability(spec topology.Spec, c *config, svc *service) error {
 	const op = "configure"
-	if c.newPlacer != nil && c.algorithm == "" {
+	if c.newPlacer != nil {
 		return place.Rejectf(op, Unsupported,
-			"WithPlacer constructors cannot be persisted: durable services need a registered WithAlgorithm name")
+			"WithPlacer constructors cannot be persisted: a durable ledger records only the default %q placer", defaultAlgorithm)
 	}
 	d := &Durability{
 		every: c.snapEvery,
@@ -149,7 +150,7 @@ func createDurability(spec topology.Spec, c *config, svc *service) error {
 			Shards:        c.shards,
 			Policy:        c.policy,
 			Seed:          c.seed,
-			Algorithm:     c.algorithm,
+			Algorithm:     defaultAlgorithm,
 			SnapshotEvery: c.snapEvery,
 			Enforce:       c.enforce,
 		},
@@ -196,11 +197,19 @@ func Open(dir string, opts ...Option) (Service, error) {
 		return nil, place.Rejectf(op, InvalidRequest,
 			"snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
 	}
+	if snap.Config.Algorithm != defaultAlgorithm {
+		// Older builds could serve a baseline placer or a CloudMirror
+		// variant; recovering its ledger under CloudMirror would replay
+		// its decisions through a placer that never made them.
+		log.Close()
+		return nil, place.Rejectf(op, InvalidRequest,
+			"ledger in %s was written by algorithm %q; this build serves only %q",
+			dir, snap.Config.Algorithm, defaultAlgorithm)
+	}
 	c := config{
 		shards:    snap.Config.Shards,
 		policy:    snap.Config.Policy,
 		seed:      snap.Config.Seed,
-		algorithm: snap.Config.Algorithm,
 		snapEvery: snap.Config.SnapshotEvery,
 		enforce:   snap.Config.Enforce,
 	}
@@ -319,9 +328,9 @@ func (d *Durability) replayEvent(ev place.Event) error {
 	if ev.First >= 0 {
 		n := svc.cl.Size()
 		// Placers observe demand on every well-formed arrival they saw;
-		// NaN marks requests the placer never priced (nil TAG under a
-		// translated model), and validation failures never reached a
-		// placer at all.
+		// NaN marks requests without a TAG (older builds accepted a
+		// caller-supplied model instead), and validation failures never
+		// reached a placer at all.
 		observe := !math.IsNaN(ev.Demand) && ev.Reason != InvalidRequest
 		steps := (ev.Shard - ev.First + n) % n
 		for k := 0; k < steps; k++ {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -201,7 +202,6 @@ func fingerprint(t *testing.T, svc Service, live []*handle) string {
 // interval small enough to force several rotations mid-churn.
 func durableOpts(dir string) []Option {
 	return []Option{
-		WithAlgorithm("cm"),
 		WithShards(3),
 		WithPolicy("p2c"),
 		WithSeed(42),
@@ -291,7 +291,7 @@ func TestDurableMatchesInMemory(t *testing.T) {
 	ops := churnScript(80, 11)
 	opts := func() []Option {
 		return []Option{
-			WithAlgorithm("cm"), WithShards(3), WithPolicy("p2c"), WithSeed(42),
+			WithShards(3), WithPolicy("p2c"), WithSeed(42),
 			WithEnforcement(EnforcementConfig{Alpha: 1}),
 		}
 	}
@@ -376,25 +376,11 @@ func TestCloseReopen(t *testing.T) {
 	}
 }
 
-// TestOpenLegacyPlannersSnapshot: ledgers written while services could
-// run planner replicas carry "planners" in their config and one placer
-// state per replica. Such a snapshot must still open, with the writer's
-// ledger bits, grants and counters, and the estimator of entry 0.
-func TestOpenLegacyPlannersSnapshot(t *testing.T) {
-	ctx := context.Background()
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithDurability(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(ctx)
-	for i := 0; i < 6; i++ {
-		if _, err := svc.Admit(ctx, Request{ID: int64(i), Graph: testGraph(1+i%3, 1+i%2)}); err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
-	}
-	if _, err := svc.Admit(ctx, Request{ID: 99, Graph: testGraph(1000, 1)}); ReasonOf(err) == "" {
-		t.Fatalf("impossible tenant: err = %v, want a typed rejection", err)
-	}
+// legacyLedger writes svc's current snapshot as a fresh ledger after
+// edit has rewritten its config and shard entries into the shape an
+// older build wrote, and returns the ledger's directory.
+func legacyLedger(t *testing.T, svc Service, edit func(cfg map[string]json.RawMessage, shards []map[string]json.RawMessage)) string {
+	t.Helper()
 	writer := svc.(*service)
 	writer.dur.mu.Lock()
 	snap, err := writer.dur.encodeSnapshot()
@@ -402,8 +388,6 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Rewrite the snapshot into the legacy shape.
 	var doc, cfg map[string]json.RawMessage
 	var shards []map[string]json.RawMessage
 	if err := json.Unmarshal(snap, &doc); err != nil {
@@ -415,16 +399,7 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 	if err := json.Unmarshal(doc["shards"], &shards); err != nil {
 		t.Fatal(err)
 	}
-	cfg["planners"] = json.RawMessage("2")
-	for i, sh := range shards {
-		var states []float64
-		if err := json.Unmarshal(sh["placer_states"], &states); err != nil || len(states) != 1 {
-			t.Fatalf("shard %d placer_states = %s (%v), want one state", i, sh["placer_states"], err)
-		}
-		if sh["placer_states"], err = json.Marshal([]float64{states[0], states[0] + 123.5}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	edit(cfg, shards)
 	if doc["config"], err = json.Marshal(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +418,35 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
 
-	re, err := Open(dir)
+// legacyWriter builds a durable two-shard service with a few grants
+// and one capacity rejection behind it, for the legacy-ledger tests.
+func legacyWriter(t *testing.T, opts ...Option) Service {
+	t.Helper()
+	ctx := context.Background()
+	svc, err := New(testSpec(), append([]Option{WithShards(2), WithDurability(t.TempDir())}, opts...)...)
 	if err != nil {
-		t.Fatalf("open legacy snapshot: %v", err)
+		t.Fatal(err)
 	}
-	defer re.Close(ctx)
+	t.Cleanup(func() { svc.Close(ctx) })
+	for i := 0; i < 6; i++ {
+		if _, err := svc.Admit(ctx, Request{ID: int64(i), Graph: testGraph(1+i%3, 1+i%2)}); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	if _, err := svc.Admit(ctx, Request{ID: 99, Graph: testGraph(1000, 1)}); ReasonOf(err) == "" {
+		t.Fatalf("impossible tenant: err = %v, want a typed rejection", err)
+	}
+	return svc
+}
+
+// assertReopened compares a service reopened from a legacy ledger with
+// the service that wrote it: stats, loads, grant records and ledger
+// bits, and with enforcement the next control period's report.
+func assertReopened(t *testing.T, re, svc Service) {
+	t.Helper()
 	asJSON := func(v any) string {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -477,10 +475,103 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 		if got, want := asJSON(re.Topology(i).ExportLedger()), asJSON(svc.Topology(i).ExportLedger()); got != want {
 			t.Errorf("shard %d ledger differs from the writer's", i)
 		}
+	}
+	if svc.Enforcement() == nil {
+		return
+	}
+	step := func(s Service) string {
+		rep, err := s.Enforcement().Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, st := range rep.PerShard {
+			fmt.Fprintf(&sb, "%+v\n", *st)
+		}
+		fmt.Fprintf(&sb, "%d %d %d %x %x %x %x %x", rep.Tenants, rep.Pairs, rep.Colocated,
+			math.Float64bits(rep.GuaranteedMbps), math.Float64bits(rep.BaseMbps),
+			math.Float64bits(rep.AchievedMbps), math.Float64bits(rep.SpareMbps), math.Float64bits(rep.MinRatio))
+		return sb.String()
+	}
+	if got, want := step(re), step(svc); got != want {
+		t.Errorf("next step report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestOpenLegacyPlannersSnapshot: ledgers written while services could
+// run planner replicas carry "planners" in their config and one placer
+// state per replica. Such a snapshot must still open, with the writer's
+// ledger bits, grants and counters, and the estimator of entry 0.
+func TestOpenLegacyPlannersSnapshot(t *testing.T) {
+	svc := legacyWriter(t)
+	dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, shards []map[string]json.RawMessage) {
+		cfg["planners"] = json.RawMessage("2")
+		for i, sh := range shards {
+			var states []float64
+			if err := json.Unmarshal(sh["placer_states"], &states); err != nil || len(states) != 1 {
+				t.Fatalf("shard %d placer_states = %s (%v), want one state", i, sh["placer_states"], err)
+			}
+			b, err := json.Marshal([]float64{states[0], states[0] + 123.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh["placer_states"] = b
+		}
+	})
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open legacy snapshot: %v", err)
+	}
+	defer re.Close(context.Background())
+	assertReopened(t, re, svc)
+	for i := 0; i < svc.Shards(); i++ {
 		got, _ := re.(*service).cl.Shard(i).PlacerState()
-		want, ok := writer.cl.Shard(i).PlacerState()
+		want, ok := svc.(*service).cl.Shard(i).PlacerState()
 		if !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("shard %d estimator = %v, want placer_states[0] = %v", i, got, want)
+		}
+	}
+}
+
+// TestOpenLegacyFullRecomputeSnapshot: ledgers written while the
+// enforcement config could ask for full recomputation carry
+// "FullRecompute" in it. Full recomputation only ever changed which
+// components a period re-solved, never a rate, so such a ledger opens
+// as the incremental service it is equivalent to.
+func TestOpenLegacyFullRecomputeSnapshot(t *testing.T) {
+	svc := legacyWriter(t, WithEnforcement(EnforcementConfig{Alpha: 0.5}))
+	dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+		if got := string(cfg["algorithm"]); got != `"cm"` {
+			t.Fatalf("writer recorded algorithm %s, want \"cm\"", got)
+		}
+		cfg["enforce"] = json.RawMessage(`{"Alpha":0.5,"Partitioner":"","FullRecompute":true}`)
+	})
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open legacy snapshot: %v", err)
+	}
+	defer re.Close(context.Background())
+	assertReopened(t, re, svc)
+}
+
+// TestOpenRefusesOtherAlgorithms: older builds could serve a baseline
+// placer or a CloudMirror variant and recorded its name. Open refuses
+// such a ledger by that name rather than replaying its decisions
+// through a placer that never made them.
+func TestOpenRefusesOtherAlgorithms(t *testing.T) {
+	svc := legacyWriter(t)
+	for _, name := range []string{"ovoc", "ovoc-aware", "secondnet", "cm-oppha", "cm-coloc", "cm-balance"} {
+		dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+			cfg["algorithm"] = json.RawMessage(strconv.Quote(name))
+		})
+		re, err := Open(dir)
+		if err == nil {
+			re.Close(context.Background())
+			t.Errorf("%s: ledger opened", name)
+			continue
+		}
+		if ReasonOf(err) != InvalidRequest || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("%s: err = %v, want invalid_request naming the algorithm", name, err)
 		}
 	}
 }
@@ -489,14 +580,14 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 // ledger a previous service wrote — that is Open's job.
 func TestNewRefusesExistingLedger(t *testing.T) {
 	dir := t.TempDir()
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir))
+	svc, err := New(testSpec(), WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir)); ReasonOf(err) != InvalidRequest {
+	if _, err := New(testSpec(), WithDurability(dir)); ReasonOf(err) != InvalidRequest {
 		t.Fatalf("New over existing ledger: err = %v, want invalid_request", err)
 	}
 }

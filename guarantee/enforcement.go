@@ -196,8 +196,7 @@ func (e *Enforcement) driverOf(g Grant) (*dataplane.Driver, int64, error) {
 // that only share slack links stay in separate components; undeclared
 // and Greedy flows make every link they cross contended. Solved <
 // components means the stepper skipped components at their fixed point
-// and reported their cached outcome; under FullRecompute the two are
-// always equal. The same numbers ride on every report
+// and reported their cached outcome. The same numbers ride on every report
 // (EnforcementReport.Solved, .Components), which is where to read them
 // when several callers step concurrently: this accessor describes
 // whichever period ran last.

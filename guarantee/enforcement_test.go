@@ -31,8 +31,7 @@ func fig13Spec(servers int, uplink float64) topology.Spec {
 func TestEnforcementFig13(t *testing.T) {
 	const link, trunk = 24.0, 24.0 * 0.45
 	for k := 1; k <= 3; k++ {
-		svc, err := New(fig13Spec(8, link), WithAlgorithm("cm"),
-			WithEnforcement(EnforcementConfig{}))
+		svc, err := New(fig13Spec(8, link), WithEnforcement(EnforcementConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func fig13Graph(k int, trunk float64) *tag.Graph {
 // counters mirror the service's stats and the fabric is imaged exactly
 // once per shard.
 func TestEnforcementLifecycleEvents(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2),
+	svc, err := New(testSpec(), WithShards(2),
 		WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
@@ -146,35 +145,13 @@ func TestEnforcementLifecycleEvents(t *testing.T) {
 	}
 }
 
-// TestEnforcementSkipsTranslatedModels: tenants priced under VOC carry
-// no TAG-backed reservation, so the dataplane must skip rather than
-// enforce guarantees admission never checked.
-func TestEnforcementSkipsTranslatedModels(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("ovoc"), WithEnforcement(EnforcementConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grant, err := svc.Admit(context.Background(), Request{ID: 1, Graph: testGraph(2, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer grant.Release()
-	c := svc.Enforcement().Counters()
-	if c.Admitted != 0 || c.Skipped != 1 {
-		t.Errorf("counters = %+v, want the VOC tenant skipped", c)
-	}
-	if err := svc.Enforcement().SetDemand(grant, nil); ReasonOf(err) != InvalidRequest {
-		t.Errorf("SetDemand on a skipped tenant: reason %q, want invalid_request", ReasonOf(err))
-	}
-}
-
 // TestEnforcementRejectsForeignGrant: a grant issued by a different
 // service must be rejected by SetDemand — grant keys are per-shard
 // sequences, so without the identity check a foreign grant would
 // silently collide with an unrelated tenant's demands.
 func TestEnforcementRejectsForeignGrant(t *testing.T) {
 	mk := func() (Service, Grant) {
-		svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+		svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +176,7 @@ func TestEnforcementRejectsForeignGrant(t *testing.T) {
 // would become two flows splitting the hose and one limiter's history;
 // SetDemand rejects it and leaves the previous declaration in force.
 func TestEnforcementRejectsDuplicatePair(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +206,7 @@ func TestEnforcementRejectsDuplicatePair(t *testing.T) {
 // an empty one — idles the tenant; it must not fall back to the
 // undeclared default of every TAG pair backlogged.
 func TestEnforcementEmptyDeclaration(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +244,7 @@ func TestEnforcementEmptyDeclaration(t *testing.T) {
 // consistent under -race with lifecycle events arriving from many
 // goroutines.
 func TestEnforcementConcurrentChurn(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithPolicy("least"),
+	svc, err := New(testSpec(), WithShards(2), WithPolicy("least"),
 		WithEnforcement(EnforcementConfig{Alpha: 0.5}))
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // commit, not to a rotation.
 func newDurable(t *testing.T, dir string) Service {
 	t.Helper()
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir), WithSnapshotEvery(1<<20))
+	svc, err := New(testSpec(), WithDurability(dir), WithSnapshotEvery(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

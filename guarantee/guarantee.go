@@ -9,7 +9,6 @@
 // exactly that lifecycle:
 //
 //	svc, _ := guarantee.New(topology.MediumSpec(),
-//	        guarantee.WithAlgorithm("cm"),
 //	        guarantee.WithShards(4),
 //	        guarantee.WithPolicy("p2c"))
 //	grant, err := svc.Admit(ctx, guarantee.Request{Graph: g, HA: guarantee.HASpec{RWCS: 0.5}})
@@ -18,12 +17,14 @@
 //	...
 //	grant.Release()
 //
-// Construction is by functional options over one constructor: shard
-// count, dispatch policy, and placement algorithm compose freely. Every
-// failure is a typed *RejectionError carrying a machine-readable
-// Reason, so callers (and the cmd/bwd HTTP daemon) can act on rejection
-// causes without string matching; capacity-class rejections keep
-// satisfying errors.Is(err, place.ErrRejected) for older code.
+// Every service places tenants with CloudMirror and prices each by its
+// own TAG. Construction is by functional options over one constructor:
+// shard count, dispatch policy, enforcement and durability compose
+// freely. Every failure is a typed *RejectionError carrying a
+// machine-readable Reason, so callers (and the cmd/bwd HTTP daemon) can
+// act on rejection causes without string matching; capacity-class
+// rejections keep satisfying errors.Is(err, place.ErrRejected) for
+// older code.
 package guarantee
 
 import (
@@ -42,8 +43,6 @@ import (
 type (
 	// HASpec is a tenant's high-availability requirement (§4.5).
 	HASpec = place.HASpec
-	// Model prices subtree cuts; usually the tenant's TAG itself.
-	Model = place.Model
 	// Reservation is a committed tenant's placement and holdings.
 	Reservation = place.Reservation
 	// Load is one shard's occupancy snapshot.
@@ -98,12 +97,9 @@ type Request struct {
 	// ID identifies the tenant within the service (surfaced in errors
 	// and experiment output; uniqueness is the caller's concern).
 	ID int64
-	// Graph is the tenant's TAG. Required unless Model is set.
+	// Graph is the tenant's TAG: what the tenant is placed and priced
+	// by. Required.
 	Graph *tag.Graph
-	// Model optionally overrides the bandwidth abstraction used to
-	// price the tenant (VOC, pipes — Table 1 accounting). Nil means the
-	// TAG itself. Tenants admitted under an override cannot Resize.
-	Model Model
 	// HA is the tenant's availability requirement; zero means none.
 	HA HASpec
 	// Resources optionally gives each tier's per-VM demand vector for
@@ -200,12 +196,11 @@ type Service interface {
 // service is the Service implementation: a shard fleet behind a
 // dispatcher, built by New.
 type service struct {
-	cl       *cluster.Cluster
-	disp     *cluster.Dispatcher
-	name     string
-	modelFor func(*tag.Graph) place.Model
-	enf      *Enforcement
-	dur      *Durability
+	cl   *cluster.Cluster
+	disp *cluster.Dispatcher
+	name string
+	enf  *Enforcement
+	dur  *Durability
 }
 
 // Name identifies the placement algorithm serving the guarantees.
@@ -220,20 +215,10 @@ func (s *service) Shards() int { return s.cl.Size() }
 // Topology exposes shard i's tree for read-only inspection.
 func (s *service) Topology(shard int) *topology.Tree { return s.cl.Shard(shard).Tree() }
 
-// placeRequest lowers a public Request to the internal request shape,
-// applying the service's model translation.
-func (s *service) placeRequest(req *Request) *place.Request {
-	preq := &place.Request{
-		ID:        req.ID,
-		Graph:     req.Graph,
-		Model:     req.Model,
-		HA:        req.HA,
-		Resources: req.Resources,
-	}
-	if preq.Model == nil && s.modelFor != nil && req.Graph != nil {
-		preq.Model = s.modelFor(req.Graph)
-	}
-	return preq
+// placeRequest lowers a public Request to the internal request shape;
+// validation prices it by its TAG.
+func placeRequest(req *Request) *place.Request {
+	return &place.Request{ID: req.ID, Graph: req.Graph, HA: req.HA, Resources: req.Resources}
 }
 
 // Admit obtains a guarantee for the request.
@@ -241,7 +226,7 @@ func (s *service) Admit(ctx context.Context, req Request) (Grant, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, place.Reject("admit", Canceled, err)
 	}
-	preq := s.placeRequest(&req)
+	preq := placeRequest(&req)
 	if s.dur != nil {
 		return s.dur.admit(preq)
 	}
@@ -265,7 +250,7 @@ func (s *service) AdmitBatch(ctx context.Context, reqs []Request) ([]Grant, erro
 	}
 	preqs := make([]*place.Request, len(reqs))
 	for i := range reqs {
-		preqs[i] = s.placeRequest(&reqs[i])
+		preqs[i] = placeRequest(&reqs[i])
 	}
 	if s.dur != nil {
 		return s.dur.admitBatch(preqs)

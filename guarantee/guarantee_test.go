@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cloudmirror/internal/place"
+	"cloudmirror/internal/place/cloudmirror"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
@@ -34,7 +35,7 @@ func testGraph(a, b int) *tag.Graph {
 // TestServiceLifecycle walks the full admit → resize → release cycle
 // through the public Service and checks stats and loads along the way.
 func TestServiceLifecycle(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithPolicy("least"))
+	svc, err := New(testSpec(), WithShards(2), WithPolicy("least"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +87,8 @@ func TestServiceLifecycle(t *testing.T) {
 // InvalidRequest rejections, never panics or silent defaults.
 func TestOptionValidation(t *testing.T) {
 	cases := map[string][]Option{
-		"bad shards":    {WithShards(0)},
-		"bad policy":    {WithPolicy("banana")},
-		"bad algorithm": {WithAlgorithm("banana")},
+		"bad shards": {WithShards(0)},
+		"bad policy": {WithPolicy("banana")},
 	}
 	for name, opts := range cases {
 		if _, err := New(testSpec(), opts...); ReasonOf(err) != InvalidRequest {
@@ -100,8 +100,34 @@ func TestOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Shards() != 3 || svc.Policy() != "p2c" {
+	if svc.Name() != "cm" || svc.Shards() != 3 || svc.Policy() != "p2c" {
 		t.Errorf("service = %s/%s/%d shards, want cm/p2c/3", svc.Name(), svc.Policy(), svc.Shards())
+	}
+}
+
+// TestWithPlacer: a replaced placer serves under its own name and still
+// prices tenants by their TAG (so they resize); a durable service
+// refuses it, because a ledger records only the default placer.
+func TestWithPlacer(t *testing.T) {
+	coloc := WithPlacer(func(tr *topology.Tree) place.Placer { return cloudmirror.New(tr, cloudmirror.WithoutBalance()) })
+	svc, err := New(testSpec(), coloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.Name() != "CM/coloc-only" {
+		t.Errorf("Name() = %q, want the placer's own name", svc.Name())
+	}
+	ctx := context.Background()
+	grant, err := svc.Admit(ctx, Request{ID: 1, Graph: testGraph(2, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grant.Resize(ctx, testGraph(3, 1)); err != nil {
+		t.Errorf("resize under a replaced placer: %v", err)
+	}
+	grant.Release()
+	if _, err := New(testSpec(), coloc, WithDurability(t.TempDir())); ReasonOf(err) != Unsupported {
+		t.Errorf("durable WithPlacer: err = %v, want unsupported", err)
 	}
 }
 
@@ -208,24 +234,6 @@ func TestContextCanceled(t *testing.T) {
 	}
 	if err := grant.Resize(ctx, testGraph(3, 1)); ReasonOf(err) != Canceled {
 		t.Errorf("resize on canceled ctx: reason %q, want %q", ReasonOf(err), Canceled)
-	}
-	grant.Release()
-}
-
-// TestModelOverrideCannotResize: tenants admitted under a non-TAG
-// model (Table 1 accounting) reject Resize with Unsupported.
-func TestModelOverrideCannotResize(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("ovoc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	grant, err := svc.Admit(ctx, Request{Graph: testGraph(2, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := grant.Resize(ctx, testGraph(3, 1)); ReasonOf(err) != Unsupported {
-		t.Errorf("resize under VOC model: reason %q, want %q", ReasonOf(err), Unsupported)
 	}
 	grant.Release()
 }

@@ -657,7 +657,7 @@ func finiteOrNull(v float64) *float64 {
 // read-only: the rows of the last control period, or the declaration as
 // it stands if it changed since (Enforcement.Pairs). 422 when the
 // service was built without enforcement; 400 for a grant the dataplane
-// does not enforce (admitted under a translated model).
+// does not enforce.
 func (s *Server) handleGrantEnforcement(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()

@@ -22,7 +22,7 @@ import (
 // CloudMirror service.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	svc, err := New(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestHTTPEnforcement(t *testing.T) {
 		}
 	}
 
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestHTTPEnforcement(t *testing.T) {
 // TestHTTPDurabilityEndpoints: /v1/healthz, /v1/wal, and /v1/snapshot
 // against a durable service — and their typed 422 on an in-memory one.
 func TestHTTPDurabilityEndpoints(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(t.TempDir()))
+	svc, err := New(testSpec(), WithDurability(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestHTTPDurabilityEndpoints(t *testing.T) {
 // the rebound handle, and fresh admissions mint ids past it.
 func TestHTTPRecoveryRebindsGrants(t *testing.T) {
 	dir := t.TempDir()
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir))
+	svc, err := New(testSpec(), WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestHTTPRecoveryRebindsGrants(t *testing.T) {
 // balancer must be able to drain on status alone, and a client must
 // still get a machine-readable cause.
 func TestHTTPClosedService(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(t.TempDir()))
+	svc, err := New(testSpec(), WithDurability(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func TestHTTPUnknownReasonBody(t *testing.T) {
 // after a later period has run (two concurrent POSTs) still pairs its
 // rates with its own counts.
 func TestHTTPEnforcementReportNamesItsPeriod(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithShards(2), WithEnforcement(EnforcementConfig{}))
+	svc, err := New(testSpec(), WithShards(2), WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestHTTPGrantEnforcement(t *testing.T) {
 		t.Errorf("without enforcement: status %d reason %q, want 422 unsupported", resp.StatusCode, e.Error.Reason)
 	}
 
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithEnforcement(EnforcementConfig{}))
+	svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +756,7 @@ func serve(h http.Handler, method, path string, body []byte) *httptest.ResponseR
 // the bytes past the bound are only whitespace around a TAG that would
 // be admitted.
 func TestHTTPBodyLimit(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	svc, err := New(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -805,7 +805,7 @@ func TestHTTPBodyLimit(t *testing.T) {
 // skips ids callers hold.
 func TestHTTPCallerChosenID(t *testing.T) {
 	dir := t.TempDir()
-	svc, err := New(testSpec(), WithAlgorithm("cm"), WithDurability(dir))
+	svc, err := New(testSpec(), WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -878,7 +878,7 @@ func TestHTTPCallerChosenID(t *testing.T) {
 // of those are refused with 400, every minted admission is served, and
 // the registry holds exactly the grants that were acknowledged.
 func TestHTTPConcurrentClaims(t *testing.T) {
-	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	svc, err := New(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -994,7 +994,7 @@ func FuzzHTTPAdmit(f *testing.F) {
 		}
 	}
 
-	svc, err := New(testSpec(), WithAlgorithm("cm"))
+	svc, err := New(testSpec())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -1077,7 +1077,7 @@ func admitBodies(tb testing.TB) [][]byte {
 // BenchmarkHTTPAdmit times an admit and its release through Handler on
 // PaperSpec, cycling through the workload's TAGs.
 func BenchmarkHTTPAdmit(b *testing.B) {
-	svc, err := New(topology.PaperSpec(), WithAlgorithm("cm"))
+	svc, err := New(topology.PaperSpec())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"cloudmirror/internal/cluster"
 	"cloudmirror/internal/dataplane"
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/tag"
+	"cloudmirror/internal/place/cloudmirror"
 	"cloudmirror/internal/topology"
 )
 
@@ -15,14 +15,15 @@ type config struct {
 	policy    string
 	seed      int64
 	workers   int
-	algorithm string
 	newPlacer func(*topology.Tree) place.Placer
-	modelFor  func(*tag.Graph) place.Model
 	enforce   *EnforcementConfig
 	walDir    string
 	snapEvery int
-	noIndex   bool
 }
+
+// defaultAlgorithm names the CloudMirror placer: what Name reports
+// unless WithPlacer replaced it, and what every durable ledger records.
+const defaultAlgorithm = "cm"
 
 // Option configures a Service under construction. Options validate at
 // New time: a bad value fails construction with a typed
@@ -47,60 +48,25 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // the default, uses all cores). It never changes the built service.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithAlgorithm selects the placement algorithm (and its bandwidth
-// model) by name — see Algorithms for the registry. The default is
-// "cm", the CloudMirror placer under the TAG model.
-func WithAlgorithm(name string) Option {
-	return func(c *config) {
-		c.algorithm = name
-		c.newPlacer = nil // name wins over a previously set constructor
-	}
-}
-
-// WithPlacer installs a custom placement-algorithm constructor, one
-// instance per shard tree. It
-// overrides WithAlgorithm; the service's model defaults to the
-// tenant's TAG unless WithModelFor is also given.
+// WithPlacer replaces the CloudMirror placer with a custom constructor,
+// one instance per shard tree — a wrapper that instruments the placer,
+// or a CloudMirror variant. Tenants are still priced by their TAG.
+// Durable services refuse it: a ledger records only the default placer.
 func WithPlacer(newPlacer func(*topology.Tree) place.Placer) Option {
-	return func(c *config) {
-		c.newPlacer = newPlacer
-		c.algorithm = ""
-	}
-}
-
-// WithModelFor installs the translation from a tenant's TAG to the
-// bandwidth model used for admission and reservation (VOC, pipes).
-// Nil, the default, prices tenants by their TAG directly. Only
-// meaningful with WithPlacer; WithAlgorithm names carry their model.
-func WithModelFor(modelFor func(*tag.Graph) place.Model) Option {
-	return func(c *config) { c.modelFor = modelFor }
+	return func(c *config) { c.newPlacer = newPlacer }
 }
 
 // EnforcementConfig tunes the enforcement dataplane WithEnforcement
-// attaches. The zero value is valid: rate limiters jump straight to
-// their targets (alpha 1) under TAG partitioning.
-type EnforcementConfig struct {
-	// Alpha is the per-period convergence step of each rate limiter
-	// toward its target, in (0,1]; 0 means 1 (jump immediately).
-	Alpha float64
-	// Partitioner names the guarantee-partitioning scheme: "tag" (the
-	// default), "hose" (single-hose baseline), or "gatekeeper" (§2.2
-	// baseline).
-	Partitioner string
-	// FullRecompute disables incremental (component-dirty) enforcement
-	// stepping: every control period re-solves every connected
-	// component. The escape hatch exists for debugging and for the
-	// differential tests proving the incremental path equivalent; both
-	// modes produce byte-identical step reports.
-	FullRecompute bool
-}
+// attaches: the rate limiters' convergence step (Alpha) and the
+// guarantee-partitioning scheme (Partitioner: "tag", "hose" or
+// "gatekeeper"). The zero value is valid: rate limiters jump straight
+// to their targets (alpha 1) under TAG partitioning.
+type EnforcementConfig = dataplane.Config
 
 // WithEnforcement attaches a per-shard enforcement dataplane to the
 // service: every Grant lifecycle transition (admit, resize, release)
 // is applied to it incrementally, and Service.Enforcement exposes the
-// GP/RA control loop and its stats. Tenants admitted under a
-// translated model (VOC, pipes) are skipped — only TAG-priced tenants
-// carry the guarantees the dataplane partitions.
+// GP/RA control loop and its stats.
 func WithEnforcement(cfg EnforcementConfig) Option {
 	return func(c *config) { c.enforce = &cfg }
 }
@@ -119,19 +85,12 @@ func WithDurability(dir string) Option { return func(c *config) { c.walDir = dir
 // Only meaningful with WithDurability.
 func WithSnapshotEvery(n int) Option { return func(c *config) { c.snapEvery = n } }
 
-// WithIndex enables or disables the topology free-capacity index
-// (default on). The index prunes provably hopeless feasibility scans
-// and never changes admission decisions — disabling it restores the
-// pure rescan hot path, which exists for the differential harness and
-// as an escape hatch, not for production use.
-func WithIndex(on bool) Option { return func(c *config) { c.noIndex = !on } }
-
 // New builds a Service over n identical shards of the given topology:
 // the one public constructor behind which the shard fleet, the dispatch
-// policy, and the algorithm registry all hide. Invalid options fail
+// policy, and the CloudMirror placer all hide. Invalid options fail
 // with a typed InvalidRequest rejection naming the valid values.
 func New(spec topology.Spec, opts ...Option) (Service, error) {
-	c := config{shards: 1, policy: "rr", seed: 1, algorithm: "cm", snapEvery: defaultSnapshotEvery}
+	c := config{shards: 1, policy: "rr", seed: 1, snapEvery: defaultSnapshotEvery}
 	for _, opt := range opts {
 		opt(&c)
 	}
@@ -165,37 +124,22 @@ func build(spec topology.Spec, c *config) (*service, error) {
 	if err != nil {
 		return nil, place.Reject(op, InvalidRequest, err)
 	}
-	name := c.algorithm
-	newPlacer, modelFor := c.newPlacer, c.modelFor
+	name, newPlacer := defaultAlgorithm, c.newPlacer
 	if newPlacer == nil {
-		alg, err := AlgorithmByName(c.algorithm)
-		if err != nil {
-			return nil, err
-		}
-		newPlacer, modelFor = alg.NewPlacer, alg.ModelFor
+		newPlacer = func(t *topology.Tree) place.Placer { return cloudmirror.New(t) }
 	}
 	cl, err := cluster.New(spec, c.shards, newPlacer, c.workers)
 	if err != nil {
 		return nil, place.Reject(op, InvalidRequest, err)
 	}
-	if c.noIndex {
-		for i := 0; i < cl.Size(); i++ {
-			cl.Shard(i).SetIndexed(false)
-		}
-	}
-	if name == "" {
+	if c.newPlacer != nil {
 		name = cl.Shard(0).Name()
 	}
 	var enf *Enforcement
 	if c.enforce != nil {
-		dcfg := dataplane.Config{
-			Alpha:         c.enforce.Alpha,
-			Partitioner:   c.enforce.Partitioner,
-			FullRecompute: c.enforce.FullRecompute,
-		}
 		drivers := make([]*dataplane.Driver, cl.Size())
 		for i := range drivers {
-			drv, derr := dataplane.New(cl.Shard(i).Tree(), dcfg)
+			drv, derr := dataplane.New(cl.Shard(i).Tree(), *c.enforce)
 			if derr != nil {
 				return nil, derr
 			}
@@ -205,11 +149,10 @@ func build(spec topology.Spec, c *config) (*service, error) {
 		enf = &Enforcement{drivers: drivers}
 	}
 	return &service{
-		cl:       cl,
-		disp:     cluster.NewDispatcher(cl, pol),
-		name:     name,
-		modelFor: modelFor,
-		enf:      enf,
+		cl:   cl,
+		disp: cluster.NewDispatcher(cl, pol),
+		name: name,
+		enf:  enf,
 	}, nil
 }
 

@@ -152,7 +152,9 @@ func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
 
 // admit wraps a committed admission as a Tenant: it takes the next
 // grant key, adds the tenant to the load gauges, and publishes the
-// admission event.
+// admission event. Shards serve the guarantee service, which prices
+// every tenant by its TAG, so the event carries that TAG for the
+// dataplane to enforce.
 func (s *Shard) admit(ad *place.Admitted, req *place.Request) *Tenant {
 	res := ad.Reservation()
 	ten := &Tenant{
@@ -171,17 +173,12 @@ func (s *Shard) admit(ad *place.Admitted, req *place.Request) *Tenant {
 			Kind:      place.EventAdmitted,
 			Key:       ten.key,
 			ID:        req.ID,
-			Graph:     place.EnforceableGraph(req),
+			Graph:     req.Graph,
 			Placement: res.Placement(),
 		})
 	}
 	return ten
 }
-
-// SetIndexed toggles the topology free-capacity index on the shard's
-// tree. Must not race in-flight admissions; the differential harness
-// uses it to build rescan-path services.
-func (s *Shard) SetIndexed(on bool) { s.adm.SetIndexed(on) }
 
 // Tenant is a committed tenant admitted through a Shard (directly or
 // via a Dispatcher). Release and Resize are safe to call from any

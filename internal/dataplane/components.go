@@ -22,7 +22,7 @@ import (
 // contended links (a tenant is indivisible: its guarantee partitioning
 // spans all its pairs, colocated ones included) and solves each
 // component in isolation — both in incremental mode and under
-// FullRecompute, so the two modes differ only in which components they
+// full recompute, so the two modes differ only in which components they
 // skip, never in arithmetic.
 //
 // A link is contended when its declared load — Σ Demand over every
@@ -52,7 +52,7 @@ import (
 // level stops at the events of every flow in it, and freeze decisions
 // use a 1e-9 band, so removing another component's event levels may
 // move a rate inside that band. The contract is therefore three-level:
-// incremental vs FullRecompute byte-identical (same structure, same
+// incremental vs full recompute byte-identical (same structure, same
 // demands), contention-aware vs one whole-fabric solve within 1e-6 Mbps
 // per pair (TestDifferentialWholeFabricOracle), and same inputs ⇒ same
 // bytes at any GOMAXPROCS (loads fold in admission order).

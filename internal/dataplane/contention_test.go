@@ -318,7 +318,7 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 // bystander's rate moves only while the link is contended, a far-away
 // tenant is never re-solved, the structure is rebuilt on exactly the
 // periods where the uplink changed sides of the contended threshold,
-// and incremental and FullRecompute transcripts stay byte-identical
+// and incremental and full-recompute transcripts stay byte-identical
 // throughout.
 func TestDifferentialContentionCycle(t *testing.T) {
 	tree := rackTree(2, 4, 1000, 1000)
@@ -326,7 +326,7 @@ func TestDifferentialContentionCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(tree, Config{FullRecompute: true})
+	full, err := newFullRecompute(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestDifferentialSlackLinkParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(tree, Config{FullRecompute: true})
+	full, err := newFullRecompute(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func runDifferential(t *testing.T, seed int64, steps int, alpha float64) (incSol
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(tree, Config{Alpha: alpha, FullRecompute: true})
+	full, err := newFullRecompute(tree, Config{Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDifferentialConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(tree, Config{Alpha: 0.5, FullRecompute: true})
+	full, err := newFullRecompute(tree, Config{Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,6 @@ type Config struct {
 	// default, the paper's §5.2 patch), "hose" (single-hose baseline,
 	// the Fig. 4 failure mode), or "gatekeeper" (§2.2 baseline).
 	Partitioner string
-	// FullRecompute disables incremental stepping: every control period
-	// re-solves every connected component, whether or not anything
-	// changed since the last period. The escape hatch exists for
-	// debugging and for the differential harness that proves the
-	// incremental path equivalent; both modes produce byte-identical
-	// step transcripts.
-	FullRecompute bool
 }
 
 // alpha resolves the configured convergence step.
@@ -263,16 +256,20 @@ type StepStats struct {
 //
 // Tenants that merely cross the same slack link stay in separate
 // components; undeclared and Greedy flows make every link on their path
-// contended, which is the purely structural decomposition.
-// Config.FullRecompute re-solves every component every period; both
-// modes produce byte-identical transcripts, and either agrees with one
-// whole-fabric solve to 1e-6 Mbps per pair. All methods are safe for
-// concurrent use.
+// contended, which is the purely structural decomposition. The tests'
+// reference mode, fullRecompute, re-solves every component every
+// period; both produce byte-identical transcripts, and either agrees
+// with one whole-fabric solve to 1e-6 Mbps per pair. All methods are
+// safe for concurrent use.
 type Driver struct {
 	mu      sync.Mutex
 	fab     *Fabric
 	fabCaps []float64
 	cfg     Config
+	// fullRecompute solves every component every period, skipping none:
+	// the reference the differential tests hold the incremental
+	// stepping to. Only the tests set it.
+	fullRecompute bool
 
 	// tenants indexes the enforced tenants by grant key; order lists
 	// them in admission order, and stats, parallel to it, holds each
@@ -653,8 +650,7 @@ func (d *Driver) RestoreCounters(c Counters) {
 
 // SolveStats reports the most recent control period's incremental
 // effort: how many components — tenants connected through contended
-// links — it re-solved out of how many the shard holds. Under
-// FullRecompute solved always equals components. A caller that needs
+// links — it re-solved out of how many the shard holds. A caller that needs
 // the numbers of one particular period reads them from that period's
 // report (StepStats.Solved, StepStats.Components): with concurrent
 // steppers, this accessor may already describe a later one.
@@ -747,7 +743,7 @@ func (d *Driver) advance() (float64, error) {
 // pickSolveSet lists in d.solveSet the components this period solves —
 // those with a member dirtied by an event or demand change or whose
 // limiters have not reached their fixed point, or all of them under
-// FullRecompute — and records the period's component counts.
+// fullRecompute — and records the period's component counts.
 func (d *Driver) pickSolveSet() {
 	d.solveSet = d.solveSet[:0]
 	contended := 0
@@ -755,7 +751,7 @@ func (d *Driver) pickSolveSet() {
 		if d.comps[ci].contended {
 			contended++
 		}
-		need := d.cfg.FullRecompute
+		need := d.fullRecompute
 		for _, t := range d.comps[ci].members {
 			if t.dirty || !t.settled {
 				need = true

@@ -4,11 +4,26 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"cloudmirror/internal/topology"
 )
 
-// This file is the only way to the general solve path for a component
-// the driver solves in closed form: stepBothWays runs both on the same
-// state so a test can hold them to the same bits.
+// This file holds the tests' ways around the production paths:
+// newFullRecompute builds the reference driver that re-solves every
+// component every period, and stepBothWays runs the general solve path
+// and the closed form on the same state so a test can hold them to the
+// same bits.
+
+// newFullRecompute is New for the reference driver: every period
+// solves every component, skipping none.
+func newFullRecompute(tree *topology.Tree, cfg Config) (*Driver, error) {
+	d, err := New(tree, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.fullRecompute = true
+	return d, nil
+}
 
 // solveOutcome is what one component solve leaves in its single
 // tenant's caches, plus the moved value it returned.

@@ -47,7 +47,7 @@ func diffFleet(t *testing.T, rng *rand.Rand, tree *topology.Tree, n int, drivers
 // fleet, the tenant's component is solved until one more limiter step
 // would be a no-op and skipped from then on — once or twice at alpha 1,
 // where limiters jump to their targets, for as long as the geometric
-// approach takes at alpha 0.3 — and skipping is exact: FullRecompute,
+// approach takes at alpha 0.3 — and skipping is exact: full recompute,
 // which keeps re-solving everything, reports the same bytes throughout,
 // and forcing one more solve of the settled component changes no limit
 // and no rate.
@@ -58,7 +58,7 @@ func TestDifferentialSettleInOneSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := New(tree, Config{Alpha: alpha, FullRecompute: true})
+		full, err := newFullRecompute(tree, Config{Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestDifferentialSettleInOneSolve(t *testing.T) {
 		if alpha < 1 && len(run) <= 2 {
 			t.Errorf("alpha %v: the redeclared component was solved %d times; its limiters cannot have reached their targets yet", alpha, len(run))
 		}
-		// Quiet periods stay skipped, and stay equal to FullRecompute's.
+		// Quiet periods stay skipped, and stay equal to full recompute's.
 		for i := 0; i < 3; i++ {
 			if s := step(); s != 0 {
 				t.Fatalf("alpha %v: a quiet period after settling solved %d components", alpha, s)

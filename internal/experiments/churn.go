@@ -60,7 +60,7 @@ func ChurnSweep(o Options) (*Table, error) {
 		workload.ScaleToBmax(pool, 800)
 		return sim.Churn(sim.ChurnConfig{
 			Spec:      spec,
-			NewPlacer: cmPlacer,
+			NewPlacer: algorithms["cm"].NewPlacer,
 			Pool:      pool,
 			Shards:    c.shards,
 			Policy:    c.policy,

@@ -8,9 +8,6 @@ import (
 	"cloudmirror/internal/infer"
 	"cloudmirror/internal/pipe"
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/place/cloudmirror"
-	"cloudmirror/internal/place/oktopus"
-	"cloudmirror/internal/place/secondnet"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 	"cloudmirror/internal/trace"
@@ -141,17 +138,17 @@ func Runtime(o Options) (*Table, error) {
 	var rows [][]string
 	for _, size := range sizes {
 		g := runtimeTenant(size)
-		cmT, err := timePlacement(spec, g, func(t *topology.Tree) place.Placer { return cloudmirror.New(t) }, nil)
+		cmT, err := timePlacement(spec, g, algorithms["cm"])
 		if err != nil {
 			return nil, err
 		}
-		ovocT, err := timePlacement(spec, g, func(t *topology.Tree) place.Placer { return oktopus.New(t) }, voc.FromTAG(g))
+		ovocT, err := timePlacement(spec, g, algorithms["ovoc"])
 		if err != nil {
 			return nil, err
 		}
 		snCol := "-"
 		if size <= secondnetCap {
-			snT, err := timePlacement(spec, g, func(t *topology.Tree) place.Placer { return secondnet.New(t) }, pipe.FromTAG(g))
+			snT, err := timePlacement(spec, g, algorithms["secondnet"])
 			if err != nil {
 				return nil, err
 			}
@@ -192,11 +189,12 @@ func runtimeTenant(size int) *tag.Graph {
 	return g
 }
 
-func timePlacement(spec topology.Spec, g *tag.Graph, newPlacer func(*topology.Tree) place.Placer, model place.Model) (time.Duration, error) {
+func timePlacement(spec topology.Spec, g *tag.Graph, alg Algorithm) (time.Duration, error) {
 	tree := topology.New(spec)
-	placer := newPlacer(tree)
-	if model == nil {
-		model = g
+	placer := alg.NewPlacer(tree)
+	var model place.Model = g
+	if alg.ModelFor != nil {
+		model = alg.ModelFor(g)
 	}
 	start := time.Now()
 	res, err := placer.Place(&place.Request{Graph: g, Model: model})

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/place/cloudmirror"
-	"cloudmirror/internal/place/oktopus"
 	"cloudmirror/internal/sim"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
-	"cloudmirror/internal/voc"
 	"cloudmirror/internal/workload"
 )
 
@@ -38,10 +35,6 @@ func (s scale) scaledPool(seed int64, bmax float64) []*tag.Graph {
 	workload.ScaleToBmax(pool, bmax)
 	return pool
 }
-
-func cmPlacer(t *topology.Tree) place.Placer   { return cloudmirror.New(t) }
-func ovocPlacer(t *topology.Tree) place.Placer { return oktopus.New(t) }
-func vocModel(g *tag.Graph) place.Model        { return voc.FromTAG(g) }
 
 // Table1 regenerates Table 1: aggregate bandwidth (Gbps) reserved on
 // server-, ToR- and aggregation-level uplinks for CM+TAG, CM+VOC (same
@@ -89,15 +82,14 @@ func table1For(o Options, name, poolName string, mkPool func(int64) []*tag.Graph
 		func() (*sim.Result, error) {
 			cfg := base
 			cfg.Pool = sc.scaledPool(o.Seed, 800)
-			cfg.NewPlacer = cmPlacer
+			cfg.NewPlacer = algorithms["cm"].NewPlacer
 			cfg.Mirrors = []sim.Mirror{{Name: "VOC", ModelFor: vocModel}}
 			return sim.Run(cfg)
 		},
 		func() (*sim.Result, error) {
 			cfg := base
 			cfg.Pool = sc.scaledPool(o.Seed, 800)
-			cfg.NewPlacer = ovocPlacer
-			cfg.ModelFor = vocModel
+			cfg.NewPlacer, cfg.ModelFor = algorithms["ovoc"].NewPlacer, vocModel
 			return sim.Run(cfg)
 		},
 	})
@@ -134,21 +126,15 @@ func table1For(o Options, name, poolName string, mkPool func(int64) []*tag.Graph
 // EXPERIMENTS.md.
 func Baselines(o Options) (*Table, error) {
 	sc := scaleOf(o)
-	variants := []struct {
-		name   string
-		placer func(*topology.Tree) place.Placer
-		model  func(*tag.Graph) place.Model
-	}{
-		{"CM+TAG", cmPlacer, nil},
-		{"OVOC (paper-faithful)", ovocPlacer, vocModel},
-		{"OVOC+aware (stronger)", func(t *topology.Tree) place.Placer {
-			return oktopus.New(t, oktopus.WithVOCAwareness())
-		}, vocModel},
+	variants := []struct{ name, alg string }{
+		{"CM+TAG", "cm"},
+		{"OVOC (paper-faithful)", "ovoc"},
+		{"OVOC+aware (stronger)", "ovoc-aware"},
 	}
 	points := make([]point, len(variants))
 	for i, v := range variants {
 		points[i] = func() (*sim.Result, error) {
-			return rejectionRun(sc, o.Seed, 1200, 0.9, v.placer, v.model, place.HASpec{}, nil)
+			return rejectionRun(sc, o.Seed, 1200, 0.9, v.alg, place.HASpec{}, nil)
 		}
 	}
 	rs, err := runPoints(o, points)
@@ -169,15 +155,15 @@ func Baselines(o Options) (*Table, error) {
 }
 
 // rejectionRun executes one (algorithm, bmax, load) cell of Figs. 7-10.
-func rejectionRun(sc scale, seed int64, bmax, load float64, placer func(*topology.Tree) place.Placer, model func(*tag.Graph) place.Model, ha place.HASpec, spec *topology.Spec) (*sim.Result, error) {
+func rejectionRun(sc scale, seed int64, bmax, load float64, alg string, ha place.HASpec, spec *topology.Spec) (*sim.Result, error) {
 	s := sc.spec
 	if spec != nil {
 		s = *spec
 	}
 	return sim.Run(sim.Config{
 		Spec:      s,
-		NewPlacer: placer,
-		ModelFor:  model,
+		NewPlacer: algorithms[alg].NewPlacer,
+		ModelFor:  algorithms[alg].ModelFor,
 		Pool:      sc.scaledPool(seed, bmax),
 		Arrivals:  sc.arrivals,
 		Load:      load,
@@ -202,9 +188,9 @@ func Fig7(o Options) (*Table, error) {
 	cms, ovocs, err := pairPoints(o, len(cells), func(i int) (point, point) {
 		c := cells[i]
 		return func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, c.bmax, c.load, cmPlacer, nil, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, c.bmax, c.load, "cm", place.HASpec{}, nil)
 			}, func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, c.bmax, c.load, ovocPlacer, vocModel, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, c.bmax, c.load, "ovoc", place.HASpec{}, nil)
 			}
 	})
 	if err != nil {
@@ -238,9 +224,9 @@ func Fig8(o Options) (*Table, error) {
 	cms, ovocs, err := pairPoints(o, len(loads), func(i int) (point, point) {
 		load := loads[i]
 		return func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, 800, load, cmPlacer, nil, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, 800, load, "cm", place.HASpec{}, nil)
 			}, func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, 800, load, ovocPlacer, vocModel, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, 800, load, "ovoc", place.HASpec{}, nil)
 			}
 	})
 	if err != nil {
@@ -284,10 +270,10 @@ func Fig9(o Options) (*Table, error) {
 		ratio := ratios[i]
 		return func() (*sim.Result, error) {
 				spec := specFor(ratio)
-				return rejectionRun(sc, o.Seed, 800, 0.9, cmPlacer, nil, place.HASpec{}, &spec)
+				return rejectionRun(sc, o.Seed, 800, 0.9, "cm", place.HASpec{}, &spec)
 			}, func() (*sim.Result, error) {
 				spec := specFor(ratio)
-				return rejectionRun(sc, o.Seed, 800, 0.9, ovocPlacer, vocModel, place.HASpec{}, &spec)
+				return rejectionRun(sc, o.Seed, 800, 0.9, "ovoc", place.HASpec{}, &spec)
 			}
 	})
 	if err != nil {
@@ -313,20 +299,16 @@ func Fig9(o Options) (*Table, error) {
 // point, with OVOC as reference.
 func Fig10(o Options) (*Table, error) {
 	sc := scaleOf(o)
-	variants := []struct {
-		name   string
-		placer func(*topology.Tree) place.Placer
-		model  func(*tag.Graph) place.Model
-	}{
-		{"Coloc+Balance", cmPlacer, nil},
-		{"Coloc", func(t *topology.Tree) place.Placer { return cloudmirror.New(t, cloudmirror.WithoutBalance()) }, nil},
-		{"Balance", func(t *topology.Tree) place.Placer { return cloudmirror.New(t, cloudmirror.WithoutColocate()) }, nil},
-		{"OVOC", ovocPlacer, vocModel},
+	variants := []struct{ name, alg string }{
+		{"Coloc+Balance", "cm"},
+		{"Coloc", "cm-coloc"},
+		{"Balance", "cm-balance"},
+		{"OVOC", "ovoc"},
 	}
 	points := make([]point, len(variants))
 	for i, v := range variants {
 		points[i] = func() (*sim.Result, error) {
-			return rejectionRun(sc, o.Seed, 800, 0.9, v.placer, v.model, place.HASpec{}, nil)
+			return rejectionRun(sc, o.Seed, 800, 0.9, v.alg, place.HASpec{}, nil)
 		}
 	}
 	rs, err := runPoints(o, points)
@@ -355,9 +337,9 @@ func Fig11(o Options) (*Table, error) {
 	cms, ovocs, err := pairPoints(o, len(rwcss), func(i int) (point, point) {
 		ha := place.HASpec{RWCS: rwcss[i]}
 		return func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, 800, 0.9, cmPlacer, nil, ha, nil)
+				return rejectionRun(sc, o.Seed, 800, 0.9, "cm", ha, nil)
 			}, func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, 800, 0.9, ovocPlacer, vocModel, ha, nil)
+				return rejectionRun(sc, o.Seed, 800, 0.9, "ovoc", ha, nil)
 			}
 	})
 	if err != nil {
@@ -387,21 +369,18 @@ func Fig11(o Options) (*Table, error) {
 // CM+oppHA.
 func Fig12(o Options) (*Table, error) {
 	sc := scaleOf(o)
-	oppPlacer := func(t *topology.Tree) place.Placer {
-		return cloudmirror.New(t, cloudmirror.WithOpportunisticHA())
-	}
 	bmaxes := []float64{400, 600, 800, 1000, 1200}
 	points := make([]point, 0, 3*len(bmaxes))
 	for _, bmax := range bmaxes {
 		points = append(points,
 			func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, bmax, 0.9, cmPlacer, nil, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, bmax, 0.9, "cm", place.HASpec{}, nil)
 			},
 			func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, bmax, 0.9, cmPlacer, nil, place.HASpec{RWCS: 0.5}, nil)
+				return rejectionRun(sc, o.Seed, bmax, 0.9, "cm", place.HASpec{RWCS: 0.5}, nil)
 			},
 			func() (*sim.Result, error) {
-				return rejectionRun(sc, o.Seed, bmax, 0.9, oppPlacer, nil, place.HASpec{}, nil)
+				return rejectionRun(sc, o.Seed, bmax, 0.9, "cm-oppha", place.HASpec{}, nil)
 			})
 	}
 	rs, err := runPoints(o, points)

@@ -66,7 +66,7 @@ var cmdAndExamples = []string{"cloudmirror/cmd", "cloudmirror/examples"}
 // and enforcement package.
 var guaranteeGateway = []string{"cloudmirror/guarantee"}
 
-// boundaryRules carries the five public-API boundary contracts.
+// boundaryRules carries the six public-API boundary contracts.
 var boundaryRules = []BoundaryRule{
 	{
 		Name:      "cluster",
@@ -95,7 +95,21 @@ var boundaryRules = []BoundaryRule{
 		// placers directly; cmd/experiments reaching them through it
 		// is the sanctioned route.
 		Gateways: append([]string{"cloudmirror/internal/experiments"}, guaranteeGateway...),
-		Hint:     "use guarantee.WithAlgorithm",
+		Hint:     "use guarantee.New (CloudMirror), or an internal/experiments algorithm for the variants and baselines",
+	},
+	{
+		Name: "baselines",
+		Forbidden: []string{
+			"cloudmirror/internal/place/oktopus",
+			"cloudmirror/internal/place/secondnet",
+			"cloudmirror/internal/voc",
+			"cloudmirror/internal/pipe",
+		},
+		// The service is CloudMirror pricing tenants by their TAG; the
+		// paper's comparison baselines and their bandwidth models belong
+		// to the experiments, never to production configuration.
+		Checked: []string{"cloudmirror/guarantee", "cloudmirror/internal/cluster"},
+		Hint:    "the service runs CloudMirror under the TAG: compare baselines through internal/experiments",
 	},
 	{
 		Name: "enforcement",

@@ -44,13 +44,3 @@ func (a *Admitter) AdmitBatch(reqs []*Request) ([]*Admitted, []error) {
 	})
 	return grants, errs
 }
-
-// SetIndexed toggles the free-capacity index on the admitter's tree —
-// the knob the differential harness uses to compare the indexed and
-// rescan builds. Safe to call between admissions; must not race an
-// in-flight Place.
-func (a *Admitter) SetIndexed(on bool) {
-	a.mu.Lock()
-	a.tree.SetIndexed(on)
-	a.mu.Unlock()
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cloudmirror/guarantee"
+	"cloudmirror/internal/experiments"
 	"cloudmirror/internal/place"
 	"cloudmirror/internal/place/cloudmirror"
 	"cloudmirror/internal/tag"
@@ -19,12 +20,15 @@ import (
 // Differential harness for the topology free-capacity index: for every
 // placer and seed, the same churn+resize trace is run
 // twice — once with the index on (the default) and once with the pure
-// rescan path (WithIndex(false)) — and everything observable must be
-// byte-identical: admission outcomes, rejection reasons, resize
-// outcomes, service stats, and the final ledger compared at the
-// Float64bits level. The index's only permitted effect is skipping
-// scans that provably cannot succeed; any divergence here is an index
-// soundness bug.
+// rescan path (Tree.SetIndexed(false) before the first operation) — and
+// everything observable must be byte-identical: admission outcomes,
+// rejection reasons, resize outcomes, admission stats, and the final
+// ledger compared at the Float64bits level. The index's only permitted
+// effect is skipping scans that provably cannot succeed; any divergence
+// here is an index soundness bug. CloudMirror runs through the
+// guarantee service; the baselines, whose pruning reads the index too,
+// run through a bare admitter pricing each tenant by its translated
+// model, the way the simulator drives them.
 
 // diffSpec is a deliberately tight topology (72 servers, constrained
 // uplinks) so the trace produces a healthy mix of admissions and
@@ -41,21 +45,100 @@ func diffSpec() topology.Spec {
 	}
 }
 
+// diffGrant is one admitted tenant of a trace.
+type diffGrant interface {
+	Resize(*tag.Graph) error
+	Release()
+}
+
+// diffTarget is what a trace drives: admission of one tenant or a
+// batch (nil grants for refusals), and the admission counters.
+type diffTarget struct {
+	admit func(id int64, g *tag.Graph) (diffGrant, error)
+	batch func(id int64, gs []*tag.Graph) []diffGrant
+	stats func() place.AdmitStats
+}
+
+// serviceGrant adapts a guarantee.Grant to diffGrant.
+type serviceGrant struct{ guarantee.Grant }
+
+func (g serviceGrant) Resize(ng *tag.Graph) error { return g.Grant.Resize(context.Background(), ng) }
+
+// serviceTarget drives a one-shard guarantee service.
+func serviceTarget(svc guarantee.Service) diffTarget {
+	ctx := context.Background()
+	return diffTarget{
+		admit: func(id int64, g *tag.Graph) (diffGrant, error) {
+			grant, err := svc.Admit(ctx, guarantee.Request{ID: id, Graph: g})
+			if err != nil {
+				return nil, err
+			}
+			return serviceGrant{grant}, nil
+		},
+		batch: func(id int64, gs []*tag.Graph) []diffGrant {
+			reqs := make([]guarantee.Request, len(gs))
+			for j, g := range gs {
+				reqs[j] = guarantee.Request{ID: id + int64(j), Graph: g}
+			}
+			grants, _ := svc.AdmitBatch(ctx, reqs)
+			out := make([]diffGrant, len(grants))
+			for j, g := range grants {
+				if g != nil {
+					out[j] = serviceGrant{g}
+				}
+			}
+			return out
+		},
+		stats: func() place.AdmitStats { return svc.Stats().PerShard[0] },
+	}
+}
+
+// admitterTarget drives a bare admitter that prices every tenant by
+// modelFor's translation of its TAG.
+func admitterTarget(adm *place.Admitter, modelFor func(*tag.Graph) place.Model) diffTarget {
+	req := func(id int64, g *tag.Graph) *place.Request {
+		return &place.Request{ID: id, Graph: g, Model: modelFor(g)}
+	}
+	return diffTarget{
+		admit: func(id int64, g *tag.Graph) (diffGrant, error) {
+			ad, err := adm.Place(req(id, g))
+			if err != nil {
+				return nil, err
+			}
+			return ad, nil
+		},
+		batch: func(id int64, gs []*tag.Graph) []diffGrant {
+			reqs := make([]*place.Request, len(gs))
+			for j, g := range gs {
+				reqs[j] = req(id+int64(j), g)
+			}
+			ads, _ := adm.AdmitBatch(reqs)
+			out := make([]diffGrant, len(ads))
+			for j, ad := range ads {
+				if ad != nil {
+					out[j] = ad
+				}
+			}
+			return out
+		},
+		stats: adm.Stats,
+	}
+}
+
 // diffTrace drives a deterministic admission/release/resize trace
-// against svc and returns a printable transcript. Every random draw
+// against target and returns a printable transcript. Every random draw
 // comes from one seeded RNG, so equal (alg, seed) configs see
 // the identical op sequence regardless of the index setting. audit, when
 // non-nil, is called periodically to verify index invariants mid-trace.
-func diffTrace(t *testing.T, svc guarantee.Service, seed int64, resize bool, audit func() error) string {
+func diffTrace(t *testing.T, target diffTarget, seed int64, resize bool, audit func() error) string {
 	t.Helper()
-	ctx := context.Background()
 	pool := workload.BingLike(seed)
 	workload.ScaleToBmax(pool, 800)
 	r := rand.New(rand.NewSource(seed))
 
 	var sb strings.Builder
 	type liveTenant struct {
-		grant guarantee.Grant
+		grant diffGrant
 		graph *tag.Graph
 	}
 	var live []*liveTenant
@@ -73,18 +156,14 @@ func diffTrace(t *testing.T, svc guarantee.Service, seed int64, resize bool, aud
 		case i%10 == 9:
 			// Batch admission through the coalesced path: the batch
 			// must decide exactly as sequential admission would.
-			reqs := make([]guarantee.Request, 3)
-			for j := range reqs {
-				reqs[j] = guarantee.Request{
-					ID:    int64(i*10 + j),
-					Graph: pool[r.Intn(len(pool))],
-				}
+			gs := make([]*tag.Graph, 3)
+			for j := range gs {
+				gs[j] = pool[r.Intn(len(pool))]
 			}
-			grants, _ := svc.AdmitBatch(ctx, reqs)
-			for j, g := range grants {
+			for j, g := range target.batch(int64(i*10), gs) {
 				if g != nil {
 					fmt.Fprintf(&sb, "batch %d.%d ok\n", i, j)
-					live = append(live, &liveTenant{grant: g, graph: reqs[j].Graph})
+					live = append(live, &liveTenant{grant: g, graph: gs[j]})
 				} else {
 					fmt.Fprintf(&sb, "batch %d.%d reject\n", i, j)
 				}
@@ -112,14 +191,14 @@ func diffTrace(t *testing.T, svc guarantee.Service, seed int64, resize bool, aud
 			if gerr != nil {
 				t.Fatalf("resize graph: %v", gerr)
 			}
-			err := ten.grant.Resize(ctx, ng)
+			err := ten.grant.Resize(ng)
 			fmt.Fprintf(&sb, "resize %d t%d %d->%d %s\n", k, tier, n, newN, outcome(err))
 			if err == nil {
 				ten.graph = ng
 			}
 		default:
 			g := pool[r.Intn(len(pool))]
-			grant, err := svc.Admit(ctx, guarantee.Request{ID: int64(i), Graph: g})
+			grant, err := target.admit(int64(i), g)
 			fmt.Fprintf(&sb, "admit %d %s\n", i, outcome(err))
 			if err == nil {
 				live = append(live, &liveTenant{grant: grant, graph: g})
@@ -131,7 +210,7 @@ func diffTrace(t *testing.T, svc guarantee.Service, seed int64, resize bool, aud
 			}
 		}
 	}
-	st := svc.Stats()
+	st := target.stats()
 	fmt.Fprintf(&sb, "stats admitted=%d rejected=%d failed=%d released=%d resized=%d\n",
 		st.Admitted, st.Rejected, st.Failed, st.Released, st.Resized)
 	return sb.String()
@@ -158,25 +237,31 @@ func ledgerBits(l topology.Ledger) string {
 	return sb.String()
 }
 
-// runDiff builds a service with the given config and index setting and
+// runDiff runs the trace for one algorithm and index setting and
 // returns the full observable transcript: op outcomes plus the final
-// per-shard ledgers in bit-exact form.
+// ledger in bit-exact form.
 func runDiff(t *testing.T, alg string, seed int64, indexed bool) string {
 	t.Helper()
-	svc, err := guarantee.New(diffSpec(),
-		guarantee.WithAlgorithm(alg),
-		guarantee.WithIndex(indexed),
-		guarantee.WithSeed(seed),
+	var (
+		tree   *topology.Tree
+		target diffTarget
 	)
-	if err != nil {
-		t.Fatal(err)
+	if alg == "cm" {
+		svc, err := guarantee.New(diffSpec(), guarantee.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(context.Background())
+		tree, target = svc.Topology(0), serviceTarget(svc)
+	} else {
+		a, err := experiments.AlgorithmByName(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree = topology.New(diffSpec())
+		target = admitterTarget(place.NewAdmitter(tree, a.NewPlacer(tree)), a.ModelFor)
 	}
-	defer svc.Close(context.Background())
-
-	tree := svc.Topology(0)
-	if tree.Indexed() != indexed {
-		t.Fatalf("Indexed() = %v, want %v", tree.Indexed(), indexed)
-	}
+	tree.SetIndexed(indexed)
 	var audit func() error
 	if indexed {
 		audit = tree.IndexAudit
@@ -184,7 +269,7 @@ func runDiff(t *testing.T, alg string, seed int64, indexed bool) string {
 	// Resize requires TAG-native pricing; ovoc and secondnet tenants
 	// are admitted under translated models and reject Resize.
 	resize := alg == "cm"
-	trace := diffTrace(t, svc, seed, resize, audit)
+	trace := diffTrace(t, target, seed, resize, audit)
 	return trace + "ledger " + ledgerBits(tree.ExportLedger()) + "\n"
 }
 
@@ -212,13 +297,13 @@ func TestIndexDifferential(t *testing.T) {
 // maintained ones (never tighter the wrong way: the live bounds must
 // dominate) and the audit invariant must hold throughout.
 func TestIndexRebuildMatchesIncremental(t *testing.T) {
-	svc, err := guarantee.New(diffSpec(), guarantee.WithAlgorithm("cm"), guarantee.WithSeed(3))
+	svc, err := guarantee.New(diffSpec(), guarantee.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close(context.Background())
 	tree := svc.Topology(0)
-	diffTrace(t, svc, 3, true, tree.IndexAudit)
+	diffTrace(t, serviceTarget(svc), 3, true, tree.IndexAudit)
 
 	live := tree.IndexSnapshot()
 	tree.IndexRebuild()

@@ -67,8 +67,8 @@ type Event struct {
 	ID int64
 	// Graph is the tenant's TAG when the tenant was priced by it — the
 	// precondition for TAG enforcement, matching the Resize rule. Nil
-	// for tenants admitted under a translated model (VOC, pipes) and
-	// for EventReleased.
+	// for EventReleased, and in ledgers older builds wrote for tenants
+	// priced by a translated model (VOC, pipes).
 	Graph *tag.Graph
 	// Placement is where the tenant's VMs sit after the transition.
 	// The map is the reservation's own (fixed — a resize swaps in a
@@ -117,16 +117,4 @@ type Event struct {
 type EventSink interface {
 	// Publish delivers one lifecycle event.
 	Publish(Event)
-}
-
-// EnforceableGraph returns the request's TAG when the tenant is priced
-// by the TAG itself — the same precondition Resize applies — and nil
-// otherwise: reservations computed under a translated model (VOC,
-// pipes) do not cover the TAG's hose guarantees, so TAG enforcement
-// could overflow links the admission control never checked.
-func EnforceableGraph(req *Request) *tag.Graph {
-	if req.Graph != nil && (req.Model == nil || req.Model == Model(req.Graph)) {
-		return req.Graph
-	}
-	return nil
 }

@@ -197,7 +197,23 @@ func TestResizeTypedReasons(t *testing.T) {
 	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonReleased {
 		t.Errorf("resize after release: reason %q, want %q", ReasonOf(err), ReasonReleased)
 	}
+
+	// A tenant priced by a model other than its TAG (the baselines' VOC
+	// or pipes) rejects with ReasonUnsupported: its reservation was not
+	// computed from the graph a resize would re-price.
+	grant, err = adm.Place(&Request{ID: 2, Graph: g, Model: translated{g}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonUnsupported {
+		t.Errorf("resize under a translated model: reason %q, want %q", ReasonOf(err), ReasonUnsupported)
+	}
+	grant.Release()
 }
+
+// translated stands in for a baseline's model: the TAG's own pricing
+// behind a different Model value.
+type translated struct{ *tag.Graph }
 
 // TestConcurrentResizeRelease races Resize against Release (and a
 // second Release) on the same grant: the operations must serialize,

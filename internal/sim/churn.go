@@ -24,9 +24,6 @@ type ChurnConfig struct {
 	Spec topology.Spec
 	// NewPlacer constructs the algorithm under test on each shard's tree.
 	NewPlacer func(*topology.Tree) place.Placer
-	// ModelFor selects the bandwidth abstraction used for admission and
-	// reservation (TAG, VOC, pipe). Nil means the TAG itself.
-	ModelFor func(*tag.Graph) place.Model
 	// Pool is the tenant template pool; arrivals sample it uniformly.
 	Pool []*tag.Graph
 	// Shards is the number of independent datacenter trees (at least 1).
@@ -56,8 +53,7 @@ type ChurnConfig struct {
 	// demand matrix and the fleet's rates are converged. Demands come
 	// from a dedicated RNG derived from Seed (like the policy RNG), so
 	// attaching enforcement never perturbs the admission workload —
-	// the same churn trace runs with and without it. Requires
-	// TAG-native pricing (ModelFor nil).
+	// the same churn trace runs with and without it.
 	Enforce bool
 	// EnforceEvery is the control-period cadence in arrivals; 0 means
 	// 16.
@@ -65,11 +61,6 @@ type ChurnConfig struct {
 	// EnforceAlpha is the rate limiters' per-period convergence step in
 	// (0,1]; 0 means 1.
 	EnforceAlpha float64
-	// EnforceFullRecompute disables the dataplane's incremental
-	// (component-dirty) stepping, re-solving every component each
-	// control period. Results are byte-identical either way — the flag
-	// exists for the differential tests proving that.
-	EnforceFullRecompute bool
 	// HA is applied to every arriving tenant (zero value: none).
 	HA place.HASpec
 	// Seed drives all randomness: arrival spacing, pool sampling,
@@ -211,32 +202,15 @@ func Churn(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.Shards <= 0 {
 		return nil, errors.New("sim: Shards must be positive")
 	}
-	if cfg.ResizeProb > 0 && cfg.ModelFor != nil {
-		// Resize requires TAG-native pricing: tenants admitted under a
-		// translated model (VOC, pipes) reject Resize with Unsupported,
-		// which would abort the run at the first resize event. Fail
-		// before any work is done instead.
-		return nil, errors.New("sim: ResizeProb requires TAG-native pricing (ModelFor must be nil)")
-	}
-	if cfg.Enforce && cfg.ModelFor != nil {
-		// The dataplane enforces TAG guarantees; tenants priced under a
-		// translated model would all be skipped, making the run
-		// meaningless. Fail up front instead.
-		return nil, errors.New("sim: Enforce requires TAG-native pricing (ModelFor must be nil)")
-	}
 	opts := []guarantee.Option{
 		guarantee.WithPlacer(cfg.NewPlacer),
-		guarantee.WithModelFor(cfg.ModelFor),
 		guarantee.WithShards(cfg.Shards),
 		guarantee.WithPolicy(cfg.Policy),
 		guarantee.WithSeed(policySeed(cfg.Seed)),
 		guarantee.WithWorkers(cfg.Workers),
 	}
 	if cfg.Enforce {
-		opts = append(opts, guarantee.WithEnforcement(guarantee.EnforcementConfig{
-			Alpha:         cfg.EnforceAlpha,
-			FullRecompute: cfg.EnforceFullRecompute,
-		}))
+		opts = append(opts, guarantee.WithEnforcement(guarantee.EnforcementConfig{Alpha: cfg.EnforceAlpha}))
 	}
 	svc, err := guarantee.New(cfg.Spec, opts...)
 	if err != nil {

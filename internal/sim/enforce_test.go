@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/tag"
-	"cloudmirror/internal/voc"
 )
 
 // enforceChurnConfig is the shared scenario: churn plus resizes with
@@ -104,35 +102,6 @@ func TestEnforceChurnDeterminism(t *testing.T) {
 	}
 }
 
-// TestEnforceChurnIncrementalMatchesFull is the end-to-end half of the
-// dataplane differential harness: the same churn (admissions, resizes,
-// releases, demand redraws, control periods) run with incremental
-// stepping and with FullRecompute must render byte-identical
-// enforcement transcripts. Runs under make determinism at -cpu=1,4,8.
-func TestEnforceChurnIncrementalMatchesFull(t *testing.T) {
-	arrivals := 160
-	if testing.Short() {
-		arrivals = 64
-	}
-	for _, alpha := range []float64{0, 0.3} {
-		inc := enforceChurnConfig(arrivals, 0)
-		inc.EnforceAlpha = alpha
-		full := inc
-		full.EnforceFullRecompute = true
-		resInc, err := Churn(inc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resFull, err := Churn(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := renderEnforce(resInc), renderEnforce(resFull); a != b {
-			t.Errorf("alpha=%g: incremental diverged from full recompute:\n%s\nwant:\n%s", alpha, a, b)
-		}
-	}
-}
-
 // TestEnforceOffDrawsNothing: attaching enforcement must not perturb
 // an enforcement-free workload — the arrival/admission sequence of
 // Enforce=false matches the pre-enforcement behavior bit for bit.
@@ -155,11 +124,14 @@ func TestEnforceOffDrawsNothing(t *testing.T) {
 	}
 }
 
+// TestEnforceChurnValidation: an enforcement setting the dataplane
+// refuses fails the run before its first arrival, with the service's
+// typed rejection.
 func TestEnforceChurnValidation(t *testing.T) {
 	cfg := churnConfig(10, 1, "rr")
 	cfg.Enforce = true
-	cfg.ModelFor = func(g *tag.Graph) place.Model { return voc.FromTAG(g) }
-	if _, err := Churn(cfg); err == nil {
-		t.Error("Enforce with a translated model was accepted")
+	cfg.EnforceAlpha = 1.5
+	if _, err := Churn(cfg); place.ReasonOf(err) != place.ReasonInvalidRequest {
+		t.Errorf("EnforceAlpha 1.5: err = %v, want an invalid_request rejection", err)
 	}
 }

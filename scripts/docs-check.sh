@@ -68,8 +68,9 @@ done
 # must exist — a refactor that renames or drops them silently orphans
 # the contract they pin (the Indexes section is the soundness contract
 # of the topology free-capacity index; the README batch note is the
-# public AdmitBatch semantics).
-for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### Flat combining' '^### Group commit'; do
+# public AdmitBatch semantics; the Modes section names what selects
+# every surviving mode, so a new one has to say what pays its rent).
+for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### Flat combining' '^### Group commit' '^## Modes and what pays their rent'; do
     if ! grep -q "$want" docs/ARCHITECTURE.md; then
         echo "docs/ARCHITECTURE.md: missing section matching '$want'"
         fail=1
