@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint analyze docs-check bench-check bench-smoke test test-full test-fuzz determinism bench ci
+.PHONY: all build lint analyze docs-check bench-check bench-smoke examples test test-full test-fuzz determinism bench ci
 
 all: build
 
@@ -58,6 +58,14 @@ bench-smoke:
 	bash bench/run.sh --workload enforce_storm --seconds 1 --trace 0
 	bash bench/run.sh --workload enforce_steady --seconds 1 --trace 0
 	bash bench/run.sh --workload http_durable --seconds 1 --trace 0
+
+# Build and run every program under examples/ (≈6 s on 2 vCPUs, nearly
+# all of it examples/enforcement's paced loopback TCP). Each example
+# exits non-zero on an error or a broken guarantee, so a walkthrough
+# that stops working fails here rather than only compiling.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $${d%/}"; $(GO) run ./$${d%/}; done
 
 # Short suite under the race detector: what CI runs on every push.
 # Includes the concurrent-admission stress tests and the quick
@@ -137,4 +145,4 @@ determinism:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 
-ci: lint analyze docs-check build bench-check bench-smoke test test-fuzz determinism bench
+ci: lint analyze docs-check build bench-check bench-smoke examples test test-fuzz determinism bench

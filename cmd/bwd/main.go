@@ -9,7 +9,7 @@
 // Usage:
 //
 //	bwd [-addr :8080] [-servers 128|512|2048] [-shards N] [-policy rr|least|p2c]
-//	    [-seed N] [-enforce] [-enforce-alpha F] [-enforce-gp tag|hose|gatekeeper]
+//	    [-seed N] [-enforce] [-enforce-alpha F]
 //	    [-wal-dir DIR] [-snapshot-every N] [-pprof localhost:6060]
 //
 // Endpoints (bodies are JSON; TAGs use the internal/tag wire format):
@@ -44,7 +44,8 @@
 // so the next start replays nothing.
 //
 // With -enforce the daemon attaches the enforcement dataplane: every
-// admit/resize/release is applied to it incrementally. POST
+// admit/resize/release is applied to it incrementally, and guarantees
+// are partitioned per TAG hose (the paper's §5.2 patch). POST
 // /v1/enforcement/step advances the work-conserving GP/RA control
 // loop one period and reports per-tenant achieved vs. guaranteed
 // bandwidth; GET /v1/enforcement is read-only (polling it never moves
@@ -96,7 +97,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for randomized dispatch policies")
 	enforce := flag.Bool("enforce", false, "attach the enforcement dataplane (serves GET /v1/enforcement)")
 	alpha := flag.Float64("enforce-alpha", 1, "enforcement rate-limiter convergence step in (0,1]")
-	gp := flag.String("enforce-gp", "tag", "guarantee partitioner: tag, hose, gatekeeper")
 	walDir := flag.String("wal-dir", "", "durable ledger directory: write-ahead log + snapshots (empty = in-memory)")
 	snapEvery := flag.Int("snapshot-every", 1024, "events between automatic snapshots (needs -wal-dir)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof profiling on this address (e.g. localhost:6060; empty = off)")
@@ -122,8 +122,8 @@ func main() {
 
 	// Enforcement tuning without enforcement would be silently dropped;
 	// fail fast like simulate does for -resize without -churn.
-	if !*enforce && (*alpha != 1 || *gp != "tag") {
-		fatal(fmt.Errorf("-enforce-alpha/-enforce-gp need -enforce: the daemon starts no dataplane without it"))
+	if !*enforce && *alpha != 1 {
+		fatal(fmt.Errorf("-enforce-alpha needs -enforce: the daemon starts no dataplane without it"))
 	}
 	if *walDir == "" && *snapEvery != 1024 {
 		fatal(fmt.Errorf("-snapshot-every needs -wal-dir: the daemon keeps no log without it"))
@@ -147,10 +147,7 @@ func main() {
 		guarantee.WithSeed(*seed),
 	}
 	if *enforce {
-		opts = append(opts, guarantee.WithEnforcement(guarantee.EnforcementConfig{
-			Alpha:       *alpha,
-			Partitioner: *gp,
-		}))
+		opts = append(opts, guarantee.WithEnforcement(guarantee.EnforcementConfig{Alpha: *alpha}))
 	}
 	var svc guarantee.Service
 	var err error

@@ -48,12 +48,22 @@ const snapshotVersion = 1
 // may also carry "planners" or the enforcement full-recompute flag;
 // encoding/json ignores the unknown fields, so they still open.
 type durableConfig struct {
-	Shards        int                `json:"shards"`
-	Policy        string             `json:"policy"`
-	Seed          int64              `json:"seed"`
-	Algorithm     string             `json:"algorithm"`
-	SnapshotEvery int                `json:"snapshot_every"`
-	Enforce       *EnforcementConfig `json:"enforce,omitempty"`
+	Shards        int             `json:"shards"`
+	Policy        string          `json:"policy"`
+	Seed          int64           `json:"seed"`
+	Algorithm     string          `json:"algorithm"`
+	SnapshotEvery int             `json:"snapshot_every"`
+	Enforce       *durableEnforce `json:"enforce,omitempty"`
+}
+
+// durableEnforce is the enforcement configuration as a ledger records
+// it. Older builds could enforce with a baseline guarantee partitioner
+// and recorded its name beside Alpha; "" and "tag" name the TAG
+// partitioner, the only one this build runs. Open refuses any other by
+// name rather than silently reopening the ledger under the TAG.
+type durableEnforce struct {
+	EnforcementConfig
+	LegacyPartitioner string `json:"Partitioner,omitempty"`
 }
 
 // shardSnap is one shard's durable state within a snapshot. The ledger
@@ -152,9 +162,11 @@ func createDurability(spec topology.Spec, c *config, svc *service) error {
 			Seed:          c.seed,
 			Algorithm:     defaultAlgorithm,
 			SnapshotEvery: c.snapEvery,
-			Enforce:       c.enforce,
 		},
 		grants: make(map[grantKey]*grant),
+	}
+	if c.enforce != nil {
+		d.cfg.Enforce = &durableEnforce{EnforcementConfig: *c.enforce}
 	}
 	b, err := d.encodeSnapshot()
 	if err != nil {
@@ -211,7 +223,16 @@ func Open(dir string, opts ...Option) (Service, error) {
 		policy:    snap.Config.Policy,
 		seed:      snap.Config.Seed,
 		snapEvery: snap.Config.SnapshotEvery,
-		enforce:   snap.Config.Enforce,
+	}
+	if e := snap.Config.Enforce; e != nil {
+		if e.LegacyPartitioner != "" && e.LegacyPartitioner != "tag" {
+			// Recovering a baseline-partitioned ledger under the TAG would
+			// enforce guarantees its writer never enforced.
+			log.Close()
+			return nil, place.Rejectf(op, InvalidRequest,
+				"ledger in %s enforces with partitioner %q; this build enforces only the TAG", dir, e.LegacyPartitioner)
+		}
+		c.enforce = &e.EnforcementConfig
 	}
 	// Fold caller options for the non-persistable knobs, then reassert
 	// the snapshot's structural configuration — a recovered fleet must

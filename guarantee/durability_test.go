@@ -535,43 +535,58 @@ func TestOpenLegacyPlannersSnapshot(t *testing.T) {
 
 // TestOpenLegacyFullRecomputeSnapshot: ledgers written while the
 // enforcement config could ask for full recomputation carry
-// "FullRecompute" in it. Full recomputation only ever changed which
-// components a period re-solved, never a rate, so such a ledger opens
-// as the incremental service it is equivalent to.
+// "FullRecompute" in it, and ones written while it could name a
+// guarantee partitioner carry "Partitioner" — "" or "tag" for the TAG.
+// Full recomputation only ever changed which components a period
+// re-solved, never a rate, so such a ledger opens as the incremental
+// TAG-partitioned service it is equivalent to.
 func TestOpenLegacyFullRecomputeSnapshot(t *testing.T) {
-	svc := legacyWriter(t, WithEnforcement(EnforcementConfig{Alpha: 0.5}))
-	dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, _ []map[string]json.RawMessage) {
-		if got := string(cfg["algorithm"]); got != `"cm"` {
-			t.Fatalf("writer recorded algorithm %s, want \"cm\"", got)
+	for _, partitioner := range []string{"", "tag"} {
+		// assertReopened steps both services, so each case gets a fresh
+		// writer.
+		svc := legacyWriter(t, WithEnforcement(EnforcementConfig{Alpha: 0.5}))
+		dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+			if got := string(cfg["algorithm"]); got != `"cm"` {
+				t.Fatalf("writer recorded algorithm %s, want \"cm\"", got)
+			}
+			cfg["enforce"] = json.RawMessage(`{"Alpha":0.5,"Partitioner":` + strconv.Quote(partitioner) + `,"FullRecompute":true}`)
+		})
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open legacy snapshot (partitioner %q): %v", partitioner, err)
 		}
-		cfg["enforce"] = json.RawMessage(`{"Alpha":0.5,"Partitioner":"","FullRecompute":true}`)
-	})
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open legacy snapshot: %v", err)
+		assertReopened(t, re, svc)
+		re.Close(context.Background())
 	}
-	defer re.Close(context.Background())
-	assertReopened(t, re, svc)
 }
 
 // TestOpenRefusesOtherAlgorithms: older builds could serve a baseline
-// placer or a CloudMirror variant and recorded its name. Open refuses
-// such a ledger by that name rather than replaying its decisions
-// through a placer that never made them.
+// placer or a CloudMirror variant, or enforce with a baseline guarantee
+// partitioner, and recorded its name. Open refuses such a ledger by
+// that name rather than replaying its decisions through a placer that
+// never made them, or enforcing guarantees its writer never enforced.
 func TestOpenRefusesOtherAlgorithms(t *testing.T) {
-	svc := legacyWriter(t)
+	svc := legacyWriter(t, WithEnforcement(EnforcementConfig{Alpha: 0.5}))
+	type refusal struct{ key, name, value string }
+	var cases []refusal
 	for _, name := range []string{"ovoc", "ovoc-aware", "secondnet", "cm-oppha", "cm-coloc", "cm-balance"} {
+		cases = append(cases, refusal{"algorithm", name, strconv.Quote(name)})
+	}
+	for _, name := range []string{"hose", "gatekeeper"} {
+		cases = append(cases, refusal{"enforce", name, `{"Alpha":0.5,"Partitioner":` + strconv.Quote(name) + `}`})
+	}
+	for _, c := range cases {
 		dir := legacyLedger(t, svc, func(cfg map[string]json.RawMessage, _ []map[string]json.RawMessage) {
-			cfg["algorithm"] = json.RawMessage(strconv.Quote(name))
+			cfg[c.key] = json.RawMessage(c.value)
 		})
 		re, err := Open(dir)
 		if err == nil {
 			re.Close(context.Background())
-			t.Errorf("%s: ledger opened", name)
+			t.Errorf("%s: ledger opened", c.name)
 			continue
 		}
-		if ReasonOf(err) != InvalidRequest || !strings.Contains(err.Error(), strconv.Quote(name)) {
-			t.Errorf("%s: err = %v, want invalid_request naming the algorithm", name, err)
+		if ReasonOf(err) != InvalidRequest || !strings.Contains(err.Error(), strconv.Quote(c.name)) {
+			t.Errorf("%s: err = %v, want invalid_request naming the %s", c.name, err, c.key)
 		}
 	}
 }

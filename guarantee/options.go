@@ -57,10 +57,9 @@ func WithPlacer(newPlacer func(*topology.Tree) place.Placer) Option {
 }
 
 // EnforcementConfig tunes the enforcement dataplane WithEnforcement
-// attaches: the rate limiters' convergence step (Alpha) and the
-// guarantee-partitioning scheme (Partitioner: "tag", "hose" or
-// "gatekeeper"). The zero value is valid: rate limiters jump straight
-// to their targets (alpha 1) under TAG partitioning.
+// attaches: the rate limiters' convergence step (Alpha). Guarantees are
+// always partitioned per TAG hose. The zero value is valid: rate
+// limiters jump straight to their targets (alpha 1).
 type EnforcementConfig = dataplane.Config
 
 // WithEnforcement attaches a per-shard enforcement dataplane to the

@@ -210,11 +210,11 @@ func (d *Driver) refreshFlows(t *tenant) {
 			t.limits = append(t.limits, math.NaN())
 		}
 	}
-	// GP reads the ordered (Src, Dst) sequence and the deployment, nothing
-	// else (enforce.Partitioner), and this is the only place that sequence
-	// changes: partition once here, and every solve until the next new
-	// pair set appends the kept slice.
-	t.guarantees = enforce.AppendGuarantees(t.guarantees, t.gp, t.pairs)
+	// The TAG partitioner reads the ordered (Src, Dst) sequence and the
+	// deployment, nothing else (enforce.Partitioner), and this is the only
+	// place that sequence changes: partition once here, and every solve
+	// until the next new pair set appends the kept slice.
+	t.guarantees = t.gp.AppendPairGuarantees(t.guarantees, t.pairs)
 	for _, g := range t.guarantees {
 		if !(g >= 0 && g <= math.MaxFloat64) {
 			t.certified = false

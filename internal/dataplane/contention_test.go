@@ -160,7 +160,7 @@ func (o *oracle) step(t *testing.T, d *Driver) map[oracleKey]float64 {
 		}
 		pairs = append(pairs, tn.pairs...)
 		paths = append(paths, tn.paths...)
-		guarantees = enforce.AppendGuarantees(guarantees, tn.gp, tn.pairs)
+		guarantees = tn.gp.AppendPairGuarantees(guarantees, tn.pairs)
 	}
 	targets, err := o.ra.Alloc(d.fab.Network(), pairs, paths, guarantees)
 	if err != nil {

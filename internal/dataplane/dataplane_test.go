@@ -329,52 +329,12 @@ func TestSetDemandValidation(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	tree := topology.New(flatSpec(2, 10))
-	if _, err := New(tree, Config{Alpha: 2}); err == nil {
-		t.Error("alpha 2 accepted")
-	}
-	if _, err := New(tree, Config{Partitioner: "bogus"}); err == nil {
-		t.Error("bogus partitioner accepted")
+	_, err := New(tree, Config{Alpha: 2})
+	if err == nil {
+		t.Fatal("alpha 2 accepted")
 	}
 	var re *place.RejectionError
-	_, err := New(tree, Config{Partitioner: "bogus"})
 	if !errors.As(err, &re) {
 		t.Errorf("config error %v is not a RejectionError", err)
-	}
-}
-
-// TestHosePartitionerBreaksGuarantee reproduces Fig. 4 through the
-// driver: under single-hose partitioning the web→logic guarantee
-// breaks, under TAG partitioning it holds.
-func TestHosePartitionerBreaksGuarantee(t *testing.T) {
-	g := tag.New("fig4")
-	web := g.AddTier("web", 1)
-	logic := g.AddTier("logic", 1)
-	db := g.AddTier("db", 1)
-	g.AddEdge(web, logic, 500, 500)
-	g.AddEdge(db, logic, 100, 100)
-	demands := []Demand{
-		{Src: 0, Dst: 1, Mbps: netem.Greedy},
-		{Src: 2, Dst: 1, Mbps: netem.Greedy},
-	}
-	rate := func(partitioner string) float64 {
-		tree := topology.New(flatSpec(4, 600))
-		d, err := New(tree, Config{Partitioner: partitioner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Publish(admitEvent(1, g, spread(tree, g)))
-		if err := d.SetDemand(1, demands); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := d.Converge(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		return pairsOf(t, d, 1)[0].Rate
-	}
-	if got := rate("tag"); got < 500-1e-6 {
-		t.Errorf("TAG partitioning: web→logic %g Mbps, want >= 500", got)
-	}
-	if got := rate("hose"); got >= 500-1e-6 {
-		t.Errorf("hose partitioning: web→logic %g Mbps, expected the Fig. 4 breakage (< 500)", got)
 	}
 }

@@ -15,16 +15,13 @@ import (
 )
 
 // Config tunes a Driver. The zero value is valid: alpha 1 (rate
-// limiters jump straight to their targets) under TAG partitioning,
-// with incremental (component-dirty) stepping.
+// limiters jump straight to their targets), with incremental
+// (component-dirty) stepping. Guarantees are always partitioned per TAG
+// hose (enforce.TAGPartitioner, the paper's §5.2 patch).
 type Config struct {
 	// Alpha is the per-period convergence step of each rate limiter
 	// toward its RA target, in (0,1]; 0 means 1.
 	Alpha float64
-	// Partitioner names the guarantee-partitioning scheme: "tag" (the
-	// default, the paper's §5.2 patch), "hose" (single-hose baseline,
-	// the Fig. 4 failure mode), or "gatekeeper" (§2.2 baseline).
-	Partitioner string
 }
 
 // alpha resolves the configured convergence step.
@@ -41,23 +38,7 @@ func (c Config) validate() error {
 		return place.Rejectf("configure", place.ReasonInvalidRequest,
 			"enforcement alpha %g outside (0,1]", c.Alpha)
 	}
-	switch c.Partitioner {
-	case "", "tag", "hose", "gatekeeper":
-		return nil
-	}
-	return place.Rejectf("configure", place.ReasonInvalidRequest,
-		"unknown partitioner %q: valid values are tag, hose, gatekeeper", c.Partitioner)
-}
-
-// newPartitioner builds the configured GP over one tenant's deployment.
-func (c Config) newPartitioner(dep *enforce.Deployment) enforce.Partitioner {
-	switch c.Partitioner {
-	case "hose":
-		return enforce.NewHosePartitioner(dep)
-	case "gatekeeper":
-		return enforce.NewGatekeeperPartitioner(dep)
-	}
-	return enforce.NewTAGPartitioner(dep)
+	return nil
 }
 
 // GreedyDemand marks a Demand whose source is always backlogged
@@ -104,7 +85,7 @@ type tenant struct {
 	pos   int
 	graph *tag.Graph
 	bind  *Binding
-	gp    enforce.Partitioner
+	gp    *enforce.TAGPartitioner
 	// demands are the tenant's active flows, sorted by (Src, Dst); nil
 	// means "not set" and defaults, lazily, to every TAG-permitted pair
 	// backlogged. perm remembers the caller's order: the i-th entry of
@@ -420,7 +401,7 @@ func (d *Driver) install(ev place.Event) bool {
 		d.order = append(d.order, t)
 		d.stats = append(d.stats, TenantStats{})
 	}
-	t.graph, t.bind, t.gp = ev.Graph, bind, d.cfg.newPartitioner(bind.Deployment())
+	t.graph, t.bind, t.gp = ev.Graph, bind, enforce.NewTAGPartitioner(bind.Deployment())
 	t.demands = nil // VM IDs changed; offered loads must be re-declared
 	// The VM set changed: flow state and limiter values are meaningless
 	// under the new binding. Pairs restart at their guarantees.

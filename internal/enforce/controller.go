@@ -70,7 +70,7 @@ func (c *Controller) Step(pairs []Pair, paths [][]netem.LinkID) ([]float64, erro
 	if len(paths) != len(pairs) {
 		return nil, fmt.Errorf("%w: %d paths for %d pairs", netem.ErrBadInput, len(paths), len(pairs))
 	}
-	c.guarantees = AppendGuarantees(c.guarantees[:0], c.gp, pairs)
+	c.guarantees = c.gp.AppendPairGuarantees(c.guarantees[:0], pairs)
 	targets, err := c.ra.Alloc(c.net, pairs, paths, c.guarantees)
 	if err != nil {
 		return nil, err

@@ -97,11 +97,15 @@ type Pair struct {
 // a pure function of its deployment and the ordered (Src, Dst) sequence
 // and must not read Pair.Demand. Callers rely on it — the dataplane
 // partitions once per pair set and keeps the result while offered loads
-// move (TestPartitionersIgnoreDemand holds every partitioner here to
-// it).
+// move (TestPartitionersIgnoreDemand). The service enforces with
+// TAGPartitioner; the experiments' Fig. 4 hose baseline is the other
+// implementation.
 type Partitioner interface {
-	// PairGuarantees returns one guarantee per pair, in order.
-	PairGuarantees(pairs []Pair) []float64
+	// AppendPairGuarantees appends one guarantee per pair, in order, to
+	// dst and returns the extended slice. An implementation may reuse
+	// internal scratch across calls, so it is not safe for concurrent
+	// use.
+	AppendPairGuarantees(dst []float64, pairs []Pair) []float64
 }
 
 // TAGPartitioner partitions guarantees per TAG hose: a VM's sending
@@ -111,7 +115,7 @@ type Partitioner interface {
 // lacks.
 type TAGPartitioner struct {
 	dep *Deployment
-	// Counting scratch, reused across calls (AppendPartitioner).
+	// Counting scratch, reused across calls.
 	dsts map[hoseVM]int // (hose, src) -> #active dsts
 	srcs map[hoseVM]int // (hose, dst) -> #active srcs
 	keys []hoseKey
@@ -132,17 +136,11 @@ type hoseVM struct {
 	vm   int
 }
 
-// PairGuarantees implements Partitioner. For pair (s,d) on hose h:
+// AppendPairGuarantees implements Partitioner. For pair (s,d) on hose h:
 //
 //	g(s,d) = min( S_h / activeDsts(s,h), R_h / activeSrcs(d,h) )
 //
 // the basic ElasticSwitch partitioning applied per hose.
-func (p *TAGPartitioner) PairGuarantees(pairs []Pair) []float64 {
-	return p.AppendPairGuarantees(make([]float64, 0, len(pairs)), pairs)
-}
-
-// AppendPairGuarantees implements AppendPartitioner, reusing the
-// partitioner's counting maps across calls.
 func (p *TAGPartitioner) AppendPairGuarantees(dst []float64, pairs []Pair) []float64 {
 	if p.dsts == nil {
 		p.dsts = make(map[hoseVM]int)
@@ -166,62 +164,6 @@ func (p *TAGPartitioner) AppendPairGuarantees(dst []float64, pairs []Pair) []flo
 		k := p.keys[i]
 		gs := snd / float64(p.dsts[hoseVM{k, pr.Src}])
 		gr := rcv / float64(p.srcs[hoseVM{k, pr.Dst}])
-		dst = append(dst, min(gs, gr))
-	}
-	return dst
-}
-
-// HosePartitioner is the baseline: guarantees derived from the
-// generalized hose model (each VM's single aggregated guarantee), so all
-// active sources of a destination share one receive guarantee regardless
-// of which application hose they belong to — the Fig. 4 failure mode.
-type HosePartitioner struct {
-	dep *Deployment
-	out []float64 // per-tier per-VM hose send guarantee
-	in  []float64
-	// Counting scratch, reused across calls (AppendPartitioner).
-	dsts map[int]int
-	srcs map[int]int
-}
-
-// NewHosePartitioner derives the per-VM hose guarantees from the TAG
-// (Fig. 2(b) conversion) and returns the baseline GP.
-func NewHosePartitioner(dep *Deployment) *HosePartitioner {
-	g := dep.Graph()
-	h := &HosePartitioner{
-		dep: dep,
-		out: make([]float64, g.Tiers()),
-		in:  make([]float64, g.Tiers()),
-	}
-	for t := 0; t < g.Tiers(); t++ {
-		h.out[t], h.in[t] = g.VMProfile(t)
-	}
-	return h
-}
-
-// PairGuarantees implements Partitioner with a single hose per VM:
-//
-//	g(s,d) = min( Bsnd(s) / activeDsts(s), Brcv(d) / activeSrcs(d) )
-func (p *HosePartitioner) PairGuarantees(pairs []Pair) []float64 {
-	return p.AppendPairGuarantees(make([]float64, 0, len(pairs)), pairs)
-}
-
-// AppendPairGuarantees implements AppendPartitioner, reusing the
-// partitioner's counting maps across calls.
-func (p *HosePartitioner) AppendPairGuarantees(dst []float64, pairs []Pair) []float64 {
-	if p.dsts == nil {
-		p.dsts = make(map[int]int)
-		p.srcs = make(map[int]int)
-	}
-	clear(p.dsts)
-	clear(p.srcs)
-	for _, pr := range pairs {
-		p.dsts[pr.Src]++
-		p.srcs[pr.Dst]++
-	}
-	for _, pr := range pairs {
-		gs := p.out[p.dep.tierOf[pr.Src]] / float64(p.dsts[pr.Src])
-		gr := p.in[p.dep.tierOf[pr.Dst]] / float64(p.srcs[pr.Dst])
 		dst = append(dst, min(gs, gr))
 	}
 	return dst

@@ -77,7 +77,7 @@ func TestTAGPartitioningFig13(t *testing.T) {
 		for s := 0; s < k; s++ {
 			pairs = append(pairs, Pair{Src: 2 + s, Dst: 1, Demand: netem.Greedy})
 		}
-		gs := gp.PairGuarantees(pairs)
+		gs := gp.AppendPairGuarantees(nil, pairs)
 		if !almostEq(gs[0], 450) {
 			t.Errorf("k=%d: X→Z guarantee = %g, want 450", k, gs[0])
 		}
@@ -86,33 +86,6 @@ func TestTAGPartitioningFig13(t *testing.T) {
 				t.Errorf("k=%d: intra sender %d guarantee = %g, want %g", k, s, gs[s], 450/float64(k))
 			}
 		}
-	}
-}
-
-// TestHosePartitioningFig4: the aggregated hose model cannot protect the
-// web→logic guarantee under congestion: with one web and one db sender,
-// the hose GP gives web only 300 of its 500 (the paper's 300:300 split).
-func TestHosePartitioningFig4(t *testing.T) {
-	g := tag.New("fig4")
-	web := g.AddTier("web", 1)
-	logic := g.AddTier("logic", 1)
-	db := g.AddTier("db", 1)
-	g.AddEdge(web, logic, 500, 500)
-	g.AddEdge(db, logic, 100, 100)
-	d := NewDeployment(g)
-
-	pairs := []Pair{
-		{Src: 0, Dst: 1, Demand: netem.Greedy}, // web → logic
-		{Src: 2, Dst: 1, Demand: netem.Greedy}, // db → logic
-	}
-	hose := NewHosePartitioner(d).PairGuarantees(pairs)
-	if !almostEq(hose[0], 300) || !almostEq(hose[1], 100) {
-		t.Errorf("hose GP = %v, want [300 100] (logic's 600 split across 2 sources, db capped by own snd)", hose)
-	}
-	// The TAG keeps the two communications isolated: web retains 500.
-	tagGP := NewTAGPartitioner(d).PairGuarantees(pairs)
-	if !almostEq(tagGP[0], 500) || !almostEq(tagGP[1], 100) {
-		t.Errorf("TAG GP = %v, want [500 100]", tagGP)
 	}
 }
 
@@ -159,42 +132,6 @@ func TestWorkConservingRatesFig13(t *testing.T) {
 	}
 }
 
-// TestHoseFailsUnderCongestionFig4: end-to-end contrast on the Fig. 4
-// bottleneck: with hose GP the web flow falls under its 500 guarantee;
-// with TAG GP it holds.
-func TestHoseFailsUnderCongestionFig4(t *testing.T) {
-	g := tag.New("fig4")
-	web := g.AddTier("web", 1)
-	logic := g.AddTier("logic", 1)
-	db := g.AddTier("db", 1)
-	g.AddEdge(web, logic, 500, 500)
-	g.AddEdge(db, logic, 100, 100)
-	d := NewDeployment(g)
-
-	n := netem.New()
-	l := addLink(n, "to-logic", 600)
-	pairs := []Pair{
-		{Src: 0, Dst: 1, Demand: netem.Greedy},
-		{Src: 2, Dst: 1, Demand: netem.Greedy},
-	}
-	paths := [][]netem.LinkID{{l}, {l}}
-
-	tagAlloc, err := WorkConservingRates(n, pairs, paths, NewTAGPartitioner(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagAlloc.Rates[0] < 500-1e-6 {
-		t.Errorf("TAG enforcement: web = %g, want ≥ 500", tagAlloc.Rates[0])
-	}
-	hoseAlloc, err := WorkConservingRates(n, pairs, paths, NewHosePartitioner(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hoseAlloc.Rates[0] >= 500 {
-		t.Errorf("hose enforcement: web = %g, expected it to fail the 500 guarantee", hoseAlloc.Rates[0])
-	}
-}
-
 // TestAdmissionViolation: guarantees exceeding a link are reported.
 func TestAdmissionViolation(t *testing.T) {
 	d := fig13(1)
@@ -234,7 +171,7 @@ func TestPathCountMismatch(t *testing.T) {
 	}
 }
 
-// TestPartitionersIgnoreDemand holds every partitioner to the
+// TestPartitionersIgnoreDemand holds the TAG partitioner to the
 // Partitioner contract: guarantees are a function of the deployment and
 // the ordered (Src, Dst) sequence alone. Random pair sets over random
 // TAGs must partition to the same bits whether the pairs offer nothing,
@@ -264,31 +201,26 @@ func TestPartitionersIgnoreDemand(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-		for name, gp := range map[string]Partitioner{
-			"tag":        NewTAGPartitioner(dep),
-			"hose":       NewHosePartitioner(dep),
-			"gatekeeper": NewGatekeeperPartitioner(dep),
-		} {
-			want := gp.PairGuarantees(pairs) // every demand zero
-			for round := 0; round < 3; round++ {
-				for i := range pairs {
-					switch rng.Intn(3) {
-					case 0:
-						pairs[i].Demand = 0
-					case 1:
-						pairs[i].Demand = 1000 * rng.Float64()
-					default:
-						pairs[i].Demand = netem.Greedy
-					}
+		gp := NewTAGPartitioner(dep)
+		want := gp.AppendPairGuarantees(nil, pairs) // every demand zero
+		for round := 0; round < 3; round++ {
+			for i := range pairs {
+				switch rng.Intn(3) {
+				case 0:
+					pairs[i].Demand = 0
+				case 1:
+					pairs[i].Demand = 1000 * rng.Float64()
+				default:
+					pairs[i].Demand = netem.Greedy
 				}
-				got := AppendGuarantees(nil, gp, pairs)
-				if len(got) != len(want) {
-					t.Fatalf("iter %d %s: %d guarantees for %d pairs", it, name, len(got), len(pairs))
-				}
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("iter %d %s: pair %+v is guaranteed %v, %v with every demand zero", it, name, pairs[i], got[i], want[i])
-					}
+			}
+			got := AppendGuarantees(nil, gp, pairs)
+			if len(got) != len(want) {
+				t.Fatalf("iter %d: %d guarantees for %d pairs", it, len(got), len(pairs))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("iter %d: pair %+v is guaranteed %v, %v with every demand zero", it, pairs[i], got[i], want[i])
 				}
 			}
 		}

@@ -6,28 +6,10 @@ import (
 	"cloudmirror/internal/netem"
 )
 
-// AppendPartitioner is the scratch-reusing variant of Partitioner:
-// guarantees are appended to a caller-supplied buffer and the
-// partitioner reuses its internal counting state across calls. Every
-// partitioner in this package implements it; callers that partition
-// repeatedly use it when available so they allocate nothing in steady
-// state. Like PairGuarantees, the result is a pure function of the
-// deployment and the ordered (Src, Dst) sequence — never of Pair.Demand.
-type AppendPartitioner interface {
-	Partitioner
-	// AppendPairGuarantees appends one guarantee per pair, in order, to
-	// dst and returns the extended slice.
-	AppendPairGuarantees(dst []float64, pairs []Pair) []float64
-}
-
-// AppendGuarantees computes gp's pair guarantees into dst (appending),
-// using the zero-allocation path when gp implements AppendPartitioner
-// and falling back to PairGuarantees otherwise.
+// AppendGuarantees appends gp's pair guarantees to dst and returns the
+// extended slice: the function form of gp.AppendPairGuarantees.
 func AppendGuarantees(dst []float64, gp Partitioner, pairs []Pair) []float64 {
-	if ap, ok := gp.(AppendPartitioner); ok {
-		return ap.AppendPairGuarantees(dst, pairs)
-	}
-	return append(dst, gp.PairGuarantees(pairs)...)
+	return gp.AppendPairGuarantees(dst, pairs)
 }
 
 // RA is a reusable work-conserving rate allocator: the same two-phase
@@ -138,7 +120,7 @@ func WorkConservingRates(n *netem.Network, pairs []Pair, paths [][]netem.LinkID,
 	if len(paths) != len(pairs) {
 		return nil, fmt.Errorf("%w: %d paths for %d pairs", netem.ErrBadInput, len(paths), len(pairs))
 	}
-	guarantees := AppendGuarantees(nil, gp, pairs)
+	guarantees := gp.AppendPairGuarantees(nil, pairs)
 	var ra RA
 	rates, err := ra.Alloc(n, pairs, paths, guarantees)
 	if err != nil {

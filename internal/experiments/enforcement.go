@@ -129,31 +129,16 @@ func Fig13Dynamic(o Options) (*Table, error) {
 // TCP-fairly (300:300) and breaks the web tier's 500 Mbps guarantee,
 // while TAG enforcement holds it.
 func Fig4(o Options) (*Table, error) {
-	g := tag.New("fig4")
-	web := g.AddTier("web", 1)
-	logic := g.AddTier("logic", 1)
-	db := g.AddTier("db", 1)
-	g.AddEdge(web, logic, 500, 500)
-	g.AddEdge(db, logic, 100, 100)
-	dep := enforce.NewDeployment(g)
-
-	n := netem.New()
-	l, err := n.AddLink("to-logic", 600)
+	dep, n, pairs, paths, err := fig4Scenario()
 	if err != nil {
 		return nil, err
 	}
-	pairs := []enforce.Pair{
-		{Src: 0, Dst: 1, Demand: netem.Greedy},
-		{Src: 2, Dst: 1, Demand: netem.Greedy},
-	}
-	paths := [][]netem.LinkID{{l}, {l}}
-
 	var rows [][]string
 	for _, m := range []struct {
 		name string
 		gp   enforce.Partitioner
 	}{
-		{"hose", enforce.NewHosePartitioner(dep)},
+		{"hose", hosePartitioner{dep}},
 		{"TAG", enforce.NewTAGPartitioner(dep)},
 	} {
 		alloc, err := enforce.WorkConservingRates(n, pairs, paths, m.gp)
@@ -173,4 +158,57 @@ func Fig4(o Options) (*Table, error) {
 		Rows:   rows,
 		Notes:  "B1=500, B2=100; both senders backlogged",
 	}, nil
+}
+
+// fig4Scenario builds Fig. 4's congestion scenario: one web VM (ID 0)
+// and one db VM (ID 2) sending, backlogged, to one logic VM (ID 1)
+// behind a 600 Mbps link, with web→logic guaranteed 500 Mbps and
+// db→logic 100.
+func fig4Scenario() (dep *enforce.Deployment, n *netem.Network, pairs []enforce.Pair, paths [][]netem.LinkID, err error) {
+	g := tag.New("fig4")
+	web := g.AddTier("web", 1)
+	logic := g.AddTier("logic", 1)
+	db := g.AddTier("db", 1)
+	g.AddEdge(web, logic, 500, 500)
+	g.AddEdge(db, logic, 100, 100)
+	dep = enforce.NewDeployment(g)
+
+	n = netem.New()
+	l, err := n.AddLink("to-logic", 600)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	pairs = []enforce.Pair{
+		{Src: 0, Dst: 1, Demand: netem.Greedy},
+		{Src: 2, Dst: 1, Demand: netem.Greedy},
+	}
+	return dep, n, pairs, [][]netem.LinkID{{l}, {l}}, nil
+}
+
+// hosePartitioner is Fig. 4's baseline GP: guarantees derived from the
+// generalized hose model (each VM's single aggregated guarantee,
+// tag.Graph.VMProfile), so all active sources of a destination share
+// one receive guarantee regardless of which application hose they
+// belong to. For pair (s,d):
+//
+//	g(s,d) = min( Bsnd(s) / activeDsts(s), Brcv(d) / activeSrcs(d) )
+//
+// The service never runs it: it is the failure mode the TAG partitioner
+// fixes.
+type hosePartitioner struct{ dep *enforce.Deployment }
+
+// AppendPairGuarantees implements enforce.Partitioner.
+func (p hosePartitioner) AppendPairGuarantees(dst []float64, pairs []enforce.Pair) []float64 {
+	dsts, srcs := make(map[int]int), make(map[int]int)
+	for _, pr := range pairs {
+		dsts[pr.Src]++
+		srcs[pr.Dst]++
+	}
+	g := p.dep.Graph()
+	for _, pr := range pairs {
+		snd, _ := g.VMProfile(p.dep.TierOf(pr.Src))
+		_, rcv := g.VMProfile(p.dep.TierOf(pr.Dst))
+		dst = append(dst, min(snd/float64(dsts[pr.Src]), rcv/float64(srcs[pr.Dst])))
+	}
+	return dst
 }

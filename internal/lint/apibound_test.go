@@ -12,10 +12,10 @@ import (
 // type-resolved banned objects under the default and an aliased
 // package name (cmd/plain, cmd/aliased), transitive breaches through a
 // laundering helper (cmd/launder, and internal/cluster/baseline, which
-// also imports a baseline placer directly), and the sanctioned
-// negatives — the guarantee gateway (cmd/sanctioned), the wal allow
-// list (cmd/bwd), and the service packages themselves, which reach no
-// baseline (guarantee, internal/cluster).
+// also imports a baseline placer and the hose model directly), and the
+// sanctioned negatives — the guarantee gateway (cmd/sanctioned), the
+// wal allow list (cmd/bwd), and the service packages themselves, which
+// reach no baseline (guarantee, internal/cluster).
 func TestAPIBound(t *testing.T) {
 	linttest.Run(t, lint.APIBoundAnalyzer,
 		"cloudmirror/cmd/direct",

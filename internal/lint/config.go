@@ -104,10 +104,12 @@ var boundaryRules = []BoundaryRule{
 			"cloudmirror/internal/place/secondnet",
 			"cloudmirror/internal/voc",
 			"cloudmirror/internal/pipe",
+			"cloudmirror/internal/hose",
 		},
-		// The service is CloudMirror pricing tenants by their TAG; the
-		// paper's comparison baselines and their bandwidth models belong
-		// to the experiments, never to production configuration.
+		// The service is CloudMirror pricing tenants by their TAG and
+		// enforcing it per TAG hose; the paper's comparison baselines and
+		// their bandwidth models belong to the experiments, never to
+		// production configuration.
 		Checked: []string{"cloudmirror/guarantee", "cloudmirror/internal/cluster"},
 		Hint:    "the service runs CloudMirror under the TAG: compare baselines through internal/experiments",
 	},
