@@ -127,9 +127,10 @@ test-fuzz:
 # harnesses (dirty-node Sync vs a sync that re-prices every touched
 # node, bandwidthFit vs the linear scan, a kept Colocate scan vs a fresh
 # one on every reuse of a packed-churn replay),
-# and the crash-recovery identity check (kill a durable service
-# mid-churn, recover from WAL + snapshot, demand a byte-identical
-# admission trace and final ledger).
+# and the crash-recovery identity checks (kill a durable service
+# mid-churn — once, and after every op of a short script with and
+# without snapshot rotation — recover from WAL + snapshot, demand a
+# byte-identical admission trace and final ledger).
 determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run TestParallelDeterminism ./internal/experiments
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism' ./internal/sim
@@ -137,7 +138,7 @@ determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/netem
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestCrashRecoveryEveryOp|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
 
 # One iteration of every per-artifact benchmark: regenerates the quick
 # experiment suite and times the core primitives once. A smoke run, not

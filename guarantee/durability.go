@@ -21,10 +21,13 @@ import (
 // plus periodic ledger snapshots. Every admit, resize, and release is
 // appended (and fsynced) to the log before the operation returns, so a
 // crash loses nothing that was acknowledged; Open rebuilds the exact
-// admission state — ledger bits, gauges, counters, placer demand
-// estimators, dispatch-policy state, and enforcement dataplanes — by
-// importing the latest snapshot and replaying the log suffix through
-// the same commit paths live operations use.
+// admission state by restoring what cannot be derived — each shard's
+// ledger bits, placer demand estimator, and tally (place.Tally, the
+// fold of its lifecycle events) — attaching the snapshot's grants, and
+// replaying the log suffix through the same commit paths and the same
+// fold live operations use. Everything else is derived: gauges and
+// grant keys from the tallies, the dispatch policy's position from the
+// dispatched count, enforcement dataplanes from the attached grants.
 //
 // Exactness caveat: the log records operations in append order, which
 // equals commit order because a durable service serializes the
@@ -38,8 +41,11 @@ import (
 // unchanged: byte-identical recovery (including float residue in every
 // ledger accumulator — see internal/place replay).
 
-// snapshotVersion tags the snapshot JSON format.
-const snapshotVersion = 1
+// snapshotVersion tags the snapshot JSON format. Version 1 kept the
+// shard gauges, admission counters, dispatch counters, policy picks and
+// enforcement counters in separate slots; Open decodes it into the
+// version-2 structures (see snapshotV1).
+const snapshotVersion = 2
 
 // durableConfig is the construction-time configuration persisted in
 // every snapshot, so Open rebuilds the identical service without the
@@ -66,42 +72,101 @@ type durableEnforce struct {
 	LegacyPartitioner string `json:"Partitioner,omitempty"`
 }
 
-// shardSnap is one shard's durable state within a snapshot. The ledger
-// arrays and the reserved gauge are captured byte-exactly — both carry
-// float residue from the full admission history that cannot be
-// reconstructed from the surviving tenants. PlacerStates holds the
-// placer's demand estimator as its only element (absent when the placer
-// keeps none); snapshots written with planner replicas carry one entry
-// per planner, and recovery restores entry 0, the one a single-planner
+// shardSnap is one shard's durable state within a snapshot: the ledger
+// arrays byte-exactly (they carry float residue from the full admission
+// history that cannot be reconstructed from the surviving tenants), the
+// tally, the live grants, and with enforcement the dataplane's
+// lifecycle counters (rate-limiter state is reconstructed by the next
+// control period, not persisted). PlacerStates holds the placer's
+// demand estimator as its only element (absent when the placer keeps
+// none); snapshots written with planner replicas carry one entry per
+// planner, and recovery restores entry 0, the one a single-planner
 // writer would have recorded.
 type shardSnap struct {
 	Ledger       topology.Ledger     `json:"ledger"`
-	ReservedMbps float64             `json:"reserved_mbps"`
-	Slots        int64               `json:"slots"`
-	Tenants      int64               `json:"tenants"`
-	Seq          int64               `json:"seq"`
-	Stats        place.AdmitStats    `json:"stats"`
 	PlacerStates []float64           `json:"placer_states,omitempty"`
+	Tally        place.TallyState    `json:"tally"`
+	Enforce      *dataplane.Counters `json:"enforce,omitempty"`
 	Grants       []place.GrantRecord `json:"grants"`
-}
-
-// enforceSnap is the enforcement plane's durable state: the per-driver
-// lifecycle counters (rate-limiter state is reconstructed by the next
-// control period, not persisted).
-type enforceSnap struct {
-	Counters []dataplane.Counters `json:"counters"`
 }
 
 // snapshotFile is the complete snapshot payload stored by the
 // write-ahead log at each generation.
 type snapshotFile struct {
-	Version  int                   `json:"version"`
-	Spec     topology.Spec         `json:"spec"`
-	Config   durableConfig         `json:"config"`
-	Shards   []shardSnap           `json:"shards"`
+	Version int           `json:"version"`
+	Spec    topology.Spec `json:"spec"`
+	Config  durableConfig `json:"config"`
+	Shards  []shardSnap   `json:"shards"`
+}
+
+// snapshotV1 is what a version-1 snapshot kept outside the fields
+// version 2 shares with it: per-shard gauges and admission counters,
+// the dispatcher's fleet-wide counters, the policy's pick count, and
+// the dataplanes' counters in one list.
+type snapshotV1 struct {
+	Shards []struct {
+		ReservedMbps float64          `json:"reserved_mbps"`
+		Slots        int64            `json:"slots"`
+		Tenants      int64            `json:"tenants"`
+		Seq          int64            `json:"seq"`
+		Stats        place.AdmitStats `json:"stats"`
+	} `json:"shards"`
 	Dispatch cluster.DispatchStats `json:"dispatch"`
-	Picks    uint64                `json:"picks"`
-	Enforce  *enforceSnap          `json:"enforce,omitempty"`
+	Picks    int64                 `json:"picks"`
+	Enforce  *struct {
+		Counters []dataplane.Counters `json:"counters"`
+	} `json:"enforce"`
+}
+
+// decodeSnapshot parses a snapshot of either version into the
+// version-2 structures, so recovery has one path.
+func decodeSnapshot(b []byte) (*snapshotFile, error) {
+	var snap snapshotFile
+	if err := json.Unmarshal(b, &snap); err != nil {
+		return nil, err
+	}
+	switch snap.Version {
+	case snapshotVersion:
+		return &snap, nil
+	case 1:
+	default:
+		return nil, fmt.Errorf("snapshot version %d, this build reads 1 and %d", snap.Version, snapshotVersion)
+	}
+	var v1 snapshotV1
+	if err := json.Unmarshal(b, &v1); err != nil {
+		return nil, err
+	}
+	admitted := int64(0)
+	for i := range snap.Shards {
+		old, s := v1.Shards[i], &snap.Shards[i]
+		// Version 1 stored what version 2 derives; a ledger whose stored
+		// values disagree with their derivation is not one this build
+		// can reopen faithfully.
+		vms := 0
+		for _, rec := range s.Grants {
+			vms += rec.Placement.VMs()
+		}
+		if old.Seq != old.Stats.Admitted || old.Tenants != old.Stats.Admitted-old.Stats.Released || old.Slots != int64(vms) {
+			return nil, fmt.Errorf("version-1 shard %d: gauges disagree with its counters and grants", i)
+		}
+		admitted += old.Stats.Admitted
+		s.Tally = place.TallyState{AdmitStats: old.Stats, ReservedMbps: old.ReservedMbps}
+		if v1.Enforce != nil && i < len(v1.Enforce.Counters) {
+			s.Enforce = &v1.Enforce.Counters[i]
+		}
+	}
+	if len(snap.Shards) > 0 {
+		if v1.Dispatch.Admitted != admitted {
+			return nil, errors.New("version-1 dispatch counters disagree with the shards'")
+		}
+		// Only the sums over the shards are read, so the fleet-wide
+		// counters become shard 0's. The stateless least-loaded policy
+		// recorded no picks; it needs none.
+		t := &snap.Shards[0].Tally
+		t.Exhausted, t.Failovers, t.Dispatched = v1.Dispatch.Rejected, v1.Dispatch.Failovers, v1.Picks
+	}
+	snap.Version = snapshotVersion
+	return &snap, nil
 }
 
 // grantKey addresses one live grant: grant keys are per-shard
@@ -199,15 +264,10 @@ func Open(dir string, opts ...Option) (Service, error) {
 	if err != nil {
 		return nil, place.Reject(op, InvalidRequest, err)
 	}
-	var snap snapshotFile
-	if err := json.Unmarshal(snapBytes, &snap); err != nil {
+	snap, err := decodeSnapshot(snapBytes)
+	if err != nil {
 		log.Close()
 		return nil, place.Rejectf(op, InvalidRequest, "corrupt snapshot in %s: %v", dir, err)
-	}
-	if snap.Version != snapshotVersion {
-		log.Close()
-		return nil, place.Rejectf(op, InvalidRequest,
-			"snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
 	}
 	if snap.Config.Algorithm != defaultAlgorithm {
 		// Older builds could serve a baseline placer or a CloudMirror
@@ -255,7 +315,7 @@ func Open(dir string, opts ...Option) (Service, error) {
 		cfg:    snap.Config,
 		grants: make(map[grantKey]*grant),
 	}
-	if err := d.recover(&snap, suffix); err != nil {
+	if err := d.recover(snap, suffix); err != nil {
 		log.Close()
 		return nil, place.Reject(op, InvalidRequest, err)
 	}
@@ -271,112 +331,94 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 	if len(snap.Shards) != n {
 		return fmt.Errorf("snapshot has %d shards, fleet has %d", len(snap.Shards), n)
 	}
-	// 1. Ledger bits first: everything below replays on top of them.
+	// 1. Per shard, what cannot be derived: ledger bits, the placer's
+	// estimator, and the tally; then the live grants (sorted by key
+	// when written), whose slots fold back into the tally and whose
+	// lifecycle events rebuild the enforcement sink's per-tenant state.
+	// The sink counted those events as admissions, so its own counters
+	// are restored after them (it keeps its FabricBuilds — the fabric
+	// really was rebuilt).
 	for i := 0; i < n; i++ {
-		sh := svc.cl.Shard(i)
-		if err := sh.Tree().ImportLedger(snap.Shards[i].Ledger); err != nil {
+		s, sh := &snap.Shards[i], svc.cl.Shard(i)
+		if err := sh.Tree().ImportLedger(s.Ledger); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		if states := snap.Shards[i].PlacerStates; len(states) > 0 {
-			sh.RestorePlacerState(states[0])
+		if len(s.PlacerStates) > 0 {
+			sh.RestorePlacerState(s.PlacerStates[0])
+		}
+		sh.Tally().Restore(s.Tally)
+		for _, rec := range s.Grants {
+			d.grants[grantKey{i, rec.Key}] = &grant{ten: sh.Attach(rec), svc: svc}
+		}
+		if svc.enf != nil {
+			if s.Enforce == nil {
+				return fmt.Errorf("shard %d: snapshot enforcement counters missing", i)
+			}
+			svc.enf.drivers[i].RestoreCounters(*s.Enforce)
 		}
 	}
-	// 2. Attach the snapshot's live grants (sorted by key within each
-	// shard when written): no ledger or gauge mutation — the imported
-	// bits already carry them — but the lifecycle events flow to the
-	// enforcement sinks, rebuilding per-tenant dataplane state.
-	for i := 0; i < n; i++ {
-		sh := svc.cl.Shard(i)
-		for _, rec := range snap.Shards[i].Grants {
-			ten := sh.Attach(rec)
-			d.grants[grantKey{i, rec.Key}] = &grant{ten: ten, svc: svc}
-		}
-	}
-	// 3. Absolute state: gauges, counters, dispatch stats. Restored
-	// after attach so the attach-time sink events' counter bumps are
-	// overwritten by the snapshot values (the dataplane keeps only its
-	// own FabricBuilds — the fabrics really were rebuilt).
-	for i := 0; i < n; i++ {
-		s := snap.Shards[i]
-		sh := svc.cl.Shard(i)
-		sh.RestoreGauges(s.ReservedMbps, s.Slots, s.Tenants, s.Seq)
-		sh.RestoreAdmitStats(s.Stats)
-	}
-	if svc.enf != nil {
-		if snap.Enforce == nil || len(snap.Enforce.Counters) != len(svc.enf.drivers) {
-			return errors.New("snapshot enforcement counters missing or mis-sized")
-		}
-		for i, drv := range svc.enf.drivers {
-			drv.RestoreCounters(snap.Enforce.Counters[i])
-		}
-	}
-	svc.disp.RestoreStats(snap.Dispatch)
-	// 4. Replay the suffix through the natural commit paths: counters,
-	// gauges, and sink events advance exactly as they did live.
-	dispatched := uint64(0)
+	// 2. Replay the suffix through the natural commit paths: tallies,
+	// estimators, and sink events advance exactly as they did live.
 	for i, rec := range suffix {
 		ev, err := place.DecodeEvent(rec)
 		if err != nil {
 			return fmt.Errorf("log record %d: %w", i, err)
 		}
-		if ev.First >= 0 {
-			dispatched++
-		}
 		if err := d.replayEvent(ev); err != nil {
 			return fmt.Errorf("log record %d (%s key %d): %w", i, ev.Kind, ev.Key, err)
 		}
 	}
-	// 5. Dispatch-policy state: every dispatch-path event consumed
-	// exactly one policy pick (replay does not run the policy — the
-	// routes come from the log), so the pick counter advances by the
-	// suffix's dispatch count and stateful policies rebuild their RNG
-	// position from it.
+	// 3. Dispatch-policy state: every routed request consumed exactly
+	// one policy pick (replay does not run the policy — the routes come
+	// from the log), so stateful policies rebuild their position from
+	// the dispatched count.
 	if sp, ok := svc.disp.Policy().(cluster.StatefulPolicy); ok {
-		sp.RestorePicks(snap.Picks+dispatched, n)
+		sp.RestorePicks(svc.disp.Dispatched(), n)
 	}
 	return nil
 }
 
 // replayEvent applies one recorded lifecycle event. Admit-path events
 // (First >= 0) re-walk the recorded failover route so every shard that
-// saw the request live re-observes it — counters and placer demand
-// estimators advance exactly as they did. Resize- and release-scoped
+// saw the request live re-observes it and folds its outcome — tallies
+// and placer demand estimators advance exactly as they did — and the
+// deciding shard folds the walk's end. Resize- and release-scoped
 // events (First == -1) touch only the grant's shard; First == -2 marks
 // a zero-step resize, replayed through the natural Resize path (no
 // placer runs for it).
 func (d *Durability) replayEvent(ev place.Event) error {
 	svc := d.svc
+	n := svc.cl.Size()
 	if ev.First >= 0 {
-		n := svc.cl.Size()
 		// Placers observe demand on every well-formed arrival they saw;
 		// NaN marks requests without a TAG (older builds accepted a
 		// caller-supplied model instead), and validation failures never
 		// reached a placer at all.
 		observe := !math.IsNaN(ev.Demand) && ev.Reason != InvalidRequest
 		steps := (ev.Shard - ev.First + n) % n
-		for k := 0; k < steps; k++ {
+		for k := 0; k <= steps; k++ {
 			sh := svc.cl.Shard((ev.First + k) % n)
 			if observe {
 				sh.ObserveDemand(ev.Demand)
 			}
-			sh.ReplayReject()
+			if k < steps {
+				sh.Tally().Fold(place.Event{Kind: place.EventRejected, First: -1}, n)
+			}
 		}
 		final := svc.cl.Shard(ev.Shard)
-		if observe {
-			final.ObserveDemand(ev.Demand)
-		}
 		switch ev.Kind {
 		case place.EventAdmitted:
 			ten := final.ReplayAdmit(ev)
+			if ten.Key() != ev.Key {
+				return fmt.Errorf("admission took key %d on replay", ten.Key())
+			}
 			d.grants[grantKey{ev.Shard, ev.Key}] = &grant{ten: ten, svc: svc}
-		case place.EventRejected:
-			final.ReplayReject()
-		case place.EventFailed:
-			final.ReplayFail()
+		case place.EventRejected, place.EventFailed:
+			final.Tally().Fold(place.Event{Kind: ev.Kind, First: -1}, n)
 		default:
 			return fmt.Errorf("dispatch-path event with kind %s", ev.Kind)
 		}
-		svc.disp.ReplayDispatch(ev.Kind, ev.First, ev.Shard)
+		final.Tally().Fold(ev, n)
 		return nil
 	}
 	gk := grantKey{ev.Shard, ev.Key}
@@ -392,10 +434,8 @@ func (d *Durability) replayEvent(ev place.Event) error {
 			return g.ten.Resize(ev.Graph)
 		}
 		g.ten.ReplayResize(ev)
-	case place.EventRejected:
-		svc.cl.Shard(ev.Shard).ReplayReject()
-	case place.EventFailed:
-		svc.cl.Shard(ev.Shard).ReplayFail()
+	case place.EventRejected, place.EventFailed:
+		svc.cl.Shard(ev.Shard).Tally().Fold(ev, n)
 	case place.EventReleased:
 		g, ok := d.grants[gk]
 		if !ok {
@@ -416,29 +456,21 @@ func (d *Durability) encodeSnapshot() ([]byte, error) {
 	svc := d.svc
 	n := svc.cl.Size()
 	snap := snapshotFile{
-		Version:  snapshotVersion,
-		Spec:     d.spec,
-		Config:   d.cfg,
-		Shards:   make([]shardSnap, n),
-		Dispatch: svc.disp.Stats(),
-	}
-	if sp, ok := svc.disp.Policy().(cluster.StatefulPolicy); ok {
-		snap.Picks = sp.Picks()
+		Version: snapshotVersion,
+		Spec:    d.spec,
+		Config:  d.cfg,
+		Shards:  make([]shardSnap, n),
 	}
 	for i := 0; i < n; i++ {
 		sh := svc.cl.Shard(i)
-		reserved, slots, tenants, seq := sh.ExportGauges()
-		snap.Shards[i] = shardSnap{
-			Ledger:       sh.ExportLedger(),
-			ReservedMbps: reserved,
-			Slots:        slots,
-			Tenants:      tenants,
-			Seq:          seq,
-			Stats:        sh.Stats(),
-			Grants:       []place.GrantRecord{},
-		}
+		s := &snap.Shards[i]
+		*s = shardSnap{Ledger: sh.ExportLedger(), Tally: sh.Tally().State(), Grants: []place.GrantRecord{}}
 		if v, ok := sh.PlacerState(); ok {
-			snap.Shards[i].PlacerStates = []float64{v}
+			s.PlacerStates = []float64{v}
+		}
+		if svc.enf != nil {
+			c := svc.enf.drivers[i].Counters()
+			s.Enforce = &c
 		}
 	}
 	//cloudlint:ordered grant records are appended per shard and each shard's slice is sorted by key just below
@@ -452,13 +484,6 @@ func (d *Durability) encodeSnapshot() ([]byte, error) {
 	for i := range snap.Shards {
 		recs := snap.Shards[i].Grants
 		sort.Slice(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
-	}
-	if svc.enf != nil {
-		es := &enforceSnap{Counters: make([]dataplane.Counters, len(svc.enf.drivers))}
-		for i, drv := range svc.enf.drivers {
-			es.Counters[i] = drv.Counters()
-		}
-		snap.Enforce = es
 	}
 	return json.Marshal(snap)
 }

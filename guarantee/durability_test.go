@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,29 +213,59 @@ func durableOpts(dir string) []Option {
 	}
 }
 
-// TestCrashRecoveryDeterminism is the PR's acceptance test: the
-// admission trace and final state after a crash + Open recovery are
-// byte-identical to an uninterrupted run of the same script.
+// TestCrashRecoveryDeterminism: the admission trace and final state
+// after a crash + Open recovery are byte-identical to an uninterrupted
+// run of the same script.
 func TestCrashRecoveryDeterminism(t *testing.T) {
 	ops := churnScript(120, 7)
-	crashAt := 65
-	ctx := context.Background()
+	refTrace, refPrint := uninterrupted(t, ops, durableOpts)
+	trace, print := crashRun(t, ops, 65, durableOpts)
+	assertSameRun(t, trace, print, refTrace, refPrint)
+}
 
-	// Uninterrupted reference run.
-	refSvc, err := New(testSpec(), durableOpts(t.TempDir())...)
+// TestCrashRecoveryEveryOp kills a 40-op churn after each op in turn,
+// with snapshot rotations every 7 records and with none, so recovery
+// replays every suffix length from every kind of last record.
+func TestCrashRecoveryEveryOp(t *testing.T) {
+	ops := churnScript(40, 5)
+	for _, every := range []int{7, 1000} {
+		opts := func(dir string) []Option { return append(durableOpts(dir), WithSnapshotEvery(every)) }
+		refTrace, refPrint := uninterrupted(t, ops, opts)
+		for crashAt := 0; crashAt <= len(ops); crashAt++ {
+			t.Run(fmt.Sprintf("every%d/op%d", every, crashAt), func(t *testing.T) {
+				trace, print := crashRun(t, ops, crashAt, opts)
+				assertSameRun(t, trace, print, refTrace, refPrint)
+			})
+		}
+	}
+}
+
+// uninterrupted runs the whole script on a fresh durable service and
+// returns its trace and final fingerprint.
+func uninterrupted(t *testing.T, ops []churnOp, opts func(dir string) []Option) ([]string, string) {
+	t.Helper()
+	svc, err := New(testSpec(), opts(t.TempDir())...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var refTrace []string
-	refLive := runOps(t, refSvc, ops, nil, &refTrace)
-	refPrint := fingerprint(t, refSvc, refLive)
-	if err := refSvc.Close(ctx); err != nil {
+	var trace []string
+	live := runOps(t, svc, ops, nil, &trace)
+	print := fingerprint(t, svc, live)
+	if err := svc.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	return trace, print
+}
 
-	// Crashed run: same script, killed mid-churn, recovered with Open.
+// crashRun runs ops[:crashAt] on a fresh durable service, kills it (no
+// final snapshot), recovers the ledger with Open, finishes the script
+// on the recovered service, and returns the trace and final
+// fingerprint.
+func crashRun(t *testing.T, ops []churnOp, crashAt int, opts func(dir string) []Option) ([]string, string) {
+	t.Helper()
+	ctx := context.Background()
 	dir := t.TempDir()
-	svc, err := New(testSpec(), durableOpts(dir)...)
+	svc, err := New(testSpec(), opts(dir)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +276,6 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	if _, err := svc.Admit(ctx, Request{ID: 999, Graph: testGraph(1, 1)}); ReasonOf(err) != ShuttingDown {
 		t.Fatalf("admit on crashed service: err = %v, want shutting_down", err)
 	}
-
 	if !HasLedger(dir) {
 		t.Fatal("HasLedger = false after churn")
 	}
@@ -252,7 +283,7 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	defer recovered.Close(ctx)
+	t.Cleanup(func() { recovered.Close(ctx) })
 
 	// Rebind handles: Grants returns the live grants in (shard, key)
 	// order — the order the sorted live list already has.
@@ -267,10 +298,14 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		}
 		live[i].g = g
 	}
-
 	live = runOps(t, recovered, ops[crashAt:], live, &trace)
-	print := fingerprint(t, recovered, live)
+	return trace, fingerprint(t, recovered, live)
+}
 
+// assertSameRun compares a recovered run with the uninterrupted one,
+// op by op and then by final state.
+func assertSameRun(t *testing.T, trace []string, print string, refTrace []string, refPrint string) {
+	t.Helper()
 	if len(trace) != len(refTrace) {
 		t.Fatalf("trace has %d lines, reference %d", len(trace), len(refTrace))
 	}
@@ -281,6 +316,49 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	}
 	if print != refPrint {
 		t.Fatalf("final state diverged after recovery:\n--- crashed ---\n%s--- reference ---\n%s", print, refPrint)
+	}
+}
+
+// TestOpenV1Ledger opens a ledger the version-1 snapshot writer left,
+// committed under testdata/ledger-v1: a three-shard p2c service with
+// enforcement, killed with a log suffix after its last snapshot that
+// holds an admission, a capacity rejection, a malformed request, a
+// rejected, a zero-step and a committed resize, and a release. The
+// recovered service must print the fingerprint its writer printed
+// (fingerprint.txt beside the ledger).
+func TestOpenV1Ledger(t *testing.T) {
+	src := filepath.Join("testdata", "ledger-v1")
+	dir := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == "fingerprint.txt" {
+			want = string(b)
+			continue
+		}
+		// Open writes into the ledger, so it gets a copy.
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open version-1 ledger: %v", err)
+	}
+	defer svc.Close(context.Background())
+	var live []*handle
+	for _, g := range svc.Durability().Grants() {
+		live = append(live, &handle{g: g})
+	}
+	if got := fingerprint(t, svc, live); got != want {
+		t.Fatalf("recovered state:\n%s\nwant the writer's:\n%s", got, want)
 	}
 }
 

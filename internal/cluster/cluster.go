@@ -15,9 +15,7 @@ package cluster
 
 import (
 	"errors"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"cloudmirror/internal/parallel"
 	"cloudmirror/internal/place"
@@ -25,27 +23,13 @@ import (
 	"cloudmirror/internal/topology"
 )
 
-// atomicFloat64 is a lock-free float64 accumulator (CAS on the bit
-// pattern), used for the per-shard reserved-bandwidth gauge.
-type atomicFloat64 struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat64) add(d float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat64) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
 // Load is a point-in-time snapshot of one shard's occupancy, the input
-// to dispatch policies. All fields are maintained with atomics outside
-// the shard's admission lock, so reading a Load never blocks an
-// in-flight placement; under concurrent admission the snapshot is
-// approximate (each field is individually, not jointly, consistent),
-// which is exactly the information a real load balancer would have.
+// to dispatch policies. It is read from the shard's tally (see
+// place.Tally), whose atomics are folded outside the shard's admission
+// lock, so reading a Load never blocks an in-flight placement; under
+// concurrent admission the snapshot is approximate (each field is
+// individually, not jointly, consistent), which is exactly the
+// information a real load balancer would have.
 type Load struct {
 	// ReservedMbps is the bandwidth the shard's live tenants hold,
 	// summed over all uplinks and both directions.
@@ -61,31 +45,14 @@ type Load struct {
 
 // Shard is one independent datacenter tree with its own admitter.
 // Place and Release on different shards never contend; within a shard
-// the place.Admitter serializes ledger mutations.
+// the place.Admitter serializes ledger mutations and folds every
+// outcome into the shard's tally.
 type Shard struct {
 	id         int
 	adm        *place.Admitter
 	tree       *topology.Tree
 	slotsTotal int
-
-	// The load gauges are updated on every admission, resize, and
-	// release, concurrently from all workers. Each sits on its own
-	// cache line (see telemetry.go) so writers of different gauges
-	// never false-share; reserved stays a single (padded) atomic rather
-	// than a striped sum because recovery restores it bit-for-bit and a
-	// float fold would re-order the additions.
-	_        cacheLinePad
-	reserved atomicFloat64
-	_        cacheLinePad
-	slots    atomic.Int64
-	_        cacheLinePad
-	tenants  atomic.Int64
-	_        cacheLinePad
-
-	// seq hands out the shard-unique grant keys carried by lifecycle
-	// events; sink, when set, receives those events.
-	seq  atomic.Int64
-	_    cacheLinePad
+	// sink, when set, receives the shard's lifecycle events.
 	sink place.EventSink
 }
 
@@ -110,14 +77,14 @@ func (s *Shard) Tree() *topology.Tree { return s.tree }
 // Name identifies the shard's placement algorithm.
 func (s *Shard) Name() string { return s.adm.Name() }
 
+// Tally exposes the shard's fold of its lifecycle events: the counters,
+// the dispatch walks decided here, and the load gauges.
+func (s *Shard) Tally() *place.Tally { return s.adm.Tally() }
+
 // Load returns the shard's occupancy snapshot.
 func (s *Shard) Load() Load {
-	return Load{
-		ReservedMbps: s.reserved.load(),
-		SlotsUsed:    int(s.slots.Load()),
-		SlotsTotal:   s.slotsTotal,
-		Tenants:      int(s.tenants.Load()),
-	}
+	reserved, slots, tenants := s.Tally().Gauges()
+	return Load{ReservedMbps: reserved, SlotsUsed: slots, SlotsTotal: s.slotsTotal, Tenants: tenants}
 }
 
 // Stats returns the shard's monotonic admission counters.
@@ -131,52 +98,32 @@ func (s *Shard) Place(req *place.Request) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.admit(ad, req), nil
+	return s.admit(ad, req.Graph), nil
 }
 
 // PlaceBatch admits the requests in order through one admission
 // critical section (see place.Admitter.AdmitBatch). Tenants and errors
 // are parallel to reqs; a batch is not atomic — earlier admissions
-// stand when later elements reject. Gauges and lifecycle events are
-// updated per admitted element exactly as Place would.
+// stand when later elements reject. Lifecycle events are published per
+// admitted element exactly as Place would.
 func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
 	grants, errs := s.adm.AdmitBatch(reqs)
 	tens := make([]*Tenant, len(reqs))
 	for i, ad := range grants {
 		if ad != nil {
-			tens[i] = s.admit(ad, reqs[i])
+			tens[i] = s.admit(ad, reqs[i].Graph)
 		}
 	}
 	return tens, errs
 }
 
-// admit wraps a committed admission as a Tenant: it takes the next
-// grant key, adds the tenant to the load gauges, and publishes the
+// admit wraps a committed admission as a Tenant and publishes its
 // admission event. Shards serve the guarantee service, which prices
 // every tenant by its TAG, so the event carries that TAG for the
 // dataplane to enforce.
-func (s *Shard) admit(ad *place.Admitted, req *place.Request) *Tenant {
-	res := ad.Reservation()
-	ten := &Tenant{
-		shard:        s,
-		ad:           ad,
-		key:          s.seq.Add(1),
-		id:           req.ID,
-		reservedMbps: res.TotalReserved(),
-		vms:          res.Placement().VMs(),
-	}
-	s.reserved.add(ten.reservedMbps)
-	s.slots.Add(int64(ten.vms))
-	s.tenants.Add(1)
-	if s.sink != nil {
-		s.sink.Publish(place.Event{
-			Kind:      place.EventAdmitted,
-			Key:       ten.key,
-			ID:        req.ID,
-			Graph:     req.Graph,
-			Placement: res.Placement(),
-		})
-	}
+func (s *Shard) admit(ad *place.Admitted, graph *tag.Graph) *Tenant {
+	ten := &Tenant{shard: s, ad: ad}
+	ten.publish(place.EventAdmitted, graph)
 	return ten
 }
 
@@ -187,19 +134,9 @@ func (s *Shard) admit(ad *place.Admitted, req *place.Request) *Tenant {
 type Tenant struct {
 	shard *Shard
 	ad    *place.Admitted
-	// key is the shard-unique grant key lifecycle events carry; id is
-	// the caller-chosen request ID.
-	key, id int64
-	// mu serializes Resize against Release so the cached gauge
-	// contributions below stay consistent with what the shard gauges
-	// actually carry.
+	// mu serializes Resize against Release so the tenant's lifecycle
+	// events reach the sink in the order they took effect.
 	mu sync.Mutex
-	// reservedMbps and vms are cached at admission (and refreshed by
-	// Resize) so Release subtracts exactly what Place added to the
-	// shard gauges (and skips a second TotalReserved walk).
-	reservedMbps float64
-	vms          int
-	released     atomic.Bool
 }
 
 // Shard returns the shard hosting the tenant.
@@ -208,39 +145,25 @@ func (t *Tenant) Shard() *Shard { return t.shard }
 // Key returns the shard-unique grant key carried by the tenant's
 // lifecycle events, so out-of-band consumers (the enforcement
 // dataplane) can address the tenant's state.
-func (t *Tenant) Key() int64 { return t.key }
+func (t *Tenant) Key() int64 { return t.ad.Key() }
+
+// ID returns the caller-chosen tenant ID from the admitting request.
+func (t *Tenant) ID() int64 { return t.ad.ID() }
 
 // Reservation exposes the underlying reservation for inspection.
 func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
 
 // Resize grows or shrinks the tenant in place to newGraph through the
-// shard's admitter (see place.Admitted.Resize), refreshing the
-// shard's load gauges by the change. On failure the shard and the
-// tenant are exactly as before, and the error carries a typed
-// place.Reason.
+// shard's admitter (see place.Admitted.Resize), which folds the change
+// into the shard's tally. On failure the shard and the tenant are
+// exactly as before, and the error carries a typed place.Reason.
 func (t *Tenant) Resize(newGraph *tag.Graph) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.released.Load() {
-		return place.Rejectf("resize", place.ReasonReleased, "tenant already released")
-	}
 	if err := t.ad.Resize(newGraph); err != nil {
 		return err
 	}
-	res := t.ad.Reservation()
-	reserved, vms := res.TotalReserved(), res.Placement().VMs()
-	t.shard.reserved.add(reserved - t.reservedMbps)
-	t.shard.slots.Add(int64(vms - t.vms))
-	t.reservedMbps, t.vms = reserved, vms
-	if t.shard.sink != nil {
-		t.shard.sink.Publish(place.Event{
-			Kind:      place.EventResized,
-			Key:       t.key,
-			ID:        t.id,
-			Graph:     newGraph,
-			Placement: res.Placement(),
-		})
-	}
+	t.publish(place.EventResized, newGraph)
 	return nil
 }
 
@@ -250,17 +173,24 @@ func (t *Tenant) Resize(newGraph *tag.Graph) error {
 func (t *Tenant) Release() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.released.CompareAndSwap(false, true) {
+	if !t.ad.Release() {
 		return false
 	}
-	t.ad.Release()
-	t.shard.reserved.add(-t.reservedMbps)
-	t.shard.slots.Add(int64(-t.vms))
-	t.shard.tenants.Add(-1)
-	if t.shard.sink != nil {
-		t.shard.sink.Publish(place.Event{Kind: place.EventReleased, Key: t.key, ID: t.id})
-	}
+	t.publish(place.EventReleased, nil)
 	return true
+}
+
+// publish delivers one of the tenant's lifecycle events to the shard's
+// sink, if any: the graph and placement it now has, none for a release.
+func (t *Tenant) publish(kind place.EventKind, graph *tag.Graph) {
+	if t.shard.sink == nil {
+		return
+	}
+	ev := place.Event{Kind: kind, Key: t.Key(), ID: t.ID()}
+	if kind != place.EventReleased {
+		ev.Graph, ev.Placement = graph, t.ad.Reservation().Placement()
+	}
+	t.shard.sink.Publish(ev)
 }
 
 // Cluster is a fixed fleet of shards built from one topology spec and

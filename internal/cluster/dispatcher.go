@@ -15,23 +15,17 @@ import (
 // masked by retrying it elsewhere.
 //
 // Place is safe to call from any goroutine: shards admit independently
-// under their own locks, and the dispatcher itself keeps only atomic
-// counters, so concurrent requests routed to different shards proceed
-// fully in parallel.
+// under their own locks, and the dispatcher keeps no state of its own —
+// each walk's end folds into the tally of the shard that decided it, so
+// concurrent requests routed to different shards proceed fully in
+// parallel.
 type Dispatcher struct {
 	c      *Cluster
 	policy Policy
-
-	// The pick counters are striped per goroutine and folded on read
-	// (see telemetry.go): every Place from every worker bumps one of
-	// them, and a single shared line would serialize otherwise
-	// independent shard dispatches.
-	admitted  stripedInt64
-	rejected  stripedInt64
-	failovers stripedInt64
 }
 
-// DispatchStats are a Dispatcher's monotonic counters.
+// DispatchStats are a Dispatcher's monotonic counters, summed over the
+// shards' tallies.
 type DispatchStats struct {
 	// Admitted and Rejected partition the completed requests: Rejected
 	// counts requests every shard rejected for capacity.
@@ -75,43 +69,43 @@ func (d *Dispatcher) PlaceTraced(req *place.Request) (ten *Tenant, first, last i
 	} else {
 		first = d.policy.Pick(d.c.Loads())
 	}
-	var lastErr error
 	for k := 0; k < n; k++ {
-		if k > 0 {
-			d.failovers.Add(1)
+		last = (first + k) % n
+		ten, err = d.c.Shard(last).Place(req)
+		if err == nil || !errors.Is(err, place.ErrRejected) {
+			break
 		}
-		shard := (first + k) % n
-		ten, err := d.c.Shard(shard).Place(req)
-		if err == nil {
-			d.admitted.Add(1)
-			return ten, first, shard, nil
-		}
-		if !errors.Is(err, place.ErrRejected) {
-			return nil, first, shard, err
-		}
-		lastErr = err
 	}
-	d.rejected.Add(1)
-	return nil, first, (first + n - 1) % n, lastErr
+	d.foldWalk(first, last, ten, err)
+	return ten, first, last, err
+}
+
+// foldWalk folds a request's walk from shard first to shard last into
+// the tally of last, the shard that decided it.
+func (d *Dispatcher) foldWalk(first, last int, ten *Tenant, err error) {
+	kind := place.EventAdmitted
+	switch {
+	case ten != nil:
+	case errors.Is(err, place.ErrRejected):
+		kind = place.EventRejected
+	default:
+		kind = place.EventFailed
+	}
+	d.c.Shard(last).Tally().Fold(place.Event{Kind: kind, First: first, Shard: last}, d.c.Size())
 }
 
 // PlaceBatch coalesces a batch on single-shard clusters: the whole
 // batch runs through the shard's one-critical-section batch path, and
-// the dispatcher's counters advance exactly as per-request dispatch
-// would have (every request lands on the only shard; no failover is
-// possible). On multi-shard clusters it degrades to per-request Place
-// so the failover walk keeps its semantics. Tenants and errors are
-// parallel to reqs.
+// each request's walk folds exactly as per-request dispatch would have
+// (every request lands on the only shard; no failover is possible). On
+// multi-shard clusters it degrades to per-request Place so the
+// failover walk keeps its semantics. Tenants and errors are parallel
+// to reqs.
 func (d *Dispatcher) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
 	if d.c.Size() == 1 {
 		tens, errs := d.c.Shard(0).PlaceBatch(reqs)
 		for i := range reqs {
-			switch {
-			case tens[i] != nil:
-				d.admitted.Add(1)
-			case errors.Is(errs[i], place.ErrRejected):
-				d.rejected.Add(1)
-			}
+			d.foldWalk(0, 0, tens[i], errs[i])
 		}
 		return tens, errs
 	}
@@ -128,34 +122,25 @@ func (d *Dispatcher) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
 	return tens, errs
 }
 
-// ReplayDispatch advances the dispatcher's counters for one recorded
-// request exactly as the live walk from shard first to shard last did:
-// one admission or rejection, plus one failover per extra shard tried.
-// Driven only by single-threaded recovery.
-func (d *Dispatcher) ReplayDispatch(kind place.EventKind, first, last int) {
-	n := d.c.Size()
-	switch kind {
-	case place.EventAdmitted:
-		d.admitted.Add(1)
-	case place.EventRejected:
-		d.rejected.Add(1)
-	}
-	d.failovers.Add(int64((last - first + n) % n))
-}
-
-// RestoreStats overwrites the dispatcher's counters with snapshot
-// values. Driven only by single-threaded recovery.
-func (d *Dispatcher) RestoreStats(s DispatchStats) {
-	d.admitted.Store(s.Admitted)
-	d.rejected.Store(s.Rejected)
-	d.failovers.Store(s.Failovers)
-}
-
-// Stats reports the dispatcher's counters so far.
+// Stats reports the dispatcher's counters so far: every shard's
+// admissions, and the walks that exhausted the fleet or failed over.
 func (d *Dispatcher) Stats() DispatchStats {
-	return DispatchStats{
-		Admitted:  d.admitted.Load(),
-		Rejected:  d.rejected.Load(),
-		Failovers: d.failovers.Load(),
+	var st DispatchStats
+	for _, s := range d.c.shards {
+		t := s.Tally().State()
+		st.Admitted += t.Admitted
+		st.Rejected += t.Exhausted
+		st.Failovers += t.Failovers
 	}
+	return st
+}
+
+// Dispatched returns how many requests the dispatcher has routed, each
+// one policy pick: the count a stateful policy is restored to.
+func (d *Dispatcher) Dispatched() uint64 {
+	var n int64
+	for _, s := range d.c.shards {
+		n += s.Tally().State().Dispatched
+	}
+	return uint64(n)
 }

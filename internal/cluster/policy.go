@@ -50,14 +50,14 @@ type loadFree interface {
 }
 
 // StatefulPolicy is implemented by policies whose picks depend on
-// internal state (a rotation counter, an RNG position). The durability
-// layer snapshots the pick count and restores it on recovery, so the
-// recovered policy's next pick equals what the crashed one would have
-// produced. Stateless policies (least-loaded) simply don't implement
-// it.
+// internal state (a rotation counter, an RNG position). Every pick
+// routes one request, so the pick count is the number of requests the
+// dispatcher routed (Dispatcher.Dispatched): the durability layer
+// derives it from the shards' tallies on recovery and fast-forwards the
+// policy to it, so the recovered policy's next pick equals what the
+// crashed one would have produced. Stateless policies (least-loaded)
+// simply don't implement it.
 type StatefulPolicy interface {
-	// Picks returns how many state-consuming picks the policy has made.
-	Picks() uint64
 	// RestorePicks fast-forwards a freshly constructed policy to the
 	// state it had after the given number of picks over a fleet of
 	// `shards` shards. Driven only by single-threaded recovery.
@@ -81,9 +81,6 @@ func (p *RoundRobin) Pick(loads []Load) int { return p.PickN(len(loads)) }
 func (p *RoundRobin) PickN(n int) int {
 	return int((p.next.Add(1) - 1) % uint64(n))
 }
-
-// Picks implements StatefulPolicy: the rotation position.
-func (p *RoundRobin) Picks() uint64 { return p.next.Load() }
 
 // RestorePicks implements StatefulPolicy: resume the rotation where the
 // snapshot left it.
@@ -119,11 +116,8 @@ func (LeastLoaded) Pick(loads []Load) int {
 type PowerOfTwo struct {
 	mu sync.Mutex
 	r  *rand.Rand
-	// seed rebuilds the RNG on recovery; picks counts the
-	// randomness-consuming picks made so far, so RestorePicks can
-	// fast-forward a fresh RNG to the same position.
-	seed  int64
-	picks uint64
+	// seed rebuilds the RNG on recovery (see RestorePicks).
+	seed int64
 }
 
 // NewPowerOfTwo returns a power-of-two-choices policy whose sampling is
@@ -137,21 +131,15 @@ func NewPowerOfTwo(seed int64) *PowerOfTwo {
 func (p *PowerOfTwo) Name() string { return "p2c" }
 
 // Pick samples two distinct shards and returns the less loaded one.
-// With a single shard it returns 0 without consuming randomness (but
-// the pick still counts, so replay advances Picks uniformly per
-// dispatch regardless of fleet size).
+// With a single shard it returns 0 without consuming randomness.
 func (p *PowerOfTwo) Pick(loads []Load) int {
 	n := len(loads)
 	if n == 1 {
-		p.mu.Lock()
-		p.picks++
-		p.mu.Unlock()
 		return 0
 	}
 	p.mu.Lock()
 	i := p.r.Intn(n)
 	j := p.r.Intn(n - 1)
-	p.picks++
 	p.mu.Unlock()
 	if j >= i {
 		j++ // map onto [0,n) \ {i}: both choices are always distinct
@@ -165,14 +153,6 @@ func (p *PowerOfTwo) Pick(loads []Load) int {
 	return i
 }
 
-// Picks implements StatefulPolicy: the number of picks made so far
-// (single-shard picks count but consume no randomness).
-func (p *PowerOfTwo) Picks() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.picks
-}
-
 // RestorePicks implements StatefulPolicy by rebuilding the RNG from the
 // seed and burning exactly the draws the recorded picks consumed. The
 // burn must repeat the original Intn arguments — Intn's rejection
@@ -182,7 +162,6 @@ func (p *PowerOfTwo) RestorePicks(picks uint64, shards int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.r = rand.New(rand.NewSource(p.seed))
-	p.picks = picks
 	if shards <= 1 {
 		return
 	}

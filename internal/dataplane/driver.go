@@ -63,9 +63,11 @@ type Counters struct {
 	// Admitted, Resized, and Released count lifecycle events applied to
 	// enforcement state.
 	Admitted, Resized, Released int64
-	// Skipped counts events that installed nothing: tenants admitted
-	// under a translated model (VOC, pipes — no TAG to enforce) and
-	// resizes of such tenants.
+	// Skipped counts events that installed nothing: an event with no
+	// TAG to enforce (the service prices every tenant by its TAG, so
+	// only ledgers older builds wrote under a translated model — VOC,
+	// pipes — replay such tenants), a resize of a tenant the driver does
+	// not hold, and a placement that does not bind to its TAG.
 	Skipped int64
 	// FabricBuilds counts fabric constructions; 1 unless something is
 	// deeply wrong.

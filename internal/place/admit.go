@@ -38,12 +38,8 @@ type Admitter struct {
 	// critical sections are drained and executed in arrival batches by
 	// one caller, amortizing lock handoffs across concurrent admits.
 	comb *combiner
-
-	admitted atomic.Int64
-	rejected atomic.Int64
-	failed   atomic.Int64
-	released atomic.Int64
-	resized  atomic.Int64
+	// tally folds every outcome the admitter produces (see Tally).
+	tally Tally
 }
 
 // AdmitStats are an Admitter's monotonic counters.
@@ -72,13 +68,17 @@ func NewAdmitter(tree *topology.Tree, p Placer) *Admitter {
 // Name identifies the underlying algorithm.
 func (a *Admitter) Name() string { return a.placer.Name() }
 
+// Tally exposes the fold of the admitter's outcomes, for the owning
+// shard to fold its dispatch walks into and for snapshots.
+func (a *Admitter) Tally() *Tally { return &a.tally }
+
 // Place attempts to admit the request on the shared tree. It is safe to
 // call from any goroutine. On success the returned Admitted owns the
 // tenant's resources until its Release; on failure the tree is exactly
 // as if the request had never arrived.
 func (a *Admitter) Place(req *Request) (*Admitted, error) {
 	if err := ValidateRequest(a.tree, req); err != nil {
-		a.failed.Add(1)
+		a.foldFailure(err)
 		return nil, err
 	}
 	// The snapshot save/restore copies the whole mutable ledger
@@ -110,28 +110,34 @@ func (a *Admitter) Place(req *Request) (*Admitted, error) {
 		a.tree.Apply(d)
 	})
 	if err != nil {
-		if errors.Is(err, ErrRejected) {
-			a.rejected.Add(1)
-		} else {
-			a.failed.Add(1)
-		}
+		a.foldFailure(err)
 		return nil, err
 	}
-	a.admitted.Add(1)
+	return a.admitted(req, res, d), nil
+}
+
+// admitted wraps a committed placement as a grant and folds its
+// admission, which hands the grant its key.
+func (a *Admitter) admitted(req *Request, res *Reservation, d topology.Delta) *Admitted {
 	res.released = true // inspection-only: departures commit the delta
-	return &Admitted{a: a, res: res, delta: d, graph: resizableGraph(req), ha: req.HA}, nil
+	ad := &Admitted{a: a, res: res, delta: d, graph: resizableGraph(req), ha: req.HA, id: req.ID}
+	ad.mbps, ad.vms = res.TotalReserved(), res.Placement().VMs()
+	ad.key = a.tally.Fold(outcome(EventAdmitted, ad.mbps, ad.vms), 1)
+	return ad
+}
+
+// foldFailure folds a failed placement or resize: a capacity rejection
+// or any other failure (malformed request, internal placer error).
+func (a *Admitter) foldFailure(err error) {
+	kind := EventFailed
+	if errors.Is(err, ErrRejected) {
+		kind = EventRejected
+	}
+	a.tally.Fold(outcome(kind, 0, 0), 1)
 }
 
 // Stats reports the admission counters so far.
-func (a *Admitter) Stats() AdmitStats {
-	return AdmitStats{
-		Admitted: a.admitted.Load(),
-		Rejected: a.rejected.Load(),
-		Failed:   a.failed.Load(),
-		Released: a.released.Load(),
-		Resized:  a.resized.Load(),
-	}
-}
+func (a *Admitter) Stats() AdmitStats { return a.tally.State().AdmitStats }
 
 // resizableGraph returns the request's TAG when the admission was
 // priced by the TAG itself — the precondition for in-place resizing.
@@ -161,7 +167,20 @@ type Admitted struct {
 	graph    *tag.Graph
 	ha       HASpec
 	released atomic.Bool
+	// key is the shard-unique grant key its admission took; id the
+	// caller-chosen request ID. mbps and vms are the footprint the
+	// tally holds for the grant, so a resize or release folds exactly
+	// their change.
+	key, id int64
+	mbps    float64
+	vms     int
 }
+
+// Key returns the grant key the admission took from the tally.
+func (ad *Admitted) Key() int64 { return ad.key }
+
+// ID returns the caller-chosen request ID.
+func (ad *Admitted) ID() int64 { return ad.id }
 
 // Reservation exposes the underlying reservation for inspection
 // (placement, per-uplink holdings). The returned reservation is fixed —
@@ -199,7 +218,7 @@ func (ad *Admitted) Resize(newGraph *tag.Graph) error {
 	}
 	steps, err := resizeSteps(ad.graph, newGraph)
 	if err != nil {
-		a.failed.Add(1)
+		a.foldFailure(err)
 		return err
 	}
 	if len(steps) == 0 {
@@ -222,28 +241,34 @@ func (ad *Admitted) Resize(newGraph *tag.Graph) error {
 		a.tree.Apply(topology.Merge(ad.delta.Negate(), newDelta))
 	})
 	if err != nil {
-		if errors.Is(err, ErrRejected) {
-			a.rejected.Add(1)
-		} else {
-			a.failed.Add(1)
-		}
+		a.foldFailure(err)
 		return err
 	}
-	a.resized.Add(1)
 	newRes.released = true // inspection-only, like the admit path
 	ad.res, ad.delta, ad.graph = newRes, newDelta, newGraph
+	ad.foldResize()
 	return nil
 }
 
-// Release returns the tenant's slots and bandwidth to the shared tree.
-// Subsequent calls are no-ops.
-func (ad *Admitted) Release() {
+// foldResize folds a committed resize: the footprint moves from the
+// one the tally holds to the new reservation's.
+func (ad *Admitted) foldResize() {
+	mbps, vms := ad.res.TotalReserved(), ad.res.Placement().VMs()
+	ad.a.tally.Fold(outcome(EventResized, mbps-ad.mbps, vms-ad.vms), 1)
+	ad.mbps, ad.vms = mbps, vms
+}
+
+// Release returns the tenant's slots and bandwidth to the shared tree,
+// reporting whether this call released it. Subsequent calls are no-ops
+// and report false.
+func (ad *Admitted) Release() bool {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
 	if !ad.released.CompareAndSwap(false, true) {
-		return
+		return false
 	}
 	neg := ad.delta.Negate()
 	ad.a.comb.do(&ad.a.mu, func() { ad.a.tree.Apply(neg) })
-	ad.a.released.Add(1)
+	ad.a.tally.Fold(outcome(EventReleased, -ad.mbps, -ad.vms), 1)
+	return true
 }

@@ -1,7 +1,5 @@
 package place
 
-import "errors"
-
 // AdmitBatch admits a batch of requests in ONE critical section instead
 // of re-acquiring the admission lock per request: one combiner
 // submission, then the same per-element validate → save → place →
@@ -17,29 +15,21 @@ func (a *Admitter) AdmitBatch(reqs []*Request) ([]*Admitted, []error) {
 	errs := make([]error, len(reqs))
 	a.comb.do(&a.mu, func() {
 		for i, req := range reqs {
-			if err := ValidateRequest(a.tree, req); err != nil {
-				a.failed.Add(1)
-				errs[i] = WithBatchIndex(err, i)
-				continue
-			}
-			a.tree.Save(a.ck)
-			res, err := a.placer.Place(req)
-			if err != nil {
-				a.tree.RestoreSnapshot(a.ck)
-				if errors.Is(err, ErrRejected) {
-					a.rejected.Add(1)
-				} else {
-					a.failed.Add(1)
+			err := ValidateRequest(a.tree, req)
+			if err == nil {
+				a.tree.Save(a.ck)
+				var res *Reservation
+				if res, err = a.placer.Place(req); err == nil {
+					d := res.Delta()
+					a.tree.RestoreSnapshot(a.ck)
+					a.tree.Apply(d)
+					grants[i] = a.admitted(req, res, d)
+					continue
 				}
-				errs[i] = WithBatchIndex(err, i)
-				continue
+				a.tree.RestoreSnapshot(a.ck)
 			}
-			d := res.Delta()
-			a.tree.RestoreSnapshot(a.ck)
-			a.tree.Apply(d)
-			a.admitted.Add(1)
-			res.released = true // inspection-only: departures commit the delta
-			grants[i] = &Admitted{a: a, res: res, delta: d, graph: resizableGraph(req), ha: req.HA}
+			a.foldFailure(err)
+			errs[i] = WithBatchIndex(err, i)
 		}
 	})
 	return grants, errs

@@ -48,7 +48,7 @@ func diffSpec() topology.Spec {
 // diffGrant is one admitted tenant of a trace.
 type diffGrant interface {
 	Resize(*tag.Graph) error
-	Release()
+	Release() bool
 }
 
 // diffTarget is what a trace drives: admission of one tenant or a
@@ -63,6 +63,8 @@ type diffTarget struct {
 type serviceGrant struct{ guarantee.Grant }
 
 func (g serviceGrant) Resize(ng *tag.Graph) error { return g.Grant.Resize(context.Background(), ng) }
+
+func (g serviceGrant) Release() bool { g.Grant.Release(); return true }
 
 // serviceTarget drives a one-shard guarantee service.
 func serviceTarget(svc guarantee.Service) diffTarget {

@@ -75,6 +75,14 @@ type Event struct {
 	// fresh one) and must not be modified. Nil for EventReleased.
 	Placement Placement
 
+	// Mbps and VMs are the event's change to its shard's reserved
+	// bandwidth and occupied slots, as Tally.Fold applies it: the
+	// tenant's footprint for an admission, its negation for a release,
+	// new minus old for a resize. The log does not record them; replay
+	// derives them from the footprint it records.
+	Mbps float64
+	VMs  int
+
 	// The remaining fields are populated only by the durability layer
 	// (the write-ahead log of package guarantee); events published to
 	// dataplane sinks leave them zero.
@@ -85,8 +93,8 @@ type Event struct {
 	// First is the dispatch policy's first pick for the request;
 	// replaying First alongside Shard reproduces the failover walk
 	// (every shard between them rejected). -1 marks events outside the
-	// dispatch path: resize rejections/failures, which touch only the
-	// grant's own shard.
+	// dispatch path: resizes, releases and their rejections/failures,
+	// which touch only the grant's own shard.
 	First int
 	// HA is the tenant's availability requirement from the request.
 	HA HASpec

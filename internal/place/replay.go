@@ -78,49 +78,37 @@ func replayReservation(tree *topology.Tree, pl Placement, resources [][]float64,
 }
 
 // AttachGrant materializes a live grant from a snapshot record without
-// touching the ledger or the counters — the imported snapshot bits
-// already include the tenant, and RestoreStats supplies the counters.
+// touching the ledger — the imported snapshot bits already include the
+// tenant. Its slots fold back into the restored tally (see
+// Tally.Restore); its bandwidth is already in the restored gauge.
 func (a *Admitter) AttachGrant(rec GrantRecord) *Admitted {
-	return &Admitted{
-		a:     a,
-		res:   replayReservation(a.tree, rec.Placement, rec.Resources, rec.Delta),
-		delta: rec.Delta,
-		graph: rec.Graph,
-		ha:    rec.HA,
-	}
+	ad := a.replayed(rec.Placement, rec.Resources, rec.Delta, rec.Graph, rec.HA)
+	ad.key, ad.id = rec.Key, rec.ID
+	a.tally.Fold(outcome(0, 0, ad.vms), 1)
+	return ad
 }
 
 // ReplayAdmit commits a recorded admission: the recorded delta is
 // applied to the same pre-event ledger bits the live commit applied it
 // to, so the resulting tree is byte-identical (the delta bit-exactness
-// contract).
+// contract), and the admission folds as it did live — its key is the
+// tally's admitted count, which the caller checks against ev.Key.
 func (a *Admitter) ReplayAdmit(ev Event) *Admitted {
 	a.mu.Lock()
 	a.tree.Apply(ev.Delta)
 	a.mu.Unlock()
-	a.admitted.Add(1)
-	return &Admitted{
-		a:     a,
-		res:   replayReservation(a.tree, ev.Placement, ev.Resources, ev.Delta),
-		delta: ev.Delta,
-		graph: ev.Graph,
-		ha:    ev.HA,
-	}
+	ad := a.replayed(ev.Placement, ev.Resources, ev.Delta, ev.Graph, ev.HA)
+	ad.id = ev.ID
+	ad.key = a.tally.Fold(outcome(EventAdmitted, ad.mbps, ad.vms), 1)
+	return ad
 }
 
-// ReplayReject counts one recorded capacity rejection.
-func (a *Admitter) ReplayReject() { a.rejected.Add(1) }
-
-// ReplayFail counts one recorded non-capacity failure.
-func (a *Admitter) ReplayFail() { a.failed.Add(1) }
-
-// RestoreStats overwrites the admission counters with snapshot values.
-func (a *Admitter) RestoreStats(s AdmitStats) {
-	a.admitted.Store(s.Admitted)
-	a.rejected.Store(s.Rejected)
-	a.failed.Store(s.Failed)
-	a.released.Store(s.Released)
-	a.resized.Store(s.Resized)
+// replayed builds a grant from recorded state, with the footprint its
+// tally entry holds.
+func (a *Admitter) replayed(pl Placement, resources [][]float64, d topology.Delta, g *tag.Graph, ha HASpec) *Admitted {
+	res := replayReservation(a.tree, pl, resources, d)
+	return &Admitted{a: a, res: res, delta: d, graph: g, ha: ha,
+		mbps: res.TotalReserved(), vms: pl.VMs()}
 }
 
 // ObserveDemand feeds one recorded arrival to the placer's demand
@@ -166,24 +154,30 @@ func (a *Admitter) ExportLedger() topology.Ledger {
 	return a.tree.ExportLedger()
 }
 
-// Record exports the grant's durable state for a snapshot; Key and ID
-// are left for the owning layer to fill.
-func (ad *Admitted) Record() GrantRecord {
+// Record exports the grant's durable state for a snapshot. It reports
+// false when the grant was already released (a snapshot racing a
+// departure must simply skip it).
+func (ad *Admitted) Record() (GrantRecord, bool) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
+	if ad.released.Load() {
+		return GrantRecord{}, false
+	}
 	return GrantRecord{
+		Key:       ad.key,
+		ID:        ad.id,
 		Graph:     ad.graph,
 		HA:        ad.ha,
 		Placement: ad.res.placement,
 		Resources: ad.res.resources,
 		Delta:     ad.delta,
-	}
+	}, true
 }
 
 // ReplayResize commits a recorded resize: the net old-to-new delta is
-// applied exactly as the live Resize applied it, and the grant's
+// applied exactly as the live Resize applied it, the grant's
 // reservation, footprint, and graph are swapped to the recorded after
-// state.
+// state, and the resize folds as it did live.
 func (ad *Admitted) ReplayResize(ev Event) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
@@ -191,10 +185,10 @@ func (ad *Admitted) ReplayResize(ev Event) {
 	a.mu.Lock()
 	a.tree.Apply(topology.Merge(ad.delta.Negate(), ev.Delta))
 	a.mu.Unlock()
-	a.resized.Add(1)
 	ad.res = replayReservation(a.tree, ev.Placement, ev.Resources, ev.Delta)
 	ad.delta = ev.Delta
 	if ev.Graph != nil {
 		ad.graph = ev.Graph
 	}
+	ad.foldResize()
 }
