@@ -383,9 +383,9 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 // saw the request live re-observes it and folds its outcome — tallies
 // and placer demand estimators advance exactly as they did — and the
 // deciding shard folds the walk's end. Resize- and release-scoped
-// events (First == -1) touch only the grant's shard; First == -2 marks
-// a zero-step resize, replayed through the natural Resize path (no
-// placer runs for it).
+// events (First == -1) touch only the grant's shard. Older builds also
+// logged zero-step resizes, marked First == -2; they committed nothing
+// and replay as nothing.
 func (d *Durability) replayEvent(ev place.Event) error {
 	svc := d.svc
 	n := svc.cl.Size()
@@ -428,12 +428,9 @@ func (d *Durability) replayEvent(ev place.Event) error {
 		if !ok {
 			return errors.New("resize of unknown grant")
 		}
-		if ev.First == -2 {
-			// Zero-step resize: nothing committed live, but the
-			// lifecycle event still reached the enforcement sink.
-			return g.ten.Resize(ev.Graph)
+		if ev.First != -2 {
+			g.ten.ReplayResize(ev)
 		}
-		g.ten.ReplayResize(ev)
 	case place.EventRejected, place.EventFailed:
 		svc.cl.Shard(ev.Shard).Tally().Fold(ev, n)
 	case place.EventReleased:
@@ -769,10 +766,9 @@ func (d *Durability) rollbackGrant(g *grant) {
 }
 
 // resize runs one resize under the durability lock. Outcomes that
-// mutated state — committed resizes, zero-step resizes (their
-// lifecycle event reached the enforcement sink), and failures that
-// advanced shard counters — are logged; Unsupported/Released
-// rejections touch nothing and are not.
+// changed state — committed resizes and failures the shard's tally
+// counted — are logged; Unsupported/Released rejections and zero-step
+// resizes (every tier size kept) change nothing and are not.
 func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 	d.mu.Lock()
 	if d.closed {
@@ -813,6 +809,10 @@ func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 		}
 		return err
 	}
+	if g.ten.Reservation() == before {
+		d.mu.Unlock()
+		return nil // zero-step: the reservation only changes when a resize commits
+	}
 	rec, _ := g.ten.Record()
 	ev := place.Event{
 		Kind:      place.EventResized,
@@ -824,13 +824,6 @@ func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 		First:     -1,
 		Delta:     rec.Delta,
 		Demand:    math.NaN(),
-	}
-	if g.ten.Reservation() == before {
-		// Zero-step resize: the reservation pointer only changes when a
-		// resize commits, so nothing was placed — but the lifecycle
-		// event reached the enforcement sink and must replay.
-		ev.First = -2
-		ev.Graph = newGraph
 	}
 	lsn, aerr := d.writeLocked(ev)
 	if aerr != nil {

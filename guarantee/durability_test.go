@@ -325,7 +325,9 @@ func assertSameRun(t *testing.T, trace []string, print string, refTrace []string
 // holds an admission, a capacity rejection, a malformed request, a
 // rejected, a zero-step and a committed resize, and a release. The
 // recovered service must print the fingerprint its writer printed
-// (fingerprint.txt beside the ledger).
+// (fingerprint.txt beside the ledger), except one field: the writer
+// counted its logged zero-step resize in the dataplane's Resized, and
+// such a record replays as nothing.
 func TestOpenV1Ledger(t *testing.T) {
 	src := filepath.Join("testdata", "ledger-v1")
 	dir := t.TempDir()

@@ -2,8 +2,10 @@ package guarantee
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,6 +144,63 @@ func TestEnforcementLifecycleEvents(t *testing.T) {
 	g1.Release()
 	if c := enf.Counters(); c.Released != 2 {
 		t.Errorf("released = %d, want 2", c.Released)
+	}
+}
+
+// TestZeroStepResizeIsNoOp: a resize to the grant's own tier sizes
+// commits nothing, so it must change nothing — not the service's
+// counters, not the enforcement plane's counters, declared demands or
+// next period, and not the log of a durable service.
+func TestZeroStepResizeIsNoOp(t *testing.T) {
+	ctx := context.Background()
+	run := func(durable, zeroStep bool) string {
+		opts := []Option{WithShards(2), WithEnforcement(EnforcementConfig{Alpha: 0.5})}
+		if durable {
+			opts = append(opts, WithDurability(t.TempDir()))
+		}
+		svc, err := New(testSpec(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(ctx)
+		enf := svc.Enforcement()
+		g, err := svc.Admit(ctx, Request{ID: 1, Graph: testGraph(3, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enf.SetDemand(g, []Demand{{Src: 0, Dst: 3, Mbps: 40}, {Src: 4, Dst: 1, Mbps: Greedy}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := enf.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if zeroStep {
+			if err := g.Resize(ctx, testGraph(3, 2)); err != nil {
+				t.Fatalf("zero-step resize: %v", err)
+			}
+		}
+		pairs, err := enf.Pairs(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := enf.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "stats %+v\nenfcounters %+v\npairs %v\n", svc.Stats(), enf.Counters(), pairs)
+		for _, st := range rep.PerShard {
+			fmt.Fprintf(&sb, "step %+v\n", *st)
+		}
+		if durable {
+			fmt.Fprintf(&sb, "records %d\n", svc.Durability().Stats().Records)
+		}
+		return sb.String()
+	}
+	for _, durable := range []bool{false, true} {
+		if got, want := run(durable, true), run(durable, false); got != want {
+			t.Errorf("durable=%v: after a zero-step resize\n%s\nwant, as without it,\n%s", durable, got, want)
+		}
 	}
 }
 

@@ -156,14 +156,19 @@ func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
 // Resize grows or shrinks the tenant in place to newGraph through the
 // shard's admitter (see place.Admitted.Resize), which folds the change
 // into the shard's tally. On failure the shard and the tenant are
-// exactly as before, and the error carries a typed place.Reason.
+// exactly as before, and the error carries a typed place.Reason. A
+// resize that keeps every tier size commits nothing and publishes
+// nothing.
 func (t *Tenant) Resize(newGraph *tag.Graph) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	before := t.ad.Reservation()
 	if err := t.ad.Resize(newGraph); err != nil {
 		return err
 	}
-	t.publish(place.EventResized, newGraph)
+	if t.ad.Reservation() != before { // only a commit swaps the reservation
+		t.publish(place.EventResized, newGraph)
+	}
 	return nil
 }
 
