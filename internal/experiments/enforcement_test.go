@@ -7,6 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cloudmirror/guarantee"
@@ -16,37 +19,90 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestEnforcementFiguresGolden: the printed fig4, fig13 and fig13dyn
-// tables at quick() scale must match the committed golden file
-// byte-for-byte, so a change to GP, RA or the max-min solver that moves
-// a printed rate fails here by figure. Regenerate with -update after a
-// deliberate change and commit the diff.
-func TestEnforcementFiguresGolden(t *testing.T) {
-	var buf bytes.Buffer
-	for _, name := range []string{"fig4", "fig13", "fig13dyn"} {
+// paperFigures are the artifacts testdata/paper.golden pins, in file
+// order: Table 1, Fig. 1, the placement sweeps of Figs. 7–12, and the
+// enforcement figures. None prints a wall-clock column.
+var paperFigures = []string{"table1", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig4", "fig13", "fig13dyn"}
+
+// sweeps are the multi-simulation figures -short skips.
+var sweeps = map[string]bool{"fig7": true, "fig8": true, "fig9": true, "fig10": true, "fig11": true, "fig12": true}
+
+// TestPaperGolden: the printed tables of every paper figure at quick()
+// scale must match testdata/paper.golden byte for byte, so a change to
+// placement, GP, RA or the max-min solver that moves a printed number
+// fails here by figure, with the figure's largest absolute and relative
+// change. -short skips the multi-simulation sweeps of Figs. 7–12, as
+// the shape tests do. Regenerate with -update after a deliberate change
+// and commit the diff.
+func TestPaperGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "paper.golden")
+	got := map[string]string{}
+	var all bytes.Buffer
+	for _, name := range paperFigures {
+		if testing.Short() && !*updateGolden && sweeps[name] {
+			continue
+		}
 		tb, err := Run(name, quick())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		var buf bytes.Buffer
 		tb.Fprint(&buf)
+		got[name] = buf.String()
+		all.Write(buf.Bytes())
 	}
-	golden := filepath.Join("testdata", "enforcement.golden")
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	b, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("enforcement figures differ from %s (regenerate with -update if deliberate):\ngot:\n%s\nwant:\n%s",
-			golden, buf.Bytes(), want)
+	want := map[string]string{}
+	for _, sec := range strings.SplitAfter(string(b), "\n\n") {
+		name, _, _ := strings.Cut(strings.TrimPrefix(sec, "== "), ":")
+		want[name] = sec
 	}
+	for _, name := range paperFigures {
+		g, ran := got[name]
+		if !ran || g == want[name] {
+			continue
+		}
+		abs, rel := maxDelta(g, want[name])
+		t.Errorf("%s differs from %s: max |Δ| %.4g, max relative Δ %.4g (regenerate with -update if deliberate)\ngot:\n%swant:\n%s",
+			name, golden, abs, rel, g, want[name])
+	}
+}
+
+// number matches the numbers of a printed table cell.
+var number = regexp.MustCompile(`-?[0-9]+(\.[0-9]+)?`)
+
+// maxDelta compares two printings of one table number by number, line
+// by line, and returns the largest absolute and relative difference;
+// +Inf when their shapes differ.
+func maxDelta(got, want string) (abs, rel float64) {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	if len(gl) != len(wl) {
+		return math.Inf(1), math.Inf(1)
+	}
+	for i := range gl {
+		gn, wn := number.FindAllString(gl[i], -1), number.FindAllString(wl[i], -1)
+		if len(gn) != len(wn) {
+			return math.Inf(1), math.Inf(1)
+		}
+		for j := range gn {
+			a, _ := strconv.ParseFloat(gn[j], 64)
+			b, _ := strconv.ParseFloat(wn[j], 64)
+			d := math.Abs(a - b)
+			abs = math.Max(abs, d)
+			if d > 0 {
+				rel = math.Max(rel, d/math.Max(math.Abs(a), math.Abs(b)))
+			}
+		}
+	}
+	return abs, rel
 }
 
 // TestHosePartitioningFig4: the aggregated hose model cannot protect the
