@@ -30,7 +30,9 @@ bin/cloudlint: $(shell find internal/lint cmd/cloudlint -name '*.go' -not -path 
 	$(GO) build -o bin/cloudlint ./cmd/cloudlint
 
 # Godoc coverage: every exported identifier (and every package) in
-# internal/... and the public guarantee package needs a doc comment.
+# internal/... and the public guarantee package needs a doc comment;
+# the narrative docs keep their contract sections, and every test they
+# cite by name exists.
 docs-check:
 	$(GO) vet ./internal/... ./guarantee/...
 	./scripts/docs-check.sh

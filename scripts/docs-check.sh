@@ -85,4 +85,37 @@ if ! grep -q 'make analyze' README.md; then
     fail=1
 fi
 
+# Cited tests must exist: every Test*/Fuzz*/Benchmark* name inside
+# backticks or a fenced code block of the narrative docs needs a func of
+# that name in some _test.go file (a name ending in * needs one with
+# that prefix), so renaming or deleting a test cannot orphan the prose
+# that points readers at it.
+funcs=$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*_test.go' . | sed 's/^func //' | sort -u)
+for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+    for name in $(awk '
+    { doc = doc $0 "\n" }
+    END {
+        n = split(doc, fence, "```")
+        for (i = 1; i <= n; i++) {
+            if (i % 2 == 0) { code = code " " fence[i]; continue }
+            m = split(fence[i], span, "`")
+            for (j = 2; j <= m; j += 2) code = code " " span[j]
+        }
+        while (match(code, /(Test|Fuzz|Benchmark)[A-Za-z0-9_]*\*?/)) {
+            before = RSTART > 1 ? substr(code, RSTART - 1, 1) : " "
+            if (before !~ /[A-Za-z0-9_]/) print substr(code, RSTART, RLENGTH)
+            code = substr(code, RSTART + RLENGTH)
+        }
+    }' "$doc" | sort -u); do
+        case $name in
+        *\*) pattern="^${name%\*}" ;;
+        *) pattern="^${name}\$" ;;
+        esac
+        if ! printf '%s\n' "$funcs" | grep -q "$pattern"; then
+            echo "$doc: cites \`$name\`, which no _test.go file defines"
+            fail=1
+        fi
+    done
+done
+
 exit $fail
