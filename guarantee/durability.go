@@ -776,8 +776,7 @@ func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 		return d.rejectClosedLocked("resize")
 	}
 	shard := g.ten.Shard().ID()
-	before := g.ten.Reservation()
-	err := g.ten.Resize(newGraph)
+	committed, err := g.ten.Resize(newGraph)
 	if err != nil {
 		reason := place.ReasonOf(err)
 		if reason == Unsupported || reason == Released {
@@ -809,9 +808,9 @@ func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 		}
 		return err
 	}
-	if g.ten.Reservation() == before {
+	if !committed {
 		d.mu.Unlock()
-		return nil // zero-step: the reservation only changes when a resize commits
+		return nil
 	}
 	rec, _ := g.ten.Record()
 	ev := place.Event{

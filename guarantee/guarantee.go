@@ -325,7 +325,8 @@ func (g *grant) Resize(ctx context.Context, newGraph *tag.Graph) error {
 	if g.svc.dur != nil {
 		return g.svc.dur.resize(g, newGraph)
 	}
-	return g.ten.Resize(newGraph)
+	_, err := g.ten.Resize(newGraph)
+	return err
 }
 
 // Release returns the tenant's resources. Subsequent calls are no-ops.

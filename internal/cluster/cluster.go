@@ -155,21 +155,20 @@ func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
 
 // Resize grows or shrinks the tenant in place to newGraph through the
 // shard's admitter (see place.Admitted.Resize), which folds the change
-// into the shard's tally. On failure the shard and the tenant are
-// exactly as before, and the error carries a typed place.Reason. A
-// resize that keeps every tier size commits nothing and publishes
-// nothing.
-func (t *Tenant) Resize(newGraph *tag.Graph) error {
+// into the shard's tally, and reports whether a resize committed. On
+// failure the shard and the tenant are exactly as before, and the error
+// carries a typed place.Reason. A resize that keeps every tier size
+// commits nothing and publishes nothing.
+func (t *Tenant) Resize(newGraph *tag.Graph) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	before := t.ad.Reservation()
-	if err := t.ad.Resize(newGraph); err != nil {
-		return err
+	// Only a commit swaps the reservation.
+	if err := t.ad.Resize(newGraph); err != nil || t.ad.Reservation() == before {
+		return false, err
 	}
-	if t.ad.Reservation() != before { // only a commit swaps the reservation
-		t.publish(place.EventResized, newGraph)
-	}
-	return nil
+	t.publish(place.EventResized, newGraph)
+	return true, nil
 }
 
 // Release returns the tenant's slots and bandwidth to its shard. It
