@@ -225,9 +225,10 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 
 // TestCrashRecoveryEveryOp kills a 40-op churn after each op in turn,
 // with snapshot rotations every 7 records and with none, so recovery
-// replays every suffix length from every kind of last record.
+// replays every suffix length from every kind of last record. The
+// script's dispatch walks fail over, and one exhausts the fleet.
 func TestCrashRecoveryEveryOp(t *testing.T) {
-	ops := churnScript(40, 5)
+	ops := churnScript(40, 3)
 	for _, every := range []int{7, 1000} {
 		opts := func(dir string) []Option { return append(durableOpts(dir), WithSnapshotEvery(every)) }
 		refTrace, refPrint := uninterrupted(t, ops, opts)
