@@ -47,9 +47,10 @@ bench-check:
 # placement search does nearly all the work (≈5 s after the build), two
 # on the control loop — one where every period is a full solve (≈3 s:
 # every tenant redeclares, membership churns) and one where 1% of the
-# tenants redeclare, both through the closed-form slack solve — and one
-# on the durable daemon, which ends in kill -9 and recovery from the
-# write-ahead log.
+# tenants redeclare, both through the closed-form slack solve — one on
+# the in-memory daemon over loopback HTTP (its admit path is Admit's),
+# and one on the durable daemon, which ends in kill -9 and recovery
+# from the write-ahead log.
 # The benchmark exits non-zero on a failed operation or a failed
 # correctness check — capacity invariant, tallies, decisions,
 # MinRatio ≥ 1 on every period, recovered state equal to the
@@ -59,6 +60,7 @@ bench-smoke:
 	bash bench/run.sh --workload lib_packed --seconds 1 --trace 0
 	bash bench/run.sh --workload enforce_storm --seconds 1 --trace 0
 	bash bench/run.sh --workload enforce_steady --seconds 1 --trace 0
+	bash bench/run.sh --workload http_light --seconds 1 --trace 0
 	bash bench/run.sh --workload http_durable --seconds 1 --trace 0
 
 # Build and run every program under examples/ (≈6 s on 2 vCPUs, nearly
@@ -122,19 +124,21 @@ test-fuzz:
 # vs the general RA/max-min path by Float64bits), the max-min solver's
 # TestDifferentialFitsShortcut (the "every cap fits" return and its
 # fall-through vs MaxMinReference, Float64bits, with the tightest link
-# parked at every distance from capacity), the commit pipeline's
-# mixed-lifecycle stress check (admit, batch, resize and release
-# through one flat-combining queue under -race, drained to a pristine
-# ledger), the placement search's TestDifferential*
+# parked at every distance from capacity), the admitter's
+# mixed-lifecycle stress check (admits, runs of admits, resizes and
+# releases contending for one shard's mutex under -race, drained to a
+# pristine ledger), the placement search's TestDifferential*
 # harnesses (dirty-node Sync vs a sync that re-prices every touched
 # node, bandwidthFit vs the linear scan, a kept Colocate scan vs a fresh
 # one on every reuse of a packed-churn replay),
-# and the crash-recovery identity checks (kill a durable service
+# the crash-recovery identity checks (kill a durable service
 # mid-churn — once, and after every op of a short script with and
 # without snapshot rotation — recover from WAL + snapshot, demand a
-# byte-identical admission trace and final ledger).
+# byte-identical admission trace and final ledger), and the paper
+# golden (the printed Table 1 and figures at quick(), -short skipping
+# the Fig. 7–12 sweeps, byte for byte at every -cpu).
 determinism:
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run TestParallelDeterminism ./internal/experiments
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestParallelDeterminism|TestPaperGolden' ./internal/experiments
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestChurnDeterminism|TestChurnResizeDeterminism|TestEnforceChurnDeterminism' ./internal/sim
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCommitPipelineMixedStress|TestDifferential' ./internal/place
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror

@@ -8,11 +8,9 @@ import (
 
 // TestConcurrentBatchChurn hammers one service from many goroutines
 // mixing AdmitBatch with single Admit, Resize, and Release (run under
-// -race): the batch path holds a shard's critical section across the
-// whole batch, so this is the test that would catch a lock-ordering or
-// ledger-accounting slip between the coalesced and per-request paths.
-// Afterwards every surviving grant is released and the fleet must drain
-// to exactly zero.
+// -race), so batches interleave with other callers' operations on the
+// same shards. Afterwards every surviving grant is released and the
+// fleet must drain to exactly zero.
 func TestConcurrentBatchChurn(t *testing.T) {
 	svc, err := New(testSpec(), WithShards(2), WithPolicy("rr"))
 	if err != nil {

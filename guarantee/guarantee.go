@@ -237,13 +237,12 @@ func (s *service) Admit(ctx context.Context, req Request) (Grant, error) {
 	return &grant{ten: ten, svc: s}, nil
 }
 
-// AdmitBatch admits the requests in order, coalescing the whole batch
-// into one admission critical section per shard path: the lock (and,
-// durably, the WAL serialization point) is taken once instead of per
-// request, while each element's decision stays identical to admitting
-// the batch sequentially. Rejection errors carry the failing element's
-// index (RejectionError.BatchIndex) so callers can retry the
-// remainder.
+// AdmitBatch admits the requests in order, each through the path Admit
+// takes, so each element decides exactly as admitting the batch
+// sequentially would. A durable service writes the whole batch under
+// one durability lock and pays one fsync for it. Rejection errors carry
+// the failing element's index (RejectionError.BatchIndex) so callers
+// can retry the remainder.
 func (s *service) AdmitBatch(ctx context.Context, reqs []Request) ([]Grant, error) {
 	if err := ctx.Err(); err != nil {
 		return make([]Grant, len(reqs)), place.Reject("admit", Canceled, err)
@@ -255,15 +254,15 @@ func (s *service) AdmitBatch(ctx context.Context, reqs []Request) ([]Grant, erro
 	if s.dur != nil {
 		return s.dur.admitBatch(preqs)
 	}
-	tens, perrs := s.disp.PlaceBatch(preqs)
 	grants := make([]Grant, len(reqs))
 	var errs []error
-	for i := range reqs {
-		if perrs[i] != nil {
-			errs = append(errs, fmt.Errorf("request %d: %w", i, perrs[i]))
+	for i, preq := range preqs {
+		ten, err := s.disp.Place(preq)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("request %d: %w", i, place.WithBatchIndex(err, i)))
 			continue
 		}
-		grants[i] = &grant{ten: tens[i], svc: s}
+		grants[i] = &grant{ten: ten, svc: s}
 	}
 	return grants, errors.Join(errs...)
 }

@@ -5,12 +5,13 @@
 // (round-robin, least-loaded, power-of-two-choices) and per-shard
 // failover.
 //
-// A single tree serializes every admission decision behind one mutex
-// (see place.Admitter), so one tree is a scalability ceiling. Shards
-// share nothing — no tree state, no locks — so admissions on different
-// shards proceed fully in parallel; the only cross-shard state is the
-// dispatcher's lock-free load snapshot, which policies read to route
-// requests toward spare capacity.
+// A single tree serializes every placement, resize and release behind
+// its one mutex (see place.Admitter); a batch is no exception, it takes
+// that mutex once per request. So one tree is a scalability ceiling.
+// Shards share nothing — no tree state, no locks — so admissions on
+// different shards proceed fully in parallel; the only cross-shard
+// state is the dispatcher's lock-free load snapshot, which policies
+// read to route requests toward spare capacity.
 package cluster
 
 import (
@@ -101,22 +102,6 @@ func (s *Shard) Place(req *place.Request) (*Tenant, error) {
 	return s.admit(ad, req.Graph), nil
 }
 
-// PlaceBatch admits the requests in order through one admission
-// critical section (see place.Admitter.AdmitBatch). Tenants and errors
-// are parallel to reqs; a batch is not atomic — earlier admissions
-// stand when later elements reject. Lifecycle events are published per
-// admitted element exactly as Place would.
-func (s *Shard) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
-	grants, errs := s.adm.AdmitBatch(reqs)
-	tens := make([]*Tenant, len(reqs))
-	for i, ad := range grants {
-		if ad != nil {
-			tens[i] = s.admit(ad, reqs[i].Graph)
-		}
-	}
-	return tens, errs
-}
-
 // admit wraps a committed admission as a Tenant and publishes its
 // admission event. Shards serve the guarantee service, which prices
 // every tenant by its TAG, so the event carries that TAG for the
@@ -162,13 +147,11 @@ func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
 func (t *Tenant) Resize(newGraph *tag.Graph) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	before := t.ad.Reservation()
-	// Only a commit swaps the reservation.
-	if err := t.ad.Resize(newGraph); err != nil || t.ad.Reservation() == before {
-		return false, err
+	committed, err := t.ad.Resize(newGraph)
+	if committed {
+		t.publish(place.EventResized, newGraph)
 	}
-	t.publish(place.EventResized, newGraph)
-	return true, nil
+	return committed, err
 }
 
 // Release returns the tenant's slots and bandwidth to its shard. It

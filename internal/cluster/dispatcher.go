@@ -94,34 +94,6 @@ func (d *Dispatcher) foldWalk(first, last int, ten *Tenant, err error) {
 	d.c.Shard(last).Tally().Fold(place.Event{Kind: kind, First: first, Shard: last}, d.c.Size())
 }
 
-// PlaceBatch coalesces a batch on single-shard clusters: the whole
-// batch runs through the shard's one-critical-section batch path, and
-// each request's walk folds exactly as per-request dispatch would have
-// (every request lands on the only shard; no failover is possible). On
-// multi-shard clusters it degrades to per-request Place so the
-// failover walk keeps its semantics. Tenants and errors are parallel
-// to reqs.
-func (d *Dispatcher) PlaceBatch(reqs []*place.Request) ([]*Tenant, []error) {
-	if d.c.Size() == 1 {
-		tens, errs := d.c.Shard(0).PlaceBatch(reqs)
-		for i := range reqs {
-			d.foldWalk(0, 0, tens[i], errs[i])
-		}
-		return tens, errs
-	}
-	tens := make([]*Tenant, len(reqs))
-	errs := make([]error, len(reqs))
-	for i, req := range reqs {
-		ten, err := d.Place(req)
-		if err != nil {
-			errs[i] = place.WithBatchIndex(err, i)
-			continue
-		}
-		tens[i] = ten
-	}
-	return tens, errs
-}
-
 // Stats reports the dispatcher's counters so far: every shard's
 // admissions, and the walks that exhausted the fleet or failed over.
 func (d *Dispatcher) Stats() DispatchStats {

@@ -3,7 +3,6 @@ package place
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
@@ -14,8 +13,8 @@ import (
 //
 // Placement decisions on a single tree must serialize — an admission
 // test is only sound against a ledger that cannot change between the
-// test and the reservation — so every placement runs inside one
-// critical section, in arrival order. Commits go through the topology
+// test and the reservation — so every placement, resize and release
+// runs under the admitter's one mutex. Commits go through the topology
 // delta layer: the placer runs inside the lock, the ledger is rolled
 // back to a byte-exact snapshot, and the recorded net Delta is applied
 // in one step. The shared ledger therefore only ever advances by delta
@@ -34,10 +33,6 @@ type Admitter struct {
 	tree   *topology.Tree
 	placer Placer
 	ck     *topology.Snapshot
-	// comb is the flat-combining queue in front of mu: concurrent
-	// critical sections are drained and executed in arrival batches by
-	// one caller, amortizing lock handoffs across concurrent admits.
-	comb *combiner
 	// tally folds every outcome the admitter produces (see Tally).
 	tally Tally
 }
@@ -62,7 +57,7 @@ type AdmitStats struct {
 // admission. The tree must be the one the placer mutates; it must not
 // be mutated behind the admitter's back afterwards.
 func NewAdmitter(tree *topology.Tree, p Placer) *Admitter {
-	return &Admitter{tree: tree, placer: p, ck: tree.NewSnapshot(), comb: newCombiner()}
+	return &Admitter{tree: tree, placer: p, ck: tree.NewSnapshot()}
 }
 
 // Name identifies the underlying algorithm.
@@ -87,32 +82,21 @@ func (a *Admitter) Place(req *Request) (*Admitted, error) {
 	// microseconds against a placement search that costs hundreds, and
 	// byte-exactness is what lets recovery replay the logged delta onto
 	// the same bits this commit applied it to.
-	//
-	// The bracket runs through the commit combiner: concurrent Place
-	// calls are drained in arrival batches under one lock acquisition,
-	// so lock handoffs no longer serialize a scheduler wakeup per admit.
-	var (
-		res *Reservation
-		err error
-		d   topology.Delta
-	)
-	a.comb.do(&a.mu, func() {
-		a.tree.Save(a.ck)
-		res, err = a.placer.Place(req)
-		if err != nil {
-			// The placer already rolled back arithmetically; the snapshot
-			// restore additionally wipes any float residue of the attempt.
-			a.tree.RestoreSnapshot(a.ck)
-			return
-		}
-		d = res.Delta()
-		a.tree.RestoreSnapshot(a.ck)
-		a.tree.Apply(d)
-	})
+	a.mu.Lock()
+	a.tree.Save(a.ck)
+	res, err := a.placer.Place(req)
 	if err != nil {
+		// The placer already rolled back arithmetically; the snapshot
+		// restore additionally wipes any float residue of the attempt.
+		a.tree.RestoreSnapshot(a.ck)
+		a.mu.Unlock()
 		a.foldFailure(err)
 		return nil, err
 	}
+	d := res.Delta()
+	a.tree.RestoreSnapshot(a.ck)
+	a.tree.Apply(d)
+	a.mu.Unlock()
 	return a.admitted(req, res, d), nil
 }
 
@@ -158,15 +142,16 @@ func resizableGraph(req *Request) *tag.Graph {
 type Admitted struct {
 	a *Admitter
 
-	// gmu serializes grant operations (Resize/Release/Reservation) so a
-	// resize never races a release of the same tenant. Lock order: gmu
-	// before the admitter's mu.
+	// gmu serializes grant operations (Resize/Release/Reservation/Record)
+	// so a resize never races a release of the same tenant; the fields
+	// below are read and written under it. Lock order: gmu before the
+	// admitter's mu.
 	gmu      sync.Mutex
 	res      *Reservation
 	delta    topology.Delta
 	graph    *tag.Graph
 	ha       HASpec
-	released atomic.Bool
+	released bool
 	// key is the shard-unique grant key its admission took; id the
 	// caller-chosen request ID. mbps and vms are the footprint the
 	// tally holds for the grant, so a resize or release folds exactly
@@ -201,53 +186,48 @@ func (ad *Admitted) Reservation() *Reservation {
 // call, the grant is unchanged, and the error carries a typed Reason
 // (ReasonUnsupported when the placer cannot resize, ReasonInvalidRequest
 // for structural changes, capacity reasons when the datacenter cannot
-// host the growth).
-func (ad *Admitted) Resize(newGraph *tag.Graph) error {
+// host the growth). committed reports whether a resize took effect: it
+// is false on every error and when newGraph keeps every tier size.
+func (ad *Admitted) Resize(newGraph *tag.Graph) (committed bool, err error) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
 	a := ad.a
-	if ad.released.Load() {
-		return Rejectf("resize", ReasonReleased, "grant already released")
+	if ad.released {
+		return false, Rejectf("resize", ReasonReleased, "grant already released")
 	}
 	rz, ok := a.placer.(Resizer)
 	if !ok {
-		return Rejectf("resize", ReasonUnsupported, "placer %s cannot resize", a.placer.Name())
+		return false, Rejectf("resize", ReasonUnsupported, "placer %s cannot resize", a.placer.Name())
 	}
 	if ad.graph == nil {
-		return Rejectf("resize", ReasonUnsupported, "tenant was not admitted under its TAG model")
+		return false, Rejectf("resize", ReasonUnsupported, "tenant was not admitted under its TAG model")
 	}
 	steps, err := resizeSteps(ad.graph, newGraph)
 	if err != nil {
 		a.foldFailure(err)
-		return err
+		return false, err
 	}
 	if len(steps) == 0 {
-		return nil // no size changed
+		return false, nil // no size changed
 	}
 
-	var (
-		newRes   *Reservation
-		newDelta topology.Delta
-	)
-	a.comb.do(&a.mu, func() {
-		a.tree.Save(a.ck)
-		newRes, err = runResize(rz, ad.res, ad.graph, steps, ad.ha)
-		if err != nil {
-			a.tree.RestoreSnapshot(a.ck)
-			return
-		}
-		newDelta = newRes.Delta()
-		a.tree.RestoreSnapshot(a.ck)
-		a.tree.Apply(topology.Merge(ad.delta.Negate(), newDelta))
-	})
+	a.mu.Lock()
+	a.tree.Save(a.ck)
+	newRes, err := runResize(rz, ad.res, ad.graph, steps, ad.ha)
 	if err != nil {
+		a.tree.RestoreSnapshot(a.ck)
+		a.mu.Unlock()
 		a.foldFailure(err)
-		return err
+		return false, err
 	}
+	newDelta := newRes.Delta()
+	a.tree.RestoreSnapshot(a.ck)
+	a.tree.Apply(topology.Merge(ad.delta.Negate(), newDelta))
+	a.mu.Unlock()
 	newRes.released = true // inspection-only, like the admit path
 	ad.res, ad.delta, ad.graph = newRes, newDelta, newGraph
 	ad.foldResize()
-	return nil
+	return true, nil
 }
 
 // foldResize folds a committed resize: the footprint moves from the
@@ -264,11 +244,15 @@ func (ad *Admitted) foldResize() {
 func (ad *Admitted) Release() bool {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
-	if !ad.released.CompareAndSwap(false, true) {
+	if ad.released {
 		return false
 	}
+	ad.released = true
+	a := ad.a
 	neg := ad.delta.Negate()
-	ad.a.comb.do(&ad.a.mu, func() { ad.a.tree.Apply(neg) })
-	ad.a.tally.Fold(outcome(EventReleased, -ad.mbps, -ad.vms), 1)
+	a.mu.Lock()
+	a.tree.Apply(neg)
+	a.mu.Unlock()
+	a.tally.Fold(outcome(EventReleased, -ad.mbps, -ad.vms), 1)
 	return true
 }

@@ -139,9 +139,9 @@ func (r *run) bestColoc(st topology.NodeID, rows []colocRow, failed failSet) ([]
 	return adds, children[best]
 }
 
-// findTiersToColoc evaluates every (edge, child) combination and returns
-// the per-tier VM counts to colocate under the best child, or nil when no
-// combination yields a positive, verified (Eq. 4) bandwidth saving. Each
+// findTiersToColoc evaluates every (edge, child) pair and returns the
+// per-tier VM counts to colocate under the best child, or nil when no
+// pair yields a positive, verified (Eq. 4) bandwidth saving. Each
 // child's own best pack is left in rows for runColocate to reuse.
 //
 // Following §4.4, tiers with low per-VM bandwidth demand relative to the

@@ -11,7 +11,6 @@ import (
 	"cloudmirror/guarantee"
 	"cloudmirror/internal/experiments"
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/place/cloudmirror"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 	"cloudmirror/internal/workload"
@@ -95,31 +94,31 @@ func serviceTarget(svc guarantee.Service) diffTarget {
 	}
 }
 
+// admittedGrant adapts a place.Admitted to diffGrant.
+type admittedGrant struct{ *place.Admitted }
+
+func (g admittedGrant) Resize(ng *tag.Graph) error {
+	_, err := g.Admitted.Resize(ng)
+	return err
+}
+
 // admitterTarget drives a bare admitter that prices every tenant by
-// modelFor's translation of its TAG.
+// modelFor's translation of its TAG. It has no batch path: a batch is
+// its elements admitted one after another.
 func admitterTarget(adm *place.Admitter, modelFor func(*tag.Graph) place.Model) diffTarget {
-	req := func(id int64, g *tag.Graph) *place.Request {
-		return &place.Request{ID: id, Graph: g, Model: modelFor(g)}
+	admit := func(id int64, g *tag.Graph) (diffGrant, error) {
+		ad, err := adm.Place(&place.Request{ID: id, Graph: g, Model: modelFor(g)})
+		if err != nil {
+			return nil, err
+		}
+		return admittedGrant{ad}, nil
 	}
 	return diffTarget{
-		admit: func(id int64, g *tag.Graph) (diffGrant, error) {
-			ad, err := adm.Place(req(id, g))
-			if err != nil {
-				return nil, err
-			}
-			return ad, nil
-		},
+		admit: admit,
 		batch: func(id int64, gs []*tag.Graph) []diffGrant {
-			reqs := make([]*place.Request, len(gs))
+			out := make([]diffGrant, len(gs))
 			for j, g := range gs {
-				reqs[j] = req(id+int64(j), g)
-			}
-			ads, _ := adm.AdmitBatch(reqs)
-			out := make([]diffGrant, len(ads))
-			for j, ad := range ads {
-				if ad != nil {
-					out[j] = ad
-				}
+				out[j], _ = admit(id+int64(j), g)
 			}
 			return out
 		},
@@ -156,8 +155,8 @@ func diffTrace(t *testing.T, target diffTarget, seed int64, resize bool, audit f
 	for i := 0; i < ops; i++ {
 		switch {
 		case i%10 == 9:
-			// Batch admission through the coalesced path: the batch
-			// must decide exactly as sequential admission would.
+			// Batch admission: the batch must decide exactly as
+			// sequential admission would.
 			gs := make([]*tag.Graph, 3)
 			for j := range gs {
 				gs[j] = pool[r.Intn(len(pool))]
@@ -276,9 +275,9 @@ func runDiff(t *testing.T, alg string, seed int64, indexed bool) string {
 }
 
 // TestIndexDifferential is the harness proper: indexed and rescan runs
-// must be observationally identical for every placer × seed
-// combination. The "planners=0" name level is kept from when a second
-// admission path existed; it is the one Admitter.
+// must be observationally identical for every placer and seed. The
+// "planners=0" name level is kept from when a second admission path
+// existed; it is the one Admitter.
 func TestIndexDifferential(t *testing.T) {
 	for _, alg := range []string{"cm", "ovoc", "secondnet"} {
 		for _, seed := range []int64{1, 7} {
@@ -324,51 +323,88 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential pins the batch-coalescing contract at the
-// place layer: AdmitBatch must produce the same decisions and the same
-// final ledger as admitting the elements one by one, and batch errors
-// must carry the failing element's index.
+// TestBatchMatchesSequential pins the batch contract at the service:
+// AdmitBatch must decide every element exactly as admitting the
+// elements one by one with Admit does — same rejection reasons, same
+// counters, same ledgers bit for bit — on one shard and on three, in
+// memory and durably, and every element error must carry its batch
+// index.
 func TestBatchMatchesSequential(t *testing.T) {
 	pool := workload.BingLike(5)
 	workload.ScaleToBmax(pool, 800)
+	ctx := context.Background()
 
-	build := func() *place.Admitter {
-		tree := topology.New(diffSpec())
-		return place.NewAdmitter(tree, cloudmirror.New(tree))
-	}
+	for _, shards := range []int{1, 3} {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/durable=%v", shards, durable), func(t *testing.T) {
+				build := func() guarantee.Service {
+					opts := []guarantee.Option{guarantee.WithShards(shards), guarantee.WithPolicy("p2c"), guarantee.WithSeed(5)}
+					if durable {
+						opts = append(opts, guarantee.WithDurability(t.TempDir()))
+					}
+					svc, err := guarantee.New(diffSpec(), opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { svc.Close(ctx) })
+					return svc
+				}
+				// Enough tenants to fill every shard, so the batch meets
+				// capacity rejections.
+				reqs := make([]guarantee.Request, 40*shards)
+				for i := range reqs {
+					reqs[i] = guarantee.Request{ID: int64(i), Graph: pool[i%len(pool)]}
+				}
 
-	reqs := make([]*place.Request, 40)
-	for i := range reqs {
-		reqs[i] = &place.Request{ID: int64(i), Graph: pool[i%len(pool)], Model: pool[i%len(pool)]}
-	}
+				seq := build()
+				want := make([]guarantee.Reason, len(reqs))
+				for i, req := range reqs {
+					_, err := seq.Admit(ctx, req)
+					want[i] = guarantee.ReasonOf(err)
+				}
 
-	seq := build()
-	var seqOut []string
-	for i, req := range reqs {
-		_, err := seq.Place(req)
-		seqOut = append(seqOut, fmt.Sprintf("%d %v", i, place.ReasonOf(err)))
-	}
-
-	bat := build()
-	grants, errs := bat.AdmitBatch(reqs)
-	for i := range reqs {
-		got := fmt.Sprintf("%d %v", i, place.ReasonOf(errs[i]))
-		if got != seqOut[i] {
-			t.Errorf("batch element %d: %s, sequential: %s", i, got, seqOut[i])
+				bat := build()
+				grants, err := bat.AdmitBatch(ctx, reqs)
+				got := make([]guarantee.Reason, len(reqs))
+				var elemErrs []error
+				if err != nil {
+					elemErrs = err.(interface{ Unwrap() []error }).Unwrap()
+				}
+				for _, e := range elemErrs {
+					i := guarantee.BatchIndexOf(e)
+					if i < 0 || i >= len(reqs) || got[i] != "" {
+						t.Fatalf("error %v: BatchIndexOf = %d, not a distinct element", e, i)
+					}
+					if !strings.HasPrefix(e.Error(), fmt.Sprintf("request %d: ", i)) {
+						t.Errorf("element %d's error names another element: %v", i, e)
+					}
+					got[i] = guarantee.ReasonOf(e)
+				}
+				rejected := 0
+				for i := range reqs {
+					if got[i] != want[i] {
+						t.Errorf("element %d: batch %q, sequential %q", i, got[i], want[i])
+					}
+					if (grants[i] == nil) != (got[i] != "") {
+						t.Errorf("element %d: grant %v with reason %q", i, grants[i], got[i])
+					}
+					if got[i] != "" {
+						rejected++
+					}
+				}
+				if rejected == 0 {
+					t.Error("no element rejected: the batch never met capacity")
+				}
+				if s, b := fmt.Sprint(seq.Stats()), fmt.Sprint(bat.Stats()); s != b {
+					t.Errorf("stats: batch %s, sequential %s", b, s)
+				}
+				for sh := 0; sh < shards; sh++ {
+					if ledgerBits(seq.Topology(sh).ExportLedger()) != ledgerBits(bat.Topology(sh).ExportLedger()) {
+						t.Errorf("shard %d: batch and sequential admission produced different ledgers", sh)
+					}
+				}
+			})
 		}
-		if errs[i] != nil {
-			if grants[i] != nil {
-				t.Errorf("element %d: error and grant both set", i)
-			}
-			if bi := place.BatchIndexOf(errs[i]); bi != i {
-				t.Errorf("element %d: BatchIndexOf = %d, want %d", i, bi, i)
-			}
-		}
-	}
-	seqBits := ledgerBits(seq.ExportLedger())
-	batBits := ledgerBits(bat.ExportLedger())
-	if seqBits != batBits {
-		t.Error("batch and sequential admission produced different ledgers")
 	}
 }
 

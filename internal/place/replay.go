@@ -160,7 +160,7 @@ func (a *Admitter) ExportLedger() topology.Ledger {
 func (ad *Admitted) Record() (GrantRecord, bool) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
-	if ad.released.Load() {
+	if ad.released {
 		return GrantRecord{}, false
 	}
 	return GrantRecord{

@@ -124,19 +124,27 @@ func TestGrantResizeGrowShrink(t *testing.T) {
 	}
 
 	grown := resizeGraph(8, 3) // two tiers change in one call
-	if err := grant.Resize(grown); err != nil {
-		t.Fatalf("grow: %v", err)
+	if ok, err := grant.Resize(grown); err != nil || !ok {
+		t.Fatalf("grow: committed %v, %v", ok, err)
 	}
 	if got := grant.Reservation().Placement().VMs(); got != 11 {
 		t.Errorf("after grow placed %d VMs, want 11", got)
 	}
 
 	shrunk := resizeGraph(2, 1)
-	if err := grant.Resize(shrunk); err != nil {
-		t.Fatalf("shrink: %v", err)
+	if ok, err := grant.Resize(shrunk); err != nil || !ok {
+		t.Fatalf("shrink: committed %v, %v", ok, err)
 	}
 	if got := grant.Reservation().Placement().VMs(); got != 3 {
 		t.Errorf("after shrink placed %d VMs, want 3", got)
+	}
+	// Keeping every tier size commits nothing.
+	before := grant.Reservation()
+	if ok, err := grant.Resize(resizeGraph(2, 1)); err != nil || ok {
+		t.Errorf("zero-step resize: committed %v, %v; want false, nil", ok, err)
+	}
+	if grant.Reservation() != before {
+		t.Error("zero-step resize swapped the reservation")
 	}
 	grant.Release()
 
@@ -158,7 +166,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonUnsupported {
+	if _, err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonUnsupported {
 		t.Errorf("resize on non-resizer: reason %q, want %q", ReasonOf(err), ReasonUnsupported)
 	}
 	grant.Release()
@@ -174,14 +182,14 @@ func TestResizeTypedReasons(t *testing.T) {
 	a := bad.AddTier("a", 2)
 	b := bad.AddTier("b", 1)
 	bad.AddBidirectional(a, b, 999, 50)
-	if err := grant.Resize(bad); ReasonOf(err) != ReasonInvalidRequest {
+	if _, err := grant.Resize(bad); ReasonOf(err) != ReasonInvalidRequest {
 		t.Errorf("structural change: reason %q, want %q", ReasonOf(err), ReasonInvalidRequest)
 	}
 
 	// Capacity: growing past the tree must reject, wrap ErrRejected for
 	// back-compat, and leave the ledger exactly as it was.
 	before := reservedProfile(tr)
-	err = grant.Resize(resizeGraph(1000, 1))
+	_, err = grant.Resize(resizeGraph(1000, 1))
 	if !errors.Is(err, ErrRejected) {
 		t.Errorf("impossible grow: %v does not wrap ErrRejected", err)
 	}
@@ -194,7 +202,7 @@ func TestResizeTypedReasons(t *testing.T) {
 
 	// Released grants reject with ReasonReleased.
 	grant.Release()
-	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonReleased {
+	if _, err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonReleased {
 		t.Errorf("resize after release: reason %q, want %q", ReasonOf(err), ReasonReleased)
 	}
 
@@ -205,7 +213,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonUnsupported {
+	if _, err := grant.Resize(resizeGraph(3, 1)); ReasonOf(err) != ReasonUnsupported {
 		t.Errorf("resize under a translated model: reason %q, want %q", ReasonOf(err), ReasonUnsupported)
 	}
 	grant.Release()
@@ -236,7 +244,7 @@ func TestConcurrentResizeRelease(t *testing.T) {
 				defer wg.Done()
 				// A resize may succeed or lose to the release; it must
 				// never fail with anything but a typed error.
-				if err := grant.Resize(resizeGraph(3, 2)); err != nil && ReasonOf(err) == "" {
+				if _, err := grant.Resize(resizeGraph(3, 2)); err != nil && ReasonOf(err) == "" {
 					t.Errorf("untyped resize error: %v", err)
 				}
 			}()

@@ -23,16 +23,11 @@ type Tally struct {
 	admitted, rejected, failed, released, resized atomic.Int64
 	exhausted, failovers, dispatched              atomic.Int64
 
-	// The gauges are written on every admission, resize and release from
-	// every worker; each sits on its own cache line so writers of
-	// different gauges never false-share. reserved is a single atomic,
-	// not a striped sum, because recovery restores it bit for bit and a
-	// re-ordered float fold would not reproduce it.
-	_        cacheLinePad
+	// reserved is a single atomic, not a striped sum, because recovery
+	// restores it bit for bit and a re-ordered float fold would not
+	// reproduce it.
 	reserved atomicFloat64
-	_        cacheLinePad
 	slots    atomic.Int64
-	_        cacheLinePad
 }
 
 // TallyState is a Tally's value as a snapshot records it. Occupied slots
@@ -147,7 +142,3 @@ func (f *atomicFloat64) add(d float64) {
 }
 
 func (f *atomicFloat64) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// cacheLinePad spaces hot atomics a cache line apart. 64 bytes covers
-// x86-64 and most arm64 cores.
-type cacheLinePad struct{ _ [64]byte }

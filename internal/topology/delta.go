@@ -94,7 +94,7 @@ func (d Delta) Normalize() Delta {
 	return d
 }
 
-// Merge combines deltas into one canonical delta: per-node entries are
+// Merge sums deltas into one canonical delta: per-node entries are
 // summed and entries whose contributions cancel exactly drop out. A
 // resize commits Merge(oldFootprint.Negate(), newFootprint) — the net
 // ledger change of the tenant's transition — as a single atomic delta,

@@ -68,16 +68,17 @@ done
 # must exist — a refactor that renames or drops them silently orphans
 # the contract they pin (the Indexes section is the soundness contract
 # of the topology free-capacity index; the README batch note is the
-# public AdmitBatch semantics; the Modes section names what selects
-# every surviving mode, so a new one has to say what pays its rent).
-for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### Flat combining' '^### Group commit' '^## Modes and what pays their rent'; do
+# public AdmitBatch semantics, its durable fsync included; the Modes
+# section names what selects every surviving mode, so a new one has to
+# say what pays its rent).
+for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### One mutex per shard' '^### Group commit' '^## Modes and what pays their rent'; do
     if ! grep -q "$want" docs/ARCHITECTURE.md; then
         echo "docs/ARCHITECTURE.md: missing section matching '$want'"
         fail=1
     fi
 done
-if ! grep -q 'AdmitBatch' README.md; then
-    echo "README.md: missing the batch-admission (AdmitBatch) note"
+if ! grep -q '^### Batch admission (`AdmitBatch`)' README.md || ! grep -q 'one fsync per batch' README.md; then
+    echo "README.md: missing the batch-admission (AdmitBatch) note or its one-fsync-per-batch contract"
     fail=1
 fi
 if ! grep -q 'make analyze' README.md; then
@@ -115,6 +116,47 @@ for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
             echo "$doc: cites \`$name\`, which no _test.go file defines"
             fail=1
         fi
+    done
+done
+
+# Cited flags must exist: every -flag that follows a `bwd` or `simulate`
+# command word (bare or as a path, e.g. ./cmd/bwd) inside backticks or a
+# fenced code block of the narrative docs needs a flag of that name
+# defined in cmd/bwd or cmd/simulate. A command's flags end at a shell
+# separator (|, &, ;, >).
+for cmd in bwd simulate; do
+    defined=$(grep -ohE 'flag\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?"[^"]+"' cmd/$cmd/*.go | sed 's/.*"\([^"]*\)"$/\1/')
+    defined=$(printf '%s\nh\nhelp\n' "$defined" | sort -u)
+    for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+        for name in $(awk -v cmd="$cmd" '
+        { doc = doc $0 "\n" }
+        END {
+            n = split(doc, fence, "```")
+            for (i = 1; i <= n; i++) {
+                if (i % 2 == 0) { code = code "\n" fence[i]; continue }
+                m = split(fence[i], span, "`")
+                for (j = 2; j <= m; j += 2) { s = span[j]; gsub(/\n/, " ", s); code = code "\n" s }
+            }
+            nl = split(code, lines, "\n")
+            for (l = 1; l <= nl; l++) {
+                on = 0
+                k = split(lines[l], w, /[ \t]+/)
+                for (x = 1; x <= k; x++) {
+                    if (w[x] == cmd || w[x] ~ ("/" cmd "$")) on = 1
+                    else if (w[x] ~ /^[|&;>]/) on = 0
+                    else if (on && match(w[x], /^--?[A-Za-z][A-Za-z0-9_-]*/)) {
+                        f = substr(w[x], 1, RLENGTH)
+                        sub(/^--?/, "", f)
+                        print f
+                    }
+                }
+            }
+        }' "$doc" | sort -u); do
+            if ! printf '%s\n' "$defined" | grep -qx -- "$name"; then
+                echo "$doc: cites \`$cmd -$name\`, which cmd/$cmd does not define"
+                fail=1
+            fi
+        done
     done
 done
 
