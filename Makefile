@@ -31,8 +31,8 @@ bin/cloudlint: $(shell find internal/lint cmd/cloudlint -name '*.go' -not -path 
 
 # Godoc coverage: every exported identifier (and every package) in
 # internal/... and the public guarantee package needs a doc comment;
-# the narrative docs keep their contract sections, and every test they
-# cite by name exists.
+# the narrative docs keep their contract sections, and every test,
+# bwd/simulate flag and Go symbol they cite exists.
 docs-check:
 	$(GO) vet ./internal/... ./guarantee/...
 	./scripts/docs-check.sh
@@ -89,10 +89,11 @@ test-full:
 # with the same graph), and at recovery time the grant-event codec
 # (seeded from the committed golden wire corpus) and the WAL frame
 # scanner — plus
-# the event-driven max-min solver, differentially fuzzed against the
-# progressive-filling reference for Float64bits-identical rates (its
-# seed corpus includes instances at, just under and just over a link's
-# capacity, either side of the solver's "every cap fits" return), the
+# the event-driven max-min solver, every answer checked against the
+# max-min certificate netem.Check (its seed corpus includes instances
+# at, just under and just over a link's capacity, either side of the
+# solver's "every cap fits" return, a zero-capacity link, a link crossed
+# twice and an unbounded link), the
 # dataplane's closed-form slack solve against the general RA/max-min
 # path for Float64bits-identical limits, rates and aggregates (the
 # fuzzer picks the guarantee, the loads, alpha and poked limits), and
@@ -121,10 +122,11 @@ test-fuzz:
 # components vs a whole-fabric oracle to 1e-6 Mbps per pair, a link
 # driven slack → contended → inside the margin band → slack, components
 # sharing a slack link solved in parallel, the closed-form slack solve
-# vs the general RA/max-min path by Float64bits), the max-min solver's
-# TestDifferentialFitsShortcut (the "every cap fits" return and its
-# fall-through vs MaxMinReference, Float64bits, with the tightest link
-# parked at every distance from capacity), the admitter's
+# vs the general RA/max-min path by Float64bits; every period's rates
+# certified by netem.Check), the max-min solver's
+# TestDifferentialFitsShortcut (the "every cap fits" return vs the
+# solver's own event loop, Float64bits, with the tightest link parked
+# at every distance from capacity), the admitter's
 # mixed-lifecycle stress check (admits, runs of admits, resizes and
 # releases contending for one shard's mutex under -race, drained to a
 # pristine ledger), the placement search's TestDifferential*

@@ -474,8 +474,8 @@ func limiterStep(cur, target, alpha float64) float64 {
 //   - RA phase 2 caps each pair at d − base, exactly 0 when d ≤ g (the
 //     flow is frozen at 0 from the start), leaving the residual at least
 //     7.6e-10·C + 1e-6 of room; the achieved-rates solve caps it at
-//     min(d, nl) ≤ d, leaving 8.8e-10·C + 1e-6. netem.Solver's proof
-//     bounds the rounding of its residuals by 3.5e-10·C + 5e-10, so
+//     min(d, nl) ≤ d, leaving 8.8e-10·C + 1e-6. netem.Solver's fits
+//     proof bounds the rounding of its event loop's residuals by 3.5e-10·C + 5e-10, so
 //     rem > 1e-9 on every link in every round of both solves, and that
 //     is all its conclusion needs: a flow can only freeze at its cap
 //     event, which assigns rate = cap exactly. This holds where the

@@ -273,6 +273,7 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
+				requireCertified(t, step, d)
 				want := ref.step(t, d)
 				for _, ts := range st.Tenants {
 					for _, p := range pairsOf(t, d, ts.Key) {
@@ -360,6 +361,8 @@ func TestDifferentialContentionCycle(t *testing.T) {
 		}
 		requireStatsIdentical(t, period, stInc, stFull)
 		requirePairsIdentical(t, period, inc, full, stInc)
+		requireCertified(t, period, inc)
+		requireCertified(t, period, full)
 		solved, comps = stInc.Solved, stInc.Components
 		if solved > pending {
 			t.Fatalf("period %d: solved %d components, only %d held a dirty or unsettled tenant", period, solved, pending)

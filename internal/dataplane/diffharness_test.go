@@ -203,6 +203,28 @@ func requireAggregatesFoldPairs(t *testing.T, step int, d *Driver, st *StepStats
 	}
 }
 
+// requireCertified holds every tenant's last solve to the max-min
+// certificate over the whole fabric: each enforced pair is the flow its
+// solve handed the solver — path, declared demand, new limit, weight
+// g+1 — at its cached rate. Components meet only on slack links, which
+// never saturate, so the fleet-wide certificate is the one every
+// component's solve must meet; the slack closed form meets it by
+// construction, every rate at its cap.
+func requireCertified(t *testing.T, step int, d *Driver) {
+	t.Helper()
+	var flows []netem.Flow
+	var rates []float64
+	for _, tn := range d.order {
+		for j, pr := range tn.pairs {
+			flows = append(flows, netem.Flow{Path: tn.paths[j], Demand: pr.Demand, Limit: tn.limits[j], Weight: tn.guarantees[j] + 1})
+		}
+		rates = append(rates, tn.rates...)
+	}
+	if err := netem.Check(d.fabCaps, flows, rates); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+}
+
 // runDifferential drives an incremental and a full-recompute driver
 // through one identical random trace, comparing every step transcript.
 // It returns how many component solves each driver performed.
@@ -274,6 +296,8 @@ func runDifferential(t *testing.T, seed int64, steps int, alpha float64) (incSol
 			requirePairsIdentical(t, step, inc, full, stInc)
 			requireAggregatesFoldPairs(t, step, inc, stInc)
 			requireAggregatesFoldPairs(t, step, full, stFull)
+			requireCertified(t, step, inc)
+			requireCertified(t, step, full)
 			incSolves += stInc.Solved
 			fullSolves += stFull.Solved
 			if stFull.Solved != stFull.Components {

@@ -132,8 +132,9 @@ func TestZeroDemandAndEmptyPath(t *testing.T) {
 	}
 }
 
-// TestMaxMinProperties: feasibility and Pareto-efficiency on random
-// networks.
+// TestMaxMinProperties: Check's certificate on random networks —
+// feasible, and every flow at its cap or at the top level of a
+// saturated link.
 func TestMaxMinProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -166,39 +167,9 @@ func TestMaxMinProperties(t *testing.T) {
 				flows[i].Weight = 1 + float64(r.Intn(4))
 			}
 		}
-		rates := maxMin(n, flows)
-
-		// Feasibility: no link over capacity.
-		load := make([]float64, n.Links())
-		for i, f := range flows {
-			if rates[i] < -1e-9 || rates[i] > f.cap()+1e-6 {
-				return false
-			}
-			for _, l := range f.Path {
-				load[l] += rates[i]
-			}
-		}
-		for l := range load {
-			if load[l] > n.caps[l]+1e-6 {
-				return false
-			}
-		}
-		// Pareto efficiency: every flow is at its cap or crosses a
-		// saturated link.
-		for i, f := range flows {
-			if rates[i] >= f.cap()-1e-6 {
-				continue
-			}
-			saturated := false
-			for _, l := range f.Path {
-				if load[l] >= n.caps[l]-1e-6 {
-					saturated = true
-					break
-				}
-			}
-			if !saturated {
-				return false
-			}
+		if err := Check(n.caps, flows, maxMin(n, flows)); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}

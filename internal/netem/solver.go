@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// eps is the progressive-filling freeze epsilon, identical to the
-// reference's: a link is saturated within eps, a flow capped within it.
+// eps is the freeze epsilon: a link is saturated within eps of full, a
+// flow capped within eps of its cap. Check allows the same band.
 const eps = 1e-9
 
 // The fits test (see Solver): a link provably never saturates when the
@@ -21,10 +21,11 @@ const (
 	fitsMaxOcc = 1 << 20
 )
 
-// Solver is the event-driven weighted max-min allocator: the same
-// progressive filling MaxMinReference performs, restructured so each
-// water-level round touches only the links that still carry unfrozen
-// flows instead of rescanning every flow×link pair.
+// Solver is the event-driven weighted max-min allocator: progressive
+// filling — a water level θ rises, every unfrozen flow transmits w·θ,
+// and a flow freezes at its cap or when a link it crosses saturates —
+// restructured so each water-level round touches only the links that
+// still carry unfrozen flows instead of rescanning every flow×link pair.
 //
 // Per call it builds a CSR link→flow adjacency once, then maintains per
 // touched link the residual capacity left by frozen flows and the
@@ -35,29 +36,30 @@ const (
 // reusable scratch buffers, so a Solver kept across calls performs zero
 // steady-state allocations.
 //
-// The solver is proven Float64bits-identical to MaxMinReference: every
-// floating-point expression mirrors the reference (same operands, same
-// order — per-link sums run over flows in increasing flow index, the
-// order the reference's rescans impose), so the two can never diverge,
-// not even in the 1e-9 epsilon bands around freeze decisions.
+// Its answers pass Check, the linear-time max-min certificate; only
+// determinism pins their bits. Every stored value is a fixed expression
+// — a link's residual folds its flows in increasing flow index, a rate
+// is fl(w·θ) or the cap itself — and the screens and error bounds below
+// decide only which links and flows get the exact test, never what it
+// computes, so a reused Solver returns what a fresh one does.
 //
 // When every cap fits, the answer is the caps. While handing out dense
 // link ids the solver also sums the caps of the unfrozen flows per link
-// (a link listed twice on a path counts twice, as the reference's double
-// subtract does). If on every touched link that sum stays under
+// (a link listed twice on a path counts twice, as the event loop's fold
+// subtracts it twice). If on every touched link that sum stays under
 // capacity·(1−fitsRel) − fitsAbs, every unfrozen flow's cap event level
 // cap/weight is finite, and the instance has at most fitsMaxOcc (flow,
 // link) occurrences, the rates are the caps and the solve returns before
-// the CSR build, both sorts and the event loop. Proof that
-// MaxMinReference returns exactly that (u = 2⁻⁵³, deg a link's
-// occurrence count):
+// the CSR build, both sorts and the event loop. Proof that the event
+// loop returns exactly that (u = 2⁻⁵³, deg a link's occurrence count):
 //
 //   - θ never passes the smallest unfrozen cap event, which is one of the
 //     candidates of the min that picks the next level. So an unfrozen
 //     flow transmits fl(w·θ) ≤ fl(w·fl(cap/w)) ≤ cap·(1+3u) + 2⁻⁵¹ in
 //     every round; a flow frozen at its cap holds it exactly.
-//   - No link saturates. The residual the reference tests with
-//     rem ≤ eps subtracts deg terms, each at most its flow's cap up to
+//   - No link saturates. The exact residual the loop tests with
+//     rem ≤ eps (a screen skips a link only when its estimate provably
+//     clears eps) subtracts deg terms, each at most its flow's cap up to
 //     the rounding above, so it differs from capacity − Σcap by at most
 //     (3·deg+8)·u·capacity + deg·2⁻⁵¹, fold error of both sums included.
 //     With deg ≤ fitsMaxOcc = 2²⁰ that is below 3.5e-10·capacity + 5e-10,
@@ -70,12 +72,14 @@ const (
 //     lies above the smallest cap event on it by more than the
 //     (4·deg+5)·u·capacity its roundings can move it, so each round's
 //     level is that event and freezes its flow — unless w·fl(cap/w)
-//     rounds below cap − eps, where the reference itself spins.)
+//     rounds below cap − eps, where the loop spins.)
 //
 // The test is written so that anything else falls through to the event
 // loop — the comparison is a strict "sum < bound", false for a NaN or
 // +Inf sum (a Greedy flow without a limit), for a NaN, zero or negative
 // capacity, and for any link within the margin.
+// TestDifferentialFitsShortcut holds the early return to the event loop
+// by Float64bits.
 //
 // The dataplane relies on this proof's conclusion, not on the fits
 // test: a component whose links' declared loads all stay these margins
@@ -148,8 +152,8 @@ func NewSolver() *Solver { return &Solver{} }
 
 // MaxMin computes the weighted max-min fair allocation of the flows on
 // the network, appending the per-flow rates to dst (pass dst[:0] to
-// reuse a buffer) and returning the extended slice. The rates are
-// Float64bits-identical to Network.MaxMinReference on the same input.
+// reuse a buffer) and returning the extended slice. The rates pass
+// Check, and a reused Solver returns the bits a fresh one does.
 func (s *Solver) MaxMin(n *Network, flows []Flow, dst []float64) ([]float64, error) {
 	return s.MaxMinCaps(n.caps, flows, dst)
 }
@@ -167,7 +171,7 @@ func (s *Solver) MaxMinCaps(caps []float64, flows []Flow, dst []float64) ([]floa
 			}
 		}
 	}
-	s.solve(caps, flows)
+	s.solve(caps, flows, true)
 	return append(dst, s.rates[:len(flows)]...), nil
 }
 
@@ -241,13 +245,15 @@ func (s *Solver) growDense(nt, total int) {
 }
 
 // solve runs the event-driven progressive filling. Inputs are
-// pre-validated; results land in s.rates.
-func (s *Solver) solve(caps []float64, flows []Flow) {
+// pre-validated; results land in s.rates. With shortcut set, an
+// instance whose caps all fit returns them before the event loop (see
+// Solver): MaxMinCaps always sets it; the tests clear it to hold that
+// return to the loop and to certify the loop alone.
+func (s *Solver) solve(caps []float64, flows []Flow, shortcut bool) {
 	s.grow(len(flows), len(caps))
 
-	// Initial freeze pass — identical rules to the reference: flows with
-	// no positive cap or no path never transmit (a pathless unbounded
-	// flow is undefined and sends nothing).
+	// Initial freeze pass: flows with no positive cap or no path never
+	// transmit (a pathless unbounded flow is undefined and sends nothing).
 	active := 0
 	fits := true
 	for i, f := range flows {
@@ -263,8 +269,6 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 			continue
 		}
 		s.frozen[i] = false
-		// The reference recomputes cap/weight every round; the operands
-		// never change, so one division yields the same bits.
 		s.capEvent[i] = s.capOf[i] / s.weightOf[i]
 		if !(s.capEvent[i] <= math.MaxFloat64) {
 			fits = false
@@ -299,7 +303,7 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 			}
 		}
 	}
-	if fits && total <= fitsMaxOcc {
+	if shortcut && fits && total <= fitsMaxOcc {
 		for _, fi := range s.unf {
 			s.rates[fi] = s.capOf[fi]
 		}
@@ -307,9 +311,9 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 	}
 	s.growDense(nt, total)
 
-	// CSR adjacency: per-link flow lists in increasing flow index — the
-	// exact order the reference's full rescans sum in. A link appearing
-	// twice on one path is listed twice, mirroring the double subtract.
+	// CSR adjacency: per-link flow lists in increasing flow index, the
+	// order every residual fold runs in. A link appearing twice on one
+	// path is listed twice: the flow loads it twice.
 	for _, fi := range s.unf {
 		for _, l := range flows[fi].Path {
 			s.fill[s.denseOf[l]]++
@@ -344,12 +348,12 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 	// the θ-advance min through a frozen-skipping pointer: the first
 	// unfrozen entry IS the minimum unfrozen cap event, because every
 	// entry before the pointer is frozen. scrOrder sorts by svLow, a
-	// conservative lower bound on the level at which the reference's cap
-	// check fl(w·θ) >= cap−eps can first fire: the trigger level is at
+	// conservative lower bound on the level at which the cap check
+	// fl(w·θ) >= cap−eps can first fire: the trigger level is at
 	// least ((cap−eps)/w)·(1−3u), so subtracting 1e-12 relative + 1e-12
 	// absolute (thousands of times the FP error) guarantees no trigger
 	// fires below svLow. Flows whose svLow the water level has passed
-	// become candidates and get the reference's exact check each round
+	// become candidates and get the exact cap check each round
 	// until they freeze — no round scans the full unfrozen set.
 	for _, fi := range s.unf {
 		k := s.capEvent[fi]
@@ -437,9 +441,9 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 		advanced = true
 
 		// Saturation detection at the new level. The residual is read
-		// only as the reference's `<= eps` predicate, so the exact
-		// per-link sum (all flows in flow index order, as the reference
-		// recomputes it) is needed only near saturation. The estimate
+		// only as the `<= eps` predicate, so the exact per-link sum (all
+		// flows in flow index order) is needed only near saturation. The
+		// estimate
 		// remFrozen − θ·w evaluates the same real quantity with a
 		// different rounding; the two computed values differ by at most
 		// ~(2·deg+4)·u·(cap + θ·w) (u = 2⁻⁵², standard fold-summation
@@ -476,7 +480,7 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 		}
 
 		// Cap freezes: admit flows whose screen level the water passed,
-		// then run the reference's exact check on the candidates. Flows
+		// then run the exact cap check on the candidates. Flows
 		// at their cap snap to it.
 		for p < len(s.scrOrder) && s.svLow[s.scrOrder[p]] <= theta {
 			s.cand = append(s.cand, s.scrOrder[p])
@@ -503,8 +507,8 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 		// per-flow decisions are independent of each other (the cap check
 		// above used fl(w·θ), not the frozen flags), so freezing by link
 		// instead of in flow order cannot change any outcome; a flow both
-		// at its cap and on a saturated link already froze above with the
-		// reference's cap-first rate.
+		// at its cap and on a saturated link already froze above, at its
+		// cap.
 		for _, j := range s.sat {
 			for _, fi := range s.flowIdx[s.start[j]:s.start[j+1]] {
 				if s.frozen[fi] {
@@ -517,8 +521,8 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 		}
 	}
 	// Materialize the rates of flows the loop never froze (it broke with
-	// nothing constraining them) at the final level — the value the
-	// reference's last per-round rewrite left them with.
+	// nothing constraining them) at the final level, fl(w·θ) like every
+	// rising rate.
 	if advanced {
 		for _, fi := range s.unf {
 			if !s.frozen[fi] {
@@ -530,7 +534,7 @@ func (s *Solver) solve(caps []float64, flows []Flow) {
 
 // freeze marks a flow frozen and dirties its links: their frozen
 // residual and unfrozen weight are recomputed lazily next round — the
-// O(path) incremental update that replaces the reference's rescans.
+// O(path) incremental update that replaces rescanning every link.
 func (s *Solver) freeze(fi int32, path []LinkID) {
 	s.frozen[fi] = true
 	for _, l := range path {

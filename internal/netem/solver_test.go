@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,7 +13,7 @@ import (
 // are kept small (caps/demands ≤ 4096, weights in [1/8, 8], ≤ 12 links,
 // ≤ 48 flows) so accumulated FP error in the per-link residual sums
 // stays far below the solver's 1e-9 freeze epsilon — outside that
-// envelope progressive filling itself (reference included) can stall.
+// envelope progressive filling can stall.
 func randInstance(rng *rand.Rand) (*Network, []Flow) {
 	n := New()
 	links := 1 + rng.Intn(12)
@@ -50,23 +52,32 @@ func randInstance(rng *rand.Rand) (*Network, []Flow) {
 }
 
 // requireBitIdentical fails unless got and want match Float64bits-wise.
-func requireBitIdentical(t *testing.T, got, want []float64) {
+func requireBitIdentical(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("rate count: got %d, want %d", len(got), len(want))
+		t.Fatalf("%s: rate count: got %d, want %d", what, len(got), len(want))
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("flow %d: fast %v (%#x) != reference %v (%#x)",
-				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("%s: flow %d: got %v (%#x), want %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-// TestSolverMatchesReference cross-checks the event-driven solver
-// against MaxMinReference bit-for-bit over random bounded instances,
-// reusing one Solver throughout so scratch-reuse bugs (stale
-// generations, under-cleared buffers) surface as divergence.
+// requireCertified fails unless Check accepts the rates.
+func requireCertified(t *testing.T, what string, caps []float64, flows []Flow, rates []float64) {
+	t.Helper()
+	if err := Check(caps, flows, rates); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// TestSolverMatchesReference holds the solver to itself and to the
+// certificate over random bounded instances: one Solver reused
+// throughout returns the bits a fresh one does — scratch-reuse bugs
+// (stale generations, under-cleared buffers) surface as divergence —
+// and every answer passes Check.
 func TestSolverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s Solver
@@ -77,26 +88,26 @@ func TestSolverMatchesReference(t *testing.T) {
 	}
 	for it := 0; it < iters; it++ {
 		n, flows := randInstance(rng)
-		want, err := n.MaxMinReference(flows)
+		want, err := n.MaxMin(flows)
 		if err != nil {
-			t.Fatalf("iter %d: reference: %v", it, err)
+			t.Fatalf("iter %d: fresh solver: %v", it, err)
 		}
-		var got []float64
-		got, err = s.MaxMin(n, flows, buf[:0])
+		got, err := s.MaxMin(n, flows, buf[:0])
 		if err != nil {
-			t.Fatalf("iter %d: solver: %v", it, err)
+			t.Fatalf("iter %d: reused solver: %v", it, err)
 		}
 		buf = got
-		requireBitIdentical(t, got, want)
+		what := fmt.Sprintf("iter %d", it)
+		requireBitIdentical(t, what, got, want)
+		requireCertified(t, what, n.caps, flows, got)
 	}
 }
 
-// TestSolverInvariants checks the allocation against first principles
-// rather than against the reference: feasibility (no link above
-// capacity beyond rounding), Pareto-efficiency (every flow pinned by
-// its cap or by a saturated link on its path), and weighted fairness
-// (flows sharing a bottleneck and short of their caps get rates
-// proportional to weight).
+// TestSolverInvariants checks the event loop itself against first
+// principles, not against another solver: with the "every cap fits"
+// return switched off, every answer over the random generator passes
+// Check — feasible, and every flow at its cap or at the top level of a
+// saturated link.
 func TestSolverInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var s Solver
@@ -104,141 +115,46 @@ func TestSolverInvariants(t *testing.T) {
 	if testing.Short() {
 		iters = 200
 	}
-	const tol = 1e-6
 	for it := 0; it < iters; it++ {
 		n, flows := randInstance(rng)
-		rates, err := s.MaxMin(n, flows, nil)
-		if err != nil {
-			t.Fatalf("iter %d: %v", it, err)
-		}
-
-		// Feasibility.
-		load := make([]float64, n.Links())
-		for i, f := range flows {
-			if rates[i] < 0 {
-				t.Fatalf("iter %d: flow %d negative rate %v", it, i, rates[i])
-			}
-			if rates[i] > f.cap()+tol {
-				t.Fatalf("iter %d: flow %d rate %v above cap %v", it, i, rates[i], f.cap())
-			}
-			for _, l := range f.Path {
-				load[l] += rates[i]
-			}
-		}
-		for l := range load {
-			if load[l] > n.Capacity(LinkID(l))+tol {
-				t.Fatalf("iter %d: link %d load %v above capacity %v",
-					it, l, load[l], n.Capacity(LinkID(l)))
-			}
-		}
-
-		// Pareto-efficiency: a flow below its cap must cross a link with
-		// (nearly) no headroom — otherwise its rate could rise without
-		// hurting anyone.
-		for i, f := range flows {
-			if len(f.Path) == 0 || rates[i] >= f.cap()-tol {
-				continue
-			}
-			bottleneck := false
-			for _, l := range f.Path {
-				if n.Capacity(l)-load[l] <= tol {
-					bottleneck = true
-					break
-				}
-			}
-			if !bottleneck {
-				t.Fatalf("iter %d: flow %d at %v (cap %v) has headroom on every link",
-					it, i, rates[i], f.cap())
-			}
-		}
-
-		// Weighted fairness: two cap-unconstrained flows sharing a
-		// saturated link receive rate/weight shares within tolerance —
-		// neither can be ahead of the other at the shared bottleneck.
-		for l := 0; l < n.Links(); l++ {
-			if n.Capacity(LinkID(l))-load[l] > tol {
-				continue
-			}
-			level := math.Inf(1)
-			for i, f := range flows {
-				if rates[i] >= f.cap()-tol || !onPath(f.Path, LinkID(l)) {
-					continue
-				}
-				share := rates[i] / f.weight()
-				if share < level {
-					level = share
-				}
-			}
-			for i, f := range flows {
-				if rates[i] >= f.cap()-tol || !onPath(f.Path, LinkID(l)) {
-					continue
-				}
-				share := rates[i] / f.weight()
-				// A flow's share may exceed the link's fair level only if
-				// this link is not its bottleneck (it froze elsewhere at a
-				// lower level never happens; higher levels do when the
-				// min-share flow froze early on another saturated link).
-				// The max-min property we can assert unconditionally: no
-				// flow sits below the link level by more than rounding
-				// unless some other link pinned it there first.
-				if share < level-tol {
-					t.Fatalf("iter %d: link %d: flow %d share %v below level %v",
-						it, l, i, share, level)
-				}
-			}
-		}
+		s.solve(n.caps, flows, false)
+		requireCertified(t, fmt.Sprintf("iter %d", it), n.caps, flows, s.rates[:len(flows)])
 	}
 }
 
-func onPath(path []LinkID, l LinkID) bool {
-	for _, p := range path {
-		if p == l {
-			return true
-		}
-	}
-	return false
-}
-
-// TestSolverBadInput verifies the fast path reports out-of-range link
-// references with the same wrapped error as the reference.
+// TestSolverBadInput pins the out-of-range link error: it wraps
+// ErrBadInput and names the flow and the link, and Check refuses the
+// same input with the same error.
 func TestSolverBadInput(t *testing.T) {
 	n := New()
 	if _, err := n.AddLink("a", 10); err != nil {
 		t.Fatal(err)
 	}
 	flows := []Flow{{Path: []LinkID{3}, Demand: 1}}
-	_, refErr := n.MaxMinReference(flows)
-	if refErr == nil {
-		t.Fatal("reference accepted unknown link")
+	const want = "netem: bad input: flow 0 references unknown link 3 (network has 1)"
+	if _, err := n.MaxMin(flows); !errors.Is(err, ErrBadInput) || err.Error() != want {
+		t.Fatalf("MaxMin error = %v, want %q wrapping ErrBadInput", err, want)
 	}
-	_, fastErr := n.MaxMin(flows)
-	if fastErr == nil {
-		t.Fatal("want error for unknown link")
-	}
-	if fastErr.Error() != refErr.Error() {
-		t.Fatalf("error text diverged:\nfast: %v\nref:  %v", fastErr, refErr)
+	if err := Check(n.caps, flows, []float64{0}); !errors.Is(err, ErrBadInput) || err.Error() != want {
+		t.Fatalf("Check error = %v, want %q wrapping ErrBadInput", err, want)
 	}
 }
 
 // TestSolverDuplicateLinks pins the duplicate-path-entry semantics: a
-// flow crossing the same link twice consumes double capacity there, in
-// both implementations.
+// flow crossing the same link twice consumes double capacity there, and
+// Check counts it twice too.
 func TestSolverDuplicateLinks(t *testing.T) {
 	n := New()
 	l, _ := n.AddLink("loop", 10)
 	flows := []Flow{{Path: []LinkID{l, l}, Demand: Greedy}}
-	want, err := n.MaxMinReference(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := n.MaxMin(flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, got, want)
 	if math.Abs(got[0]-5) > 1e-6 {
 		t.Fatalf("double-crossing flow got %v, want ~5", got[0])
 	}
+	requireCertified(t, "double crossing", n.caps, flows, got)
 }
 
 // TestSolverZeroAllocs asserts the steady-state zero-allocation
@@ -271,8 +187,8 @@ func TestSolverZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMaxMin compares the fast path and the reference on a
-// parking-lot style instance sized like an enforcement step.
+// BenchmarkMaxMin times the solver on a parking-lot style instance
+// sized like an enforcement step.
 func BenchmarkMaxMin(b *testing.B) {
 	n := New()
 	const links = 64
@@ -310,14 +226,6 @@ func BenchmarkMaxMin(b *testing.B) {
 		fitting[i].Demand = 10 * rng.Float64()
 	}
 	b.Run("fits", solver(fitting))
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := n.MaxMinReference(flows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // fitsDeltas are the distances from capacity at which
@@ -405,34 +313,41 @@ func fitsInstance(rng *rand.Rand, delta, gap float64) (*Network, []Flow) {
 	return n, flows
 }
 
-// TestDifferentialFitsShortcut drives the solver's "every cap fits" early
-// return and its fall-through across the margin, Float64bits against
-// MaxMinReference: instances whose tightest link sits at every
+// TestDifferentialFitsShortcut holds the solver's "every cap fits" early
+// return to its own event loop, Float64bits, the loop reached by
+// clearing solve's shortcut: instances whose tightest link sits at every
 // fitsDeltas distance from capacity, with the last two flows on it
 // between nothing and 3 Mbps apart — a margin on the wrong side of
 // capacity fails here — and then the rounding band, Σcap within a few
 // ulps of capacity and the last flow just over the freeze epsilon short
 // of its cap when the link fills, where only the folds' rounding decides
 // whether the link saturates first: what the margin exists for, and
-// where a margin of 0 fails. Far from capacity the answer must be the
-// caps themselves.
+// where a margin of 0 fails (Check alone would not notice: both answers
+// are within its tolerance). Every answer passes Check, and far from
+// capacity it is the caps themselves.
 func TestDifferentialFitsShortcut(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var s Solver
+	var s, loop Solver
 	var buf []float64
-	check := func(delta, gap float64) {
+	// solve returns the production answer, once the event loop has
+	// returned the same bits.
+	solve := func(what string, n *Network, flows []Flow) []float64 {
 		t.Helper()
-		n, flows := fitsInstance(rng, delta, gap)
-		want, err := n.MaxMinReference(flows)
-		if err != nil {
-			t.Fatalf("delta %g gap %g: reference: %v", delta, gap, err)
-		}
 		got, err := s.MaxMin(n, flows, buf[:0])
 		if err != nil {
-			t.Fatalf("delta %g gap %g: solver: %v", delta, gap, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		buf = got
-		requireBitIdentical(t, got, want)
+		loop.solve(n.caps, flows, false)
+		requireBitIdentical(t, what, got, loop.rates[:len(flows)])
+		return got
+	}
+	check := func(delta, gap float64) {
+		t.Helper()
+		what := fmt.Sprintf("delta %g gap %g", delta, gap)
+		n, flows := fitsInstance(rng, delta, gap)
+		got := solve(what, n, flows)
+		requireCertified(t, what, n.caps, flows, got)
 		if delta < 1e-3 {
 			return
 		}
@@ -443,7 +358,7 @@ func TestDifferentialFitsShortcut(t *testing.T) {
 		}
 		for i, f := range flows {
 			if len(f.Path) > 0 && got[i] != math.Max(f.cap(), 0) {
-				t.Fatalf("flow %d got %v with every link slack, want its cap %v", i, got[i], f.cap())
+				t.Fatalf("%s: flow %d got %v with every link slack, want its cap %v", what, i, got[i], f.cap())
 			}
 		}
 	}
@@ -461,30 +376,32 @@ func TestDifferentialFitsShortcut(t *testing.T) {
 		check([]float64{0, 1e-13, 3e-13, 1e-12}[it%4], 1e-9+[]float64{1e-13, 3e-13, 1e-12}[rng.Intn(3)])
 	}
 
-	// Shapes the random instances do not reach.
+	// Shapes the random instances do not reach. Inside Check's domain
+	// they must pass it; outside it (want set) they must keep the values
+	// the solver has always returned: an overflowing cap event never
+	// rises, and an unbounded flow on an unbounded link stops at the last
+	// finite event.
 	for _, tc := range []struct {
 		name  string
 		cap   float64
 		flows []Flow
+		want  []float64
 	}{
-		{"a link crossed twice counts twice", 30, []Flow{{Path: []LinkID{0, 0}, Demand: 20}}},
-		{"cap event overflows: nothing ever rises", 1000, []Flow{{Path: []LinkID{0}, Demand: 100, Weight: 1e-320}}},
-		{"unbounded link, bounded flows", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy, Limit: 3}}},
-		{"unbounded link, unbounded flow", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy}}},
-		{"empty link", 0, []Flow{{Path: []LinkID{0}, Demand: 7}}},
+		{"a link crossed twice counts twice", 30, []Flow{{Path: []LinkID{0, 0}, Demand: 20}}, nil},
+		{"unbounded link, bounded flows", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy, Limit: 3}}, nil},
+		{"empty link", 0, []Flow{{Path: []LinkID{0}, Demand: 7}}, nil},
+		{"cap event overflows: nothing ever rises", 1000, []Flow{{Path: []LinkID{0}, Demand: 100, Weight: 1e-320}}, []float64{0}},
+		{"unbounded link, unbounded flow", math.Inf(1), []Flow{{Path: []LinkID{0}, Demand: 7}, {Path: []LinkID{0}, Demand: Greedy}}, []float64{7, 7}},
 	} {
 		n := New()
 		if _, err := n.AddLink("l", tc.cap); err != nil {
 			t.Fatal(err)
 		}
-		want, err := n.MaxMinReference(tc.flows)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", tc.name, err)
+		got := solve(tc.name, n, tc.flows)
+		if tc.want == nil {
+			requireCertified(t, tc.name, n.caps, tc.flows, got)
+		} else {
+			requireBitIdentical(t, tc.name, got, tc.want)
 		}
-		got, err := s.MaxMin(n, tc.flows, nil)
-		if err != nil {
-			t.Fatalf("%s: solver: %v", tc.name, err)
-		}
-		requireBitIdentical(t, got, want)
 	}
 }

@@ -160,4 +160,103 @@ for cmd in bwd simulate; do
     done
 done
 
+# Cited Go symbols must exist: every `pkg.Ident` or `pkg.Type.Ident`
+# inside backticks or a fenced code block of the narrative docs whose pkg
+# names a package of this module (bench/ is a module of its own) needs a
+# func, method, type, var, const or field of that name in the package's
+# files, tests included: a test or a test hook is cited as readily as
+# the API. `name.go` is a file, not a symbol.
+gofiles=$(find . -path ./bench -prune -o -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print | sort)
+decls=$(awk '
+function idents(s,    out) {
+    out = ""
+    while (match(s, /^[A-Za-z_][A-Za-z0-9_]*/)) {
+        out = out " " substr(s, 1, RLENGTH)
+        s = substr(s, RLENGTH + 1)
+        if (!match(s, /^[ \t]*,[ \t]*/)) break
+        s = substr(s, RLENGTH + 1)
+    }
+    return out
+}
+function emit(prefix, list,    n, a, i) {
+    n = split(list, a, " ")
+    for (i = 1; i <= n; i++) print pkg " " prefix a[i]
+}
+FNR == 1 { pkg = ""; blk = ""; depth = 0 }
+/^package / { pkg = $2; sub(/_test$/, "", pkg); next }
+pkg == "" || pkg == "main" { next }
+{ line = $0; sub(/[ \t]*\/\/.*/, "", line) }
+depth > 0 {
+    # A struct or interface body: fields, embedded types and methods.
+    s = line
+    sub(/^[ \t]*\*?/, "", s)
+    if (s ~ /^[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*[ \t]*$/) { sub(/^[^.]*\./, "", s); emit(typ ".", idents(s)) }
+    else emit(typ ".", idents(s))
+    depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+    next
+}
+blk != "" {
+    if (line ~ /^\)/) { blk = ""; next }
+    if (line !~ /^\t[A-Za-z_]/) next
+    s = line
+    sub(/^\t/, "", s)
+    if (blk == "value") { emit("", idents(s)); next }
+    match(s, /^[A-Za-z_][A-Za-z0-9_]*/)
+    typ = substr(s, 1, RLENGTH)
+    emit("", typ)
+    if (s ~ /(struct|interface)[ \t]*\{[ \t]*$/) depth = 1
+    next
+}
+/^func \(/ {
+    recv = line
+    sub(/^func \(/, "", recv)
+    sub(/\).*/, "", recv)
+    n = split(recv, p, /[ \t*]+/)
+    rt = p[n]
+    sub(/\[.*/, "", rt)
+    s = line
+    sub(/^func \([^)]*\)[ \t]*/, "", s)
+    emit(rt ".", idents(s))
+    next
+}
+/^func / { s = line; sub(/^func[ \t]+/, "", s); emit("", idents(s)); next }
+/^type \(/ { blk = "type"; next }
+/^(var|const) \(/ { blk = "value"; next }
+/^type [A-Za-z_]/ {
+    typ = $2
+    sub(/\[.*/, "", typ)
+    emit("", typ)
+    if (line ~ /(struct|interface)[ \t]*\{[ \t]*$/) depth = 1
+    next
+}
+/^(var|const) [A-Za-z_]/ { s = line; sub(/^(var|const)[ \t]+/, "", s); emit("", idents(s)) }
+' $gofiles | sort -u)
+pkgs=$(printf '%s\n' "$decls" | cut -d' ' -f1 | sort -u | tr '\n' ' ')
+for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+    for sym in $(awk -v pkgs="$pkgs" '
+    BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) known[p[i]] = 1 }
+    { doc = doc $0 "\n" }
+    END {
+        n = split(doc, fence, "```")
+        for (i = 1; i <= n; i++) {
+            if (i % 2 == 0) { code = code " " fence[i]; continue }
+            m = split(fence[i], span, "`")
+            for (j = 2; j <= m; j += 2) code = code " " span[j]
+        }
+        while (match(code, /[a-z][a-z0-9]*(\.[A-Za-z_][A-Za-z0-9_]*)+/)) {
+            before = RSTART > 1 ? substr(code, RSTART - 1, 1) : " "
+            sym = substr(code, RSTART, RLENGTH)
+            code = substr(code, RSTART + RLENGTH)
+            k = split(sym, part, ".")
+            if (before ~ /[A-Za-z0-9_.\/]/ || !(part[1] in known) || part[2] == "go") continue
+            print part[1] "." part[2] (k > 2 ? "." part[3] : "")
+        }
+    }' "$doc" | sort -u); do
+        if ! printf '%s\n' "$decls" | grep -qxF "${sym%%.*} ${sym#*.}"; then
+            echo "$doc: cites \`$sym\`, which package ${sym%%.*} does not declare"
+            fail=1
+        fi
+    done
+done
+
 exit $fail
