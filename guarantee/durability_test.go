@@ -178,7 +178,7 @@ func fingerprint(t *testing.T, svc Service, live []*handle) string {
 		// counts: a recovered driver must rebuild the same link loads and
 		// the same structure from scratch.
 		for i, st := range rep.PerShard {
-			fmt.Fprintf(&sb, "enfshard%d %+v\n", i, *st)
+			fmt.Fprintf(&sb, "enfshard%d %+v\n", i, shardWithRows(enf, i, st))
 		}
 		fmt.Fprintf(&sb, "enfagg %d %d %d %x %x %x %x %x\n",
 			rep.Tenants, rep.Pairs, rep.Colocated,
@@ -197,6 +197,36 @@ func fingerprint(t *testing.T, svc Service, live []*handle) string {
 		}
 	}
 	return sb.String()
+}
+
+// shardRows is a shard's period outcome with its tenant rows inline. Its
+// fields are ShardEnforcement's, in order, with Tenants holding the rows
+// rather than their count, so %+v prints the text the fingerprints
+// (and testdata/ledger-v1/fingerprint.txt) have always held.
+type shardRows struct {
+	Tenants                                           []TenantEnforcement
+	Pairs, Colocated                                  int
+	GuaranteedMbps, BaseMbps, AchievedMbps, SpareMbps float64
+	MinRatio                                          float64
+	Solved, Components, Contended                     int
+}
+
+// shardWithRows pairs shard i's report with the rows it was folded from,
+// read through Enforcement.Tenants right after the period.
+func shardWithRows(enf *Enforcement, i int, st *ShardEnforcement) shardRows {
+	return shardRows{
+		Tenants:        enf.Tenants(i),
+		Pairs:          st.Pairs,
+		Colocated:      st.Colocated,
+		GuaranteedMbps: st.GuaranteedMbps,
+		BaseMbps:       st.BaseMbps,
+		AchievedMbps:   st.AchievedMbps,
+		SpareMbps:      st.SpareMbps,
+		MinRatio:       st.MinRatio,
+		Solved:         st.Solved,
+		Components:     st.Components,
+		Contended:      st.Contended,
+	}
 }
 
 // durableOpts is the configuration both runs share: multiple shards, a
@@ -566,8 +596,8 @@ func assertReopened(t *testing.T, re, svc Service) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		for _, st := range rep.PerShard {
-			fmt.Fprintf(&sb, "%+v\n", *st)
+		for i, st := range rep.PerShard {
+			fmt.Fprintf(&sb, "%+v\n", shardWithRows(s.Enforcement(), i, st))
 		}
 		fmt.Fprintf(&sb, "%d %d %d %x %x %x %x %x", rep.Tenants, rep.Pairs, rep.Colocated,
 			math.Float64bits(rep.GuaranteedMbps), math.Float64bits(rep.BaseMbps),

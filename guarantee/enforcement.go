@@ -17,10 +17,11 @@ type (
 	// counters (admitted/resized/released/skipped, fabric builds).
 	EnforcementCounters = dataplane.Counters
 	// ShardEnforcement is one shard's control-period outcome:
-	// shard-wide and per-tenant aggregates.
+	// shard-wide aggregates and the count of tenants they cover.
 	ShardEnforcement = dataplane.StepStats
 	// TenantEnforcement is one tenant's slice of a control period:
-	// aggregates over its enforced pairs, and how many there are.
+	// aggregates over its enforced pairs, and how many there are, as
+	// Enforcement.Tenants reports them.
 	TenantEnforcement = dataplane.TenantStats
 	// PairEnforcement is one flow's enforcement outcome, as
 	// Enforcement.Pairs reports it.
@@ -31,9 +32,10 @@ type (
 var Greedy = dataplane.GreedyDemand
 
 // EnforcementReport aggregates one control period (or convergence run)
-// across every shard's dataplane. It carries aggregates only — per-pair
-// state is what does not scale with the fleet; Enforcement.Pairs serves
-// one grant's flows on demand.
+// across every shard's dataplane. It carries aggregates only, so a
+// period costs nothing per idle tenant: Enforcement.Tenants serves a
+// shard's per-tenant rows and Enforcement.Pairs one grant's flows on
+// demand.
 type EnforcementReport struct {
 	// PerShard holds each shard's outcome, indexed by shard ID.
 	PerShard []*ShardEnforcement
@@ -121,7 +123,7 @@ func (e *Enforcement) run(op func(*dataplane.Driver) (*ShardEnforcement, int, er
 func (r *EnforcementReport) add(st *ShardEnforcement, iters int) {
 	r.PerShard = append(r.PerShard, st)
 	r.Iterations += iters
-	r.Tenants += len(st.Tenants)
+	r.Tenants += st.Tenants
 	r.Pairs += st.Pairs
 	r.Colocated += st.Colocated
 	r.GuaranteedMbps += st.GuaranteedMbps
@@ -169,6 +171,20 @@ func (e *Enforcement) Pairs(g Grant) ([]PairEnforcement, error) {
 		return nil, err
 	}
 	return d.Pairs(key)
+}
+
+// Tenants reports one shard's per-tenant aggregates in admission order
+// — the rows a report leaves out. Each row is as of the last control
+// period that solved the tenant: right after Step or Converge the rows
+// are that period's outcome, and folded in order they give the shard's
+// sums bit for bit. A tenant admitted since reports an empty row (no
+// pairs, MinRatio 1) until a period solves it. The slice is the
+// caller's; nil for a shard this Enforcement does not have.
+func (e *Enforcement) Tenants(shard int) []TenantEnforcement {
+	if e == nil || shard < 0 || shard >= len(e.drivers) {
+		return nil
+	}
+	return e.drivers[shard].AppendTenantStats(nil)
 }
 
 // driverOf resolves a grant to its shard's dataplane and its key there.

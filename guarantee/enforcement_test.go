@@ -189,8 +189,8 @@ func TestZeroStepResizeIsNoOp(t *testing.T) {
 		}
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "stats %+v\nenfcounters %+v\npairs %v\n", svc.Stats(), enf.Counters(), pairs)
-		for _, st := range rep.PerShard {
-			fmt.Fprintf(&sb, "step %+v\n", *st)
+		for i, st := range rep.PerShard {
+			fmt.Fprintf(&sb, "step %+v\n", shardWithRows(enf, i, st))
 		}
 		if durable {
 			fmt.Fprintf(&sb, "records %d\n", svc.Durability().Stats().Records)

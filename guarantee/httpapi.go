@@ -49,9 +49,12 @@ type Server struct {
 	// one URL.
 	claimed map[string]bool
 	nextID  int64
-	// lastEnforcement caches the most recent control period's outcome,
-	// so GET /v1/enforcement stays read-only (only POST .../step
-	// advances the loop).
+	// enfMu serializes control periods served over HTTP — the step, the
+	// read of its per-tenant rows and the store of its body — so each
+	// body is one period's outcome. It guards lastEnforcement, which
+	// caches the most recent body, so GET /v1/enforcement stays
+	// read-only (only POST .../step advances the loop).
+	enfMu           sync.Mutex
 	lastEnforcement *enforcementBody
 }
 
@@ -528,15 +531,16 @@ func (s *Server) handleEnforcementStep(w http.ResponseWriter, r *http.Request) {
 			"enforcement not enabled: start the service with WithEnforcement (bwd -enforce)"))
 		return
 	}
+	s.enfMu.Lock()
 	rep, err := enf.Step()
 	if err != nil {
+		s.enfMu.Unlock()
 		writeError(w, err)
 		return
 	}
 	body := enforcementReportBody(enf, rep)
-	s.mu.Lock()
 	s.lastEnforcement = &body
-	s.mu.Unlock()
+	s.enfMu.Unlock()
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -550,9 +554,9 @@ func (s *Server) handleEnforcementGet(w http.ResponseWriter, r *http.Request) {
 			"enforcement not enabled: start the service with WithEnforcement (bwd -enforce)"))
 		return
 	}
-	s.mu.Lock()
+	s.enfMu.Lock()
 	last := s.lastEnforcement
-	s.mu.Unlock()
+	s.enfMu.Unlock()
 	if last != nil {
 		// Refresh the counters — lifecycle events flow regardless of
 		// control periods — but keep the cached period outcome.
@@ -581,9 +585,11 @@ func eventsBody(c EnforcementCounters) enforcementEvents {
 	}
 }
 
-// enforcementReportBody flattens one control period's report. Every
-// field but the lifecycle counters comes from rep: concurrent steppers
-// each get a body that is consistent with its own period.
+// enforcementReportBody flattens one control period's report and the
+// per-tenant rows it was folded from. The aggregates come from rep, the
+// rows from the drivers: the caller reads them before any later period
+// runs (handleEnforcementStep holds enfMu), so the rows fold into the
+// body's sums.
 func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcementBody {
 	body := enforcementBody{
 		Shards:         enf.Shards(),
@@ -601,8 +607,8 @@ func enforcementReportBody(enf *Enforcement, rep *EnforcementReport) enforcement
 		Events:         eventsBody(enf.Counters()),
 		PerTenant:      []enforcementTenant{},
 	}
-	for shard, st := range rep.PerShard {
-		for _, ts := range st.Tenants {
+	for shard := range rep.PerShard {
+		for _, ts := range enf.Tenants(shard) {
 			body.PerTenant = append(body.PerTenant, enforcementTenant{
 				Shard:          shard,
 				Key:            ts.Key,

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -326,6 +328,87 @@ func TestHTTPEnforcement(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || got.Tenants != 0 || got.Components != 0 || got.Solved != 0 {
 		t.Errorf("post-release step = %d %+v, want 0 tenants and 0 components", resp.StatusCode, got)
 	}
+}
+
+// TestHTTPConcurrentStepsFoldTheirRows: concurrent POST
+// /v1/enforcement/step calls, with demands redeclared between them so
+// consecutive periods fold different sums, each get a body whose
+// per_tenant rows are that body's period: folded the way the report
+// folds them — in admission order within a shard, then shard by shard —
+// they give its achieved_mbps and guaranteed_mbps bit for bit.
+func TestHTTPConcurrentStepsFoldTheirRows(t *testing.T) {
+	svc, err := New(testSpec(), WithShards(2), WithEnforcement(EnforcementConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grants []Grant
+	for i := 0; i < 4; i++ { // 5 VMs each: more than a server holds
+		g, err := svc.Admit(context.Background(), Request{Graph: testGraph(3, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grants = append(grants, g)
+	}
+	ts := httptest.NewServer(NewServer(svc).Handler())
+	t.Cleanup(ts.Close)
+
+	const steppers, steps = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < steppers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < steps; i++ {
+				var demands []Demand
+				for src := 0; src < 3; src++ {
+					for dst := 3; dst < 5; dst++ {
+						demands = append(demands, Demand{Src: src, Dst: dst, Mbps: 1 + 100*rng.Float64()})
+					}
+				}
+				if err := svc.Enforcement().SetDemand(grants[rng.Intn(len(grants))], demands); err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/v1/enforcement/step", "", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var body enforcementBody
+				err = json.NewDecoder(resp.Body).Decode(&body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("step: status %d, decoding: %v", resp.StatusCode, err)
+					return
+				}
+				achieved, guaranteed := foldRows(body.PerTenant)
+				if len(body.PerTenant) != body.Tenants || math.Float64bits(achieved) != math.Float64bits(body.AchievedMbps) ||
+					math.Float64bits(guaranteed) != math.Float64bits(body.GuaranteedMbps) {
+					t.Errorf("a body's %d of %d tenant rows fold to %v achieved, %v guaranteed; the body reports %v, %v",
+						len(body.PerTenant), body.Tenants, achieved, guaranteed, body.AchievedMbps, body.GuaranteedMbps)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// foldRows sums per_tenant rows the way a report folds them: each
+// shard's rows in order from zero, then the shard sums in shard order.
+func foldRows(rows []enforcementTenant) (achieved, guaranteed float64) {
+	var shardAchieved, shardGuaranteed float64
+	for i, r := range rows {
+		shardAchieved += r.AchievedMbps
+		shardGuaranteed += r.GuaranteedMbps
+		if i == len(rows)-1 || rows[i+1].Shard != r.Shard {
+			achieved += shardAchieved
+			guaranteed += shardGuaranteed
+			shardAchieved, shardGuaranteed = 0, 0
+		}
+	}
+	return achieved, guaranteed
 }
 
 // TestHTTPDurabilityEndpoints: /v1/healthz, /v1/wal, and /v1/snapshot

@@ -9,13 +9,14 @@ import (
 	"cloudmirror/internal/topology"
 )
 
-// BenchmarkStepStorm times a full-solve control period — every tenant
-// redeclares its offered loads, then one Step — on a 512-tenant fleet
-// over the MediumSpec fabric, in the two regimes the repository's
-// benchmark does not separate. Tenant i is a 3+3-VM two-tier TAG whose
-// tiers sit under neighbouring ToRs, sixteen tenants per ToR pair, so
-// every flow crosses a ToR uplink and the guarantees fill 80% of it;
-// each pair offers 0.25, 0.5, 1 or 2 times its share of the hose.
+// BenchmarkStepStorm times a control period — tenants redeclare their
+// offered loads, then one Step — on a 512-tenant fleet over the
+// MediumSpec fabric: two full-solve regimes the repository's benchmark
+// does not separate, and the steady one it does. Tenant i is a 3+3-VM
+// two-tier TAG whose tiers sit under neighbouring ToRs, sixteen tenants
+// per ToR pair, so every flow crosses a ToR uplink and the guarantees
+// fill 80% of it; each pair offers 0.25, 0.5, 1 or 2 times its share of
+// the hose.
 //
 //   - slack: those loads as they are. ToR uplinks carry ≈75% of their
 //     capacity, no link is contended, every tenant is its own component
@@ -24,20 +25,27 @@ import (
 //     at capacity: each period about half of them are contended and the
 //     set changes, so periods rebuild the structure, components span a
 //     rack's tenants, and their solves run the event loop.
+//   - steady: slack loads, but only 5 of the 512 tenants redeclare each
+//     period, in rotation — enforce_steady's 1%. What a period costs
+//     beyond those few solves is the per-fleet floor: the solve-set
+//     scan and the report.
 //
 // components/op and solved/op report the mean structure a period saw.
 func BenchmarkStepStorm(b *testing.B) {
+	const tenants = 512
 	for _, c := range []struct {
 		name  string
 		scale float64
-	}{{"slack", 1}, {"contended", 4.0 / 3}} {
+		// movers is how many tenants redeclare each period.
+		movers int
+	}{{"slack", 1, tenants}, {"contended", 4.0 / 3, tenants}, {"steady", 1, 5}} {
 		b.Run(c.name, func(b *testing.B) {
 			tree := topology.New(topology.MediumSpec())
 			d, err := New(tree, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			const tenants, perTor, tierVMs, hose = 512, 16, 3, 2000.0 / 3
+			const perTor, tierVMs, hose = 16, 3, 2000.0 / 3
 			servers := tree.Servers()
 			tors := len(servers) / perTor
 			g := tag.New("storm")
@@ -59,15 +67,22 @@ func BenchmarkStepStorm(b *testing.B) {
 			}
 			rng := rand.New(rand.NewSource(1))
 			factors := [...]float64{0.25, 0.5, 1, 2}
-			comps, solved := 0, 0
+			declare := func(key int64) {
+				for i := range ds {
+					ds[i].Mbps = factors[rng.Intn(len(factors))] * hose / tierVMs * c.scale
+				}
+				if err := d.SetDemand(key, ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for key := int64(1); key <= tenants; key++ {
+				declare(key) // no tenant stays on the backlogged default
+			}
+			comps, solved, next := 0, 0, 0
 			period := func() {
-				for key := int64(1); key <= tenants; key++ {
-					for i := range ds {
-						ds[i].Mbps = factors[rng.Intn(len(factors))] * hose / tierVMs * c.scale
-					}
-					if err := d.SetDemand(key, ds); err != nil {
-						b.Fatal(err)
-					}
+				for j := 0; j < c.movers; j++ {
+					declare(int64(1 + next%tenants))
+					next++
 				}
 				st, err := d.Step()
 				if err != nil {

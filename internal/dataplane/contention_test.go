@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cloudmirror/internal/enforce"
@@ -275,7 +276,7 @@ func TestDifferentialWholeFabricOracle(t *testing.T) {
 				}
 				requireCertified(t, step, d)
 				want := ref.step(t, d)
-				for _, ts := range st.Tenants {
+				for _, ts := range tenantRows(d) {
 					for _, p := range pairsOf(t, d, ts.Key) {
 						if p.Colocated {
 							continue
@@ -359,8 +360,8 @@ func TestDifferentialContentionCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireStatsIdentical(t, period, stInc, stFull)
-		requirePairsIdentical(t, period, inc, full, stInc)
+		requireStatsIdentical(t, period, inc, full, stInc, stFull)
+		requirePairsIdentical(t, period, inc, full)
 		requireCertified(t, period, inc)
 		requireCertified(t, period, full)
 		solved, comps = stInc.Solved, stInc.Components
@@ -625,11 +626,11 @@ func TestDifferentialSlackLinkParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireStatsIdentical(t, period, stInc, stFull)
+		requireStatsIdentical(t, period, inc, full, stInc, stFull)
 		if solved, comps := stInc.Solved, stInc.Components; solved != tenants || comps != tenants {
 			t.Fatalf("period %d: solved %d of %d components, want %d of %d", period, solved, comps, tenants, tenants)
 		}
-		for _, ts := range stInc.Tenants {
+		for _, ts := range tenantRows(inc) {
 			if p := pairsOf(t, inc, ts.Key)[0]; p.Rate != p.Demand {
 				t.Fatalf("period %d tenant %d: %v of %v Mbps on an uncontended path", period, ts.Key, p.Rate, p.Demand)
 			}
@@ -665,10 +666,11 @@ func TestRebuildComponentsAllocs(t *testing.T) {
 	}
 }
 
-// TestStepReportCallerOwned: a report and a Pairs slice belong to the
-// caller — the driver fills them from its caches and keeps no reference,
-// so scribbling over either never shows in the next one, and a later
-// period never rewrites an earlier report.
+// TestStepReportCallerOwned: a report, a slice of tenant rows and a
+// Pairs slice belong to the caller — the driver fills them from its
+// caches and keeps no reference, so scribbling over any of them never
+// shows in the next one, and a later period never rewrites an earlier
+// report or the rows read after it.
 func TestStepReportCallerOwned(t *testing.T) {
 	tree := rackTree(32, 2, 1000, 1000)
 	d, err := New(tree, Config{})
@@ -691,44 +693,54 @@ func TestStepReportCallerOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstRows := tenantRows(d)
 	for i, want := range []int{1, 1, 30} {
-		ts := first.Tenants[i]
+		ts := firstRows[i]
 		rows := pairsOf(t, d, ts.Key)
 		if ts.Pairs != want || ts.Colocated != 0 || len(rows) != want {
 			t.Fatalf("tenant %d reports %d+%d flows in %d rows, want %d enforced", ts.Key, ts.Pairs, ts.Colocated, len(rows), want)
 		}
 	}
-	if first.Pairs != 32 || first.Colocated != 0 {
-		t.Fatalf("report counts %d+%d flows, want 32 enforced", first.Pairs, first.Colocated)
+	if first.Tenants != 3 || first.Pairs != 32 || first.Colocated != 0 {
+		t.Fatalf("report counts %d tenants, %d+%d flows; want 3 tenants, 32 enforced", first.Tenants, first.Pairs, first.Colocated)
 	}
-	kept := *first
-	kept.Tenants = append([]TenantStats(nil), first.Tenants...)
+	kept, keptRows := *first, slices.Clone(firstRows)
 
-	// Scribble over a returned Pairs slice and a returned report: the
-	// next ones are read from the driver's caches, not from these.
+	// Scribble over a returned Pairs slice, returned rows and a returned
+	// report: the next ones are read from the driver's caches, not from
+	// these.
 	rows := pairsOf(t, d, 2)
 	rows[0] = PairStats{Src: 9, Dst: 9, Rate: -1}
 	if again := pairsOf(t, d, 2); again[0].Rate != 200 || again[0].Src != 0 || again[0].Dst != 1 {
 		t.Fatalf("mutating a returned Pairs slice showed in the next: %+v", again[0])
 	}
-	first.Tenants[1] = TenantStats{Key: 99, AchievedMbps: -1}
-	first.AchievedMbps = -1
+	firstRows[1] = TenantStats{Key: 99, AchievedMbps: -1}
+	first.Tenants, first.AchievedMbps = -1, -1
 	second, err := d.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireStatsIdentical(t, 2, second, &kept)
+	secondRows := tenantRows(d)
+	requireReportsIdentical(t, 2, second, &kept)
+	requireRowsIdentical(t, 2, secondRows, keptRows)
 
-	// A later period with other rates leaves the earlier report alone.
+	// AppendTenantStats appends after what dst already holds.
+	if got := d.AppendTenantStats([]TenantStats{{Key: 7}}); len(got) != 4 || got[0].Key != 7 || got[1] != keptRows[0] {
+		t.Fatalf("appending to a one-row slice gave %+v", got)
+	}
+
+	// A later period with other rates leaves the earlier report and rows
+	// alone.
 	send(t, 2, 250, d)
 	third, err := d.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := third.Tenants[1].AchievedMbps; got != 250 {
-		t.Fatalf("tenant 2 achieves %v Mbps after redeclaring 250", got)
+	if got := tenantRows(d)[1].AchievedMbps; got != 250 || third.AchievedMbps == second.AchievedMbps {
+		t.Fatalf("tenant 2 achieves %v Mbps after redeclaring 250; shard total %v, was %v", got, third.AchievedMbps, second.AchievedMbps)
 	}
-	if got := second.Tenants[1].AchievedMbps; got != 200 {
-		t.Fatalf("a later step rewrote an earlier report: tenant 2 at %v Mbps, want 200", got)
+	if got := secondRows[1].AchievedMbps; got != 200 || !feq(second.AchievedMbps, kept.AchievedMbps) {
+		t.Fatalf("a later step rewrote earlier results: tenant 2 row at %v Mbps, want 200; report total %v, want %v",
+			got, second.AchievedMbps, kept.AchievedMbps)
 	}
 }

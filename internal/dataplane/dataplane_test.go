@@ -191,7 +191,10 @@ func TestWorkConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := st.Tenants[0]
+	if st.Tenants != 1 {
+		t.Fatalf("report counts %d tenants, want 1", st.Tenants)
+	}
+	ts := tenantRows(d)[0]
 	if ts.MinRatio < 1-1e-9 {
 		t.Errorf("MinRatio = %g, want >= 1: a guarantee was broken", ts.MinRatio)
 	}
@@ -258,8 +261,9 @@ func TestIncrementalLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Tenants[1].Pairs + st.Tenants[1].Colocated; got != 6 {
-		t.Errorf("resized tenant has %d default flows, want 6 (3 VMs all-to-all)", got)
+	if ts := tenantRows(d)[1]; ts.Pairs+ts.Colocated != 6 || st.Pairs+st.Colocated != 8 {
+		t.Errorf("resized tenant has %d default flows of the report's %d, want 6 (3 VMs all-to-all) of 8",
+			ts.Pairs+ts.Colocated, st.Pairs+st.Colocated)
 	}
 
 	// Release tenant 1.
@@ -268,8 +272,8 @@ func TestIncrementalLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Tenants) != 1 || st.Tenants[0].Key != 2 {
-		t.Errorf("after release, tenants = %+v, want only key 2", st.Tenants)
+	if rows := tenantRows(d); st.Tenants != 1 || len(rows) != 1 || rows[0].Key != 2 {
+		t.Errorf("after release, report counts %d tenants, rows %+v; want only key 2", st.Tenants, rows)
 	}
 
 	c := d.Counters()

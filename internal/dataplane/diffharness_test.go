@@ -18,8 +18,8 @@ import (
 // brute-force path and require byte-identical observable state. Here
 // the trace is a churn of admissions, resizes, releases, demand
 // declarations, and control periods; the observable is the full
-// StepStats transcript plus every tenant's per-pair rows (Driver.Pairs),
-// compared Float64bits-for-Float64bits.
+// StepStats transcript plus every tenant's row (Driver.AppendTenantStats)
+// and per-pair rows (Driver.Pairs), compared Float64bits-for-Float64bits.
 
 // diffTopo is a two-level tree with multi-slot servers, so placements
 // mix colocated (nil-path) and fabric-crossing pairs and tenants
@@ -96,15 +96,26 @@ func diffDemands(rng *rand.Rand, drv *Driver, key int64) []Demand {
 // feq compares two floats by their bits.
 func feq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// requireStatsIdentical compares two step reports bit-for-bit. Solved
+// tenantRows reads every tenant's row, in admission order.
+func tenantRows(d *Driver) []TenantStats { return d.AppendTenantStats(nil) }
+
+// requireStatsIdentical compares two drivers' step reports, and then
+// every tenant's row through AppendTenantStats, bit-for-bit.
+func requireStatsIdentical(t *testing.T, step int, inc, full *Driver, stInc, stFull *StepStats) {
+	t.Helper()
+	requireReportsIdentical(t, step, stInc, stFull)
+	requireRowsIdentical(t, step, tenantRows(inc), tenantRows(full))
+}
+
+// requireReportsIdentical compares two step reports bit-for-bit. Solved
 // is the one field allowed to differ: it is the effort, not the outcome.
-func requireStatsIdentical(t *testing.T, step int, inc, full *StepStats) {
+func requireReportsIdentical(t *testing.T, step int, inc, full *StepStats) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Fatalf("step %d diverged: %s", step, fmt.Sprintf(format, args...))
 	}
-	if len(inc.Tenants) != len(full.Tenants) {
-		fail("tenant count %d != %d", len(inc.Tenants), len(full.Tenants))
+	if inc.Tenants != full.Tenants {
+		fail("tenant count %d != %d", inc.Tenants, full.Tenants)
 	}
 	if inc.Pairs != full.Pairs || inc.Colocated != full.Colocated || inc.Components != full.Components {
 		fail("counts (%d,%d,%d) != (%d,%d,%d)", inc.Pairs, inc.Colocated, inc.Components,
@@ -115,15 +126,23 @@ func requireStatsIdentical(t *testing.T, step int, inc, full *StepStats) {
 		!feq(inc.MinRatio, full.MinRatio) {
 		fail("aggregates %+v != %+v", inc, full)
 	}
-	for i := range inc.Tenants {
-		a, b := &inc.Tenants[i], &full.Tenants[i]
+}
+
+// requireRowsIdentical compares two sets of tenant rows bit-for-bit.
+func requireRowsIdentical(t *testing.T, step int, inc, full []TenantStats) {
+	t.Helper()
+	if len(inc) != len(full) {
+		t.Fatalf("step %d diverged: %d tenant rows != %d", step, len(inc), len(full))
+	}
+	for i := range inc {
+		a, b := &inc[i], &full[i]
 		if a.Key != b.Key || a.ID != b.ID || a.Pairs != b.Pairs || a.Colocated != b.Colocated {
-			fail("tenant %d identity/pair counts mismatch: %+v != %+v", i, a, b)
+			t.Fatalf("step %d diverged: tenant %d identity/pair counts mismatch: %+v != %+v", step, i, a, b)
 		}
 		if !feq(a.GuaranteedMbps, b.GuaranteedMbps) || !feq(a.BaseMbps, b.BaseMbps) ||
 			!feq(a.AchievedMbps, b.AchievedMbps) || !feq(a.SpareMbps, b.SpareMbps) ||
 			!feq(a.MinRatio, b.MinRatio) {
-			fail("tenant %d (key %d) aggregates differ: %+v != %+v", i, a.Key, a, b)
+			t.Fatalf("step %d diverged: tenant %d (key %d) aggregates differ: %+v != %+v", step, i, a.Key, a, b)
 		}
 	}
 }
@@ -140,9 +159,9 @@ func pairsOf(t *testing.T, d *Driver, key int64) []PairStats {
 
 // requirePairsIdentical compares every tenant's per-pair rows on two
 // drivers bit-for-bit.
-func requirePairsIdentical(t *testing.T, step int, inc, full *Driver, st *StepStats) {
+func requirePairsIdentical(t *testing.T, step int, inc, full *Driver) {
 	t.Helper()
-	for _, ts := range st.Tenants {
+	for _, ts := range tenantRows(inc) {
 		a, b := pairsOf(t, inc, ts.Key), pairsOf(t, full, ts.Key)
 		if len(a) != len(b) {
 			t.Fatalf("step %d tenant %d: %d rows != %d", step, ts.Key, len(a), len(b))
@@ -158,13 +177,17 @@ func requirePairsIdentical(t *testing.T, step int, inc, full *Driver, st *StepSt
 }
 
 // requireAggregatesFoldPairs checks the report against the detail it
-// was folded from: every tenant's cached aggregates must equal, bit for
-// bit, a fold over its Pairs rows in pair order, and the shard sums a
-// fold over the tenants in admission order.
+// was folded from: every tenant's row must equal, bit for bit, a fold
+// over its Pairs rows in pair order, and the shard sums a fold over the
+// tenants in admission order.
 func requireAggregatesFoldPairs(t *testing.T, step int, d *Driver, st *StepStats) {
 	t.Helper()
 	sum := StepStats{MinRatio: 1}
-	for _, ts := range st.Tenants {
+	rows := tenantRows(d)
+	if len(rows) != st.Tenants {
+		t.Fatalf("step %d: report counts %d tenants, the driver serves %d rows", step, st.Tenants, len(rows))
+	}
+	for _, ts := range rows {
 		want := TenantStats{Key: ts.Key, ID: ts.ID, MinRatio: 1}
 		for _, p := range pairsOf(t, d, ts.Key) {
 			if p.Colocated {
@@ -292,8 +315,8 @@ func runDifferential(t *testing.T, seed int64, steps int, alpha float64) (incSol
 			if err != nil {
 				t.Fatalf("step %d: full: %v", step, err)
 			}
-			requireStatsIdentical(t, step, stInc, stFull)
-			requirePairsIdentical(t, step, inc, full, stInc)
+			requireStatsIdentical(t, step, inc, full, stInc, stFull)
+			requirePairsIdentical(t, step, inc, full)
 			requireAggregatesFoldPairs(t, step, inc, stInc)
 			requireAggregatesFoldPairs(t, step, full, stFull)
 			requireCertified(t, step, inc)
@@ -371,8 +394,8 @@ func TestDifferentialConverge(t *testing.T) {
 	if itInc != itFull {
 		t.Fatalf("converged in %d (incremental) vs %d (full) iterations", itInc, itFull)
 	}
-	requireStatsIdentical(t, 0, stInc, stFull)
-	requirePairsIdentical(t, 0, inc, full, stInc)
+	requireStatsIdentical(t, 0, inc, full, stInc, stFull)
+	requirePairsIdentical(t, 0, inc, full)
 }
 
 // scratchLinkLoads folds every link's declared load from the tenants'

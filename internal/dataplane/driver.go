@@ -78,7 +78,7 @@ type Counters struct {
 // itself, plus everything a control period would otherwise recompute
 // for a tenant nothing happened to — flow paths, its share of every
 // link's declared load, the last solve's outcome, and the aggregates
-// the step report copies.
+// the step report folds.
 type tenant struct {
 	key, id int64
 	// pos is the tenant's index in Driver.order (and Driver.stats): its
@@ -162,12 +162,12 @@ type PairStats struct {
 	Colocated bool
 }
 
-// TenantStats aggregates one tenant's step outcome. Sums and ratios
-// cover enforced (fabric-crossing) pairs only, folded in pair order
-// when the tenant's component was last solved; a tenant whose component
-// a period skips reports the values of that solve, which are the values
-// re-solving would produce. Per-pair detail is not part of a report:
-// ask Driver.Pairs.
+// TenantStats aggregates one tenant's step outcome, as
+// Driver.AppendTenantStats reports it. Sums and ratios cover enforced
+// (fabric-crossing) pairs only, folded in pair order when the tenant's
+// component was last solved; a tenant whose component a period skips
+// keeps the values of that solve, which are the values re-solving would
+// produce. Per-pair detail is Driver.Pairs'.
 type TenantStats struct {
 	// Key is the grant key; ID the caller-chosen tenant ID.
 	Key, ID int64
@@ -186,13 +186,14 @@ type TenantStats struct {
 	MinRatio float64
 }
 
-// StepStats reports one control period over the whole shard: per-tenant
-// and shard-wide aggregates, no per-pair rows (Driver.Pairs serves
-// those on demand). The report is the caller's: the driver keeps no
-// reference to it.
+// StepStats reports one control period over the whole shard: shard-wide
+// aggregates only. Per-tenant rows (Driver.AppendTenantStats) and
+// per-pair rows (Driver.Pairs) are served on demand, so a period costs
+// nothing per idle tenant. The report is the caller's: the driver keeps
+// no reference to it.
 type StepStats struct {
-	// Tenants holds per-tenant outcomes in admission order.
-	Tenants []TenantStats
+	// Tenants counts the tenants under enforcement.
+	Tenants int
 	// Pairs counts enforced (fabric-crossing) flows; Colocated the
 	// intra-server flows excluded from enforcement.
 	Pairs, Colocated int
@@ -234,8 +235,10 @@ type StepStats struct {
 //     the achieved rates over the kept guarantees, in closed form for a
 //     component no contended link touches — in parallel, folding
 //     results in deterministic component order;
-//   - reports per-tenant aggregates cached at solve time. Per-pair
-//     detail is served on demand (Pairs), never materialised per period.
+//   - folds the shard's aggregates from the per-tenant aggregates cached
+//     at solve time, in admission order, copying nothing. Per-tenant rows
+//     (AppendTenantStats) and per-pair rows (Pairs) are served on demand,
+//     never materialised per period.
 //
 // Tenants that merely cross the same slack link stay in separate
 // components; undeclared and Greedy flows make every link on their path
@@ -257,8 +260,9 @@ type Driver struct {
 	// tenants indexes the enforced tenants by grant key; order lists
 	// them in admission order, and stats, parallel to it, holds each
 	// one's report aggregates as of its last solve — one contiguous
-	// block, so a report is a copy of it. changed queues the tenants
-	// whose declaration moved since the last period (tenant.queued).
+	// block, which a report folds and AppendTenantStats copies. changed
+	// queues the tenants whose declaration moved since the last period
+	// (tenant.queued).
 	tenants map[int64]*tenant
 	order   []*tenant
 	stats   []TenantStats
@@ -401,7 +405,8 @@ func (d *Driver) install(ev place.Event) bool {
 		t = &tenant{key: ev.Key, id: ev.ID, pos: len(d.order), comp: -1}
 		d.tenants[ev.Key] = t
 		d.order = append(d.order, t)
-		d.stats = append(d.stats, TenantStats{})
+		// Until its first solve the tenant's row is an empty one.
+		d.stats = append(d.stats, TenantStats{Key: t.key, ID: t.id, MinRatio: 1})
 	}
 	t.graph, t.bind, t.gp = ev.Graph, bind, enforce.NewTAGPartitioner(bind.Deployment())
 	t.demands = nil // VM IDs changed; offered loads must be re-declared
@@ -605,6 +610,19 @@ func (d *Driver) Pairs(key int64) ([]PairStats, error) {
 	return out, nil
 }
 
+// AppendTenantStats appends each tenant's aggregates to dst, in
+// admission order, and returns the extended slice — the per-tenant
+// detail a step report leaves out. Each row is as of the last control
+// period that solved the tenant, so right after a period the rows are
+// that period's outcome and fold, in order, into its report's sums. A
+// tenant admitted since reports an empty row (no pairs, MinRatio 1)
+// until a period solves it. The rows are copies: the caller owns dst.
+func (d *Driver) AppendTenantStats(dst []TenantStats) []TenantStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append(dst, d.stats...)
+}
+
 // Tenants returns the number of tenants under enforcement.
 func (d *Driver) Tenants() int {
 	d.mu.Lock()
@@ -748,20 +766,20 @@ func (d *Driver) pickSolveSet() {
 	d.lastSolved, d.lastComps, d.lastContended = len(d.solveSet), len(d.comps), contended
 }
 
-// report gathers the period's outcome from the per-tenant aggregates
+// report folds the period's outcome from the per-tenant aggregates
 // cached at solve time, in admission order: the same sums in the same
-// order whether a tenant was solved this period or long ago. The
-// caller holds d.mu and owns the result.
+// order whether a tenant was solved this period or long ago. It copies
+// no row. The caller holds d.mu and owns the result.
 func (d *Driver) report() *StepStats {
 	st := &StepStats{
-		Tenants:    slices.Clone(d.stats),
+		Tenants:    len(d.stats),
 		MinRatio:   1,
 		Solved:     d.lastSolved,
 		Components: d.lastComps,
 		Contended:  d.lastContended,
 	}
-	for i := range st.Tenants {
-		ts := &st.Tenants[i]
+	for i := range d.stats {
+		ts := &d.stats[i]
 		st.Pairs += ts.Pairs
 		st.Colocated += ts.Colocated
 		st.GuaranteedMbps += ts.GuaranteedMbps
