@@ -136,7 +136,9 @@ test-fuzz:
 # the crash-recovery identity checks (kill a durable service
 # mid-churn — once, and after every op of a short script with and
 # without snapshot rotation — recover from WAL + snapshot, demand a
-# byte-identical admission trace and final ledger), and the paper
+# byte-identical admission trace and final ledger), the per-grant
+# event order (Resize and Release racing on one grant reach the sink
+# admitted-first, released-last, in commit order), and the paper
 # golden (the printed Table 1 and figures at quick(), -short skipping
 # the Fig. 7–12 sweeps, byte for byte at every -cpu).
 determinism:
@@ -146,7 +148,7 @@ determinism:
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/place/cloudmirror
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/dataplane
 	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestDifferential' ./internal/netem
-	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestCrashRecoveryEveryOp|TestDurableMatchesInMemory|TestGroupCommit' ./guarantee
+	$(GO) test -short -race -count=1 -cpu=1,4,8 -run 'TestCrashRecoveryDeterminism|TestCrashRecoveryEveryOp|TestDurableMatchesInMemory|TestGroupCommit|TestGrantEventOrder' ./guarantee
 
 # One iteration of every per-artifact benchmark: regenerates the quick
 # experiment suite and times the core primitives once. A smoke run, not

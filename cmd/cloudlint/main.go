@@ -3,7 +3,7 @@
 // form of the determinism and public-API invariants that the determinism
 // suite and crash-recovery replay rely on.
 //
-// Standalone (what `make analyze` runs):
+// Usage (what `make analyze` runs):
 //
 //	cloudlint [-mapiter] [-floatorder] [-nodrift] [-apibound] [-errwrap] [packages]
 //
@@ -12,17 +12,8 @@
 // Packages default to ./... and are loaded with full module import-graph
 // visibility, so apibound checks transitive boundary breaches.
 //
-// As a vet tool:
-//
-//	go vet -vettool=$(which cloudlint) ./...
-//
-// cloudlint implements the go vet unitchecker protocol (-V=full, -flags,
-// and the JSON cfg-file invocation). One compilation unit is analyzed at
-// a time in this mode, so apibound degrades to direct-import and
-// resolved-object checks; `make analyze` remains the authoritative gate.
-//
-// Exit status: 0 clean, 1 driver error, 2 (vet mode) or 1 (standalone)
-// when findings are reported.
+// Exit status: 0 clean, 1 on a driver error or when findings are
+// reported.
 package main
 
 import (
@@ -42,9 +33,6 @@ func main() {
 
 func run() int {
 	all := lint.Analyzers()
-	if driver.VersionAndFlags(os.Args[1:], all) {
-		return 0
-	}
 
 	fs := flag.NewFlagSet("cloudlint", flag.ExitOnError)
 	fs.Usage = func() {
@@ -61,12 +49,6 @@ func run() int {
 		return 1
 	}
 	analyzers := pick(all, fs, selected)
-
-	// go vet invocation: a single *.cfg argument describing one unit.
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		return driver.Vet(fs.Arg(0), analyzers)
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

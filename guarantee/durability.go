@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -339,16 +338,16 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 	// are restored after them (it keeps its FabricBuilds — the fabric
 	// really was rebuilt).
 	for i := 0; i < n; i++ {
-		s, sh := &snap.Shards[i], svc.cl.Shard(i)
-		if err := sh.Tree().ImportLedger(s.Ledger); err != nil {
+		s, adm := &snap.Shards[i], svc.cl.Shard(i)
+		if err := adm.Tree().ImportLedger(s.Ledger); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if len(s.PlacerStates) > 0 {
-			sh.RestorePlacerState(s.PlacerStates[0])
+			adm.RestorePlacerState(s.PlacerStates[0])
 		}
-		sh.Tally().Restore(s.Tally)
+		adm.Tally().Restore(s.Tally)
 		for _, rec := range s.Grants {
-			d.grants[grantKey{i, rec.Key}] = &grant{ten: sh.Attach(rec), svc: svc}
+			d.grants[grantKey{i, rec.Key}] = &grant{ad: adm.AttachGrant(rec), shard: i, svc: svc}
 		}
 		if svc.enf != nil {
 			if s.Enforce == nil {
@@ -378,47 +377,30 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 	return nil
 }
 
-// replayEvent applies one recorded lifecycle event. Admit-path events
-// (First >= 0) re-walk the recorded failover route so every shard that
-// saw the request live re-observes it and folds its outcome — tallies
-// and placer demand estimators advance exactly as they did — and the
-// deciding shard folds the walk's end. Resize- and release-scoped
-// events (First == -1) touch only the grant's shard. Older builds also
-// logged zero-step resizes, marked First == -2; they committed nothing
-// and replay as nothing.
+// replayEvent applies one recorded lifecycle event through the entry
+// points live operations take. Admit-path events (First >= 0) re-walk
+// the recorded failover route (see cluster.Dispatcher.Replay): every
+// shard that saw the request live re-observes it and folds its outcome,
+// so tallies and placer demand estimators advance exactly as they did.
+// Resize- and release-scoped events (First == -1) touch only the
+// grant's shard. Older builds also logged zero-step resizes, marked
+// First == -2; they committed nothing and replay as nothing.
 func (d *Durability) replayEvent(ev place.Event) error {
 	svc := d.svc
-	n := svc.cl.Size()
 	if ev.First >= 0 {
-		// Placers observe demand on every well-formed arrival they saw;
-		// NaN marks requests without a TAG (older builds accepted a
-		// caller-supplied model instead), and validation failures never
-		// reached a placer at all.
-		observe := !math.IsNaN(ev.Demand) && ev.Reason != InvalidRequest
-		steps := (ev.Shard - ev.First + n) % n
-		for k := 0; k <= steps; k++ {
-			sh := svc.cl.Shard((ev.First + k) % n)
-			if observe {
-				sh.ObserveDemand(ev.Demand)
-			}
-			if k < steps {
-				sh.Tally().Fold(place.Event{Kind: place.EventRejected, First: -1}, n)
-			}
-		}
-		final := svc.cl.Shard(ev.Shard)
 		switch ev.Kind {
-		case place.EventAdmitted:
-			ten := final.ReplayAdmit(ev)
-			if ten.Key() != ev.Key {
-				return fmt.Errorf("admission took key %d on replay", ten.Key())
-			}
-			d.grants[grantKey{ev.Shard, ev.Key}] = &grant{ten: ten, svc: svc}
-		case place.EventRejected, place.EventFailed:
-			final.Tally().Fold(place.Event{Kind: ev.Kind, First: -1}, n)
+		case place.EventAdmitted, place.EventRejected, place.EventFailed:
 		default:
 			return fmt.Errorf("dispatch-path event with kind %s", ev.Kind)
 		}
-		final.Tally().Fold(ev, n)
+		ad := svc.disp.Replay(ev)
+		if ad == nil {
+			return nil
+		}
+		if ad.Key() != ev.Key {
+			return fmt.Errorf("admission took key %d on replay", ad.Key())
+		}
+		d.grants[grantKey{ev.Shard, ev.Key}] = &grant{ad: ad, shard: ev.Shard, svc: svc}
 		return nil
 	}
 	gk := grantKey{ev.Shard, ev.Key}
@@ -429,16 +411,16 @@ func (d *Durability) replayEvent(ev place.Event) error {
 			return errors.New("resize of unknown grant")
 		}
 		if ev.First != -2 {
-			g.ten.ReplayResize(ev)
+			g.ad.ReplayResize(ev)
 		}
 	case place.EventRejected, place.EventFailed:
-		svc.cl.Shard(ev.Shard).Tally().Fold(ev, n)
+		svc.cl.Shard(ev.Shard).Tally().Fold(ev, svc.cl.Size())
 	case place.EventReleased:
 		g, ok := d.grants[gk]
 		if !ok {
 			return errors.New("release of unknown grant")
 		}
-		g.ten.Release()
+		g.ad.Release()
 		delete(d.grants, gk)
 	default:
 		return fmt.Errorf("grant-scoped event with kind %s", ev.Kind)
@@ -459,10 +441,10 @@ func (d *Durability) encodeSnapshot() ([]byte, error) {
 		Shards:  make([]shardSnap, n),
 	}
 	for i := 0; i < n; i++ {
-		sh := svc.cl.Shard(i)
+		adm := svc.cl.Shard(i)
 		s := &snap.Shards[i]
-		*s = shardSnap{Ledger: sh.ExportLedger(), Tally: sh.Tally().State(), Grants: []place.GrantRecord{}}
-		if v, ok := sh.PlacerState(); ok {
+		*s = shardSnap{Ledger: adm.ExportLedger(), Tally: adm.Tally().State(), Grants: []place.GrantRecord{}}
+		if v, ok := adm.PlacerState(); ok {
 			s.PlacerStates = []float64{v}
 		}
 		if svc.enf != nil {
@@ -472,7 +454,7 @@ func (d *Durability) encodeSnapshot() ([]byte, error) {
 	}
 	//cloudlint:ordered grant records are appended per shard and each shard's slice is sorted by key just below
 	for gk, g := range d.grants {
-		rec, ok := g.ten.Record()
+		rec, ok := g.ad.Record()
 		if !ok {
 			continue
 		}
@@ -568,7 +550,7 @@ func (d *Durability) rejectClosedLocked(op string) error {
 	if d.err != nil {
 		return place.Rejectf(op, ShuttingDown, "service closed after log failure: %v", d.err)
 	}
-	return place.Rejectf(op, ShuttingDown, "service is closed")
+	return rejectClosed(op)
 }
 
 // close flushes a final snapshot and closes the log. Idempotent.
@@ -700,54 +682,20 @@ func (d *Durability) admitBatch(preqs []*place.Request) ([]Grant, error) {
 // not acknowledge the outcome — grant or error — before a flush
 // barrier covers it.
 func (d *Durability) admitLocked(preq *place.Request) (g *grant, lsn uint64, err error) {
-	ten, first, last, err := d.svc.disp.PlaceTraced(preq)
-	demand := math.NaN()
-	if preq.Graph != nil {
-		demand = preq.Graph.PerVMDemand()
-	}
-	if err != nil {
-		kind := place.EventFailed
-		if errors.Is(err, place.ErrRejected) {
-			kind = place.EventRejected
-		}
-		ev := place.Event{
-			Kind:   kind,
-			ID:     preq.ID,
-			Shard:  last,
-			First:  first,
-			Demand: demand,
-			Reason: place.ReasonOf(err),
-		}
-		lsn, aerr := d.writeLocked(ev)
-		if aerr != nil {
-			return nil, 0, aerr
-		}
-		d.maybeSnapshotLocked()
-		return nil, lsn, err
-	}
-	rec, _ := ten.Record()
-	ev := place.Event{
-		Kind:      place.EventAdmitted,
-		Key:       ten.Key(),
-		ID:        preq.ID,
-		Graph:     rec.Graph,
-		Placement: rec.Placement,
-		Shard:     last,
-		First:     first,
-		HA:        rec.HA,
-		Resources: rec.Resources,
-		Delta:     rec.Delta,
-		Demand:    demand,
-	}
+	ad, ev, err := d.svc.disp.Place(preq)
 	lsn, aerr := d.writeLocked(ev)
 	if aerr != nil {
-		ten.Release()
+		if ad != nil {
+			ad.Release()
+		}
 		return nil, 0, aerr
 	}
-	g = &grant{ten: ten, svc: d.svc}
-	d.grants[grantKey{last, ten.Key()}] = g
+	if ad != nil {
+		g = &grant{ad: ad, shard: ev.Shard, svc: d.svc}
+		d.grants[grantKey{ev.Shard, ev.Key}] = g
+	}
 	d.maybeSnapshotLocked()
-	return g, lsn, nil
+	return g, lsn, err
 }
 
 // rollbackGrant undoes an admission whose log record never became
@@ -761,83 +709,43 @@ func (d *Durability) rollbackGrant(g *grant) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	g.ten.Release()
-	delete(d.grants, grantKey{g.ten.Shard().ID(), g.ten.Key()})
+	g.ad.Release()
+	delete(d.grants, grantKey{g.shard, g.ad.Key()})
 }
 
-// resize runs one resize under the durability lock. Outcomes that
-// changed state — committed resizes and failures the shard's tally
-// counted — are logged; Unsupported/Released rejections and zero-step
-// resizes (every tier size kept) change nothing and are not.
+// resize runs one resize under the durability lock. Outcomes the
+// shard's tally folded — committed resizes and counted failures — are
+// logged; Unsupported/Released rejections and zero-step resizes (every
+// tier size kept) fold nothing and are not.
 func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 	d.mu.Lock()
 	if d.closed {
 		defer d.mu.Unlock()
 		return d.rejectClosedLocked("resize")
 	}
-	shard := g.ten.Shard().ID()
-	committed, err := g.ten.Resize(newGraph)
-	if err != nil {
-		reason := place.ReasonOf(err)
-		if reason == Unsupported || reason == Released {
-			d.mu.Unlock()
-			return err // no counters moved; nothing to replay
-		}
-		kind := place.EventFailed
-		if errors.Is(err, place.ErrRejected) {
-			kind = place.EventRejected
-		}
-		ev := place.Event{
-			Kind:   kind,
-			Key:    g.ten.Key(),
-			ID:     g.ten.ID(),
-			Shard:  shard,
-			First:  -1,
-			Demand: math.NaN(),
-			Reason: reason,
-		}
-		lsn, aerr := d.writeLocked(ev)
-		if aerr != nil {
-			d.mu.Unlock()
-			return aerr
-		}
-		d.maybeSnapshotLocked()
+	ev, err := g.ad.Resize(newGraph)
+	if ev.Kind == 0 {
 		d.mu.Unlock()
-		if ferr := d.syncTo(lsn); ferr != nil {
-			return ferr
-		}
-		return err
+		return err // nothing moved; nothing to replay
 	}
-	if !committed {
-		d.mu.Unlock()
-		return nil
-	}
-	rec, _ := g.ten.Record()
-	ev := place.Event{
-		Kind:      place.EventResized,
-		Key:       g.ten.Key(),
-		ID:        g.ten.ID(),
-		Graph:     rec.Graph,
-		Placement: rec.Placement,
-		Shard:     shard,
-		First:     -1,
-		Delta:     rec.Delta,
-		Demand:    math.NaN(),
-	}
+	ev.Shard = g.shard
 	lsn, aerr := d.writeLocked(ev)
 	if aerr != nil {
-		// The resize committed but its record did not: the ledger would
-		// diverge from the log on recovery, so the service wedges
-		// (writeLocked already latched) and the caller must treat the
-		// resize outcome as unknown.
+		// A committed resize whose record did not make it would diverge
+		// from the log on recovery, so the service wedges (writeLocked
+		// already latched) and the caller must treat the outcome as
+		// unknown.
 		d.mu.Unlock()
 		return aerr
 	}
 	d.maybeSnapshotLocked()
 	d.mu.Unlock()
-	// A flush failure wedges and the outcome is unknown — the resize
-	// committed in memory but may be missing from the recovered log.
-	return d.syncTo(lsn)
+	// A flush failure wedges and the outcome is unknown — a resize
+	// committed in memory may be missing from the recovered log.
+	if ferr := d.syncTo(lsn); ferr != nil {
+		return ferr
+	}
+	return err
 }
 
 // release runs one release under the durability lock. Releases on a
@@ -846,24 +754,17 @@ func (d *Durability) resize(g *grant, newGraph *tag.Graph) error {
 // last durable state.
 func (d *Durability) release(g *grant) {
 	d.mu.Lock()
-	if !g.ten.Release() {
+	ev := g.ad.Release()
+	if ev.Kind == 0 {
 		d.mu.Unlock()
 		return // second release: no-op, nothing to log
 	}
-	gk := grantKey{g.ten.Shard().ID(), g.ten.Key()}
-	delete(d.grants, gk)
+	delete(d.grants, grantKey{g.shard, ev.Key})
 	if d.closed {
 		d.mu.Unlock()
 		return
 	}
-	ev := place.Event{
-		Kind:   place.EventReleased,
-		Key:    g.ten.Key(),
-		ID:     g.ten.ID(),
-		Shard:  gk.shard,
-		First:  -1,
-		Demand: math.NaN(),
-	}
+	ev.Shard = g.shard
 	lsn, aerr := d.writeLocked(ev)
 	if aerr != nil {
 		d.mu.Unlock()

@@ -568,7 +568,7 @@ func assertReopened(t *testing.T, re, svc Service) {
 	records := func(s Service) string {
 		var recs []any
 		for _, g := range s.Durability().Grants() {
-			rec, _ := g.(*grant).ten.Record()
+			rec, _ := g.(*grant).ad.Record()
 			recs = append(recs, rec)
 		}
 		return asJSON(recs)

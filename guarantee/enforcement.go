@@ -202,7 +202,7 @@ func (e *Enforcement) driverOf(g Grant) (*dataplane.Driver, int64, error) {
 		return nil, 0, place.Rejectf("enforce", InvalidRequest,
 			"grant was not issued by this service")
 	}
-	return e.drivers[gr.ten.Shard().ID()], gr.ten.Key(), nil
+	return e.drivers[gr.shard], gr.ad.Key(), nil
 }
 
 // SolveStats sums the per-shard incremental-stepping stats of the most

@@ -11,6 +11,7 @@ import (
 
 	"cloudmirror/internal/enforce"
 	"cloudmirror/internal/netem"
+	"cloudmirror/internal/place"
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
@@ -365,4 +366,121 @@ func TestEnforcementConcurrentChurn(t *testing.T) {
 	if rep.Tenants != 0 {
 		t.Errorf("dataplane still tracks %d tenants after all releases", rep.Tenants)
 	}
+}
+
+// recordingSink records every lifecycle event before passing it on to
+// the enforcement dataplane.
+type recordingSink struct {
+	mu     sync.Mutex
+	events []place.Event
+	next   place.EventSink
+}
+
+func (s *recordingSink) Publish(ev place.Event) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+	s.next.Publish(ev)
+}
+
+// TestGrantEventOrder races Resize and Release on one grant at a time
+// and checks, under -race, that the grant's events reach the sink in
+// the order they committed: its admission first, nothing after its
+// release, and every resize carrying the placement of the graph that
+// committed it — the last one the grant's final reservation. The
+// dataplane behind the sink must end with no tenant left.
+func TestGrantEventOrder(t *testing.T) {
+	svc, err := New(testSpec(), WithEnforcement(EnforcementConfig{Alpha: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := svc.(*service)
+	rec := &recordingSink{next: s.enf.drivers[0]}
+	s.cl.Shard(0).SetSink(rec)
+	ctx := context.Background()
+
+	const rounds, resizers = 40, 4
+	for round := 0; round < rounds; round++ {
+		g, err := svc.Admit(ctx, Request{ID: int64(round), Graph: testGraph(1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every resize target has its own size, so none is a zero-step
+		// resize and each committed event names the call behind it.
+		targets := make([]*tag.Graph, resizers)
+		for i := range targets {
+			targets[i] = testGraph(2+i, 1+i%2)
+		}
+		var (
+			wg        sync.WaitGroup
+			committed sync.Map // *tag.Graph -> true for resizes that returned nil
+		)
+		for i := range targets {
+			wg.Add(1)
+			go func(ng *tag.Graph) {
+				defer wg.Done()
+				if err := g.Resize(ctx, ng); err == nil {
+					committed.Store(ng, true)
+				}
+			}(targets[i])
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); g.Release() }()
+		wg.Wait()
+
+		var mine []place.Event
+		rec.mu.Lock()
+		for _, ev := range rec.events {
+			if ev.Key == g.Key() {
+				mine = append(mine, ev)
+			}
+		}
+		rec.events = rec.events[:0]
+		rec.mu.Unlock()
+		if len(mine) < 2 || mine[0].Kind != place.EventAdmitted || mine[len(mine)-1].Kind != place.EventReleased {
+			t.Fatalf("round %d: events %v, want admitted first and released last", round, kinds(mine))
+		}
+		last := mine[0].Placement
+		resized := 0
+		for _, ev := range mine[1 : len(mine)-1] {
+			if ev.Kind != place.EventResized {
+				t.Fatalf("round %d: events %v, want only resizes between admission and release", round, kinds(mine))
+			}
+			if _, ok := committed.Load(ev.Graph); !ok || ev.Placement.VMs() != ev.Graph.VMs() {
+				t.Errorf("round %d: resize to %d VMs published placement of %d VMs (call committed: %v)",
+					round, ev.Graph.VMs(), ev.Placement.VMs(), ok)
+			}
+			last = ev.Placement
+			resized++
+		}
+		calls := 0
+		committed.Range(func(any, any) bool { calls++; return true })
+		if resized != calls {
+			t.Errorf("round %d: %d resizes published, %d committed", round, resized, calls)
+		}
+		if final := g.Reservation().Placement(); fmt.Sprint(final) != fmt.Sprint(last) {
+			t.Errorf("round %d: last published placement %v, final reservation %v", round, last, final)
+		}
+	}
+
+	c := svc.Enforcement().Counters()
+	if c.Admitted != rounds || c.Admitted != c.Released {
+		t.Errorf("dataplane counters %+v, want %d admitted and as many released", c, rounds)
+	}
+	rep, err := svc.Enforcement().Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tenants != 0 {
+		t.Errorf("dataplane still tracks %d tenants after every release", rep.Tenants)
+	}
+}
+
+// kinds lists the events' kinds for failure messages.
+func kinds(evs []place.Event) []place.EventKind {
+	out := make([]place.EventKind, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Kind
+	}
+	return out
 }

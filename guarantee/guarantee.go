@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"cloudmirror/internal/cluster"
 	"cloudmirror/internal/place"
@@ -186,10 +187,11 @@ type Service interface {
 	// log and snapshot lifecycle behind WithDurability/Open — or nil
 	// for an in-memory service.
 	Durability() *Durability
-	// Close shuts the service down cleanly: for a durable service it
-	// writes a final snapshot and closes the write-ahead log; for an
-	// in-memory service it is a no-op. After Close every operation
-	// rejects with ShuttingDown. Idempotent.
+	// Close shuts the service down cleanly: a durable service writes a
+	// final snapshot and closes the write-ahead log; an in-memory
+	// service has nothing to flush. After Close every Admit, AdmitBatch
+	// and Grant.Resize rejects with ShuttingDown; Grant.Release still
+	// frees the tenant and reports nothing. Idempotent.
 	Close(ctx context.Context) error
 }
 
@@ -201,6 +203,9 @@ type service struct {
 	name string
 	enf  *Enforcement
 	dur  *Durability
+	// closed latches an in-memory service's Close; a durable service
+	// latches under its Durability lock instead.
+	closed atomic.Bool
 }
 
 // Name identifies the placement algorithm serving the guarantees.
@@ -230,12 +235,19 @@ func (s *service) Admit(ctx context.Context, req Request) (Grant, error) {
 	if s.dur != nil {
 		return s.dur.admit(preq)
 	}
-	ten, err := s.disp.Place(preq)
+	if s.closed.Load() {
+		return nil, rejectClosed("admit")
+	}
+	ad, ev, err := s.disp.Place(preq)
 	if err != nil {
 		return nil, err
 	}
-	return &grant{ten: ten, svc: s}, nil
+	return &grant{ad: ad, shard: ev.Shard, svc: s}, nil
 }
+
+// rejectClosed is the typed rejection for an operation on a closed
+// in-memory service.
+func rejectClosed(op string) error { return place.Rejectf(op, ShuttingDown, "service is closed") }
 
 // AdmitBatch admits the requests in order, each through the path Admit
 // takes, so each element decides exactly as admitting the batch
@@ -255,14 +267,17 @@ func (s *service) AdmitBatch(ctx context.Context, reqs []Request) ([]Grant, erro
 		return s.dur.admitBatch(preqs)
 	}
 	grants := make([]Grant, len(reqs))
+	if s.closed.Load() {
+		return grants, rejectClosed("admit")
+	}
 	var errs []error
 	for i, preq := range preqs {
-		ten, err := s.disp.Place(preq)
+		ad, ev, err := s.disp.Place(preq)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("request %d: %w", i, place.WithBatchIndex(err, i)))
 			continue
 		}
-		grants[i] = &grant{ten: ten, svc: s}
+		grants[i] = &grant{ad: ad, shard: ev.Shard, svc: s}
 	}
 	return grants, errors.Join(errs...)
 }
@@ -297,24 +312,27 @@ func (s *service) Durability() *Durability { return s.dur }
 
 // Close shuts the service down: a durable service flushes a final
 // snapshot and closes its write-ahead log; an in-memory service has
-// nothing to flush.
+// nothing to flush and only latches closed.
 func (s *service) Close(ctx context.Context) error {
 	if s.dur == nil {
+		s.closed.Store(true)
 		return nil
 	}
 	return s.dur.close(ctx)
 }
 
-// grant adapts a cluster.Tenant to the public Grant interface. svc is
-// the issuing service, so the enforcement plane can verify a grant
-// belongs to it (shard-local keys are not unique across services).
+// grant adapts a place.Admitted on shard `shard` to the public Grant
+// interface. svc is the issuing service, so the enforcement plane can
+// verify a grant belongs to it (shard-local keys are not unique across
+// services).
 type grant struct {
-	ten *cluster.Tenant
-	svc *service
+	ad    *place.Admitted
+	shard int
+	svc   *service
 }
 
 // Reservation exposes the tenant's current placement and holdings.
-func (g *grant) Reservation() *Reservation { return g.ten.Reservation() }
+func (g *grant) Reservation() *Reservation { return g.ad.Reservation() }
 
 // Resize grows or shrinks the tenant in place to newGraph.
 func (g *grant) Resize(ctx context.Context, newGraph *tag.Graph) error {
@@ -324,7 +342,10 @@ func (g *grant) Resize(ctx context.Context, newGraph *tag.Graph) error {
 	if g.svc.dur != nil {
 		return g.svc.dur.resize(g, newGraph)
 	}
-	_, err := g.ten.Resize(newGraph)
+	if g.svc.closed.Load() {
+		return rejectClosed("resize")
+	}
+	_, err := g.ad.Resize(newGraph)
 	return err
 }
 
@@ -334,11 +355,11 @@ func (g *grant) Release() {
 		g.svc.dur.release(g)
 		return
 	}
-	g.ten.Release()
+	g.ad.Release()
 }
 
 // Shard returns the hosting shard's ID.
-func (g *grant) Shard() int { return g.ten.Shard().ID() }
+func (g *grant) Shard() int { return g.shard }
 
 // Key returns the shard-unique grant key.
-func (g *grant) Key() int64 { return g.ten.Key() }
+func (g *grant) Key() int64 { return g.ad.Key() }

@@ -3,6 +3,7 @@ package guarantee
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -131,10 +132,14 @@ func TestWithPlacer(t *testing.T) {
 	}
 }
 
-// TestAdmitValidation: malformed requests reject with InvalidRequest
-// through the central place validation, not placer panics.
+// TestAdmitValidation: malformed requests — hostile HA fields and
+// non-finite resource demands included — reject with InvalidRequest
+// through the central place validation, counted as failures, never as
+// capacity rejections or admissions.
 func TestAdmitValidation(t *testing.T) {
-	svc, err := New(testSpec())
+	spec := testSpec()
+	spec.Resources = []topology.ResourceSpec{{Name: "cpu", PerServer: 8}}
+	svc, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +149,19 @@ func TestAdmitValidation(t *testing.T) {
 	negative.AddTier("a", -3)
 
 	cases := map[string]Request{
-		"empty request":  {},
-		"negative tier":  {Graph: negative},
-		"zero VMs":       {Graph: tag.New("empty")},
-		"bad RWCS":       {Graph: testGraph(2, 1), HA: HASpec{RWCS: 1.5}},
-		"bad resources":  {Graph: testGraph(2, 1), Resources: [][]float64{{1}}},
-		"negative rsrcs": {Graph: testGraph(2, 1), Resources: [][]float64{{-1}, {1}}},
+		"empty request":               {},
+		"negative tier":               {Graph: negative},
+		"zero VMs":                    {Graph: tag.New("empty")},
+		"bad RWCS":                    {Graph: testGraph(2, 1), HA: HASpec{RWCS: 1.5}},
+		"NaN RWCS":                    {Graph: testGraph(2, 1), HA: HASpec{RWCS: math.NaN()}},
+		"negative LAA":                {Graph: testGraph(2, 1), HA: HASpec{LAA: -1}},
+		"LAA past root":               {Graph: testGraph(2, 1), HA: HASpec{RWCS: 0.5, LAA: 99}},
+		"LAA at height":               {Graph: testGraph(2, 1), HA: HASpec{LAA: 2}},
+		"opportunistic LAA past root": {Graph: testGraph(2, 1), HA: HASpec{LAA: 99, Opportunistic: true}},
+		"bad resources":               {Graph: testGraph(2, 1), Resources: [][]float64{{1}}},
+		"negative rsrcs":              {Graph: testGraph(2, 1), Resources: [][]float64{{-1}, {1}}},
+		"NaN rsrcs":                   {Graph: testGraph(2, 1), Resources: [][]float64{{math.NaN()}, {1}}},
+		"infinite rsrcs":              {Graph: testGraph(2, 1), Resources: [][]float64{{1}, {math.Inf(1)}}},
 	}
 	for name, req := range cases {
 		_, err := svc.Admit(ctx, req)
@@ -160,8 +172,58 @@ func TestAdmitValidation(t *testing.T) {
 			t.Errorf("%s: invalid request must not count as a capacity rejection", name)
 		}
 	}
-	if st := svc.Stats(); st.Admitted != 0 {
-		t.Errorf("invalid requests admitted: %+v", st)
+	if st := svc.Stats(); st.Admitted != 0 || st.Rejected != 0 || st.Failed != int64(len(cases)) {
+		t.Errorf("stats = %+v, want every invalid request counted as failed", st)
+	}
+}
+
+// TestClosedServiceRejects: after Close, in-memory and durable services
+// alike reject Admit, AdmitBatch and Grant.Resize with ShuttingDown and
+// count nothing; Grant.Release still frees the tenant.
+func TestClosedServiceRejects(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts func(t *testing.T) []Option
+	}{
+		{"in-memory", func(*testing.T) []Option { return nil }},
+		{"durable", func(t *testing.T) []Option { return []Option{WithDurability(t.TempDir())} }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx := context.Background()
+			svc, err := New(testSpec(), mode.opts(t)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := svc.Admit(ctx, Request{ID: 1, Graph: testGraph(2, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := svc.Stats()
+			if _, err := svc.Admit(ctx, Request{ID: 2, Graph: testGraph(2, 1)}); ReasonOf(err) != ShuttingDown {
+				t.Errorf("Admit after Close: %v, want %s", err, ShuttingDown)
+			}
+			grants, err := svc.AdmitBatch(ctx, []Request{{ID: 3, Graph: testGraph(1, 1)}, {ID: 4, Graph: testGraph(1, 1)}})
+			if ReasonOf(err) != ShuttingDown || grants[0] != nil || grants[1] != nil {
+				t.Errorf("AdmitBatch after Close: %v %v, want %s and no grants", grants, err, ShuttingDown)
+			}
+			if err := g.Resize(ctx, testGraph(3, 1)); ReasonOf(err) != ShuttingDown {
+				t.Errorf("Resize after Close: %v, want %s", err, ShuttingDown)
+			}
+			if after := svc.Stats(); after.Admitted != before.Admitted || after.Resized != before.Resized ||
+				after.Rejected != before.Rejected || after.Failed != before.Failed {
+				t.Errorf("stats moved after Close: %+v -> %+v", before, after)
+			}
+			g.Release()
+			if ld := svc.Loads()[0]; ld.Tenants != 0 || ld.SlotsUsed != 0 {
+				t.Errorf("load after Release = %+v, want the tenant freed", ld)
+			}
+			if err := svc.Close(ctx); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
 	}
 }
 

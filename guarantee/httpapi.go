@@ -88,7 +88,7 @@ func NewServer(svc Service) *Server {
 		if !ok {
 			continue
 		}
-		rec, ok := g.ten.Record()
+		rec, ok := g.ad.Record()
 		if !ok {
 			continue
 		}

@@ -177,6 +177,7 @@ func TestHTTPTypedRejections(t *testing.T) {
 		{"bad json", "POST", "/v1/guarantees", "{", 400, string(InvalidRequest)},
 		{"missing tag", "POST", "/v1/guarantees", "{}", 400, string(InvalidRequest)},
 		{"invalid rwcs", "POST", "/v1/guarantees", `{"tag":` + tagJSON(2, 1) + `,"rwcs":2}`, 400, string(InvalidRequest)},
+		{"laa past root", "POST", "/v1/guarantees", `{"tag":` + tagJSON(2, 1) + `,"rwcs":0.5,"laa":99}`, 400, string(InvalidRequest)},
 		{"capacity", "POST", "/v1/guarantees", `{"tag":` + tagJSON(1000, 1) + `}`, 409, string(NoPlacement)},
 		{"resize unknown id", "POST", "/v1/guarantees/g-99/resize", `{"tag":` + tagJSON(2, 1) + `}`, 404, "not_found"},
 		{"release unknown id", "DELETE", "/v1/guarantees/g-99", "", 404, "not_found"},
@@ -1054,6 +1055,7 @@ func FuzzHTTPAdmit(f *testing.F) {
 		"", `{"tag":{"name":"x"`, "::: not json :::", `{"tag":42}`, `[1,2,3]`, `{}`, `{"tag":null}`,
 		`{"tag":` + tagJSON(2, 1) + `}`,
 		`{"id":7,"tag":` + tagJSON(3, 2) + `,"rwcs":0.5,"laa":1}`,
+		`{"tag":` + tagJSON(2, 1) + `,"rwcs":0.5,"laa":99,"opportunistic":true}`,
 		`{"tag":{"name":"x","tiers":[{"name":"a","n":2},{"name":"a","n":1}],"edges":[]}}`,
 		`{"tag":{"name":"x","tiers":[{"name":"a","n":2}],"edges":[{"from":"a","to":"b","s":1,"r":1}]}}`,
 		`{"tag":{"name":"x","tiers":[{"name":"a","n":4},{"name":"net","external":true}],"edges":[{"from":"a","to":"a","sr":50},{"from":"a","to":"net","s":10,"r":5}]}}`,

@@ -16,11 +16,9 @@ package cluster
 
 import (
 	"errors"
-	"sync"
 
 	"cloudmirror/internal/parallel"
 	"cloudmirror/internal/place"
-	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
 
@@ -44,148 +42,13 @@ type Load struct {
 	Tenants int
 }
 
-// Shard is one independent datacenter tree with its own admitter.
-// Place and Release on different shards never contend; within a shard
-// the place.Admitter serializes ledger mutations and folds every
-// outcome into the shard's tally.
-type Shard struct {
-	id         int
-	adm        *place.Admitter
-	tree       *topology.Tree
-	slotsTotal int
-	// sink, when set, receives the shard's lifecycle events.
-	sink place.EventSink
-}
-
-// SetSink installs the lifecycle-event consumer for this shard:
-// admissions, resizes, and releases are published to it with the
-// tenant's footprint (see place.Event). Must be called before the
-// shard serves requests; a nil sink (the default) disables emission.
-func (s *Shard) SetSink(sink place.EventSink) { s.sink = sink }
-
-// ID is the shard's index within its cluster.
-func (s *Shard) ID() int { return s.id }
-
-// SlotsTotal is the shard's VM slot capacity (fixed at construction).
-func (s *Shard) SlotsTotal() int { return s.slotsTotal }
-
-// Tree exposes the shard's datacenter tree for read-only inspection
-// (level names, per-level reserved totals). Mutating it behind the
-// admission path corrupts the ledger; concurrent admissions make reads
-// approximate.
-func (s *Shard) Tree() *topology.Tree { return s.tree }
-
-// Name identifies the shard's placement algorithm.
-func (s *Shard) Name() string { return s.adm.Name() }
-
-// Tally exposes the shard's fold of its lifecycle events: the counters,
-// the dispatch walks decided here, and the load gauges.
-func (s *Shard) Tally() *place.Tally { return s.adm.Tally() }
-
-// Load returns the shard's occupancy snapshot.
-func (s *Shard) Load() Load {
-	reserved, slots, tenants := s.Tally().Gauges()
-	return Load{ReservedMbps: reserved, SlotsUsed: slots, SlotsTotal: s.slotsTotal, Tenants: tenants}
-}
-
-// Stats returns the shard's monotonic admission counters.
-func (s *Shard) Stats() place.AdmitStats { return s.adm.Stats() }
-
-// Place attempts to admit the request on this shard. It is safe to call
-// from any goroutine; on success the returned Tenant owns the tenant's
-// resources until its Release.
-func (s *Shard) Place(req *place.Request) (*Tenant, error) {
-	ad, err := s.adm.Place(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.admit(ad, req.Graph), nil
-}
-
-// admit wraps a committed admission as a Tenant and publishes its
-// admission event. Shards serve the guarantee service, which prices
-// every tenant by its TAG, so the event carries that TAG for the
-// dataplane to enforce.
-func (s *Shard) admit(ad *place.Admitted, graph *tag.Graph) *Tenant {
-	ten := &Tenant{shard: s, ad: ad}
-	ten.publish(place.EventAdmitted, graph)
-	return ten
-}
-
-// Tenant is a committed tenant admitted through a Shard (directly or
-// via a Dispatcher). Release and Resize are safe to call from any
-// goroutine; operations on one tenant serialize on its own lock, and
-// Release at most once has an effect.
-type Tenant struct {
-	shard *Shard
-	ad    *place.Admitted
-	// mu serializes Resize against Release so the tenant's lifecycle
-	// events reach the sink in the order they took effect.
-	mu sync.Mutex
-}
-
-// Shard returns the shard hosting the tenant.
-func (t *Tenant) Shard() *Shard { return t.shard }
-
-// Key returns the shard-unique grant key carried by the tenant's
-// lifecycle events, so out-of-band consumers (the enforcement
-// dataplane) can address the tenant's state.
-func (t *Tenant) Key() int64 { return t.ad.Key() }
-
-// ID returns the caller-chosen tenant ID from the admitting request.
-func (t *Tenant) ID() int64 { return t.ad.ID() }
-
-// Reservation exposes the underlying reservation for inspection.
-func (t *Tenant) Reservation() *place.Reservation { return t.ad.Reservation() }
-
-// Resize grows or shrinks the tenant in place to newGraph through the
-// shard's admitter (see place.Admitted.Resize), which folds the change
-// into the shard's tally, and reports whether a resize committed. On
-// failure the shard and the tenant are exactly as before, and the error
-// carries a typed place.Reason. A resize that keeps every tier size
-// commits nothing and publishes nothing.
-func (t *Tenant) Resize(newGraph *tag.Graph) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	committed, err := t.ad.Resize(newGraph)
-	if committed {
-		t.publish(place.EventResized, newGraph)
-	}
-	return committed, err
-}
-
-// Release returns the tenant's slots and bandwidth to its shard. It
-// reports whether this call performed the release; subsequent calls
-// are no-ops and report false.
-func (t *Tenant) Release() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.ad.Release() {
-		return false
-	}
-	t.publish(place.EventReleased, nil)
-	return true
-}
-
-// publish delivers one of the tenant's lifecycle events to the shard's
-// sink, if any: the graph and placement it now has, none for a release.
-func (t *Tenant) publish(kind place.EventKind, graph *tag.Graph) {
-	if t.shard.sink == nil {
-		return
-	}
-	ev := place.Event{Kind: kind, Key: t.Key(), ID: t.ID()}
-	if kind != place.EventReleased {
-		ev.Graph, ev.Placement = graph, t.ad.Reservation().Placement()
-	}
-	t.shard.sink.Publish(ev)
-}
-
 // Cluster is a fixed fleet of shards built from one topology spec and
-// one placement algorithm. Shards are independent: each owns its tree
-// and placer, so the cluster as a whole admits concurrently on as many
-// shards as there are callers.
+// one placement algorithm: shard i is the place.Admitter at index i.
+// Shards are independent: each owns its tree and placer, so the cluster
+// as a whole admits concurrently on as many shards as there are
+// callers.
 type Cluster struct {
-	shards []*Shard
+	shards []*place.Admitter
 }
 
 // New builds a cluster of n identical shards, each its own tree from
@@ -200,14 +63,9 @@ func New(spec topology.Spec, n int, newPlacer func(*topology.Tree) place.Placer,
 	if n <= 0 {
 		return nil, errors.New("cluster: shard count must be positive")
 	}
-	shards, err := parallel.Map(workers, n, func(i int) (*Shard, error) {
+	shards, err := parallel.Map(workers, n, func(i int) (*place.Admitter, error) {
 		tree := topology.New(spec)
-		return &Shard{
-			id:         i,
-			adm:        place.NewAdmitter(tree, newPlacer(tree)),
-			tree:       tree,
-			slotsTotal: tree.SlotsTotal(tree.Root()),
-		}, nil
+		return place.NewAdmitter(tree, newPlacer(tree)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -218,15 +76,24 @@ func New(spec topology.Spec, n int, newPlacer func(*topology.Tree) place.Placer,
 // Size returns the number of shards.
 func (c *Cluster) Size() int { return len(c.shards) }
 
-// Shard returns shard i.
-func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
+// Shard returns shard i's admitter.
+func (c *Cluster) Shard(i int) *place.Admitter { return c.shards[i] }
+
+// Load returns shard i's occupancy snapshot, read from its tally and
+// its tree's fixed slot capacity.
+func (c *Cluster) Load(i int) Load {
+	adm := c.shards[i]
+	reserved, slots, tenants := adm.Tally().Gauges()
+	tree := adm.Tree()
+	return Load{ReservedMbps: reserved, SlotsUsed: slots, SlotsTotal: tree.SlotsTotal(tree.Root()), Tenants: tenants}
+}
 
 // Loads returns a snapshot of every shard's occupancy, indexed by shard
 // ID — the input handed to dispatch policies.
 func (c *Cluster) Loads() []Load {
 	loads := make([]Load, len(c.shards))
-	for i, s := range c.shards {
-		loads[i] = s.Load()
+	for i := range c.shards {
+		loads[i] = c.Load(i)
 	}
 	return loads
 }

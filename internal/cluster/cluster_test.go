@@ -46,24 +46,30 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// idleLoad is shard i's load with nothing admitted.
+func idleLoad(c *Cluster, i int) Load {
+	tree := c.Shard(i).Tree()
+	return Load{SlotsTotal: tree.SlotsTotal(tree.Root())}
+}
+
 // TestShardLoadAccounting: the lock-free load gauges track admissions
 // and releases exactly.
 func TestShardLoadAccounting(t *testing.T) {
 	c := newTestCluster(t, 2)
 	s := c.Shard(0)
-	idle := Load{SlotsTotal: s.SlotsTotal()}
-	if got := s.Load(); got != idle {
+	idle := idleLoad(c, 0)
+	if got := c.Load(0); got != idle {
 		t.Fatalf("fresh shard load = %+v, want idle", got)
 	}
-	if s.SlotsTotal() <= 0 {
-		t.Fatalf("SlotsTotal = %d, want positive", s.SlotsTotal())
+	if idle.SlotsTotal <= 0 {
+		t.Fatalf("SlotsTotal = %d, want positive", idle.SlotsTotal)
 	}
 
-	ten, err := s.Place(testRequest(t, 1))
+	ten, _, err := s.Place(testRequest(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := s.Load()
+	ld := c.Load(0)
 	if ld.Tenants != 1 {
 		t.Errorf("Tenants = %d, want 1", ld.Tenants)
 	}
@@ -73,13 +79,13 @@ func TestShardLoadAccounting(t *testing.T) {
 	if want := ten.Reservation().TotalReserved(); ld.ReservedMbps != want {
 		t.Errorf("ReservedMbps = %g, want %g", ld.ReservedMbps, want)
 	}
-	if other := c.Shard(1).Load(); other != (Load{SlotsTotal: c.Shard(1).SlotsTotal()}) {
+	if other := c.Load(1); other != idleLoad(c, 1) {
 		t.Errorf("untouched shard load = %+v, want idle", other)
 	}
 
 	ten.Release()
 	ten.Release() // second release must be a no-op
-	if got := s.Load(); got != idle {
+	if got := c.Load(0); got != idle {
 		t.Errorf("post-release load = %+v, want idle", got)
 	}
 	st := s.Stats()
@@ -105,10 +111,9 @@ func TestClusterParallelConstruction(t *testing.T) {
 		t.Fatalf("sizes differ: %d vs %d", serial.Size(), par.Size())
 	}
 	for i := 0; i < serial.Size(); i++ {
-		if a, b := serial.Shard(i), par.Shard(i); a.ID() != b.ID() ||
-			a.SlotsTotal() != b.SlotsTotal() || a.Name() != b.Name() {
-			t.Errorf("shard %d differs: serial {id %d, slots %d, %s} vs parallel {id %d, slots %d, %s}",
-				i, a.ID(), a.SlotsTotal(), a.Name(), b.ID(), b.SlotsTotal(), b.Name())
+		if a, b := serial.Load(i), par.Load(i); a != b || serial.Shard(i).Name() != par.Shard(i).Name() {
+			t.Errorf("shard %d differs: serial {%+v, %s} vs parallel {%+v, %s}",
+				i, a, serial.Shard(i).Name(), b, par.Shard(i).Name())
 		}
 	}
 }
@@ -124,7 +129,7 @@ func TestClusterConcurrentShards(t *testing.T) {
 			defer wg.Done()
 			s := c.Shard(i)
 			for j := 0; j < 20; j++ {
-				ten, err := s.Place(testRequest(t, int64(i)<<16|int64(j)))
+				ten, _, err := s.Place(testRequest(t, int64(i)<<16|int64(j)))
 				if err != nil {
 					continue
 				}
@@ -134,7 +139,7 @@ func TestClusterConcurrentShards(t *testing.T) {
 	}
 	wg.Wait()
 	for i, ld := range c.Loads() {
-		if ld != (Load{SlotsTotal: c.Shard(i).SlotsTotal()}) {
+		if ld != idleLoad(c, i) {
 			t.Errorf("shard %d load after full release = %+v, want idle", i, ld)
 		}
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"errors"
-
 	"cloudmirror/internal/place"
 )
 
@@ -49,57 +47,60 @@ func (d *Dispatcher) Policy() Policy { return d.policy }
 
 // Place admits the request on the policy's pick, failing over through
 // every remaining shard (wrap-around ID order) on capacity rejections.
-// If all shards reject, the last rejection is returned (it wraps
-// place.ErrRejected); any other placement error aborts the request
-// immediately.
-func (d *Dispatcher) Place(req *place.Request) (*Tenant, error) {
-	ten, _, _, err := d.PlaceTraced(req)
-	return ten, err
-}
-
-// PlaceTraced is Place plus the routing trace a write-ahead log needs
-// to replay the failover walk: the policy's first pick and the shard
-// the walk ended on (the admitting shard, the last rejecting shard, or
-// the shard whose non-capacity failure aborted the walk). Every shard
-// from first to last in wrap-around order saw the request.
-func (d *Dispatcher) PlaceTraced(req *place.Request) (ten *Tenant, first, last int, err error) {
+// It returns the grant, if a shard admitted the request, and the walk's
+// final event — the admission, the last shard's rejection, or the
+// non-capacity failure that aborted the walk — with the policy's first
+// pick and the deciding shard stamped into First and Shard: what a
+// write-ahead log needs to replay the walk (every shard from First to
+// Shard in wrap-around order saw the request). The error is the final
+// shard's; if all shards reject, it wraps place.ErrRejected.
+func (d *Dispatcher) Place(req *place.Request) (*place.Admitted, place.Event, error) {
 	n := d.c.Size()
+	var first int
 	if lf, ok := d.policy.(loadFree); ok {
 		first = lf.PickN(n) // no snapshot for load-indifferent policies
 	} else {
 		first = d.policy.Pick(d.c.Loads())
 	}
+	var (
+		ad  *place.Admitted
+		ev  place.Event
+		err error
+	)
 	for k := 0; k < n; k++ {
-		last = (first + k) % n
-		ten, err = d.c.Shard(last).Place(req)
-		if err == nil || !errors.Is(err, place.ErrRejected) {
+		last := (first + k) % n
+		ad, ev, err = d.c.Shard(last).Place(req)
+		ev.First, ev.Shard = first, last
+		if ev.Kind != place.EventRejected {
 			break
 		}
 	}
-	d.foldWalk(first, last, ten, err)
-	return ten, first, last, err
+	d.c.Shard(ev.Shard).Tally().Fold(ev, n)
+	return ad, ev, err
 }
 
-// foldWalk folds a request's walk from shard first to shard last into
-// the tally of last, the shard that decided it.
-func (d *Dispatcher) foldWalk(first, last int, ten *Tenant, err error) {
-	kind := place.EventAdmitted
-	switch {
-	case ten != nil:
-	case errors.Is(err, place.ErrRejected):
-		kind = place.EventRejected
-	default:
-		kind = place.EventFailed
+// Replay re-walks a logged dispatch-path event (ev.First >= 0) during
+// single-threaded recovery: every shard from First to Shard replays its
+// part of the arrival (see place.Admitter.ReplayArrival) and the
+// deciding shard folds the walk's end, exactly as Place did live. It
+// returns the grant for an admission, nil otherwise.
+func (d *Dispatcher) Replay(ev place.Event) *place.Admitted {
+	n := d.c.Size()
+	steps := (ev.Shard - ev.First + n) % n
+	var ad *place.Admitted
+	for k := 0; k <= steps; k++ {
+		ad = d.c.Shard((ev.First+k)%n).ReplayArrival(ev, k == steps)
 	}
-	d.c.Shard(last).Tally().Fold(place.Event{Kind: kind, First: first, Shard: last}, d.c.Size())
+	d.c.Shard(ev.Shard).Tally().Fold(ev, n)
+	return ad
 }
 
 // Stats reports the dispatcher's counters so far: every shard's
 // admissions, and the walks that exhausted the fleet or failed over.
 func (d *Dispatcher) Stats() DispatchStats {
 	var st DispatchStats
-	for _, s := range d.c.shards {
-		t := s.Tally().State()
+	for _, adm := range d.c.shards {
+		t := adm.Tally().State()
 		st.Admitted += t.Admitted
 		st.Rejected += t.Exhausted
 		st.Failovers += t.Failovers
@@ -111,8 +112,8 @@ func (d *Dispatcher) Stats() DispatchStats {
 // one policy pick: the count a stateful policy is restored to.
 func (d *Dispatcher) Dispatched() uint64 {
 	var n int64
-	for _, s := range d.c.shards {
-		n += s.Tally().State().Dispatched
+	for _, adm := range d.c.shards {
+		n += adm.Tally().State().Dispatched
 	}
 	return uint64(n)
 }

@@ -128,7 +128,7 @@ func TestDispatcherFailoverExhaustsShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher(c, &RoundRobin{})
-	_, err = d.Place(testRequest(t, 1))
+	_, _, err = d.Place(testRequest(t, 1))
 	if !errors.Is(err, place.ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
@@ -158,13 +158,14 @@ func TestDispatcherFailoverAdmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher(c, &RoundRobin{}) // first pick is shard 0
-	ten, err := d.Place(testRequest(t, 1))
+	ten, ev, err := d.Place(testRequest(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ten.Release()
-	if got := ten.Shard().ID(); got != 2 {
-		t.Errorf("admitted on shard %d, want failover to shard 2", got)
+	if ev.Kind != place.EventAdmitted || ev.First != 0 || ev.Shard != 2 || ev.Key != ten.Key() {
+		t.Errorf("walk event = {%s first %d shard %d key %d}, want an admission walked from 0 to 2 with key %d",
+			ev.Kind, ev.First, ev.Shard, ev.Key, ten.Key())
 	}
 	if got := rejects.Load(); got != 2 {
 		t.Errorf("rejecting shards saw %d attempts, want 2", got)
@@ -186,7 +187,7 @@ func TestDispatcherInternalErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher(c, &RoundRobin{})
-	_, err = d.Place(testRequest(t, 1))
+	_, _, err = d.Place(testRequest(t, 1))
 	if err == nil || errors.Is(err, place.ErrRejected) {
 		t.Fatalf("err = %v, want a surfaced internal error", err)
 	}
@@ -199,18 +200,18 @@ func TestDispatcherInternalErrorSurfaces(t *testing.T) {
 // least-loaded policy steers a request away from an occupied shard.
 func TestDispatcherLeastLoadedRouting(t *testing.T) {
 	c := newTestCluster(t, 2)
-	seed, err := c.Shard(0).Place(testRequest(t, 1))
+	seed, _, err := c.Shard(0).Place(testRequest(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seed.Release()
 	d := NewDispatcher(c, LeastLoaded{})
-	ten, err := d.Place(testRequest(t, 2))
+	ten, ev, err := d.Place(testRequest(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ten.Release()
-	if got := ten.Shard().ID(); got != 1 {
+	if got := ev.Shard; got != 1 {
 		t.Errorf("least-loaded routed to shard %d, want the empty shard 1", got)
 	}
 }

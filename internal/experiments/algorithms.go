@@ -84,7 +84,7 @@ func PlaceOne(spec topology.Spec, alg Algorithm, req place.Request) (*topology.T
 		req.Model = alg.ModelFor(req.Graph)
 	}
 	tree := topology.New(spec)
-	ad, err := place.NewAdmitter(tree, alg.NewPlacer(tree)).Place(&req)
+	ad, _, err := place.NewAdmitter(tree, alg.NewPlacer(tree)).Place(&req)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,13 +2,10 @@
 // analyzers and runs them, using only the standard library and the go
 // command.
 //
-// Two entry points exist. Standalone: Load runs `go list -deps -export`
-// over the requested patterns, parses the module's own packages from
-// source, and type-checks them against the compiler's export data for
-// every dependency — so the whole module (plus its full import graph)
-// is visible in one run. Unitchecker: Vet implements the `go vet
-// -vettool` protocol, analyzing one compilation unit from the cfg file
-// the go command hands it.
+// Load runs `go list -deps -export` over the requested patterns, parses
+// the module's own packages from source, and type-checks them against
+// the compiler's export data for every dependency — so the whole module
+// (plus its full import graph) is visible in one run.
 package driver
 
 import (

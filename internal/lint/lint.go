@@ -19,8 +19,8 @@
 //
 // The analyzers are written against internal/lint/analysis, a small
 // stdlib-only mirror of golang.org/x/tools/go/analysis (unavailable in
-// the build environment), and run through cmd/cloudlint either
-// standalone (`make analyze`) or as a `go vet -vettool`.
+// the build environment), and run through cmd/cloudlint (`make
+// analyze`).
 package lint
 
 import "cloudmirror/internal/lint/analysis"

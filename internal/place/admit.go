@@ -2,6 +2,7 @@ package place
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"cloudmirror/internal/tag"
@@ -22,10 +23,15 @@ import (
 // residue from the placer's intermediate reserve/rollback arithmetic —
 // which is what makes replay exact: recovery applies each logged delta
 // to the same ledger bits the live commit applied it to (see
-// ReplayAdmit). Departures go through Admitted.Release, which commits
+// ReplayArrival). Departures go through Admitted.Release, which commits
 // the negated delta under the same lock, and resizes through
 // Admitted.Resize, which commits the net delta of the tenant's
 // old-to-new transition.
+//
+// Every outcome becomes one Event, built here where it commits: it is
+// folded into the admitter's tally, returned to the caller (whose
+// write-ahead log records it), and — for admissions, resizes and
+// releases — published to the sink.
 //
 // The zero value is not usable; construct with NewAdmitter.
 type Admitter struct {
@@ -35,6 +41,8 @@ type Admitter struct {
 	ck     *topology.Snapshot
 	// tally folds every outcome the admitter produces (see Tally).
 	tally Tally
+	// sink, when set, receives the admitter's lifecycle events.
+	sink EventSink
 }
 
 // AdmitStats are an Admitter's monotonic counters.
@@ -63,18 +71,32 @@ func NewAdmitter(tree *topology.Tree, p Placer) *Admitter {
 // Name identifies the underlying algorithm.
 func (a *Admitter) Name() string { return a.placer.Name() }
 
-// Tally exposes the fold of the admitter's outcomes, for the owning
-// shard to fold its dispatch walks into and for snapshots.
+// Tree exposes the admitter's datacenter tree for read-only inspection
+// (level names, per-level reserved totals). Mutating it behind the
+// admission path corrupts the ledger; concurrent admissions make reads
+// approximate.
+func (a *Admitter) Tree() *topology.Tree { return a.tree }
+
+// Tally exposes the fold of the admitter's outcomes, for a dispatcher
+// to fold the walks it decides here into and for snapshots.
 func (a *Admitter) Tally() *Tally { return &a.tally }
 
+// SetSink installs the consumer of the admitter's lifecycle events:
+// every admission, resize and release is published to it (see Event).
+// Must be called before the admitter serves requests; a nil sink (the
+// default) disables publication.
+func (a *Admitter) SetSink(sink EventSink) { a.sink = sink }
+
 // Place attempts to admit the request on the shared tree. It is safe to
-// call from any goroutine. On success the returned Admitted owns the
-// tenant's resources until its Release; on failure the tree is exactly
-// as if the request had never arrived.
-func (a *Admitter) Place(req *Request) (*Admitted, error) {
+// call from any goroutine. It returns the outcome's event — an
+// admission, a capacity rejection, or a failure — already folded into
+// the tally; First is -1 and Shard 0 for a dispatcher to stamp. On
+// success the returned Admitted owns the tenant's resources until its
+// Release; on failure the tree is exactly as if the request had never
+// arrived.
+func (a *Admitter) Place(req *Request) (*Admitted, Event, error) {
 	if err := ValidateRequest(a.tree, req); err != nil {
-		a.foldFailure(err)
-		return nil, err
+		return nil, a.failed(arrival(req), err), err
 	}
 	// The snapshot save/restore copies the whole mutable ledger
 	// (O(nodes), two memcpys of a few hundred KB at paper scale) rather
@@ -90,34 +112,53 @@ func (a *Admitter) Place(req *Request) (*Admitted, error) {
 		// restore additionally wipes any float residue of the attempt.
 		a.tree.RestoreSnapshot(a.ck)
 		a.mu.Unlock()
-		a.foldFailure(err)
-		return nil, err
+		return nil, a.failed(arrival(req), err), err
 	}
 	d := res.Delta()
 	a.tree.RestoreSnapshot(a.ck)
 	a.tree.Apply(d)
 	a.mu.Unlock()
-	return a.admitted(req, res, d), nil
-}
-
-// admitted wraps a committed placement as a grant and folds its
-// admission, which hands the grant its key.
-func (a *Admitter) admitted(req *Request, res *Reservation, d topology.Delta) *Admitted {
 	res.released = true // inspection-only: departures commit the delta
 	ad := &Admitted{a: a, res: res, delta: d, graph: resizableGraph(req), ha: req.HA, id: req.ID}
-	ad.mbps, ad.vms = res.TotalReserved(), res.Placement().VMs()
-	ad.key = a.tally.Fold(outcome(EventAdmitted, ad.mbps, ad.vms), 1)
-	return ad
+	return ad, ad.admitted(arrival(req)), nil
 }
 
-// foldFailure folds a failed placement or resize: a capacity rejection
-// or any other failure (malformed request, internal placer error).
-func (a *Admitter) foldFailure(err error) {
-	kind := EventFailed
-	if errors.Is(err, ErrRejected) {
-		kind = EventRejected
+// arrival is the event every outcome of an admission request starts
+// from: the request's ID, and its graph's per-VM demand, which replay
+// feeds to placer demand estimators — NaN without a graph.
+func arrival(req *Request) Event {
+	ev := Event{ID: req.ID, First: -1, Demand: math.NaN()}
+	if req.Graph != nil {
+		ev.Demand = req.Graph.PerVMDemand()
 	}
-	a.tally.Fold(outcome(kind, 0, 0), 1)
+	return ev
+}
+
+// failed completes ev as the failed placement or resize err caused,
+// folds it, and returns it. It is the one place a failure is
+// classified: a capacity rejection (ErrRejected) or any other failure —
+// a malformed request or an internal placer error.
+func (a *Admitter) failed(ev Event, err error) Event {
+	ev.Kind, ev.Reason = EventFailed, ReasonOf(err)
+	if errors.Is(err, ErrRejected) {
+		ev.Kind = EventRejected
+	}
+	a.tally.Fold(ev, 1)
+	return ev
+}
+
+// publish folds one of a grant's lifecycle events into the tally —
+// an admission takes its key there — and delivers it to the sink.
+// Callers hold the grant's gmu, or own a grant nobody else can reach
+// yet, so one grant's events reach the sink in the order they
+// committed.
+func (a *Admitter) publish(ev *Event) {
+	if key := a.tally.Fold(*ev, 1); ev.Kind == EventAdmitted {
+		ev.Key = key
+	}
+	if a.sink != nil {
+		a.sink.Publish(*ev)
+	}
 }
 
 // Stats reports the admission counters so far.
@@ -143,8 +184,9 @@ type Admitted struct {
 	a *Admitter
 
 	// gmu serializes grant operations (Resize/Release/Reservation/Record)
-	// so a resize never races a release of the same tenant; the fields
-	// below are read and written under it. Lock order: gmu before the
+	// so a resize never races a release of the same tenant, and the
+	// grant's events reach the sink in commit order; the fields below
+	// are read and written under it. Lock order: gmu before the
 	// admitter's mu.
 	gmu      sync.Mutex
 	res      *Reservation
@@ -177,6 +219,32 @@ func (ad *Admitted) Reservation() *Reservation {
 	return ad.res
 }
 
+// admitted completes ev, the arrival's event (First -1), as the
+// admission of a grant built from a committed or recorded reservation,
+// then folds and publishes it, which hands the grant its key, and
+// returns it.
+func (ad *Admitted) admitted(ev Event) Event {
+	ev = ad.admission(ev)
+	ad.a.publish(&ev)
+	ad.key = ev.Key
+	return ev
+}
+
+// admission completes ev as the grant's admission: its whole
+// footprint, which the tally holds for it from then on.
+func (ad *Admitted) admission(ev Event) Event {
+	ad.mbps, ad.vms = ad.res.TotalReserved(), ad.res.placement.VMs()
+	ev.Kind, ev.Graph, ev.Placement, ev.Delta = EventAdmitted, ad.graph, ad.res.placement, ad.delta
+	ev.HA, ev.Resources, ev.Mbps, ev.VMs = ad.ha, ad.res.resources, ad.mbps, ad.vms
+	return ev
+}
+
+// event is the grant's bare event of the given kind: its key and ID,
+// outside the dispatch path. Demand is NaN: only an arrival has one.
+func (ad *Admitted) event(kind EventKind) Event {
+	return Event{Kind: kind, Key: ad.key, ID: ad.id, First: -1, Demand: math.NaN()}
+}
+
 // Resize grows or shrinks the tenant in place to newGraph — the
 // tenant's TAG with one or more tier sizes changed (per-VM guarantees
 // are untouched, §3/§6) — running the placer's incremental auto-scaling
@@ -186,29 +254,33 @@ func (ad *Admitted) Reservation() *Reservation {
 // call, the grant is unchanged, and the error carries a typed Reason
 // (ReasonUnsupported when the placer cannot resize, ReasonInvalidRequest
 // for structural changes, capacity reasons when the datacenter cannot
-// host the growth). committed reports whether a resize took effect: it
-// is false on every error and when newGraph keeps every tier size.
-func (ad *Admitted) Resize(newGraph *tag.Graph) (committed bool, err error) {
+// host the growth).
+//
+// The returned event is what the tally folded: EventResized when the
+// resize committed, EventRejected/EventFailed for a failure the tally
+// counts. Its Kind is zero when nothing was folded: newGraph keeps every
+// tier size, the grant was released, or the placer or the grant cannot
+// resize at all.
+func (ad *Admitted) Resize(newGraph *tag.Graph) (Event, error) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
 	a := ad.a
 	if ad.released {
-		return false, Rejectf("resize", ReasonReleased, "grant already released")
+		return Event{}, Rejectf("resize", ReasonReleased, "grant already released")
 	}
 	rz, ok := a.placer.(Resizer)
 	if !ok {
-		return false, Rejectf("resize", ReasonUnsupported, "placer %s cannot resize", a.placer.Name())
+		return Event{}, Rejectf("resize", ReasonUnsupported, "placer %s cannot resize", a.placer.Name())
 	}
 	if ad.graph == nil {
-		return false, Rejectf("resize", ReasonUnsupported, "tenant was not admitted under its TAG model")
+		return Event{}, Rejectf("resize", ReasonUnsupported, "tenant was not admitted under its TAG model")
 	}
 	steps, err := resizeSteps(ad.graph, newGraph)
 	if err != nil {
-		a.foldFailure(err)
-		return false, err
+		return a.failed(ad.event(0), err), err
 	}
 	if len(steps) == 0 {
-		return false, nil // no size changed
+		return Event{}, nil // no size changed
 	}
 
 	a.mu.Lock()
@@ -217,35 +289,38 @@ func (ad *Admitted) Resize(newGraph *tag.Graph) (committed bool, err error) {
 	if err != nil {
 		a.tree.RestoreSnapshot(a.ck)
 		a.mu.Unlock()
-		a.foldFailure(err)
-		return false, err
+		return a.failed(ad.event(0), err), err
 	}
 	newDelta := newRes.Delta()
 	a.tree.RestoreSnapshot(a.ck)
 	a.tree.Apply(topology.Merge(ad.delta.Negate(), newDelta))
 	a.mu.Unlock()
 	newRes.released = true // inspection-only, like the admit path
-	ad.res, ad.delta, ad.graph = newRes, newDelta, newGraph
-	ad.foldResize()
-	return true, nil
+	return ad.resized(newRes, newDelta, newGraph), nil
 }
 
-// foldResize folds a committed resize: the footprint moves from the
-// one the tally holds to the new reservation's.
-func (ad *Admitted) foldResize() {
-	mbps, vms := ad.res.TotalReserved(), ad.res.Placement().VMs()
-	ad.a.tally.Fold(outcome(EventResized, mbps-ad.mbps, vms-ad.vms), 1)
+// resized swaps the grant to its new reservation, footprint and graph,
+// and folds and publishes the resize: the tally's footprint moves from
+// the one it holds to the new reservation's.
+func (ad *Admitted) resized(res *Reservation, d topology.Delta, g *tag.Graph) Event {
+	ad.res, ad.delta, ad.graph = res, d, g
+	ev := ad.event(EventResized)
+	ev.Graph, ev.Placement, ev.Delta = g, res.placement, d
+	mbps, vms := res.TotalReserved(), res.placement.VMs()
+	ev.Mbps, ev.VMs = mbps-ad.mbps, vms-ad.vms
 	ad.mbps, ad.vms = mbps, vms
+	ad.a.publish(&ev)
+	return ev
 }
 
-// Release returns the tenant's slots and bandwidth to the shared tree,
-// reporting whether this call released it. Subsequent calls are no-ops
-// and report false.
-func (ad *Admitted) Release() bool {
+// Release returns the tenant's slots and bandwidth to the shared tree
+// and returns the folded and published EventReleased. Subsequent calls
+// are no-ops and return an event with a zero Kind.
+func (ad *Admitted) Release() Event {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
 	if ad.released {
-		return false
+		return Event{}
 	}
 	ad.released = true
 	a := ad.a
@@ -253,6 +328,8 @@ func (ad *Admitted) Release() bool {
 	a.mu.Lock()
 	a.tree.Apply(neg)
 	a.mu.Unlock()
-	a.tally.Fold(outcome(EventReleased, -ad.mbps, -ad.vms), 1)
-	return true
+	ev := ad.event(EventReleased)
+	ev.Mbps, ev.VMs = -ad.mbps, -ad.vms
+	a.publish(&ev)
+	return ev
 }

@@ -96,7 +96,7 @@ func TestAdmitterConcurrentStress(t *testing.T) {
 			var live []*Admitted
 			for i := 0; i < iters; i++ {
 				g := stressTenant(w*iters + i)
-				ad, err := adm.Place(&Request{ID: int64(w*iters + i), Graph: g, Model: g})
+				ad, _, err := adm.Place(&Request{ID: int64(w*iters + i), Graph: g, Model: g})
 				if err != nil {
 					if !errors.Is(err, ErrRejected) {
 						t.Errorf("worker %d: unexpected error: %v", w, err)
@@ -155,11 +155,11 @@ func TestAdmitterRejectionRollback(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := adm.Place(&Request{Graph: tooBig, Model: tooBig}); !errors.Is(err, ErrRejected) {
+				if _, _, err := adm.Place(&Request{Graph: tooBig, Model: tooBig}); !errors.Is(err, ErrRejected) {
 					t.Errorf("oversized request: err = %v, want ErrRejected", err)
 				}
 				g := stressTenant(i)
-				if ad, err := adm.Place(&Request{Graph: g, Model: g}); err == nil {
+				if ad, _, err := adm.Place(&Request{Graph: g, Model: g}); err == nil {
 					ad.Release()
 				}
 			}
@@ -175,7 +175,7 @@ func TestAdmittedReleaseIdempotent(t *testing.T) {
 	tr := testTree()
 	adm := NewAdmitter(tr, &firstFit{tree: tr})
 	g := stressTenant(1)
-	ad, err := adm.Place(&Request{Graph: g, Model: g})
+	ad, _, err := adm.Place(&Request{Graph: g, Model: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestGrantDoubleReleaseRace(t *testing.T) {
 		var grants []*Admitted
 		for i := 0; len(grants) < 6; i++ {
 			g := stressTenant(i)
-			grant, err := adm.Place(&Request{ID: int64(i), Graph: g, Model: g})
+			grant, _, err := adm.Place(&Request{ID: int64(i), Graph: g, Model: g})
 			if err != nil {
 				t.Fatalf("admit %d: %v", i, err)
 			}
@@ -262,7 +262,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 				case 0: // a batch: back-to-back admits, each through Place
 					for k, n := 0, 2+r.Intn(3); k < n; k++ {
 						g := stressTenant(r.Intn(50))
-						grant, err := adm.Place(&Request{ID: id<<8 | int64(k), Graph: g, Model: g})
+						grant, _, err := adm.Place(&Request{ID: id<<8 | int64(k), Graph: g, Model: g})
 						if err == nil {
 							live = append(live, grant)
 						} else if !errors.Is(err, ErrRejected) {
@@ -281,7 +281,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 					}
 				default: // single admit
 					g := stressTenant(r.Intn(50))
-					grant, err := adm.Place(&Request{ID: id, Graph: g, Model: g})
+					grant, _, err := adm.Place(&Request{ID: id, Graph: g, Model: g})
 					if err != nil {
 						if !errors.Is(err, ErrRejected) {
 							t.Errorf("worker %d: admit error: %v", w, err)

@@ -170,7 +170,7 @@ func replayPacked(tb testing.TB, cfg packedConfig, ops []churnOp, probe func(*Pl
 		if probe != nil {
 			probe(p, tree, req)
 		}
-		g, err := adm.Place(req)
+		g, _, err := adm.Place(req)
 		if err != nil {
 			buf = append(buf, 'n')
 			buf = append(buf, place.ReasonOf(err)...)

@@ -102,12 +102,14 @@ func (g admittedGrant) Resize(ng *tag.Graph) error {
 	return err
 }
 
+func (g admittedGrant) Release() bool { return g.Admitted.Release().Kind != 0 }
+
 // admitterTarget drives a bare admitter that prices every tenant by
 // modelFor's translation of its TAG. It has no batch path: a batch is
 // its elements admitted one after another.
 func admitterTarget(adm *place.Admitter, modelFor func(*tag.Graph) place.Model) diffTarget {
 	admit := func(id int64, g *tag.Graph) (diffGrant, error) {
-		ad, err := adm.Place(&place.Request{ID: id, Graph: g, Model: modelFor(g)})
+		ad, _, err := adm.Place(&place.Request{ID: id, Graph: g, Model: modelFor(g)})
 		if err != nil {
 			return nil, err
 		}

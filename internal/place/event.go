@@ -55,6 +55,9 @@ func (k EventKind) String() string {
 // Event is one Grant lifecycle transition together with the tenant's
 // resource footprint — what a dataplane needs to install, patch, or
 // remove enforcement state incrementally, without reading the ledger.
+// The Admitter builds each outcome's event once, where it commits; the
+// tally folds it, the sink receives it, and the write-ahead log encodes
+// it, so all three see the same record.
 type Event struct {
 	// Kind is the lifecycle transition.
 	Kind EventKind
@@ -83,16 +86,16 @@ type Event struct {
 	Mbps float64
 	VMs  int
 
-	// The remaining fields are populated only by the durability layer
-	// (the write-ahead log of package guarantee); events published to
-	// dataplane sinks leave them zero.
-
 	// Shard is the shard that committed the transition — or, for
-	// EventFailed, the shard where the failure occurred.
+	// EventFailed, the shard where the failure occurred. An Admitter
+	// does not know its shard: a dispatcher stamps it on the walk's
+	// final event, the durability layer on a grant's later events.
 	Shard int
 	// First is the dispatch policy's first pick for the request;
 	// replaying First alongside Shard reproduces the failover walk
-	// (every shard between them rejected). -1 marks events outside the
+	// (every shard between them rejected). -1 marks one shard's own
+	// outcome — every event an Admitter builds, until a dispatcher
+	// stamps the walk onto an arrival's — and the events outside the
 	// dispatch path: resizes, releases and their rejections/failures,
 	// which touch only the grant's own shard.
 	First int
@@ -110,7 +113,9 @@ type Event struct {
 	// Demand is the request graph's per-VM bandwidth demand, recorded
 	// so replay can feed placer demand estimators (which observe every
 	// arrival, admitted or not) without the full graph — the graph is
-	// omitted for tenants priced under a translated model.
+	// omitted for tenants priced under a translated model. NaN for an
+	// arrival without a graph and for every event that is not an
+	// arrival.
 	Demand float64
 	// Reason is the typed rejection code for EventRejected/EventFailed.
 	Reason Reason
@@ -120,8 +125,8 @@ type Event struct {
 // admission paths — potentially from many goroutines at once — so
 // implementations must be safe for concurrent use and should return
 // quickly. For one grant, Publish calls are ordered (admitted happens
-// before any resize, a release is last); across grants there is no
-// ordering guarantee.
+// before any resize, a release is last): the Admitter publishes under
+// the grant's lock. Across grants there is no ordering guarantee.
 type EventSink interface {
 	// Publish delivers one lifecycle event.
 	Publish(Event)

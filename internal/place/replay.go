@@ -1,6 +1,8 @@
 package place
 
 import (
+	"math"
+
 	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
@@ -80,47 +82,60 @@ func replayReservation(tree *topology.Tree, pl Placement, resources [][]float64,
 // AttachGrant materializes a live grant from a snapshot record without
 // touching the ledger — the imported snapshot bits already include the
 // tenant. Its slots fold back into the restored tally (see
-// Tally.Restore); its bandwidth is already in the restored gauge.
+// Tally.Restore) as a kindless event, its bandwidth is already in the
+// restored gauge, and the sink learns of it as an admission, so a
+// dataplane rebuilds its per-tenant state.
 func (a *Admitter) AttachGrant(rec GrantRecord) *Admitted {
 	ad := a.replayed(rec.Placement, rec.Resources, rec.Delta, rec.Graph, rec.HA)
 	ad.key, ad.id = rec.Key, rec.ID
-	a.tally.Fold(outcome(0, 0, ad.vms), 1)
+	ev := ad.admission(ad.event(0))
+	a.tally.Fold(Event{First: -1, VMs: ev.VMs}, 1)
+	if a.sink != nil {
+		a.sink.Publish(ev)
+	}
 	return ad
 }
 
-// ReplayAdmit commits a recorded admission: the recorded delta is
-// applied to the same pre-event ledger bits the live commit applied it
-// to, so the resulting tree is byte-identical (the delta bit-exactness
-// contract), and the admission folds as it did live — its key is the
-// tally's admitted count, which the caller checks against ev.Key.
-func (a *Admitter) ReplayAdmit(ev Event) *Admitted {
+// ReplayArrival re-applies this admitter's part of one logged
+// dispatch-path arrival (ev.First >= 0): the placer's demand estimator
+// observes the request if a placer ran on it, and the outcome folds as
+// it did live. decided marks the shard that decided the request,
+// ev.Shard; every other shard on the walk rejected it for capacity. An
+// admission applies the recorded delta to the same pre-event ledger
+// bits the live commit applied it to, so the resulting tree is
+// byte-identical (the delta bit-exactness contract), and folds as it
+// did live — its key is the tally's admitted count, which the caller
+// checks against ev.Key. It returns the grant for an admission, nil
+// otherwise.
+func (a *Admitter) ReplayArrival(ev Event, decided bool) *Admitted {
+	// NaN marks requests without a TAG (older builds accepted a
+	// caller-supplied model instead), and validation failures never
+	// reached a placer at all.
+	if o, ok := a.placer.(DemandObserver); ok && !math.IsNaN(ev.Demand) && ev.Reason != ReasonInvalidRequest {
+		a.mu.Lock()
+		o.ObserveDemand(ev.Demand)
+		a.mu.Unlock()
+	}
+	ev.First = -1 // this shard's outcome, not the walk's end
+	if !decided {
+		ev.Kind = EventRejected
+	}
+	if ev.Kind != EventAdmitted {
+		a.tally.Fold(ev, 1)
+		return nil
+	}
 	a.mu.Lock()
 	a.tree.Apply(ev.Delta)
 	a.mu.Unlock()
 	ad := a.replayed(ev.Placement, ev.Resources, ev.Delta, ev.Graph, ev.HA)
 	ad.id = ev.ID
-	ad.key = a.tally.Fold(outcome(EventAdmitted, ad.mbps, ad.vms), 1)
+	ad.admitted(ev)
 	return ad
 }
 
-// replayed builds a grant from recorded state, with the footprint its
-// tally entry holds.
+// replayed builds a grant from recorded state.
 func (a *Admitter) replayed(pl Placement, resources [][]float64, d topology.Delta, g *tag.Graph, ha HASpec) *Admitted {
-	res := replayReservation(a.tree, pl, resources, d)
-	return &Admitted{a: a, res: res, delta: d, graph: g, ha: ha,
-		mbps: res.TotalReserved(), vms: pl.VMs()}
-}
-
-// ObserveDemand feeds one recorded arrival to the placer's demand
-// estimator, if it keeps one.
-func (a *Admitter) ObserveDemand(perVM float64) {
-	o, ok := a.placer.(DemandObserver)
-	if !ok {
-		return
-	}
-	a.mu.Lock()
-	o.ObserveDemand(perVM)
-	a.mu.Unlock()
+	return &Admitted{a: a, res: replayReservation(a.tree, pl, resources, d), delta: d, graph: g, ha: ha}
 }
 
 // PlacerState exports the placer's demand-estimator state for a
@@ -177,7 +192,7 @@ func (ad *Admitted) Record() (GrantRecord, bool) {
 // ReplayResize commits a recorded resize: the net old-to-new delta is
 // applied exactly as the live Resize applied it, the grant's
 // reservation, footprint, and graph are swapped to the recorded after
-// state, and the resize folds as it did live.
+// state, and the resize folds and publishes as it did live.
 func (ad *Admitted) ReplayResize(ev Event) {
 	ad.gmu.Lock()
 	defer ad.gmu.Unlock()
@@ -185,10 +200,9 @@ func (ad *Admitted) ReplayResize(ev Event) {
 	a.mu.Lock()
 	a.tree.Apply(topology.Merge(ad.delta.Negate(), ev.Delta))
 	a.mu.Unlock()
-	ad.res = replayReservation(a.tree, ev.Placement, ev.Resources, ev.Delta)
-	ad.delta = ev.Delta
+	g := ad.graph
 	if ev.Graph != nil {
-		ad.graph = ev.Graph
+		g = ev.Graph
 	}
-	ad.foldResize()
+	ad.resized(replayReservation(a.tree, ev.Placement, ev.Resources, ev.Delta), ev.Delta, g)
 }

@@ -115,7 +115,7 @@ func TestGrantResizeGrowShrink(t *testing.T) {
 	idle := reservedProfile(tr)
 
 	g0 := resizeGraph(4, 2)
-	grant, err := adm.Place(&Request{ID: 1, Graph: g0, Model: g0})
+	grant, _, err := adm.Place(&Request{ID: 1, Graph: g0, Model: g0})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -124,24 +124,24 @@ func TestGrantResizeGrowShrink(t *testing.T) {
 	}
 
 	grown := resizeGraph(8, 3) // two tiers change in one call
-	if ok, err := grant.Resize(grown); err != nil || !ok {
-		t.Fatalf("grow: committed %v, %v", ok, err)
+	if ev, err := grant.Resize(grown); err != nil || ev.Kind != EventResized {
+		t.Fatalf("grow: event %s, %v", ev.Kind, err)
 	}
 	if got := grant.Reservation().Placement().VMs(); got != 11 {
 		t.Errorf("after grow placed %d VMs, want 11", got)
 	}
 
 	shrunk := resizeGraph(2, 1)
-	if ok, err := grant.Resize(shrunk); err != nil || !ok {
-		t.Fatalf("shrink: committed %v, %v", ok, err)
+	if ev, err := grant.Resize(shrunk); err != nil || ev.Kind != EventResized {
+		t.Fatalf("shrink: event %s, %v", ev.Kind, err)
 	}
 	if got := grant.Reservation().Placement().VMs(); got != 3 {
 		t.Errorf("after shrink placed %d VMs, want 3", got)
 	}
 	// Keeping every tier size commits nothing.
 	before := grant.Reservation()
-	if ok, err := grant.Resize(resizeGraph(2, 1)); err != nil || ok {
-		t.Errorf("zero-step resize: committed %v, %v; want false, nil", ok, err)
+	if ev, err := grant.Resize(resizeGraph(2, 1)); err != nil || ev.Kind != 0 {
+		t.Errorf("zero-step resize: event %s, %v; want none, nil", ev.Kind, err)
 	}
 	if grant.Reservation() != before {
 		t.Error("zero-step resize swapped the reservation")
@@ -162,7 +162,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	tree := topology.New(resizeSpec())
 	plain := NewAdmitter(tree, &firstFit{tree: tree})
 	g := resizeGraph(2, 1)
-	grant, err := plain.Place(&Request{ID: 1, Graph: g, Model: g})
+	grant, _, err := plain.Place(&Request{ID: 1, Graph: g, Model: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	grant.Release()
 
 	adm, tr := resizeAdmitter()
-	grant, err = adm.Place(&Request{ID: 1, Graph: g, Model: g})
+	grant, _, err = adm.Place(&Request{ID: 1, Graph: g, Model: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestResizeTypedReasons(t *testing.T) {
 	// A tenant priced by a model other than its TAG (the baselines' VOC
 	// or pipes) rejects with ReasonUnsupported: its reservation was not
 	// computed from the graph a resize would re-price.
-	grant, err = adm.Place(&Request{ID: 2, Graph: g, Model: translated{g}})
+	grant, _, err = adm.Place(&Request{ID: 2, Graph: g, Model: translated{g}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestConcurrentResizeRelease(t *testing.T) {
 		idle := reservedProfile(tree)
 		for round := 0; round < 50; round++ {
 			g := resizeGraph(2, 1)
-			grant, err := adm.Place(&Request{ID: int64(round), Graph: g, Model: g})
+			grant, _, err := adm.Place(&Request{ID: int64(round), Graph: g, Model: g})
 			if err != nil {
 				t.Fatal(err)
 			}

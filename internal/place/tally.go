@@ -84,11 +84,6 @@ func (t *Tally) Fold(ev Event, shards int) int64 {
 	return key
 }
 
-// outcome is the First < 0 event an Admitter folds for what it did.
-func outcome(kind EventKind, mbps float64, vms int) Event {
-	return Event{Kind: kind, First: -1, Mbps: mbps, VMs: vms}
-}
-
 // State reads the tally's value for a snapshot.
 func (t *Tally) State() TallyState {
 	return TallyState{

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"math"
+
 	"cloudmirror/internal/topology"
 )
 
@@ -8,7 +10,8 @@ import (
 // runs before placing: a malformed request fails here with a
 // typed ReasonInvalidRequest rejection instead of a placer-specific
 // panic or silent misplacement deeper in the stack. tree supplies the
-// declared resource dimensions the request's Resources must match.
+// levels an anti-affinity level must name and the declared resource
+// dimensions the request's Resources must match.
 //
 // A nil Model with a non-nil Graph is normalized to Model = Graph (the
 // common case for TAG-native placement), mutating req in place.
@@ -43,11 +46,13 @@ func ValidateRequest(tree *topology.Tree, req *Request) error {
 	if total == 0 {
 		return Rejectf(op, ReasonInvalidRequest, "request places no VMs")
 	}
-	if req.HA.RWCS < 0 || req.HA.RWCS >= 1 {
+	// Written so NaN fails too.
+	if !(req.HA.RWCS >= 0 && req.HA.RWCS < 1) {
 		return Rejectf(op, ReasonInvalidRequest, "RWCS %g outside [0,1)", req.HA.RWCS)
 	}
-	if req.HA.LAA < 0 {
-		return Rejectf(op, ReasonInvalidRequest, "negative anti-affinity level %d", req.HA.LAA)
+	if req.HA.LAA < 0 || req.HA.LAA >= tree.Height() {
+		return Rejectf(op, ReasonInvalidRequest,
+			"anti-affinity level %d outside the topology's levels [0,%d)", req.HA.LAA, tree.Height())
 	}
 	if req.Resources != nil {
 		dims := len(tree.Resources())
@@ -61,9 +66,9 @@ func ValidateRequest(tree *topology.Tree, req *Request) error {
 					"Resources[%d] has %d dimensions, topology declares %d", t, len(dem), dims)
 			}
 			for r, v := range dem {
-				if v < 0 {
+				if !(v >= 0 && v <= math.MaxFloat64) {
 					return Rejectf(op, ReasonInvalidRequest,
-						"Resources[%d][%d] is negative (%g)", t, r, v)
+						"Resources[%d][%d] is %g, want a finite non-negative demand", t, r, v)
 				}
 			}
 		}
