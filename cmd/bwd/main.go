@@ -32,7 +32,8 @@
 // adds the TAG the grant currently guarantees. Admit and resize bodies
 // are capped at 1 MiB (413 past it). An admit body's optional positive
 // "id" names the grant g-<id>, refused with 400 while a live grant
-// holds it.
+// holds it. A client that trickles its request is cut off at the read
+// timeout (see newServer).
 //
 // With -wal-dir the daemon is durable: every admit/resize/release is
 // fsynced to a write-ahead log under the directory before it is
@@ -89,6 +90,31 @@ import (
 	"cloudmirror/internal/topology"
 )
 
+// API server timeouts, so a slow client cannot hold a handler
+// goroutine: the headers must arrive within readHeaderTimeout and the
+// whole request (bodies are capped at 1 MiB) within readTimeout; the
+// reply must be written within writeTimeout of the request's headers;
+// a keep-alive connection idle for idleTimeout is closed.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer builds the HTTP server for handler on addr with every
+// timeout set.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	servers := flag.Int("servers", 512, "per-shard datacenter size: 128, 512, or 2048 servers")
@@ -112,7 +138,10 @@ func main() {
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			srv := &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+			srv := newServer(*pprofAddr, mux)
+			// No write timeout: /debug/pprof/profile and /trace stream
+			// for the requested ?seconds= before the reply ends.
+			srv.WriteTimeout = 0
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fatal(fmt.Errorf("pprof listener: %w", err))
 			}
@@ -174,11 +203,7 @@ func main() {
 		fatal(err)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           guarantee.NewServer(svc).Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newServer(*addr, guarantee.NewServer(svc).Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	if recovered {

@@ -12,10 +12,9 @@ import (
 	"cloudmirror/internal/topology"
 )
 
-// This differential harness proves the incremental stepper correct the
-// same way internal/place/diffharness_test.go proves the free-capacity
-// indexes: run the same trace through the optimized path and the
-// brute-force path and require byte-identical observable state. Here
+// This differential harness proves the incremental stepper correct:
+// run the same trace through the optimized path and the brute-force
+// path and require byte-identical observable state. Here
 // the trace is a churn of admissions, resizes, releases, demand
 // declarations, and control periods; the observable is the full
 // StepStats transcript plus every tenant's row (Driver.AppendTenantStats)

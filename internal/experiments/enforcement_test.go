@@ -31,25 +31,34 @@ var sweeps = map[string]bool{"fig7": true, "fig8": true, "fig9": true, "fig10": 
 // scale must match testdata/paper.golden byte for byte, so a change to
 // placement, GP, RA or the max-min solver that moves a printed number
 // fails here by figure, with the figure's largest absolute and relative
-// change. -short skips the multi-simulation sweeps of Figs. 7–12, as
-// the shape tests do. Regenerate with -update after a deliberate change
-// and commit the diff.
+// change. A sweep is checked at both of sweepWorkers, every other
+// figure at the default worker count. -short skips the multi-simulation
+// sweeps of Figs. 7–12, as the shape tests do. Regenerate with -update
+// after a deliberate change and commit the diff.
 func TestPaperGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "paper.golden")
-	got := map[string]string{}
+	type printed struct {
+		name    string
+		workers int
+		out     string
+	}
+	var got []printed
 	var all bytes.Buffer
 	for _, name := range paperFigures {
 		if testing.Short() && !*updateGolden && sweeps[name] {
 			continue
 		}
-		tb, err := Run(name, quick())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		workers := []int{0}
+		if sweeps[name] {
+			workers = sweepWorkers
 		}
-		var buf bytes.Buffer
-		tb.Fprint(&buf)
-		got[name] = buf.String()
-		all.Write(buf.Bytes())
+		for i, w := range workers {
+			out := render(t, quickRun(t, name, w))
+			got = append(got, printed{name, w, out})
+			if i == 0 {
+				all.WriteString(out)
+			}
+		}
 	}
 	if *updateGolden {
 		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
@@ -65,14 +74,13 @@ func TestPaperGolden(t *testing.T) {
 		name, _, _ := strings.Cut(strings.TrimPrefix(sec, "== "), ":")
 		want[name] = sec
 	}
-	for _, name := range paperFigures {
-		g, ran := got[name]
-		if !ran || g == want[name] {
+	for _, g := range got {
+		if g.out == want[g.name] {
 			continue
 		}
-		abs, rel := maxDelta(g, want[name])
-		t.Errorf("%s differs from %s: max |Δ| %.4g, max relative Δ %.4g (regenerate with -update if deliberate)\ngot:\n%swant:\n%s",
-			name, golden, abs, rel, g, want[name])
+		abs, rel := maxDelta(g.out, want[g.name])
+		t.Errorf("%s (workers=%d) differs from %s: max |Δ| %.4g, max relative Δ %.4g (regenerate with -update if deliberate)\ngot:\n%swant:\n%s",
+			g.name, g.workers, golden, abs, rel, g.out, want[g.name])
 	}
 }
 

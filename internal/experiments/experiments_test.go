@@ -138,10 +138,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation experiment")
 	}
-	tb, err := Fig7(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickRun(t, "fig7", 1)
 	worstGap := 0.0
 	for i := range tb.Rows {
 		cm := parse(t, tb.Cell(i, 2))
@@ -163,10 +160,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation experiment")
 	}
-	tb, err := Fig11(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickRun(t, "fig11", 1)
 	for i := range tb.Rows {
 		rwcs := parse(t, tb.Cell(i, 0))
 		cmWCS := parse(t, tb.Cell(i, 1))
@@ -187,10 +181,7 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation experiment")
 	}
-	tb, err := Fig12(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickRun(t, "fig12", 1)
 	for i := range tb.Rows {
 		cmRej := parse(t, tb.Cell(i, 1))
 		oppRej := parse(t, tb.Cell(i, 3))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"cloudmirror/internal/sim"
@@ -13,6 +14,38 @@ func render(t *testing.T, tb *Table) string {
 	var buf bytes.Buffer
 	tb.Fprint(&buf)
 	return buf.String()
+}
+
+// runKey identifies one memoised quick-scale run.
+type runKey struct {
+	name           string
+	workers, procs int
+}
+
+var runs = map[runKey]*Table{}
+
+// sweepWorkers are the worker counts every Figs. 7–12 sweep is computed
+// at: the serial reference and an uneven pool.
+var sweepWorkers = []int{1, 6}
+
+// quickRun returns Run(name, Options{Quick: true, Seed: 1, Workers:
+// workers}), computed once per (name, workers, GOMAXPROCS) and shared by
+// every test of the package: each sweep serves TestParallelDeterminism,
+// TestPaperGolden and the shape tests from one computation per worker
+// count. GOMAXPROCS is part of the key so -cpu=1,4,8 still recomputes
+// every run at each pool size. Callers must not modify the table.
+func quickRun(t *testing.T, name string, workers int) *Table {
+	t.Helper()
+	k := runKey{name, workers, runtime.GOMAXPROCS(0)}
+	if tb, ok := runs[k]; ok {
+		return tb
+	}
+	tb, err := Run(name, Options{Quick: true, Seed: 1, Workers: workers})
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", name, workers, err)
+	}
+	runs[k] = tb
+	return tb
 }
 
 // TestParallelDeterminism: same seed ⇒ bit-identical Table output at
@@ -27,17 +60,13 @@ func TestParallelDeterminism(t *testing.T) {
 		names = append(names, "baselines", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12")
 		// Serial reference vs an uneven worker count (0, GOMAXPROCS,
 		// is covered by the short-mode table1 family at -cpu=1,4,8).
-		workerCounts = []int{1, 6}
+		workerCounts = sweepWorkers
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			var ref string
 			for i, w := range workerCounts {
-				tb, err := Run(name, Options{Quick: true, Seed: 1, Workers: w})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				out := render(t, tb)
+				out := render(t, quickRun(t, name, w))
 				if i == 0 {
 					ref = out
 					continue

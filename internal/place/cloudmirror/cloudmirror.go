@@ -408,12 +408,6 @@ func (r *run) domainsUnder(n topology.NodeID) int {
 func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
 	tree := r.p.tree
 	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		// Index prune: skip the whole level when the per-tier bounds
-		// prove no subtree here can offer the slots, path bandwidth, or
-		// resources the tenant needs (always true on unindexed trees).
-		if !tree.LevelMayHost(lvl, r.totalVMs, r.extOut, r.extIn, r.needRes) {
-			continue
-		}
 		best := topology.NoNode
 		bestFree := math.MaxInt
 		for _, n := range tree.NodesAtLevel(lvl) {

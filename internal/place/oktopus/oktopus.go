@@ -201,12 +201,6 @@ func (r *run) init() {
 func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
 	tree := r.p.tree
 	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		// Index prune: the per-tier bounds prove whether any node at
-		// this level can offer the slots and root-path bandwidth the
-		// tenant needs (always true on unindexed trees).
-		if !tree.LevelMayHost(lvl, r.totalVMs, r.extOut, r.extIn, nil) {
-			continue
-		}
 		best := topology.NoNode
 		bestFree := math.MaxInt
 		for _, n := range tree.NodesAtLevel(lvl) {
@@ -325,19 +319,15 @@ func (r *run) clusterCandidates(st topology.NodeID, t int) []topology.NodeID {
 		free int
 	}
 	var cands []cand
-	indexed := tree.Indexed()
 	var walk func(n topology.NodeID)
 	walk = func(n topology.NodeID) {
-		free := tree.SlotsFree(n)
-		if free == 0 {
-			return
-		}
 		// Subtree cut: free-slot aggregates are sums over children, so
 		// a subtree below the cluster size cannot contain a candidate.
-		if indexed && free < need {
+		free := tree.SlotsFree(n)
+		if free == 0 || free < need {
 			return
 		}
-		if free >= need && r.clusterHAFits(n, t) && n != st {
+		if r.clusterHAFits(n, t) && n != st {
 			cands = append(cands, cand{n, tree.Level(n), free})
 		}
 		for _, c := range tree.Children(n) {

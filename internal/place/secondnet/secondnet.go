@@ -127,11 +127,6 @@ func (r *run) init() {
 func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
 	tree := r.p.tree
 	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		// Index prune: skip levels the per-tier bounds prove hopeless
-		// (always true on unindexed trees).
-		if !tree.LevelMayHost(lvl, r.totalVMs, r.extOut, r.extIn, nil) {
-			continue
-		}
 		best := topology.NoNode
 		bestFree := math.MaxInt
 		for _, n := range tree.NodesAtLevel(lvl) {

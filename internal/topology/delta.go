@@ -172,9 +172,6 @@ func (t *Tree) Apply(d Delta) {
 		}
 		for m := s.Server; m != NoNode; m = t.parent[m] {
 			t.slotsFree[m] -= int32(s.N)
-			if t.idx != nil && s.N < 0 {
-				t.idxRaiseSlots(m)
-			}
 		}
 	}
 	for _, l := range d.Links {
@@ -189,9 +186,6 @@ func (t *Tree) Apply(d Delta) {
 		if t.upResIn[l.Node] < 0 {
 			t.upResIn[l.Node] = 0
 		}
-		if t.idx != nil {
-			t.idxRaiseLink(l.Node)
-		}
 	}
 	for _, r := range d.Resources {
 		for dim, v := range r.Demand {
@@ -200,13 +194,7 @@ func (t *Tree) Apply(d Delta) {
 			}
 			for m := r.Server; m != NoNode; m = t.parent[m] {
 				t.res.free[dim][m] -= v
-				if t.idx != nil && v < 0 {
-					t.idxRaiseRes(m, dim)
-				}
 			}
 		}
-	}
-	if t.idx != nil {
-		t.idx.stale++
 	}
 }

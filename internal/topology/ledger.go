@@ -73,6 +73,5 @@ func (t *Tree) ImportLedger(l Ledger) error {
 	for r := range l.Res {
 		copy(t.res.free[r], l.Res[r])
 	}
-	t.IndexRebuild()
 	return nil
 }

@@ -125,9 +125,6 @@ func (t *Tree) UseResources(n NodeID, k int, demand []float64) error {
 			t.res.free[r][m] -= take
 		}
 	}
-	if t.idx != nil {
-		t.idx.stale++
-	}
 	return nil
 }
 
@@ -140,9 +137,6 @@ func (t *Tree) ReleaseResources(n NodeID, k int, demand []float64) {
 		give := float64(k) * d
 		for m := n; m != NoNode; m = t.parent[m] {
 			t.res.free[r][m] += give
-			if t.idx != nil {
-				t.idxRaiseRes(m, r)
-			}
 		}
 	}
 }

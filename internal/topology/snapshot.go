@@ -26,12 +26,9 @@ func (t *Tree) NewSnapshot() *Snapshot {
 	return s
 }
 
-// Save copies the tree's mutable ledger state into the snapshot. It
-// also opens an index speculation bracket: pending bound tightening
-// happens here, and further rebuilds are deferred until the matching
-// RestoreSnapshot so a byte-exact rollback can never exceed the bounds.
+// Save copies the tree's mutable ledger state into the snapshot,
+// byte-exactly.
 func (t *Tree) Save(s *Snapshot) {
-	t.idxSpeculate()
 	copy(s.out, t.upResOut)
 	copy(s.in, t.upResIn)
 	copy(s.slots, t.slotsFree)
@@ -41,10 +38,7 @@ func (t *Tree) Save(s *Snapshot) {
 }
 
 // RestoreSnapshot copies the snapshot back, restoring the exact bits
-// the matching Save captured, and closes the index speculation bracket
-// Save opened. Restored values are covered by the bounds that held at
-// Save time (bounds only rise while the bracket is open), so no index
-// maintenance is needed beyond unfreezing.
+// the matching Save captured.
 func (t *Tree) RestoreSnapshot(s *Snapshot) {
 	copy(t.upResOut, s.out)
 	copy(t.upResIn, s.in)
@@ -52,5 +46,4 @@ func (t *Tree) RestoreSnapshot(s *Snapshot) {
 	for i := range s.res {
 		copy(t.res.free[i], s.res[i])
 	}
-	t.idxRollback()
 }

@@ -146,7 +146,6 @@ type Tree struct {
 	nodesByLevel [][]NodeID
 	root         NodeID
 	res          *resourceState
-	idx          *Index
 }
 
 // New builds the tree described by spec. It panics if the spec is
@@ -208,7 +207,6 @@ func New(spec Spec) *Tree {
 	}
 	t.root = build(NoNode, levels)
 	t.initResources(spec.Resources)
-	t.buildIndex()
 	return t
 }
 
@@ -272,9 +270,6 @@ func (t *Tree) UseSlots(n NodeID, k int) error {
 	for m := n; m != NoNode; m = t.parent[m] {
 		t.slotsFree[m] -= int32(k)
 	}
-	if t.idx != nil {
-		t.idx.stale++
-	}
 	return nil
 }
 
@@ -289,9 +284,6 @@ func (t *Tree) ReleaseSlots(n NodeID, k int) {
 	}
 	for m := n; m != NoNode; m = t.parent[m] {
 		t.slotsFree[m] += int32(k)
-		if t.idx != nil {
-			t.idxRaiseSlots(m)
-		}
 	}
 }
 
@@ -332,10 +324,6 @@ func (t *Tree) Reserve(n NodeID, out, in float64) error {
 	if t.upResIn[n] < 0 {
 		t.upResIn[n] = 0
 	}
-	if t.idx != nil {
-		t.idxRaiseLink(n)
-		t.idx.stale++
-	}
 	return nil
 }
 
@@ -353,9 +341,6 @@ func (t *Tree) Release(n NodeID, out, in float64) {
 	t.upResIn[n] -= in
 	if t.upResIn[n] < 0 {
 		t.upResIn[n] = 0
-	}
-	if t.idx != nil {
-		t.idxRaiseLink(n)
 	}
 }
 

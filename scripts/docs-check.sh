@@ -66,12 +66,11 @@ done
 
 # Narrative docs: the sections that document cross-package contracts
 # must exist — a refactor that renames or drops them silently orphans
-# the contract they pin (the Indexes section is the soundness contract
-# of the topology free-capacity index; the README batch note is the
-# public AdmitBatch semantics, its durable fsync included; the Modes
-# section names what selects every surviving mode, so a new one has to
-# say what pays its rent).
-for want in '^## Indexes' '^### Soundness invariant' '^### Delta-maintenance contract' '^### Snapshot/replay interaction' '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### One mutex per shard' '^### Group commit' '^## Modes and what pays their rent'; do
+# the contract they pin (the README batch note is the public AdmitBatch
+# semantics, its durable fsync included; the Modes section names what
+# selects every surviving mode, so a new one has to say what pays its
+# rent).
+for want in '^## Enforcement hot path' '^### Event-driven max-min' '^### Component-incremental stepping' '^## Static analysis' '^### The analyzers' '^### Suppression directives' '^### Boundary rules as data' '^## Commit pipeline' '^### One mutex per shard' '^### Group commit' '^## Modes and what pays their rent'; do
     if ! grep -q "$want" docs/ARCHITECTURE.md; then
         echo "docs/ARCHITECTURE.md: missing section matching '$want'"
         fail=1
@@ -256,6 +255,43 @@ for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
             echo "$doc: cites \`$sym\`, which package ${sym%%.*} does not declare"
             fail=1
         fi
+    done
+done
+
+# Cited bare identifiers must exist too: every exported `Ident` or
+# `Type.Ident` inside backticks (fenced blocks are shell, not prose)
+# needs a declaration somewhere in the module — a bare Ident may name a
+# type, func, var, const, field or method, `Type.Ident` a member of that
+# type. A bare name that completes a Test/Benchmark/Fuzz func is a
+# `-run`/`-bench` pattern. Test names have their own check above; the
+# allowlist holds the non-module names the docs cite.
+allow='GET POST X CRC Ts Td AllocTenant Float64bits LookupEnv WriteAt RunParallel BENCHMARK.json'
+names=$(printf '%s\n' "$decls" | awk '{ n = split($2, a, "."); print a[n]; if (n > 1) print $2 }' | sort -u)
+for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+    for sym in $(awk '
+    { doc = doc $0 "\n" }
+    END {
+        n = split(doc, fence, "```")
+        for (i = 1; i <= n; i += 2) {
+            m = split(fence[i], span, "`")
+            for (j = 2; j <= m; j += 2) code = code " " span[j]
+        }
+        while (match(code, /[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?/)) {
+            before = RSTART > 1 ? substr(code, RSTART - 1, 1) : " "
+            sym = substr(code, RSTART, RLENGTH)
+            code = substr(code, RSTART + RLENGTH)
+            if (before ~ /[A-Za-z0-9_.\/]/ || sym ~ /^(Test|Benchmark|Fuzz)/) continue
+            print sym
+        }
+    }' "$doc" | sort -u); do
+        case " $allow " in *" $sym "*) continue ;; esac
+        if printf '%s\n' "$names" | grep -qxF "$sym"; then continue; fi
+        case $sym in
+        *.*) ;;
+        *) if printf '%s\n' "$funcs" | grep -qE "^(Test|Benchmark|Fuzz)$sym"; then continue; fi ;;
+        esac
+        echo "$doc: cites \`$sym\`, which no package of the module declares"
+        fail=1
     done
 done
 
