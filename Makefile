@@ -86,7 +86,10 @@ test-full:
 # untrusted bytes — the HTTP admit handler (never a panic or a 5xx,
 # every refusal the error envelope, and the one-pass body decode
 # accepting exactly the bodies the two-pass *tag.Graph decode accepts,
-# with the same graph), and at recovery time the grant-event codec
+# with the same graph), the TAG wire codec and the admit/resize body
+# scans (every one-pass read equal to json.Unmarshal's, floats by bits;
+# every encoded graph equal to json.Marshal's bytes), and at recovery
+# time the grant-event codec
 # (seeded from the committed golden wire corpus) and the WAL frame
 # scanner — plus
 # the event-driven max-min solver, every answer checked against the
@@ -105,6 +108,8 @@ test-full:
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHTTPAdmit -fuzztime $(FUZZTIME) ./guarantee
+	$(GO) test -run '^$$' -fuzz FuzzRequestBodyScan -fuzztime $(FUZZTIME) ./guarantee
+	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime $(FUZZTIME) ./internal/tag
 	$(GO) test -run '^$$' -fuzz FuzzEventCodec -fuzztime $(FUZZTIME) ./internal/place
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzMaxMin -fuzztime $(FUZZTIME) ./internal/netem

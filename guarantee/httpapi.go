@@ -37,8 +37,9 @@ import (
 // rebinds a recovered service's grants under their pre-crash ids.
 //
 // Admit and resize bodies are bounded (maxBody) and decoded in one
-// pass; admit and resize reply with the grant alone, and GET returns
-// it with the TAG it currently guarantees. Replies are compact JSON.
+// pass, without reflection when they are canonical JSON; admit and
+// resize reply with the grant alone, and GET returns it with the TAG it
+// currently guarantees. Replies are compact JSON.
 type Server struct {
 	svc Service
 
@@ -187,10 +188,72 @@ type admitBody struct {
 	Resources     [][]float64 `json:"resources,omitempty"`
 }
 
+// scan reads data into b when it is in tag.Scanner's canonical subset
+// and reports false, b untouched, when it is not.
+func (b *admitBody) scan(data []byte) bool {
+	var nb admitBody
+	var seen uint32
+	s := tag.NewScanner(data)
+	for more := s.Object(); more; more = s.More() {
+		switch string(s.Key()) {
+		case "id":
+			nb.ID = s.Int64()
+		case "tag":
+			s.Seen(&seen, 1)
+			nb.TAG = new(tag.Wire)
+			s.Wire(nb.TAG)
+		case "rwcs":
+			nb.RWCS = s.Float()
+		case "laa":
+			nb.LAA = s.Int()
+		case "opportunistic":
+			nb.Opportunistic = s.Bool()
+		case "resources":
+			s.Seen(&seen, 2)
+			nb.Resources = s.FloatRows()
+		default:
+			s.Decline()
+		}
+	}
+	if !s.End() {
+		return false
+	}
+	*b = nb
+	return true
+}
+
 // resizeBody is the resize request wire form: the tenant's full TAG
 // with tier sizes changed.
 type resizeBody struct {
 	TAG *tag.Wire `json:"tag"`
+}
+
+// scan is admitBody.scan for a resize body.
+func (b *resizeBody) scan(data []byte) bool {
+	var nb resizeBody
+	var seen uint32
+	s := tag.NewScanner(data)
+	for more := s.Object(); more; more = s.More() {
+		switch string(s.Key()) {
+		case "tag":
+			s.Seen(&seen, 1)
+			nb.TAG = new(tag.Wire)
+			s.Wire(nb.TAG)
+		default:
+			s.Decline()
+		}
+	}
+	if !s.End() {
+		return false
+	}
+	*b = nb
+	return true
+}
+
+// requestBody is a request wire form with a one-pass reader for
+// canonical input.
+type requestBody interface {
+	scan(data []byte) bool
 }
 
 // maxBody bounds an admit or resize request body. The largest workload
@@ -206,9 +269,11 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const keepBuf = 64 << 10
 
 // decodeBody reads r's body — at most maxBody bytes — into a pooled
-// buffer and decodes it into v with one json.Unmarshal. On failure it
-// has written the error reply and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, op string, v any) bool {
+// buffer and decodes it into v: in one pass when the body is in
+// tag.Scanner's canonical subset, else with json.Unmarshal, which
+// accepts or refuses it as it always has. On failure it has written the
+// error reply and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, op string, v requestBody) bool {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= keepBuf {
@@ -225,6 +290,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, op string, v any) bool {
 		}
 		writeError(w, Rejectf(op, InvalidRequest, "reading body: %v", err))
 		return false
+	}
+	if v.scan(buf.Bytes()) {
+		return true
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		writeError(w, Rejectf(op, InvalidRequest, "bad JSON: %v", err))

@@ -1140,6 +1140,64 @@ func FuzzHTTPAdmit(f *testing.F) {
 	})
 }
 
+// FuzzRequestBodyScan holds the one-pass reads of the admit and resize
+// envelopes to encoding/json: whenever scan reads a body, json.Unmarshal
+// into the same type accepts it and gives the same value, floats by
+// bits and nil slices told from empty ones. A body scan declines leaves
+// the value untouched, for json.Unmarshal to decode from zero.
+func FuzzRequestBodyScan(f *testing.F) {
+	for _, s := range []string{
+		`{"tag":` + tagJSON(2, 1) + `}`,
+		`{"id":7,"tag":` + tagJSON(3, 2) + `,"rwcs":0.5,"laa":1,"opportunistic":true}`,
+		`{"id":-0,"rwcs":-0,"laa":-3,"opportunistic":false,"tag":{}}`,
+		`{"resources":[[1,2.5],[],[1e-7]],"tag":` + tagJSON(2, 1) + `}`,
+		`{"resources":[],"tag":{"name":"x"}}`,
+		`{"ID":1,"tag":{}}`, `{"rwcs":1e400,"tag":{}}`, `{"laa":1.0,"tag":{}}`, `{"id":1e2}`,
+		`{"opportunistic":null}`, `{"resources":null}`, `{"resources":[null]}`, `{"laa":1,"laa":2}`,
+		`{"tag":{},"tag":{}}`, `{"tag":{}} {}`, `{"tag":{},"extra":1}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast, ref admitBody
+		fast.ID = 99 // a declined scan must leave it
+		if !fast.scan(data) {
+			if fast.ID != 99 {
+				t.Fatalf("declined scan of %q changed the body", data)
+			}
+		} else if err := json.Unmarshal(data, &ref); err != nil {
+			t.Fatalf("scan read %q, json.Unmarshal refuses it: %v", data, err)
+		} else if got, want := admitBodyString(fast), admitBodyString(ref); got != want {
+			t.Fatalf("scan of %q:\n got %s\nwant %s", data, got, want)
+		}
+
+		var rfast, rref resizeBody
+		if rfast.scan(data) {
+			if err := json.Unmarshal(data, &rref); err != nil {
+				t.Fatalf("resize scan read %q, json.Unmarshal refuses it: %v", data, err)
+			}
+			if got, want := fmt.Sprintf("%#v", wireOrNil(rfast.TAG)), fmt.Sprintf("%#v", wireOrNil(rref.TAG)); got != want {
+				t.Fatalf("resize scan of %q:\n got %s\nwant %s", data, got, want)
+			}
+		}
+	})
+}
+
+// admitBodyString renders b with its TAG's value in place of the
+// pointer; %#v spells floats in full, −0 included.
+func admitBodyString(b admitBody) string {
+	tw := wireOrNil(b.TAG)
+	b.TAG = nil
+	return fmt.Sprintf("%#v %#v", b, tw)
+}
+
+func wireOrNil(w *tag.Wire) any {
+	if w == nil {
+		return nil
+	}
+	return *w
+}
+
 // admitBodies encodes the benchmark's admission workload — BingLike
 // tenants scaled to Bmax 800 Mbps — as admit request bodies.
 func admitBodies(tb testing.TB) [][]byte {
@@ -1190,9 +1248,10 @@ func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w discardWriter) WriteHeader(int)             {}
 
 // maxCodecAllocs is the allocation budget of the handler's own work on
-// an admit of codecTAG: reading and decoding the body, resolving the
-// TAG, encoding the reply. 38 measured (go1.24), plus 10%.
-const maxCodecAllocs = 41
+// an admit or a resize of codecTAG: reading and decoding the body,
+// resolving the TAG, encoding the reply. 15 measured for each (go1.24),
+// plus 10%.
+const maxCodecAllocs = 16
 
 // codecTAG is a three-tier TAG with a self-loop and an external tier.
 const codecTAG = `{"tag":{"name":"shop","tiers":[{"name":"web","n":8},{"name":"app","n":6},{"name":"db","n":4},{"name":"net","external":true}],
@@ -1208,22 +1267,36 @@ func TestHTTPCodecAllocs(t *testing.T) {
 	}
 	body := []byte(codecTAG)
 	rd := bytes.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, "/v1/guarantees", io.NopCloser(rd))
 	w := discardWriter{h: make(http.Header)}
 	reply := grantBody{ID: "g-1", VMs: 18, Servers: 5, ReservedMbps: 1234.5}
-	allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(body)
-		var b admitBody
-		if !decodeBody(w, req, "admit", &b) {
-			t.Fatal("decode failed")
+	for _, c := range []struct {
+		op   string
+		req  *http.Request
+		body func() requestBody
+		wire func(requestBody) *tag.Wire
+	}{
+		{"admit", httptest.NewRequest(http.MethodPost, "/v1/guarantees", io.NopCloser(rd)),
+			func() requestBody { return new(admitBody) }, func(b requestBody) *tag.Wire { return b.(*admitBody).TAG }},
+		{"resize", httptest.NewRequest(http.MethodPost, "/v1/guarantees/g-1/resize", io.NopCloser(rd)),
+			func() requestBody { return new(resizeBody) }, func(b requestBody) *tag.Wire { return b.(*resizeBody).TAG }},
+	} {
+		if !c.body().scan(body) {
+			t.Fatalf("%s: codecTAG is outside the scanner's canonical subset", c.op)
 		}
-		if _, err := graphOf("admit", b.TAG); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, func() {
+			rd.Reset(body)
+			b := c.body()
+			if !decodeBody(w, c.req, c.op, b) {
+				t.Fatal("decode failed")
+			}
+			if _, err := graphOf(c.op, c.wire(b)); err != nil {
+				t.Fatal(err)
+			}
+			writeJSON(w, http.StatusOK, reply)
+		})
+		t.Logf("%s decode + encode: %.1f allocs", c.op, allocs)
+		if allocs > maxCodecAllocs {
+			t.Errorf("%s decode + encode allocates %.1f times, budget %d", c.op, allocs, maxCodecAllocs)
 		}
-		writeJSON(w, http.StatusCreated, reply)
-	})
-	t.Logf("decode + encode: %.1f allocs", allocs)
-	if allocs > maxCodecAllocs {
-		t.Errorf("decode + encode allocates %.1f times, budget %d", allocs, maxCodecAllocs)
 	}
 }

@@ -13,9 +13,10 @@ import (
 // Binary codec for Event: the payload format of the write-ahead Grant
 // log. The encoding is deterministic — map-backed fields (placements)
 // are emitted in node-ID order, floats as their IEEE-754 bits, and the
-// tenant's TAG as its canonical JSON (whose float64s round-trip
-// exactly) — so equal events have equal encodings and a replayed event
-// reproduces the original bit-for-bit. All integers are little-endian
+// tenant's TAG as the JSON tag.Graph.AppendJSON writes (json.Marshal's
+// bytes for its wire form, whose float64s round-trip exactly) — so
+// equal events have equal encodings and a replayed event reproduces the
+// original bit-for-bit. All integers are little-endian
 // fixed width. Decoding is defensive: truncated or garbled payloads
 // return errors, never panic, so log recovery can stop cleanly at the
 // last valid record.
@@ -28,16 +29,6 @@ const eventCodecVersion = 1
 // EncodeEvent serializes the event into the write-ahead-log payload
 // form. The inverse is DecodeEvent.
 func EncodeEvent(ev Event) ([]byte, error) {
-	var graphJSON []byte
-	if ev.Graph != nil {
-		// Called directly: json.Marshal would re-scan and re-compact the
-		// already compact bytes MarshalJSON returns.
-		var err error
-		graphJSON, err = ev.Graph.MarshalJSON()
-		if err != nil {
-			return nil, fmt.Errorf("place: encoding event graph: %w", err)
-		}
-	}
 	w := &codecWriter{}
 	w.u8(eventCodecVersion)
 	w.u8(uint8(ev.Kind))
@@ -50,7 +41,17 @@ func EncodeEvent(ev Event) ([]byte, error) {
 	w.i64(int64(ev.HA.LAA))
 	w.bool(ev.HA.Opportunistic)
 	w.bytes([]byte(ev.Reason))
-	w.bytes(graphJSON)
+	// The graph's JSON is appended in place, after a length patched in
+	// once it is known.
+	at := len(w.buf)
+	w.u32(0)
+	if ev.Graph != nil {
+		var err error
+		if w.buf, err = ev.Graph.AppendJSON(w.buf); err != nil {
+			return nil, fmt.Errorf("place: encoding event graph: %w", err)
+		}
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	}
 	encodePlacement(w, ev.Placement)
 	encodeResources(w, ev.Resources)
 	encodeDelta(w, ev.Delta)

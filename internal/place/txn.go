@@ -15,7 +15,12 @@ import (
 // placed or unplaced — the ReserveBW/Dealloc primitives of Algorithm 1.
 //
 // Either Commit is called, transferring ownership of all resources to the
-// returned Reservation, or ReleaseAll, restoring the tree exactly.
+// returned Reservation, or ReleaseAll, which restores slots and VM counts
+// exactly but not the float accumulators: an uplink's reserved bandwidth
+// (and a server's free resources) keep the residue of +x −x until
+// Admitter's snapshot restore puts the whole tree back after the
+// admission fails. Later attempts within the same admission see that
+// residue, and it steers them.
 //
 // State is kept in dense per-node arrays rather than maps: a placer
 // retries many candidate subtrees per admission through the same Txn

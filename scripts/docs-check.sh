@@ -85,6 +85,16 @@ if ! grep -q 'make analyze' README.md; then
     fail=1
 fi
 
+# No line references: a `file.go:NNN` in the narrative docs goes stale
+# with the next edit above that line, so the docs name the symbol
+# instead (the checks below resolve symbols).
+for doc in README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+    if grep -nE '[A-Za-z0-9_]\.go:[0-9]+' "$doc"; then
+        echo "$doc: cites a .go line number; name the symbol instead"
+        fail=1
+    fi
+done
+
 # Cited tests must exist: every Test*/Fuzz*/Benchmark* name inside
 # backticks or a fenced code block of the narrative docs needs a func of
 # that name in some _test.go file (a name ending in * needs one with
