@@ -99,9 +99,11 @@ test-full:
 # twice and an unbounded link), the
 # dataplane's closed-form slack solve against the general RA/max-min
 # path for Float64bits-identical limits, rates and aggregates (the
-# fuzzer picks the guarantee, the loads, alpha and poked limits), and
+# fuzzer picks the guarantee, the loads, alpha and poked limits),
 # the placement search's bandwidthFit against its linear-scan reference
-# (the fuzzer picks the TAG and both budgets). Ten
+# (the fuzzer picks the TAG and both budgets), and the ledger's undo
+# journal (a mutation sequence inside and between snapshot brackets,
+# every restore equal by Float64bits to the ledger at Save). Ten
 # seconds each is enough to exercise the mutation engine over every
 # seed shape without slowing CI; run longer locally with
 # `go test -fuzz ... -fuzztime 5m`.
@@ -115,6 +117,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaxMin -fuzztime $(FUZZTIME) ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzSlackSolve -fuzztime $(FUZZTIME) ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz FuzzBandwidthFit -fuzztime $(FUZZTIME) ./internal/place/cloudmirror
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotJournal -fuzztime $(FUZZTIME) ./internal/topology
 
 # Same seed => bit-identical tables at every worker count, exercised at
 # several GOMAXPROCS values. Covers the experiment sweeps (including

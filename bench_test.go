@@ -9,6 +9,7 @@ package cloudmirror
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,6 +208,54 @@ func benchTenant(size int) *tag.Graph {
 	}
 	g.AddSelfLoop(tiers-1, 20)
 	return g
+}
+
+// BenchmarkAdmitFloor measures one admission and its release through a
+// place.Admitter on the paper's 2,048-server datacenter, filled to 90%
+// of its slots by a fixed seeded churn of BingLike tenants: the
+// per-admit cost that grows with the datacenter rather than with the
+// tenant (the snapshot bracket and the subtree search). A 4-VM tenant
+// fits on one server; a 26-VM one, the median BingLike size, does not.
+func BenchmarkAdmitFloor(b *testing.B) {
+	tree := topology.New(topology.PaperSpec())
+	adm := place.NewAdmitter(tree, cloudmirror.New(tree))
+	r := rand.New(rand.NewSource(1))
+	pool := workload.BingLike(1)
+	workload.ScaleToBmax(pool, 1200)
+	var held []*place.Admitted
+	total := tree.SlotsTotal(tree.Root())
+	for i := 0; 10*(total-tree.SlotsFree(tree.Root())) < 9*total; i++ {
+		if i == 100_000 {
+			b.Fatalf("churn stuck at %d of %d slots used", total-tree.SlotsFree(tree.Root()), total)
+		}
+		if len(held) > 0 && r.Intn(3) == 0 {
+			k := r.Intn(len(held))
+			held[k].Release()
+			held[k] = held[len(held)-1]
+			held = held[:len(held)-1]
+			continue
+		}
+		g := pool[r.Intn(len(pool))]
+		if ad, _, err := adm.Place(&place.Request{Graph: g}); err == nil {
+			held = append(held, ad)
+		}
+	}
+	for _, vms := range []int{4, 26} {
+		g := tag.New("floor")
+		g.AddTier("web", vms/2)
+		g.AddTier("db", vms/2)
+		g.AddBidirectional(0, 1, 10, 10)
+		b.Run(strconv.Itoa(vms)+"VMs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ad, _, err := adm.Place(&place.Request{Graph: g})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ad.Release()
+			}
+		})
+	}
 }
 
 // --- micro-benchmarks of the core primitives ---

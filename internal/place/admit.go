@@ -17,11 +17,12 @@ import (
 // test and the reservation — so every placement, resize and release
 // runs under the admitter's one mutex. Commits go through the topology
 // delta layer: the placer runs inside the lock, the ledger is rolled
-// back to a byte-exact snapshot, and the recorded net Delta is applied
-// in one step. The shared ledger therefore only ever advances by delta
-// application — placements that fail (or succeed) leave no float
-// residue from the placer's intermediate reserve/rollback arithmetic —
-// which is what makes replay exact: recovery applies each logged delta
+// back byte-exactly through the snapshot's undo journal, and the
+// recorded net Delta is applied in one step. The shared ledger
+// therefore only ever advances by delta application — placements that
+// fail (or succeed) leave no float residue from the placer's
+// intermediate reserve/rollback arithmetic — which is what makes
+// replay exact: recovery applies each logged delta
 // to the same ledger bits the live commit applied it to (see
 // ReplayArrival). Departures go through Admitted.Release, which commits
 // the negated delta under the same lock, and resizes through
@@ -98,11 +99,10 @@ func (a *Admitter) Place(req *Request) (*Admitted, Event, error) {
 	if err := ValidateRequest(a.tree, req); err != nil {
 		return nil, a.failed(arrival(req), err), err
 	}
-	// The snapshot save/restore copies the whole mutable ledger
-	// (O(nodes), two memcpys of a few hundred KB at paper scale) rather
-	// than tracking the placer's touched set; the copies cost a few
-	// microseconds against a placement search that costs hundreds, and
-	// byte-exactness is what lets recovery replay the logged delta onto
+	// The snapshot bracket journals each ledger node the placer writes,
+	// on its first write, and the restore writes those nodes back: the
+	// rollback costs what the attempt touched, not the tree's size.
+	// Byte-exactness is what lets recovery replay the logged delta onto
 	// the same bits this commit applied it to.
 	a.mu.Lock()
 	a.tree.Save(a.ck)

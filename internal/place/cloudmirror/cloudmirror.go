@@ -151,7 +151,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 	}
 	r.tx = p.tx
 	r.tx.SetResources(req.Resources)
-	st := r.findLowestSubtree(minLevel)
+	st := p.tree.LowestFit(minLevel, r.totalVMs, r.fits)
 	for st != topology.NoNode {
 		quota := append(r.quotaScratch[:0], r.sizes...)
 		r.quotaScratch = quota
@@ -166,7 +166,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 		if st == p.tree.Root() {
 			break
 		}
-		st = r.findLowestSubtree(lvl + 1)
+		st = p.tree.LowestFit(lvl+1, r.totalVMs, r.fits)
 	}
 	return nil, place.Rejectf("admit", place.ReasonNoPlacement, "tenant %q (%d VMs) does not fit", req.Graph.Name, r.totalVMs)
 }
@@ -399,32 +399,12 @@ func (r *run) domainsUnder(n topology.NodeID) int {
 	return d
 }
 
-// findLowestSubtree searches bottom-up from minLevel for the first level
-// holding a subtree that can plausibly fit the tenant: enough free slots,
-// enough fault domains for the Eq. 7 caps, and enough spare bandwidth on
-// the path to the root for the tenant's external demand. Within a level
-// it picks the feasible subtree with the fewest free slots (best fit), so
-// large gaps stay available for large tenants.
-func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
-	tree := r.p.tree
-	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		best := topology.NoNode
-		bestFree := math.MaxInt
-		for _, n := range tree.NodesAtLevel(lvl) {
-			free := tree.SlotsFree(n)
-			if free < r.totalVMs || free >= bestFree {
-				continue
-			}
-			if !r.haFits(n) || !r.pathHasExternal(n) || !r.resourcesFit(n) {
-				continue
-			}
-			best, bestFree = n, free
-		}
-		if best != topology.NoNode {
-			return best
-		}
-	}
-	return topology.NoNode
+// fits reports whether subtree n can plausibly host the tenant beyond
+// its free slots, which Tree.LowestFit checks: enough fault domains for
+// the Eq. 7 caps, enough spare bandwidth on the path to the root for
+// the tenant's external demand, and enough declared resources.
+func (r *run) fits(n topology.NodeID) bool {
+	return r.haFits(n) && r.pathHasExternal(n) && r.resourcesFit(n)
 }
 
 // resourcesFit checks the subtree's aggregate resource capacity against

@@ -1,8 +1,9 @@
 package cloudmirror
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudmirror/internal/place"
 	"cloudmirror/internal/tag"
@@ -43,7 +44,7 @@ func (p *Placer) Resize(res *place.Reservation, oldGraph, newGraph *tag.Graph, t
 	case newSize == oldSize:
 		return tx.Commit(), nil
 	case newSize < oldSize:
-		return p.shrink(tx, oldGraph, tier, oldSize-newSize)
+		return p.shrink(tx, res.Placement(), oldGraph, tier, oldSize-newSize)
 	default:
 		return p.grow(tx, oldGraph, newGraph, tier, newSize-oldSize, ha)
 	}
@@ -76,23 +77,22 @@ func compatible(oldG, newG *tag.Graph, tier int) error {
 
 // shrink removes d VMs of the tier, emptying the servers with the
 // smallest holdings first so the tier stays consolidated, then
-// reconciles all reservations under the new (smaller) model.
-func (p *Placer) shrink(tx *place.Txn, oldG *tag.Graph, tier, d int) (*place.Reservation, error) {
+// reconciles all reservations under the new (smaller) model. pl is the
+// placement tx was reopened from.
+func (p *Placer) shrink(tx *place.Txn, pl place.Placement, oldG *tag.Graph, tier, d int) (*place.Reservation, error) {
 	type holding struct {
 		server topology.NodeID
 		count  int
 	}
 	var holdings []holding
-	for _, server := range p.tree.Servers() {
+	//cloudlint:ordered holdings are sorted by (count, server) below, a total order
+	for server := range pl {
 		if k := tx.CountOf(server, tier); k > 0 {
 			holdings = append(holdings, holding{server, k})
 		}
 	}
-	sort.Slice(holdings, func(i, j int) bool {
-		if holdings[i].count != holdings[j].count {
-			return holdings[i].count < holdings[j].count
-		}
-		return holdings[i].server < holdings[j].server
+	slices.SortFunc(holdings, func(a, b holding) int {
+		return cmp.Or(cmp.Compare(a.count, b.count), cmp.Compare(a.server, b.server))
 	})
 	remaining := d
 	var removed []action

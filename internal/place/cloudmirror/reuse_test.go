@@ -43,7 +43,7 @@ func TestDifferentialScanReuse(t *testing.T) {
 				r.tx = p.tx
 				r.tx.SetResources(req.Resources)
 				for lvl := 1; lvl <= tree.Height(); lvl++ {
-					st := r.findLowestSubtree(lvl)
+					st := tree.LowestFit(lvl, r.totalVMs, r.fits)
 					if st == topology.NoNode {
 						break
 					}

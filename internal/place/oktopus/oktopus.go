@@ -101,7 +101,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 	}
 	r.tx = p.tx
 	r.tx.SetResources(req.Resources)
-	st := r.findLowestSubtree(0)
+	st := p.tree.LowestFit(0, r.totalVMs, r.fits)
 	for st != topology.NoNode {
 		if r.allocAll(st) {
 			if err := r.tx.SyncPath(st); err == nil {
@@ -112,7 +112,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 		if st == p.tree.Root() {
 			break
 		}
-		st = r.findLowestSubtree(p.tree.Level(st) + 1)
+		st = p.tree.LowestFit(p.tree.Level(st)+1, r.totalVMs, r.fits)
 	}
 	return nil, place.Rejectf("admit", place.ReasonNoPlacement, "tenant %d (%d VMs) does not fit", req.ID, r.totalVMs)
 }
@@ -194,31 +194,10 @@ func (r *run) init() {
 	r.extOut, r.extIn = r.model.Cut(r.sizes)
 }
 
-// findLowestSubtree mirrors CloudMirror's search (shared semantics; the
-// comparison isolates the placement strategy, not the subtree search):
-// lowest level with a best-fit subtree that has the slots, fault domains
-// and root-path bandwidth the tenant needs.
-func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
-	tree := r.p.tree
-	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		best := topology.NoNode
-		bestFree := math.MaxInt
-		for _, n := range tree.NodesAtLevel(lvl) {
-			free := tree.SlotsFree(n)
-			if free < r.totalVMs || free >= bestFree {
-				continue
-			}
-			if !r.haFits(n) || !r.pathHasExternal(n) {
-				continue
-			}
-			best, bestFree = n, free
-		}
-		if best != topology.NoNode {
-			return best
-		}
-	}
-	return topology.NoNode
-}
+// fits reports whether subtree n has the fault domains and root-path
+// bandwidth the tenant needs, beside the free slots Tree.LowestFit
+// checks.
+func (r *run) fits(n topology.NodeID) bool { return r.haFits(n) && r.pathHasExternal(n) }
 
 func (r *run) haFits(n topology.NodeID) bool {
 	if !r.ha.Guaranteed() {

@@ -1,7 +1,7 @@
 package place
 
 import (
-	"sort"
+	"slices"
 
 	"cloudmirror/internal/topology"
 )
@@ -40,7 +40,7 @@ func (r *Reservation) TotalReserved() float64 {
 	for n := range r.reserved {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	var sum float64
 	for _, n := range nodes {
 		sum += r.reserved[n][0] + r.reserved[n][1]
@@ -111,7 +111,7 @@ func (r *Reservation) Release() {
 	for server := range r.placement {
 		servers = append(servers, server)
 	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
+	slices.Sort(servers)
 	for _, server := range servers {
 		counts := r.placement[server]
 		total := 0
@@ -149,7 +149,7 @@ func (r *Reservation) Reopen(model Model) *Txn {
 	for server := range r.placement {
 		servers = append(servers, server)
 	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
+	slices.Sort(servers)
 	for _, server := range servers {
 		c := r.placement[server]
 		r.tree.PathToRoot(server, func(n topology.NodeID) {
@@ -167,7 +167,7 @@ func (r *Reservation) Reopen(model Model) *Txn {
 	for n := range r.reserved {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	for _, n := range nodes {
 		v := r.reserved[n]
 		tx.resOut[n], tx.resIn[n] = v[0], v[1]
@@ -198,7 +198,7 @@ func Account(tree *topology.Tree, model Model, pl Placement) (*Reservation, erro
 	for n := range counts {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	for _, n := range nodes {
 		if n == tree.Root() {
 			continue

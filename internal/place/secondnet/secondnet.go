@@ -56,7 +56,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 	}
 	r.tx = p.tx
 	r.tx.SetResources(req.Resources)
-	st := r.findLowestSubtree(0)
+	st := p.tree.LowestFit(0, r.totalVMs, r.pathHasExternal)
 	for st != topology.NoNode {
 		if r.allocVMs(st) {
 			if err := r.tx.SyncPath(st); err == nil {
@@ -67,7 +67,7 @@ func (p *Placer) Place(req *place.Request) (*place.Reservation, error) {
 		if st == p.tree.Root() {
 			break
 		}
-		st = r.findLowestSubtree(p.tree.Level(st) + 1)
+		st = p.tree.LowestFit(p.tree.Level(st)+1, r.totalVMs, r.pathHasExternal)
 	}
 	return nil, place.Rejectf("admit", place.ReasonNoPlacement, "tenant %d (%d VMs) does not fit", req.ID, r.totalVMs)
 }
@@ -122,28 +122,6 @@ func (r *run) init() {
 		placed++
 	}
 	r.extOut, r.extIn = r.model.Cut(r.sizes)
-}
-
-func (r *run) findLowestSubtree(minLevel int) topology.NodeID {
-	tree := r.p.tree
-	for lvl := minLevel; lvl <= tree.Height(); lvl++ {
-		best := topology.NoNode
-		bestFree := math.MaxInt
-		for _, n := range tree.NodesAtLevel(lvl) {
-			free := tree.SlotsFree(n)
-			if free < r.totalVMs || free >= bestFree {
-				continue
-			}
-			if !r.pathHasExternal(n) {
-				continue
-			}
-			best, bestFree = n, free
-		}
-		if best != topology.NoNode {
-			return best
-		}
-	}
-	return topology.NoNode
 }
 
 func (r *run) pathHasExternal(n topology.NodeID) bool {

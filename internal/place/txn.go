@@ -17,9 +17,9 @@ import (
 // Either Commit is called, transferring ownership of all resources to the
 // returned Reservation, or ReleaseAll, which restores slots and VM counts
 // exactly but not the float accumulators: an uplink's reserved bandwidth
-// (and a server's free resources) keep the residue of +x −x until
-// Admitter's snapshot restore puts the whole tree back after the
-// admission fails. Later attempts within the same admission see that
+// (and a server's free resources) keep the residue of +x −x until the
+// Admitter's snapshot restore undoes the attempt's ledger writes after
+// the admission fails. Later attempts within the same admission see that
 // residue, and it steers them.
 //
 // State is kept in dense per-node arrays rather than maps: a placer

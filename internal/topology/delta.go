@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The delta layer turns a placement's net resource footprint into a
@@ -88,9 +89,9 @@ func (d Delta) Negate() Delta {
 // it. Builders that emit entries from map iteration call it to reach
 // the canonical form.
 func (d Delta) Normalize() Delta {
-	sort.Slice(d.Slots, func(i, j int) bool { return d.Slots[i].Server < d.Slots[j].Server })
-	sort.Slice(d.Links, func(i, j int) bool { return d.Links[i].Node < d.Links[j].Node })
-	sort.Slice(d.Resources, func(i, j int) bool { return d.Resources[i].Server < d.Resources[j].Server })
+	slices.SortFunc(d.Slots, func(a, b SlotDelta) int { return cmp.Compare(a.Server, b.Server) })
+	slices.SortFunc(d.Links, func(a, b LinkDelta) int { return cmp.Compare(a.Node, b.Node) })
+	slices.SortFunc(d.Resources, func(a, b ResourceDelta) int { return cmp.Compare(a.Server, b.Server) })
 	return d
 }
 
@@ -171,6 +172,7 @@ func (t *Tree) Apply(d Delta) {
 			panic(fmt.Sprintf("topology: delta over-releases %d slots on server %d", -s.N, s.Server))
 		}
 		for m := s.Server; m != NoNode; m = t.parent[m] {
+			t.note(m)
 			t.slotsFree[m] -= int32(s.N)
 		}
 	}
@@ -178,6 +180,7 @@ func (t *Tree) Apply(d Delta) {
 		if l.Node == t.root {
 			continue
 		}
+		t.note(l.Node)
 		t.upResOut[l.Node] += l.Out
 		if t.upResOut[l.Node] < 0 {
 			t.upResOut[l.Node] = 0
@@ -193,6 +196,7 @@ func (t *Tree) Apply(d Delta) {
 				continue
 			}
 			for m := r.Server; m != NoNode; m = t.parent[m] {
+				t.note(m)
 				t.res.free[dim][m] -= v
 			}
 		}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -19,30 +20,21 @@ func smallRes() *Tree {
 	})
 }
 
-// mutableState snapshots every mutable accumulator of a tree for
-// byte-exact comparison (float bits, not approximate equality).
+// mutableState renders every mutable accumulator of a tree, as
+// ExportLedger copies them, for byte-exact comparison: float64s by
+// Float64bits, so -0 and 0 differ and residue in the last bit shows.
 func mutableState(t *Tree) [][]uint64 {
-	var st [][]uint64
-	row := make([]uint64, 0, t.NumNodes())
-	for _, v := range t.slotsFree {
-		row = append(row, uint64(uint32(v)))
+	l := t.ExportLedger()
+	st := [][]uint64{make([]uint64, 0, len(l.Slots))}
+	for _, v := range l.Slots {
+		st[0] = append(st[0], uint64(uint32(v)))
 	}
-	st = append(st, row)
-	for _, arr := range [][]float64{t.upResOut, t.upResIn} {
-		row = make([]uint64, 0, len(arr))
+	for _, arr := range append([][]float64{l.Out, l.In}, l.Res...) {
+		row := make([]uint64, 0, len(arr))
 		for _, v := range arr {
 			row = append(row, math.Float64bits(v))
 		}
 		st = append(st, row)
-	}
-	if t.res != nil {
-		for _, arr := range t.res.free {
-			row = make([]uint64, 0, len(arr))
-			for _, v := range arr {
-				row = append(row, math.Float64bits(v))
-			}
-			st = append(st, row)
-		}
 	}
 	return st
 }
@@ -89,30 +81,93 @@ func TestDeltaApplyMatchesIncremental(t *testing.T) {
 	}
 }
 
+// wideRes builds a two-rack tree with two resource dimensions, wide
+// enough that each ledger mutator can be the first writer of a node of
+// its own inside one snapshot bracket.
+func wideRes() *Tree {
+	return New(Spec{
+		SlotsPerServer: 4,
+		Levels: []LevelSpec{
+			{Name: "server", Fanout: 8, Uplink: 100},
+			{Name: "tor", Fanout: 2, Uplink: 150},
+		},
+		Resources: []ResourceSpec{{Name: "cpu", PerServer: 16}, {Name: "mem", PerServer: 64}},
+	})
+}
+
 // TestSnapshotRestoreByteExact: a Save/RestoreSnapshot bracket around
 // arbitrary incremental mutation — the Admitter's rollback of a
-// placer's attempt — restores every accumulator's bits.
+// placer's attempt — restores every accumulator's bits. Inside one
+// bracket every ledger mutator is the first to write some node (each
+// server below is touched by one step only), so a mutator that skips
+// the journal leaves a node unrestored and fails the test. Two
+// brackets back to back on one Snapshot and an empty bracket restore
+// too.
 func TestSnapshotRestoreByteExact(t *testing.T) {
-	tr := smallRes()
-	s := tr.Servers()[0]
-	tr.Apply(Delta{Slots: []SlotDelta{{s, 2}}, Links: []LinkDelta{{s, 30.1, 30.3}},
-		Resources: []ResourceDelta{{s, []float64{2, 4}}}})
+	tr := wideRes()
+	sv := tr.Servers()
+	var pre Delta
+	for _, s := range sv {
+		pre.Slots = append(pre.Slots, SlotDelta{s, 2})
+		pre.Links = append(pre.Links, LinkDelta{s, 30.1, 30.3})
+		pre.Resources = append(pre.Resources, ResourceDelta{s, []float64{2.2, 4.7}})
+	}
+	pre.Links = append(pre.Links, LinkDelta{tr.Parent(sv[0]), 70.7, 0.9}, LinkDelta{tr.Parent(sv[8]), 1.3, 20.1})
+	tr.Apply(pre)
 	before := mutableState(tr)
 	snap := tr.NewSnapshot()
+
 	tr.Save(snap)
-	if err := tr.UseSlots(s, 2); err != nil {
+	// Amounts large against the ledger's, so that d then d.Negate()
+	// leaves float residue on the nodes they touch.
+	d := Delta{
+		Slots:     []SlotDelta{{sv[0], 1}},
+		Links:     []LinkDelta{{sv[1], 333.3, 777.7}},
+		Resources: []ResourceDelta{{sv[2], []float64{333.3, 777.7}}},
+	}
+	tr.Apply(d)
+	tr.Apply(d.Negate())
+	if err := tr.Reserve(sv[3], 49.9, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.UseResources(s, 2, []float64{0.7, 1.3}); err != nil {
+	if err := tr.Reserve(sv[4], 1000, 0); !errors.Is(err, ErrNoBandwidth) {
+		t.Fatalf("Reserve over capacity = %v, want ErrNoBandwidth", err)
+	}
+	tr.Release(sv[4], 10.3, 0.2)
+	if err := tr.UseSlots(sv[5], 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Reserve(s, 49.9, 0.1); err != nil {
+	tr.ReleaseSlots(sv[6], 1)
+	if err := tr.UseResources(sv[7], 2, []float64{0.7, 1.3}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Release(s, 49.9, 0.1)
+	tr.ReleaseResources(sv[8], 1, []float64{1.1, 0.3})
+	if reflect.DeepEqual(mutableState(tr), before) {
+		t.Fatal("the bracket's mutations left the ledger unchanged")
+	}
 	tr.RestoreSnapshot(snap)
 	if !reflect.DeepEqual(mutableState(tr), before) {
 		t.Fatal("RestoreSnapshot was not byte-exact")
+	}
+
+	// A second bracket on the same snapshot journals afresh: nodes the
+	// first one restored are journaled again on their first write.
+	tr.Save(snap)
+	if err := tr.UseSlots(sv[5], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Reserve(sv[3], 0.3, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	tr.RestoreSnapshot(snap)
+	if !reflect.DeepEqual(mutableState(tr), before) {
+		t.Fatal("second bracket on one snapshot was not byte-exact")
+	}
+
+	tr.Save(snap)
+	tr.RestoreSnapshot(snap)
+	if !reflect.DeepEqual(mutableState(tr), before) {
+		t.Fatal("empty bracket changed the ledger")
 	}
 }
 

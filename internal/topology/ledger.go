@@ -49,8 +49,12 @@ func (t *Tree) ExportLedger() Ledger {
 // ImportLedger overwrites the tree's mutable ledger state with a
 // previously exported one. The tree must have been built from the same
 // Spec as the exporter (identical shape); mismatched dimensions fail
-// without changing anything.
+// without changing anything. It panics inside a Save/RestoreSnapshot
+// bracket, whose journal it would bypass.
 func (t *Tree) ImportLedger(l Ledger) error {
+	if t.bracket != nil {
+		panic("topology: ImportLedger inside a snapshot bracket")
+	}
 	if len(l.Out) != len(t.upResOut) || len(l.In) != len(t.upResIn) || len(l.Slots) != len(t.slotsFree) {
 		return fmt.Errorf("topology: ledger sized for %d nodes, tree has %d", len(l.Slots), len(t.slotsFree))
 	}

@@ -122,6 +122,7 @@ func (t *Tree) UseResources(n NodeID, k int, demand []float64) error {
 	for r, d := range demand {
 		take := float64(k) * d
 		for m := n; m != NoNode; m = t.parent[m] {
+			t.note(m)
 			t.res.free[r][m] -= take
 		}
 	}
@@ -136,6 +137,7 @@ func (t *Tree) ReleaseResources(n NodeID, k int, demand []float64) {
 	for r, d := range demand {
 		give := float64(k) * d
 		for m := n; m != NoNode; m = t.parent[m] {
+			t.note(m)
 			t.res.free[r][m] += give
 		}
 	}

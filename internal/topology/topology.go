@@ -12,6 +12,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node in a Tree. IDs are dense, starting at 0 for
@@ -146,6 +147,12 @@ type Tree struct {
 	nodesByLevel [][]NodeID
 	root         NodeID
 	res          *resourceState
+
+	// The undo journal (snapshot.go): bracket is the snapshot of the
+	// open Save/RestoreSnapshot bracket, nil outside one, and
+	// journaled[n] is set while n's pre-bracket state is in it.
+	bracket   *Snapshot
+	journaled []bool
 }
 
 // New builds the tree described by spec. It panics if the spec is
@@ -174,6 +181,7 @@ func New(spec Spec) *Tree {
 		slotsFree:    make([]int32, total),
 		slotsTotal:   make([]int32, total),
 		nodesByLevel: make([][]NodeID, levels+1),
+		journaled:    make([]bool, total),
 	}
 
 	next := NodeID(0)
@@ -257,6 +265,40 @@ func (t *Tree) SlotsFree(n NodeID) int { return int(t.slotsFree[n]) }
 // SlotsTotal returns the total VM slots in the subtree rooted at n.
 func (t *Tree) SlotsTotal(n NodeID) int { return int(t.slotsTotal[n]) }
 
+// LowestFit is the placers' subtree search: from minLevel up, the first
+// level holding a node with at least vms free slots that ok accepts,
+// and on that level the accepted node with the fewest free slots, the
+// first in level order on a tie (best fit keeps large gaps for large
+// tenants). It returns NoNode when no level has one.
+//
+// Two shortcuts keep the answer: a level whose nodes hold fewer than
+// vms slots in all is skipped unscanned (every node of a level has the
+// same total), and a scan stops at an accepted node with exactly vms
+// free, which no later node can beat.
+func (t *Tree) LowestFit(minLevel, vms int, ok func(NodeID) bool) NodeID {
+	for lvl := minLevel; lvl <= t.Height(); lvl++ {
+		nodes := t.nodesByLevel[lvl]
+		if int(t.slotsTotal[nodes[0]]) < vms {
+			continue
+		}
+		best, bestFree := NoNode, math.MaxInt
+		for _, n := range nodes {
+			free := int(t.slotsFree[n])
+			if free < vms || free >= bestFree || !ok(n) {
+				continue
+			}
+			best, bestFree = n, free
+			if free == vms {
+				break
+			}
+		}
+		if best != NoNode {
+			return best
+		}
+	}
+	return NoNode
+}
+
 // UseSlots consumes k free slots on server n, updating subtree aggregates
 // up to the root. It fails with ErrNoSlots (and changes nothing) if the
 // server does not have k free slots.
@@ -268,6 +310,7 @@ func (t *Tree) UseSlots(n NodeID, k int) error {
 		return fmt.Errorf("%w: server %d has %d free, need %d", ErrNoSlots, n, t.slotsFree[n], k)
 	}
 	for m := n; m != NoNode; m = t.parent[m] {
+		t.note(m)
 		t.slotsFree[m] -= int32(k)
 	}
 	return nil
@@ -283,6 +326,7 @@ func (t *Tree) ReleaseSlots(n NodeID, k int) {
 		panic(fmt.Sprintf("topology: over-release of %d slots on server %d", k, n))
 	}
 	for m := n; m != NoNode; m = t.parent[m] {
+		t.note(m)
 		t.slotsFree[m] += int32(k)
 	}
 }
@@ -316,6 +360,7 @@ func (t *Tree) Reserve(n NodeID, out, in float64) error {
 	if t.upResOut[n]+out > t.upCap[n]+capEpsilon || t.upResIn[n]+in > t.upCap[n]+capEpsilon {
 		return t.bandwidthError(n, out, in)
 	}
+	t.note(n)
 	t.upResOut[n] += out
 	t.upResIn[n] += in
 	if t.upResOut[n] < 0 {
@@ -334,6 +379,7 @@ func (t *Tree) Release(n NodeID, out, in float64) {
 	if n == t.root {
 		return
 	}
+	t.note(n)
 	t.upResOut[n] -= out
 	if t.upResOut[n] < 0 {
 		t.upResOut[n] = 0

@@ -315,3 +315,69 @@ func TestBandwidthError(t *testing.T) {
 		t.Errorf("refusals changed the ledger: (%g, %g)", out, in)
 	}
 }
+
+// TestLowestFitCertificate holds LowestFit to its definition, computed
+// by brute force over NodesAtLevel: the first level from minLevel up
+// with an accepted node of at least vms free slots, and there the
+// accepted node with the fewest free slots, first in level order. The
+// ledgers are the empty tree and seeded fills of SmallSpec and
+// PaperSpec in which some servers are empty, some full and the rest
+// partly used; the inputs are every minLevel, every size from one VM
+// to a pod, and predicates that accept every node, none, or every
+// other one.
+func TestLowestFitCertificate(t *testing.T) {
+	preds := map[string]func(NodeID) bool{
+		"all":         func(NodeID) bool { return true },
+		"none":        func(NodeID) bool { return false },
+		"every-other": func(n NodeID) bool { return n%2 == 0 },
+	}
+	for _, spec := range []struct {
+		name string
+		spec Spec
+	}{{"small", SmallSpec()}, {"paper", PaperSpec()}} {
+		for _, seed := range []int64{0, 1, 2} {
+			tr := New(spec.spec)
+			if seed > 0 {
+				r := rand.New(rand.NewSource(seed))
+				for _, s := range tr.Servers() {
+					k := r.Intn(tr.SlotsTotal(s) + 1)
+					switch r.Intn(4) {
+					case 0:
+						k = 0
+					case 1:
+						k = tr.SlotsTotal(s)
+					}
+					if err := tr.UseSlots(s, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pod := tr.SlotsTotal(tr.NodesAtLevel(tr.Height() - 1)[0])
+			for pname, ok := range preds {
+				// best[l] is level l's answer by brute force.
+				best := make([]NodeID, tr.Height()+1)
+				for vms := 1; vms <= pod; vms++ {
+					for l := range best {
+						best[l] = NoNode
+						for _, n := range tr.NodesAtLevel(l) {
+							if tr.SlotsFree(n) >= vms && ok(n) &&
+								(best[l] == NoNode || tr.SlotsFree(n) < tr.SlotsFree(best[l])) {
+								best[l] = n
+							}
+						}
+					}
+					for minLevel := 0; minLevel <= tr.Height()+1; minLevel++ {
+						want := NoNode
+						for l := minLevel; l <= tr.Height() && want == NoNode; l++ {
+							want = best[l]
+						}
+						if got := tr.LowestFit(minLevel, vms, ok); got != want {
+							t.Fatalf("%s seed %d, %s: LowestFit(%d, %d) = %d, want %d",
+								spec.name, seed, pname, minLevel, vms, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
